@@ -65,6 +65,15 @@ if ! grep -q "^fail " "$TMP/run/orchestrate.manifest"; then
   echo "FAIL: manifest has no classified fail lines after a fault storm" >&2
   exit 1
 fi
+# One attempt per shard: the storm's attempts and failure classes are a
+# function of the seed alone (chaos_fault_for), so the tally is pinned.
+# launch-refused on a local worker is a plain exit-255 failure.
+TALLY="attempts=21 retried=13 [corrupt-output=5 exit-255=2 signal-9=3 stalled=3]"
+if ! grep -qF "$TALLY" "$TMP/run/orchestrate.manifest"; then
+  echo "FAIL: seed-7 tally differs from the pinned '$TALLY':" >&2
+  grep "^info run summary" "$TMP/run/orchestrate.manifest" >&2
+  exit 1
+fi
 
 # --- 3: resume over a truncated shard recomputes it -------------------
 # Truncate one durable shard file mid-document (a crash between rename
@@ -74,8 +83,7 @@ fi
 head -c 40 "$TMP/run/shard_3.csv" > "$TMP/run/shard_3.csv.tmp"
 mv "$TMP/run/shard_3.csv.tmp" "$TMP/run/shard_3.csv"
 rm "$TMP/run/merged.csv"
-"$BIN" orchestrate --resume "$TMP/run" --workers 4 --no-speculate \
-    2> "$TMP/resume.log"
+"$BIN" orchestrate --resume "$TMP/run" --workers 4 2> "$TMP/resume.log"
 
 if ! grep -q "re-running" "$TMP/resume.log"; then
   echo "FAIL: resume did not reclassify the truncated shard" >&2

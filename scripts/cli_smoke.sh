@@ -111,10 +111,15 @@ expect_error 1 "--cache-max-mb requires --cache-dir" \
     sweep --plan "$TMP/plan.sweep" --cache-max-mb 64
 expect_error 1 "--plan FILE required" sweep
 expect_error 1 "cannot read" sweep --plan "$TMP/no_such_plan.sweep"
+# The legacy kill alias is gone; `--fault kill=N` is the one spelling.
+expect_error 1 "unknown option '--abort-after-cells'" \
+    sweep --plan "$TMP/plan.sweep" --abort-after-cells 1
 
 # orchestrate argument misuse.
 expect_error 1 "--plan FILE and --out-dir DIR required" \
     orchestrate --workers 2
+expect_error 1 "unknown option '--no-speculate'" \
+    orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/x" --no-speculate
 expect_error 1 "drop --out-dir" \
     orchestrate --resume "$TMP/run" --out-dir "$TMP/other"
 expect_error 1 "--cache-max-mb requires --cache-dir" \

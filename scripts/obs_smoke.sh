@@ -121,11 +121,12 @@ fi
 
 # --- 3: inert under seeded chaos too ----------------------------------
 # The chaos schedule keys on (seed, shard, attempt) — never on argv —
-# so the traced storm replays the identical fault sequence.
+# so the traced storm replays the identical fault sequence. Seed 7
+# stalls some attempts; --stall-timeout is what clears them.
 "$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/chaos_plain" \
-    --workers 4 --chaos-seed 7 > /dev/null 2>&1
+    --workers 4 --stall-timeout 2 --chaos-seed 7 > /dev/null 2>&1
 "$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/chaos_traced" \
-    --workers 4 --chaos-seed 7 \
+    --workers 4 --stall-timeout 2 --chaos-seed 7 \
     --trace-dir "$TMP/chaos_traced/telemetry" > /dev/null 2>&1
 if ! cmp "$TMP/chaos_plain/merged.csv" "$TMP/chaos_traced/merged.csv"; then
   echo "FAIL: tracing changed the chaos run's merged bytes" >&2

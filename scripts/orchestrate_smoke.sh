@@ -62,8 +62,7 @@ fi
 
 # --- 2: resume re-runs only the missing shard ------------------------
 rm "$TMP/run/merged.csv" "$TMP/run/shard_5.csv"
-"$BIN" orchestrate --resume "$TMP/run" --workers 4 --no-speculate \
-    2> "$TMP/resume.log"
+"$BIN" orchestrate --resume "$TMP/run" --workers 4 2> "$TMP/resume.log"
 
 if ! grep -q "skipping 7 finished shard(s) of 8" "$TMP/resume.log"; then
   echo "FAIL: resume did not skip the 7 intact shards" >&2

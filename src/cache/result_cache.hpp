@@ -6,7 +6,7 @@
 ///
 /// Every sweep cell's CSV row is a pure function of (plan fingerprint,
 /// cell index, accuracy banner, result-schema version) — the same
-/// purity the orchestrator's retry/speculation safety rests on. The
+/// purity the orchestrator's retry safety rests on. The
 /// cache keys on exactly that tuple: `cell_key` hashes the shard
 /// banner (which carries the plan fingerprint, grid size, and the
 /// accuracy tag), the grid cell index, the CSV header (which pins the

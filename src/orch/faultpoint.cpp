@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "util/config.hpp"
+#include "util/rng.hpp"
 
 namespace railcorr::orch {
 
@@ -85,6 +86,51 @@ FaultSpec parse_fault_spec(std::string_view text) {
       "': expected torn-write=N, corrupt-trailer, stall=N, kill=N, "
       "cache-torn-write=N, cache-corrupt-segment, cache-evict, "
       "launch-refused, host-flap=N, transfer-torn=N, or transfer-stalled");
+}
+
+std::optional<FaultSpec> chaos_fault_for(std::uint64_t seed,
+                                         std::size_t shard,
+                                         std::size_t attempt,
+                                         bool with_hosts, bool with_cache) {
+  SplitMix64 rng(seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)) ^
+                 (0xbf58476d1ce4e5b9ULL * (attempt + 1)));
+  const std::uint64_t u = rng.next();
+  switch (u % (with_hosts ? 12 : 8)) {
+    case 0:
+      return FaultSpec{FaultKind::kTornWrite,
+                       1 + static_cast<std::size_t>((u >> 8) % 120)};
+    case 1:
+      return FaultSpec{FaultKind::kCorruptTrailer, 0};
+    case 2:
+      return FaultSpec{FaultKind::kStall, 1};
+    case 3:
+      return FaultSpec{FaultKind::kKillAfterCells, 1};
+    case 4:
+      // Cache faults poison the shared store, not the worker: the
+      // attempt still succeeds, the damage must surface only as
+      // recomputes.
+      if (with_cache) {
+        return FaultSpec{FaultKind::kCacheTornWrite,
+                         1 + static_cast<std::size_t>((u >> 8) % 120)};
+      }
+      return std::nullopt;
+    case 5:
+      if (with_cache) {
+        return FaultSpec{FaultKind::kCacheCorruptSegment, 0};
+      }
+      return std::nullopt;
+    case 6:
+      return FaultSpec{FaultKind::kLaunchRefused, 0};
+    case 7:
+      return FaultSpec{FaultKind::kTransferTorn,
+                       1 + static_cast<std::size_t>((u >> 8) % 120)};
+    case 8:
+      return FaultSpec{FaultKind::kTransferStalled, 0};
+    case 9:
+      return FaultSpec{FaultKind::kHostFlap, 1};
+    default:
+      return std::nullopt;  // Clean attempt.
+  }
 }
 
 FaultInjector& FaultInjector::instance() {

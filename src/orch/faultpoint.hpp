@@ -3,8 +3,7 @@
 ///        testing of the orchestrator's failure model.
 ///
 /// A fault point is a *named site* in the worker where a specific
-/// failure can be provoked on demand — generalizing the original
-/// `--abort-after-cells` kill hook into a small vocabulary covering
+/// failure can be provoked on demand — a small vocabulary covering
 /// every failure class the orchestrator claims to survive:
 ///
 ///   torn-write=N       write only the first N bytes of the output
@@ -20,8 +19,7 @@
 ///                      supervisor's --stall-timeout liveness check
 ///                      can clear.
 ///   kill=N             raise SIGKILL after N cells — a crashed
-///                      worker, mid-shard (`--abort-after-cells N`
-///                      is an alias).
+///                      worker, mid-shard.
 ///
 /// Cache fault points (sites in cache::ResultCache::flush) model an
 /// adversarial shared result store; a poisoned cache must never change
@@ -68,11 +66,12 @@
 ///
 /// The seeded chaos harness (`scripts/chaos_smoke.sh`, ctest
 /// `cli/chaos_smoke`) drives a whole grid through a deterministic
-/// random schedule of these faults and asserts the merged output is
-/// byte-identical to a clean single-process sweep.
+/// random schedule of these faults (`chaos_fault_for`) and asserts the
+/// merged output is byte-identical to a clean single-process sweep.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -108,6 +107,22 @@ std::string fault_spec_string(const FaultSpec& spec);
 /// Throws util::ConfigError on an unknown kind, a missing required
 /// parameter, or malformed digits.
 FaultSpec parse_fault_spec(std::string_view text);
+
+/// The seeded chaos schedule of `orchestrate --chaos-seed`: which fault
+/// (if any) attempt `attempt` of shard `shard` suffers. A pure function
+/// of its arguments, so the worker-command and fetch-command builders
+/// replay the same storm. The draw is `u % 8` without hosts, `u % 12`
+/// with them: slots 0-3 are worker faults, 4-5 cache faults (clean
+/// without a cache), 6 launch-refused (on a local worker a plain
+/// exit-255 failure, charged to the shard), 7 transfer-torn (dropped by
+/// the worker builder, so clean without a fetch step), and only with
+/// hosts 8-9 transfer-stalled and host-flap. Callers consult it only
+/// for attempts below the retry budget, so the last allowed attempt of
+/// every shard runs clean and a chaos run converges by construction.
+std::optional<FaultSpec> chaos_fault_for(std::uint64_t seed,
+                                         std::size_t shard,
+                                         std::size_t attempt,
+                                         bool with_hosts, bool with_cache);
 
 /// Process-wide fault registry. Worker code queries it at each
 /// injection site; the CLI arms it from --fault flags and the

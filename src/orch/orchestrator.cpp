@@ -17,6 +17,7 @@
 #include "orch/process.hpp"
 #include "orch/progress.hpp"
 #include "util/config.hpp"
+#include "util/contracts.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::orch {
@@ -103,9 +104,6 @@ bool is_transport_class(FailureClass cls) {
          cls == FailureClass::kTransferStalled;
 }
 
-/// No host assigned (non-distributed run).
-constexpr std::size_t kNoHost = static_cast<std::size_t>(-1);
-
 /// One live worker attempt tracked by the scheduler. A remote attempt
 /// with a fetch step has two phases: the worker process, then — after
 /// it exits 0 — the fetch subprocess pulling the shard file back; the
@@ -123,17 +121,14 @@ struct ActiveAttempt {
   /// Last parsed protocol event (== started until the first one): the
   /// liveness signal the stall timeout watches.
   Clock::time_point last_progress;
-  /// A twin already finalized this shard; this attempt's exit (however
-  /// it ends) is ignored and its output discarded.
-  bool canceled = false;
   bool timed_out = false;
   bool stalled = false;
   /// Any protocol event was parsed from this worker — distinguishes a
   /// launch the transport refused outright (exit 255, silent) from a
   /// connection lost mid-shard (exit 255 after events).
   bool saw_event = false;
-  /// FleetHealth index, kNoHost when the run is not distributed.
-  std::size_t host = kNoHost;
+  /// FleetHealth index of the host the attempt occupies.
+  std::size_t host = 0;
   /// The in-flight fetch subprocess (phase two); engaged only for
   /// remote attempts whose worker exited 0 under a fetch builder.
   std::optional<ChildProcess> fetch;
@@ -247,7 +242,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   const RunManifest wanted =
       RunManifest::plan_run(plan, shards, options.include_sizing);
 
-  std::vector<bool> completed(shards, false);
+  // Shards still to run; a resume leaves out the intact finished ones.
+  std::deque<std::size_t> pending;
   std::size_t completed_count = 0;
   ProgressAggregator aggregator(grid, shards);
 
@@ -261,16 +257,18 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       return result;
     }
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      if (!previous->is_done(shard)) continue;
       // A done entry only counts when its file is still intact (the
       // recorded banner, a verified or absent integrity trailer, and
       // every owned row); a truncated or corrupted shard is
       // reclassified as *not done* and recomputed — resume is
       // self-healing, not a fatal contract check.
       std::string why;
-      if (shard_file_intact(dir / shard_file_name(shard), wanted.banner,
-                            corridor::ShardSpec{shard, shards}, grid, &why)) {
-        completed[shard] = true;
+      if (!previous->is_done(shard)) {
+        pending.push_back(shard);
+      } else if (shard_file_intact(dir / shard_file_name(shard),
+                                   wanted.banner,
+                                   corridor::ShardSpec{shard, shards}, grid,
+                                   &why)) {
         ++completed_count;
         ++result.stats.resumed;
         for (const std::size_t index :
@@ -284,6 +282,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       } else {
         log("resume: shard " + std::to_string(shard) +
             " marked done but its file is stale (" + why + "); re-running");
+        pending.push_back(shard);
       }
     }
     log("resume: skipping " + std::to_string(result.stats.resumed) +
@@ -293,6 +292,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     if (!util::atomic_write_file(manifest_path.string(), wanted.header_text(),
                                  &error)) {
       return fail("cannot write manifest: " + error);
+    }
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      pending.push_back(shard);
     }
   }
 
@@ -317,11 +319,17 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
   }
 
-  // --- distributed fleet --------------------------------------------
-  // Host health runs on run-relative seconds so FleetHealth stays a
-  // pure, time-injected state machine (unit-testable without sleeping).
-  const bool fleet_mode = !options.hosts.empty();
-  FleetHealth fleet(options.hosts, options.health);
+  // --- fleet ----------------------------------------------------------
+  // Every attempt is placed through FleetHealth; a run without hosts is
+  // a fleet of one `local` host, which no transport failure can charge
+  // (the local path has no launcher and no fetch), so it never leaves
+  // the healthy state. Host health runs on run-relative seconds so
+  // FleetHealth stays a pure, time-injected state machine
+  // (unit-testable without sleeping).
+  FleetHealth fleet(options.hosts.empty()
+                        ? std::vector<std::string>{std::string(kLocalHost)}
+                        : options.hosts,
+                    options.health);
   const auto run_epoch = Clock::now();
   const auto now_s = [&run_epoch] {
     return elapsed_s(run_epoch, Clock::now());
@@ -329,7 +337,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   /// Turn pending FleetHealth transitions into manifest `host` audit
   /// lines, log lines, and stats; called after every acquire/release.
   const auto audit_fleet = [&] {
-    if (!fleet_mode) return;
     for (const auto& event : fleet.drain_events()) {
       manifest_log.append_line(RunManifest::host_line(event.host,
                                                       event.event));
@@ -361,18 +368,12 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   };
 
   // --- scheduler ----------------------------------------------------
-  std::deque<std::size_t> pending;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    if (!completed[shard]) pending.push_back(shard);
-  }
   std::vector<std::size_t> fail_count(shards, 0);
   std::vector<std::size_t> attempt_no(shards, 0);
-  std::vector<std::size_t> speculated(shards, 0);
   // Earliest relaunch time per shard (exponential backoff); the epoch
   // default means "ready now".
   std::vector<Clock::time_point> not_before(shards, Clock::time_point{});
   std::vector<bool> slot_used(options.workers, false);
-  std::vector<double> shard_durations;
   std::vector<ActiveAttempt> active;
   std::size_t attempt_serial = 0;
   std::string last_summary;
@@ -380,21 +381,18 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   // ("shard_<i>.attempt<a>"); filled at launch, consumed at merge.
   std::map<std::string, std::string> attempt_hosts;
 
-  const auto active_attempts_of = [&active](std::size_t shard) {
-    std::size_t n = 0;
-    for (const auto& attempt : active) {
-      if (attempt.info.shard == shard && !attempt.canceled) ++n;
-    }
-    return n;
-  };
-
-  const auto launch = [&](std::size_t shard, bool speculative,
-                          std::size_t host) {
+  const auto launch = [&](std::size_t shard, std::size_t host) {
+    // A shard is pending or in flight, never both: no attempt of it may
+    // still be live when it is launched.
+    RAILCORR_EXPECTS(std::none_of(active.begin(), active.end(),
+                                  [shard](const ActiveAttempt& live) {
+                                    return live.info.shard == shard;
+                                  }));
     WorkerAttempt info;
     info.shard = shard;
     info.shard_count = shards;
     info.attempt = attempt_no[shard]++;
-    info.speculative = speculative;
+    info.host = fleet.name(host);
     // Lowest free worker slot; launch is only called when
     // active.size() < workers, so one must be free.
     std::size_t slot = 0;
@@ -405,13 +403,11 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         (dir / ("shard_" + std::to_string(shard) + ".attempt" +
                 std::to_string(attempt_serial++) + ".tmp"))
             .string();
-    if (host != kNoHost) info.host = fleet.name(host);
     // Remote workers under a fetch step write to a distinct remote-side
     // name: on a real fleet that path lives on the remote machine, and
     // on the localhost fleets tests use it keeps the fetch from
     // degenerating into copying a file onto itself.
-    const bool fetched = options.fetch && host != kNoHost &&
-                         info.host != kLocalHost;
+    const bool fetched = options.fetch && info.host != kLocalHost;
     info.worker_out_path = fetched ? info.out_path + ".remote"
                                    : info.out_path;
     if (telemetry) {
@@ -423,9 +419,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           fetched ? info.trace_path + ".remote" : info.trace_path;
       info.worker_metrics_path =
           fetched ? info.metrics_path + ".remote" : info.metrics_path;
-      if (!info.host.empty()) {
-        attempt_hosts[fs::path(info.trace_path).stem().string()] = info.host;
-      }
+      attempt_hosts[fs::path(info.trace_path).stem().string()] = info.host;
     }
     const auto now = Clock::now();
     ActiveAttempt attempt(info, ChildProcess::spawn(options.command(info)),
@@ -433,16 +427,12 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     attempt.host = host;
     if (telemetry) {
       attempt.launch_usec = recorder.now_usec();
-      recorder.instant(speculative ? "speculate" : "launch", "orch", "shard",
-                       shard);
+      recorder.instant("launch", "orch", "shard", shard);
     }
     ++result.stats.attempts;
-    if (speculative) ++result.stats.speculative;
     log("launch shard " + std::to_string(shard) + "/" +
         std::to_string(shards) + " attempt " + std::to_string(info.attempt) +
-        (speculative ? " (speculative)" : "") + " slot " +
-        std::to_string(slot) +
-        (info.host.empty() ? "" : " host " + info.host) + " pid " +
+        " slot " + std::to_string(slot) + " host " + info.host + " pid " +
         std::to_string(attempt.proc.pid()));
     active.push_back(std::move(attempt));
   };
@@ -472,9 +462,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
   };
 
-  /// Classify one failed (non-canceled, non-finalized) attempt, bump
-  /// its stats bucket, append the manifest `fail` line, and return the
-  /// classified cause label for the retry log.
+  /// Classify one failed attempt, bump its stats bucket, append the
+  /// manifest `fail` line, and return the classified cause label for
+  /// the retry log.
   const auto record_failure = [&](const ActiveAttempt& attempt,
                                   FailureClass cls, const ExitStatus& status) {
     std::string cause;
@@ -515,9 +505,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         break;
     }
     ++result.stats.failures_by_class[cause];
-    // Every failed attempt — speculative twins included — lands in the
-    // manifest for post-mortem; only non-speculative ones charge the
-    // retry budget (see below).
+    // Every failed attempt lands in the manifest for post-mortem;
+    // transport failures charge the host instead of the retry budget
+    // (see settle_failure).
     manifest_log.append_line(
         RunManifest::fail_line(attempt.info.shard, attempt.info.attempt,
                                cause));
@@ -551,27 +541,24 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       if (not_before[shard] <= now) continue;
       wake = std::min(wake, elapsed_s(now, not_before[shard]));
     }
-    if (fleet_mode) {
-      const auto probe = fleet.next_probe_s();
-      if (probe.has_value()) {
-        wake = std::min(wake, std::max(0.0, *probe - now_s()));
-      }
+    const auto probe = fleet.next_probe_s();
+    if (probe.has_value()) {
+      wake = std::min(wake, std::max(0.0, *probe - now_s()));
     }
     return std::max(1, static_cast<int>(wake * 1000.0 + 0.999));
   };
 
-  /// Release the attempt's host back to the fleet (no-op for
-  /// non-distributed attempts) and audit any health transitions.
+  /// Release the attempt's host back to the fleet and audit any health
+  /// transitions.
   const auto release_host = [&](const ActiveAttempt& attempt,
                                 bool transport_failure) {
-    if (attempt.host == kNoHost) return;
     fleet.release(attempt.host, transport_failure, now_s());
     audit_fleet();
   };
 
   /// The attempt's verified output at `out_path` becomes the durable
-  /// shard file: rename, record the done line, cancel racing twins.
-  /// False when the rename itself failed (counts as a failure).
+  /// shard file: rename and record the done line. False when the
+  /// rename itself failed (counts as a failure).
   const auto finalize_shard = [&](const ActiveAttempt& attempt) -> bool {
     const std::size_t shard = attempt.info.shard;
     const fs::path durable = dir / shard_file_name(shard);
@@ -582,30 +569,20 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           ": cannot finalize shard file: " + error);
       return false;
     }
-    completed[shard] = true;
     ++completed_count;
-    shard_durations.push_back(elapsed_s(attempt.started, Clock::now()));
     manifest_log.append_line(
         RunManifest::done_line(shard, shard_file_name(shard)));
     aggregator.on_shard_complete(shard);
     log("shard " + std::to_string(shard) + " done (attempt " +
         std::to_string(attempt.info.attempt) + "; " + aggregator.summary() +
         ")");
-    for (auto& other : active) {
-      if (other.info.shard == shard) {
-        other.canceled = true;
-        other.proc.kill();
-        if (other.fetch.has_value()) other.fetch->kill();
-      }
-    }
     return true;
   };
 
-  /// Shared post-mortem of one failed (non-canceled) attempt: record
-  /// the classified manifest `fail` line, then charge either the host
-  /// (transport classes — the shard never got a fair chance to
-  /// compute) or the shard's retry budget (compute classes), and
-  /// re-queue the shard when no twin is still racing it. A
+  /// Shared post-mortem of one failed attempt: record the classified
+  /// manifest `fail` line, then charge either the host (transport
+  /// classes — the shard never got a fair chance to compute) or the
+  /// shard's retry budget (compute classes), and re-queue the shard. A
   /// transport-failed shard re-queues with no backoff: it migrates to
   /// the surviving fleet immediately. Returns false when the retry
   /// budget is exhausted and the run must abort.
@@ -621,23 +598,12 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           std::to_string(attempt.info.attempt) + " " + cause + " on host " +
           attempt.info.host +
           "; charged to the host, not the shard's retry budget");
-    } else if (attempt.info.speculative) {
-      // Speculative twins are optimistic duplicates: their failures
-      // never charge the shard's retry budget (a shard whose original
-      // and twin both time out in one pass must not be double-billed
-      // into a spurious abort).
-      log("speculative twin of shard " + std::to_string(shard) + " " +
-          cause + "; not counted against retries");
     } else {
       ++fail_count[shard];
       log("shard " + std::to_string(shard) + " attempt " +
           std::to_string(attempt.info.attempt) + " " + cause + " (failure " +
           std::to_string(fail_count[shard]) + "/" +
           std::to_string(options.retries + 1) + ")");
-    }
-    if (active_attempts_of(shard) > 0) {
-      // A twin is still racing this shard; let it decide the outcome.
-      return true;
     }
     if (fail_count[shard] > options.retries) {
       fail("shard " + std::to_string(shard) + " failed " +
@@ -647,8 +613,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
     const double backoff = transport ? 0.0 : apply_backoff(shard);
     pending.push_back(shard);
-    // A fresh launch may straggle again; let it earn a fresh twin.
-    speculated[shard] = 0;
     ++result.stats.retried;
     if (telemetry) recorder.instant("retry", "orch", "shard", shard);
     log("shard " + std::to_string(shard) + " re-queued" +
@@ -679,8 +643,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       }
       s += "]";
     }
-    s += " speculative=" + std::to_string(result.stats.speculative) +
-         " resumed=" + std::to_string(result.stats.resumed);
+    // The third counter is retired and always 0; it stays so the
+    // summary keeps the key set existing parsers read.
+    s += " speculative=0 resumed=" + std::to_string(result.stats.resumed);
     const std::size_t cache_total =
         result.stats.cache_hits + result.stats.cache_misses;
     if (cache_total > 0) {
@@ -764,7 +729,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       metrics.counter("fleet.cell_usec").add(cell_usec);
       metrics.counter("orch.attempts").add(result.stats.attempts);
       metrics.counter("orch.retried").add(result.stats.retried);
-      metrics.counter("orch.speculative").add(result.stats.speculative);
       metrics.counter("orch.resumed").add(result.stats.resumed);
       metrics.counter("orch.cache_hits").add(aggregator.cache_hits());
       metrics.counter("orch.cache_misses").add(aggregator.cache_misses());
@@ -847,76 +811,22 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
             pending.push_back(shard);  // Still backing off.
             continue;
           }
-          std::size_t host = kNoHost;
-          if (fleet_mode) {
-            const auto acquired = fleet.acquire(now_s());
-            audit_fleet();
-            if (!acquired.has_value()) {
-              // No host can take work right now (all quarantined or
-              // dead, probes not yet due); no other pending shard
-              // would fare better this pass.
-              pending.push_back(shard);
-              break;
-            }
-            host = *acquired;
+          const auto host = fleet.acquire(now_s());
+          audit_fleet();
+          if (!host.has_value()) {
+            // No host can take work right now (all quarantined or dead,
+            // probes not yet due); no other pending shard would fare
+            // better this pass.
+            pending.push_back(shard);
+            break;
           }
-          launch(shard, /*speculative=*/false, host);
-        }
-      }
-
-      if (pending.empty() && options.speculate &&
-          active.size() < options.workers && !active.empty() &&
-          !shard_durations.empty()) {
-        // Idle slots and an empty queue: speculatively duplicate the
-        // longest-running shard with only one attempt in flight — but
-        // only once it actually looks like a straggler (2x the median
-        // finished-shard duration), at most one twin per shard, and
-        // never before the first shard has finished (otherwise a fleet
-        // with more workers than shards would duplicate every shard at
-        // t=0 and double the run's CPU for nothing).
-        std::vector<double> durations = shard_durations;
-        const auto mid =
-            durations.begin() +
-            static_cast<std::vector<double>::difference_type>(
-                durations.size() / 2);
-        std::nth_element(durations.begin(), mid, durations.end());
-        const double threshold = std::max(0.05, 2.0 * *mid);
-        const auto now = Clock::now();
-        std::size_t best_shard = shards;
-        double best_elapsed = threshold;
-        for (const auto& attempt : active) {
-          if (attempt.canceled || speculated[attempt.info.shard] > 0 ||
-              active_attempts_of(attempt.info.shard) != 1) {
-            continue;
-          }
-          const double running = elapsed_s(attempt.started, now);
-          if (running > best_elapsed) {
-            best_elapsed = running;
-            best_shard = attempt.info.shard;
-          }
-        }
-        if (best_shard < shards) {
-          std::size_t host = kNoHost;
-          bool placeable = true;
-          if (fleet_mode) {
-            const auto acquired = fleet.acquire(now_s());
-            audit_fleet();
-            if (acquired.has_value()) {
-              host = *acquired;
-            } else {
-              placeable = false;  // Degraded fleet: no host to spare.
-            }
-          }
-          if (placeable) {
-            ++speculated[best_shard];
-            launch(best_shard, /*speculative=*/true, host);
-          }
+          launch(shard, *host);
         }
       }
 
       if (active.empty()) {
         if (!pending.empty()) {
-          if (fleet_mode && fleet.all_dead()) {
+          if (fleet.all_dead()) {
             // The hard stop: every host dead, shards incomplete, no
             // attempt in flight. The manifest already audits every
             // quarantine and `host <name> dead` transition, and its
@@ -981,7 +891,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       if (options.timeout_s > 0.0) {
         for (auto& attempt : active) {
           if (!attempt.fetch.has_value() && !attempt.timed_out &&
-              !attempt.stalled && !attempt.canceled &&
+              !attempt.stalled &&
               elapsed_s(attempt.started, now) > options.timeout_s) {
             attempt.timed_out = true;
             log("shard " + std::to_string(attempt.info.shard) + " attempt " +
@@ -994,7 +904,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       if (options.stall_timeout_s > 0.0) {
         for (auto& attempt : active) {
           if (!attempt.fetch.has_value() && !attempt.timed_out &&
-              !attempt.stalled && !attempt.canceled &&
+              !attempt.stalled &&
               elapsed_s(attempt.last_progress, now) >
                   options.stall_timeout_s) {
             attempt.stalled = true;
@@ -1015,7 +925,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         if (fetch_budget > 0.0) {
           for (auto& attempt : active) {
             if (attempt.fetch.has_value() && !attempt.fetch_timed_out &&
-                !attempt.canceled &&
                 elapsed_s(attempt.fetch_started, now) > fetch_budget) {
               attempt.fetch_timed_out = true;
               log("shard " + std::to_string(attempt.info.shard) +
@@ -1047,13 +956,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           slot_used[attempt.info.slot] = false;
 
           const std::size_t shard = attempt.info.shard;
-          if (completed[shard] || attempt.canceled) {
-            fs::remove(attempt.info.out_path, ec);
-            fs::remove(attempt.info.worker_out_path, ec);
-            release_host(attempt, /*transport_failure=*/false);
-            continue;
-          }
-
           // A fetched file is accepted only after the same integrity
           // checks a local worker's output must pass (trailer, banner,
           // row count): fetched-but-corrupt is `corrupt-transfer` and
@@ -1106,12 +1008,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         // A remote worker that exited 0 under a fetch builder enters
         // phase two: the attempt keeps its slot and host while the
         // fetch subprocess pulls the shard file back.
-        const bool wants_fetch = options.fetch != nullptr &&
-                                 active[i].host != kNoHost &&
-                                 active[i].info.host != kLocalHost;
+        const bool wants_fetch =
+            options.fetch != nullptr && active[i].info.host != kLocalHost;
         bool fetch_spawn_failed = false;
-        if (status->code == 0 && !active[i].canceled &&
-            !completed[active[i].info.shard] && wants_fetch) {
+        if (status->code == 0 && wants_fetch) {
           try {
             active[i].fetch.emplace(
                 ChildProcess::spawn(options.fetch(active[i].info)));
@@ -1136,18 +1036,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         slot_used[attempt.info.slot] = false;
 
         const std::size_t shard = attempt.info.shard;
-        if (completed[shard]) {
-          // A twin finalized this shard first; discard regardless of how
-          // this attempt ended (its bytes would have been identical).
-          fs::remove(attempt.info.out_path, ec);
-          fs::remove(attempt.info.worker_out_path, ec);
-          release_host(attempt, /*transport_failure=*/false);
-          continue;
-        }
-
         bool finalized = false;
         bool corrupt_output = false;
-        if (status->code == 0 && !attempt.canceled && !wants_fetch) {
+        if (status->code == 0 && !wants_fetch) {
           // Exit 0 is a claim, not proof: verify the document (trailer,
           // banner, row count) before renaming it into the durable
           // name. A torn write or silent corruption becomes a
@@ -1172,10 +1063,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
 
         fs::remove(attempt.info.out_path, ec);
         fs::remove(attempt.info.worker_out_path, ec);
-        if (attempt.canceled) {
-          release_host(attempt, /*transport_failure=*/false);
-          continue;
-        }
 
         FailureClass cls =
             attempt.timed_out  ? FailureClass::kTimeout
@@ -1186,7 +1073,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         if (fetch_spawn_failed) {
           cls = FailureClass::kCorruptTransfer;
         } else if (cls == FailureClass::kExit && status->code == 255 &&
-                   attempt.host != kNoHost &&
                    attempt.info.host != kLocalHost) {
           // Exit 255 is the transport's own signature (ssh reserves it
           // for connection failures; the worker binary never uses it):
@@ -1231,11 +1117,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         return result;
       }
       fs::remove(dir / shard_file_name(shard), ec);
-      completed[shard] = false;
       --completed_count;
       apply_backoff(shard);
       pending.push_back(shard);
-      speculated[shard] = 0;
       ++result.stats.retried;
     }
   }
@@ -1299,23 +1183,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       std::to_string(shards) + " shard(s) into " + result.merged_path + " (" +
       std::to_string(result.stats.attempts) + " attempt(s), " +
       std::to_string(result.stats.retried) + " retried, " +
-      std::to_string(result.stats.speculative) + " speculative, " +
       std::to_string(result.stats.resumed) + " resumed, " +
       std::to_string(result.stats.timed_out) + " timed out, " +
       std::to_string(result.stats.stalled) + " stalled, " +
       std::to_string(result.stats.corrupt) + " corrupt" +
-      (fleet_mode
-           ? ", transport " + std::to_string(result.stats.launch_refused) +
-                 " refused / " + std::to_string(result.stats.connection_lost) +
-                 " lost / " + std::to_string(result.stats.transfer_corrupt) +
-                 " corrupt / " + std::to_string(result.stats.transfer_stalled) +
-                 " stalled, hosts " +
-                 std::to_string(result.stats.host_quarantines) +
-                 " quarantine(s) / " +
-                 std::to_string(result.stats.host_recoveries) +
-                 " recover(ies) / " + std::to_string(result.stats.hosts_dead) +
-                 " dead"
-           : "") +
       (result.stats.cache_hits + result.stats.cache_misses > 0
            ? ", cache " + std::to_string(result.stats.cache_hits) +
                  " hit(s) / " + std::to_string(result.stats.cache_misses) +

@@ -1,44 +1,43 @@
 /// \file orchestrator.hpp
 /// \brief The multi-process sweep orchestrator: a worker fleet over the
-///        shard work queue, straggler/failure retry, speculative
-///        re-execution, streaming progress, and resumable runs.
+///        shard work queue, failure/straggler retry, streaming
+///        progress, and resumable runs.
 ///
 /// The orchestrator turns one SweepPlan into a fleet of `railcorr
 /// sweep --shard i/S` worker processes (orch/process.hpp), feeds them
 /// from a queue of shard specs, follows their progress through the
 /// line protocol (orch/progress.hpp), records durable shards in the
 /// run manifest (orch/manifest.hpp), and finally merges the shard
-/// files with corridor::merge_shards.
+/// files with corridor::merge_shards. At most one attempt per shard is
+/// live at any time: a shard is either pending or in flight.
 ///
-/// Why retry and speculation are safe: a grid cell's row is a pure
-/// function of (plan, index), and `merge_shards` accepts overlapping
-/// cells exactly when their rows are byte-identical. A worker killed
-/// mid-shard therefore costs nothing but time — the re-queued attempt
-/// reproduces the same bytes — and a speculative duplicate of the
-/// slowest tail shard can race its original with no coordination: the
-/// first finisher's file is renamed into place, the loser is killed
-/// and its partial output discarded. Any divergence (a worker fleet
-/// mixing plans or accuracy modes) is caught twice: live, by the
-/// aggregator comparing worker banners, and at the end, by the merge's
-/// banner and byte-identity checks.
+/// Why retry is safe: a grid cell's row is a pure function of (plan,
+/// index), so a worker killed mid-shard costs nothing but time — the
+/// re-queued attempt reproduces the same bytes. A hung worker is
+/// cleared by the progress-silence check (`stall_timeout_s`) or the
+/// wall-clock budget (`timeout_s`) and retried like any other failure.
+/// Any divergence (a worker fleet mixing plans or accuracy modes) is
+/// caught twice: live, by the aggregator comparing worker banners, and
+/// at the end, by the merge's banner and byte-identity checks.
 ///
 /// The scheduler is transport-agnostic: it launches whatever argv the
 /// `command` callback builds for an attempt, so tests drive it with
 /// toy shell workers and the CLI drives it with the real binary.
 ///
-/// Distributed runs (orch/remote.hpp) layer onto the same scheduler:
-/// when `hosts` is non-empty every attempt is placed on a host chosen
-/// by the FleetHealth state machine, the `command` callback wraps the
-/// worker argv in the launcher template, and — when a `fetch` builder
-/// is configured — a finished remote worker's shard file is pulled
-/// back by a fetch subprocess and verified (trailer + banner + row
-/// count) before it is finalized; a fetched-but-corrupt file is
-/// classified `corrupt-transfer` and the shard recomputed, never
-/// trusted. Transport failures (launch refused, connection lost,
-/// corrupt or stalled transfer) charge the *host's* health, not the
-/// shard's retry budget: the shard migrates to the surviving fleet,
-/// and only when every host is dead does the run hard-stop with a
-/// resumable manifest.
+/// Placement is one code path (orch/remote.hpp): every attempt is
+/// placed on a host chosen by the FleetHealth state machine, and a
+/// single-machine run is simply a fleet of one `local` host. For a
+/// remote host the `command` callback wraps the worker argv in the
+/// launcher template, and — when a `fetch` builder is configured — a
+/// finished remote worker's shard file is pulled back by a fetch
+/// subprocess and verified (trailer + banner + row count) before it is
+/// finalized; a fetched-but-corrupt file is classified
+/// `corrupt-transfer` and the shard recomputed, never trusted.
+/// Transport failures (launch refused, connection lost, corrupt or
+/// stalled transfer) charge the *host's* health, not the shard's retry
+/// budget: the shard migrates to the surviving fleet, and only when
+/// every host is dead does the run hard-stop with a resumable
+/// manifest.
 ///
 /// Failure model (see docs/ARCHITECTURE.md "Failure model"): every
 /// durable artifact is written through util/durable_io (atomic rename
@@ -71,13 +70,9 @@ struct WorkerAttempt {
   /// Shard index in 0..shard_count-1.
   std::size_t shard = 0;
   std::size_t shard_count = 1;
-  /// Per-shard attempt ordinal (0 = first launch; retries and
-  /// speculative twins increment it).
+  /// Per-shard attempt ordinal (0 = first launch; each retry
+  /// increments it).
   std::size_t attempt = 0;
-  /// True when this attempt races a still-running attempt of the same
-  /// shard (tail-latency speculation) rather than replacing a failed
-  /// one.
-  bool speculative = false;
   /// Worker slot (0..workers-1) this attempt occupies: the lowest slot
   /// free at launch time. Command builders can key per-slot resources
   /// (e.g. heterogeneous `--threads` splits) on it — a slot never holds
@@ -90,9 +85,9 @@ struct WorkerAttempt {
   /// remote attempts with a fetch step, where it is the remote-side
   /// path the fetch command copies from ({remote} in the template).
   std::string worker_out_path;
-  /// Host this attempt is placed on (a `--hosts` name, or
-  /// orch::kLocalHost for the local-execution member of a fleet).
-  /// Empty in non-distributed runs.
+  /// Host this attempt is placed on: a `--hosts` name, or
+  /// orch::kLocalHost — always so when `OrchestrateOptions::hosts` is
+  /// empty, which means one `local` host.
   std::string host;
   /// Run-telemetry file paths (empty unless the run sets `trace_dir`).
   /// `trace_path`/`metrics_path` are where the attempt's telemetry must
@@ -135,9 +130,6 @@ struct OrchestrateOptions {
   /// avoidance at this fleet size. backoff_base_s = 0 disables it.
   double backoff_base_s = 0.05;
   double backoff_cap_s = 2.0;
-  /// Launch a speculative duplicate of the slowest still-running shard
-  /// when workers would otherwise idle (classic straggler mitigation).
-  bool speculate = true;
   /// The run evaluates the off-grid sizing columns (recorded in the
   /// manifest; a resume with the opposite setting is refused).
   bool include_sizing = false;
@@ -151,9 +143,9 @@ struct OrchestrateOptions {
   std::function<std::vector<std::string>(const WorkerAttempt&)> command;
   /// Streaming progress sink (one line per update); nullptr = silent.
   std::ostream* log = nullptr;
-  /// Distributed fleet: host names attempts are placed on (see
-  /// orch/remote.hpp; the reserved name `local` runs plain fork/exec).
-  /// Empty = classic single-machine run, every field below ignored.
+  /// Host names attempts are placed on (see orch/remote.hpp; the
+  /// reserved name `local` runs plain fork/exec). Empty means one
+  /// `local` host — the single-machine run, where no fetch applies.
   std::vector<std::string> hosts;
   /// Builds the argv that copies `worker_out_path` on `host` to the
   /// local `out_path` after a remote worker exits 0; the fetched file
@@ -183,12 +175,10 @@ struct OrchestrateOptions {
 
 /// Fleet statistics of a finished (or failed) orchestration.
 struct OrchestrateStats {
-  /// Worker processes launched, including retries and speculation.
+  /// Worker processes launched, including retries.
   std::size_t attempts = 0;
   /// Failed attempts that were re-queued.
   std::size_t retried = 0;
-  /// Speculative duplicates launched.
-  std::size_t speculative = 0;
   /// Shards skipped because a resumed manifest had them done.
   std::size_t resumed = 0;
   /// Attempts killed for exceeding the wall-clock timeout.

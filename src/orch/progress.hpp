@@ -125,9 +125,9 @@ class ProgressAggregator {
   ProgressAggregator(std::size_t grid_cells, std::size_t shard_count);
 
   /// Fold one event from `shard`'s worker into the tally. Duplicate
-  /// cell events (a retried or speculative attempt re-evaluating cells
-  /// its predecessor already reported) do not double-count: a grid
-  /// cell is counted once, ever.
+  /// cell events (a retried attempt re-evaluating cells its failed
+  /// predecessor already reported) do not double-count: a grid cell is
+  /// counted once, ever.
   void on_event(std::size_t shard, const ProgressEvent& event);
 
   /// Mark a shard's output as finalized (its file is durable).

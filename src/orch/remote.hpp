@@ -31,7 +31,8 @@
 ///
 /// The reserved host name `local` means "run this attempt through the
 /// plain fork/exec path" — no launcher wrap, no fetch — which is what
-/// lets a fleet degrade all the way down to local-only execution.
+/// lets a fleet degrade all the way down to local-only execution. A
+/// run without a host list is a fleet of exactly this one host.
 #pragma once
 
 #include <cstddef>

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -17,19 +18,20 @@ namespace railcorr::obs {
 namespace {
 
 /// Enable the singleton recorder with a deterministic clock: each read
-/// advances by `step` usec. Tests share the process-wide recorder, so
-/// every test starts by re-pinning it.
-void pin_recorder(std::uint64_t* t, std::uint64_t step,
+/// advances by `step` usec. The counter is atomic because concurrent
+/// writers read the clock from many threads. Tests share the
+/// process-wide recorder, so every test starts by re-pinning it.
+void pin_recorder(std::atomic<std::uint64_t>* t, std::uint64_t step,
                   std::uint64_t epoch = 1000,
                   std::size_t capacity = TraceRecorder::kDefaultCapacity) {
   auto& rec = TraceRecorder::instance();
   rec.enable(capacity);
-  rec.set_clock([t, step] { return *t += step; });
+  rec.set_clock([t, step] { return t->fetch_add(step) + step; });
   rec.set_epoch_usec(epoch);
 }
 
 TEST(TraceRecorder, GoldenSerialization) {
-  std::uint64_t t = 0;
+  std::atomic<std::uint64_t> t{0};
   pin_recorder(&t, 5);
   auto& rec = TraceRecorder::instance();
   {
@@ -49,7 +51,7 @@ TEST(TraceRecorder, GoldenSerialization) {
 }
 
 TEST(TraceRecorder, SerializedDocumentRoundTrips) {
-  std::uint64_t t = 0;
+  std::atomic<std::uint64_t> t{0};
   pin_recorder(&t, 7, 42);
   auto& rec = TraceRecorder::instance();
   { const ObsSpan span("shard", "sweep", "cells", 16); }
@@ -72,7 +74,7 @@ TEST(TraceRecorder, SerializedDocumentRoundTrips) {
 }
 
 TEST(TraceRecorder, TrailedDocumentParsesAndCorruptTrailerFails) {
-  std::uint64_t t = 0;
+  std::atomic<std::uint64_t> t{0};
   pin_recorder(&t, 5);
   auto& rec = TraceRecorder::instance();
   rec.instant("launch", "orch");
@@ -88,7 +90,7 @@ TEST(TraceRecorder, TrailedDocumentParsesAndCorruptTrailerFails) {
 }
 
 TEST(TraceRecorder, RingWrapKeepsNewestAndCountsDropped) {
-  std::uint64_t t = 0;
+  std::atomic<std::uint64_t> t{0};
   pin_recorder(&t, 1, 1000, /*capacity=*/4);
   auto& rec = TraceRecorder::instance();
   for (std::uint64_t i = 0; i < 7; ++i) {
@@ -105,8 +107,8 @@ TEST(TraceRecorder, RingWrapKeepsNewestAndCountsDropped) {
 }
 
 TEST(TraceRecorder, ConcurrentWritersAllLand) {
-  std::uint64_t t = 0;
-  pin_recorder(&t, 0);  // Zero-step clock: thread-safe (no data race on t).
+  std::atomic<std::uint64_t> t{0};
+  pin_recorder(&t, 0);  // Zero-step clock: every event at ts 0.
   auto& rec = TraceRecorder::instance();
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 100;
@@ -139,7 +141,7 @@ TEST(TraceRecorder, DisabledRecorderIsANoOp) {
 }
 
 TEST(TraceMerge, AlignsEpochsAndAssignsLanes) {
-  std::uint64_t t = 0;
+  std::atomic<std::uint64_t> t{0};
   pin_recorder(&t, 5, 1000);
   auto& rec = TraceRecorder::instance();
   { const ObsSpan span("cell", "sweep", "index", 3); }

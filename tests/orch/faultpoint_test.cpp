@@ -1,10 +1,11 @@
 /// The fault-injection vocabulary: spec parsing round trips, the
-/// process-wide injector's arm/query/clear lifecycle, and env-var
-/// arming (RAILCORR_FAULT).
+/// process-wide injector's arm/query/clear lifecycle, env-var arming
+/// (RAILCORR_FAULT), and the seeded chaos schedule.
 #include "orch/faultpoint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "util/config.hpp"
@@ -110,6 +111,53 @@ TEST_F(FaultpointTest, EnvArmingParsesCommaSeparatedSpecs) {
   EXPECT_EQ(*injector.armed(FaultKind::kTornWrite), 10u);
   EXPECT_TRUE(injector.armed(FaultKind::kCorruptTrailer).has_value());
   EXPECT_FALSE(injector.armed(FaultKind::kStall).has_value());
+}
+
+TEST(ChaosSchedule, SeedSevenWithoutHostsOrCacheIsPinned) {
+  // The fault storm the chaos smokes replay: seed 7, no hosts, no cache.
+  struct Draw {
+    std::size_t shard;
+    std::size_t attempt;
+    const char* fault;
+  };
+  const Draw pinned[] = {
+      {0, 0, "corrupt-trailer"}, {1, 0, "kill=1"},
+      {2, 0, "torn-write=67"},   {6, 0, "stall=1"},
+      {0, 1, "torn-write=45"},   {1, 1, "launch-refused"},
+      {2, 1, "stall=1"},
+  };
+  for (const auto& draw : pinned) {
+    const auto fault = chaos_fault_for(7, draw.shard, draw.attempt,
+                                       /*with_hosts=*/false,
+                                       /*with_cache=*/false);
+    ASSERT_TRUE(fault.has_value()) << draw.shard << "/" << draw.attempt;
+    EXPECT_EQ(fault_spec_string(*fault), draw.fault)
+        << draw.shard << "/" << draw.attempt;
+  }
+}
+
+TEST(ChaosSchedule, CacheAndNetworkFaultsNeedTheirSubsystem) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    for (std::size_t shard = 0; shard < 16; ++shard) {
+      for (std::size_t attempt = 0; attempt < 4; ++attempt) {
+        for (const bool hosts : {false, true}) {
+          const auto fault = chaos_fault_for(seed, shard, attempt, hosts,
+                                             /*with_cache=*/false);
+          if (!fault.has_value()) continue;
+          EXPECT_NE(fault->kind, FaultKind::kCacheTornWrite);
+          EXPECT_NE(fault->kind, FaultKind::kCacheCorruptSegment);
+          EXPECT_NE(fault->kind, FaultKind::kCacheEvict);
+        }
+        for (const bool cache : {false, true}) {
+          const auto fault = chaos_fault_for(seed, shard, attempt,
+                                             /*with_hosts=*/false, cache);
+          if (!fault.has_value()) continue;
+          EXPECT_NE(fault->kind, FaultKind::kTransferStalled);
+          EXPECT_NE(fault->kind, FaultKind::kHostFlap);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(FaultpointTest, EnvArmingIsANoOpWhenUnsetAndThrowsOnGarbage) {

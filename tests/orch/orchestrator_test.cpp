@@ -2,8 +2,8 @@
 /// the retry budget absorbs, and any resume produce a merged grid
 /// byte-identical to the single-process sweep.
 ///
-/// Scheduler behavior (queueing, retry, timeout, speculation, resume,
-/// manifest safety) is driven with toy /bin/sh workers copying
+/// Scheduler behavior (queueing, retry, timeout, one attempt per shard,
+/// resume, manifest safety) is driven with toy /bin/sh workers copying
 /// precomputed shard documents, so those tests run in milliseconds.
 /// The end-to-end kill-mid-shard test execs the real `railcorr` binary
 /// (located next to this test executable, or via RAILCORR_CLI) and is
@@ -139,7 +139,6 @@ TEST(Orchestrate, FlakyWorkerIsRetriedToCompletion) {
   options.workers = 2;
   options.shards = 2;
   options.retries = 2;
-  options.speculate = false;
   options.command = [&docs](const WorkerAttempt& attempt) {
     if (attempt.shard == 1 && attempt.attempt == 0) {
       // First attempt of shard 1 crashes without output.
@@ -162,7 +161,6 @@ TEST(Orchestrate, RetryBudgetExhaustionFailsTheRun) {
   options.workers = 1;
   options.shards = 1;
   options.retries = 1;
-  options.speculate = false;
   options.command = [](const WorkerAttempt&) { return sh("exit 7"); };
   const auto result = orchestrate(plan, run.path.string(), options);
   EXPECT_FALSE(result.ok);
@@ -185,7 +183,6 @@ TEST(Orchestrate, TimedOutStragglerIsKilledAndRetried) {
   options.shards = 1;
   options.retries = 1;
   options.timeout_s = 0.3;
-  options.speculate = false;
   options.command = [&docs](const WorkerAttempt& attempt) {
     if (attempt.attempt == 0) return sh("sleep 30");
     return sh("cat '" + docs[0] + "' > '" + attempt.out_path + "'");
@@ -210,7 +207,6 @@ TEST(Orchestrate, StalledWorkerIsKilledAndRetried) {
   options.timeout_s = 0.0;
   options.stall_timeout_s = 0.3;
   options.backoff_base_s = 0.0;
-  options.speculate = false;
   options.command = [&docs](const WorkerAttempt& attempt) {
     if (attempt.attempt == 0) return sh("sleep 30");
     return sh("cat '" + docs[0] + "' > '" + attempt.out_path + "'");
@@ -237,7 +233,6 @@ TEST(Orchestrate, CorruptWorkerOutputIsRetried) {
   options.shards = 1;
   options.retries = 1;
   options.backoff_base_s = 0.0;
-  options.speculate = false;
   options.command = [&docs](const WorkerAttempt& attempt) {
     if (attempt.attempt == 0) {
       // Torn write: a 20-byte prefix of the document, then exit 0 —
@@ -268,7 +263,6 @@ TEST(Orchestrate, ManifestRecordsClassifiedExitFailures) {
   options.shards = 2;
   options.retries = 2;
   options.backoff_base_s = 0.0;
-  options.speculate = false;
   options.command = [&docs](const WorkerAttempt& attempt) {
     if (attempt.shard == 1 && attempt.attempt == 0) return sh("exit 7");
     return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
@@ -295,7 +289,6 @@ TEST(Orchestrate, WorkerSlotsStayWithinFleetAndNeverCollide) {
   OrchestrateOptions options;
   options.workers = 2;
   options.shards = 4;
-  options.speculate = false;
   options.command = [&docs, &slots](const WorkerAttempt& attempt) {
     slots.push_back(attempt.slot);
     return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
@@ -310,29 +303,26 @@ TEST(Orchestrate, WorkerSlotsStayWithinFleetAndNeverCollide) {
   EXPECT_NE(slots[0], slots[1]);
 }
 
-TEST(Orchestrate, SpeculativeTwinFinishesAStuckTailShard) {
+TEST(Orchestrate, IdleSlotsNeverDuplicateASlowShard) {
   const auto plan = toy_plan();
   TempDir staging;
   TempDir run;
   const auto docs = stage_toy_docs(plan, staging.path, 2);
 
   OrchestrateOptions options;
-  options.workers = 2;
+  options.workers = 4;
   options.shards = 2;
   options.retries = 0;
-  options.speculate = true;
   options.command = [&docs](const WorkerAttempt& attempt) {
-    if (attempt.shard == 1 && attempt.attempt == 0) {
-      // The original attempt of shard 1 hangs forever; only the
-      // speculative twin (attempt 1) can finish the run.
-      return sh("sleep 60");
-    }
-    return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
-              "'");
+    // Shard 1 straggles long after shard 0 finished, with idle slots to
+    // spare: it still runs as its one and only attempt.
+    return sh(std::string(attempt.shard == 1 ? "sleep 0.4; " : "") + "cat '" +
+              docs[attempt.shard] + "' > '" + attempt.out_path + "'");
   };
   const auto result = orchestrate(plan, run.path.string(), options);
   ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_GE(result.stats.speculative, 1u);
+  EXPECT_EQ(result.stats.attempts, 2u);
+  EXPECT_EQ(result.stats.retried, 0u);
 }
 
 TEST(Orchestrate, RefusesFreshRunIntoExistingRunDirectory) {
@@ -365,7 +355,6 @@ TEST(Orchestrate, ResumeRerunsOnlyMissingShards) {
   OrchestrateOptions options;
   options.workers = 2;
   options.shards = 4;
-  options.speculate = false;
   options.command = [&docs, &launches](const WorkerAttempt& attempt) {
     ++launches;
     return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
@@ -399,7 +388,6 @@ TEST(Orchestrate, ResumeRecomputesATruncatedShard) {
   OrchestrateOptions options;
   options.workers = 2;
   options.shards = 4;
-  options.speculate = false;
   options.command = [&docs, &launches](const WorkerAttempt& attempt) {
     ++launches;
     return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
@@ -435,7 +423,6 @@ TEST(Orchestrate, ResumeRecomputesAShardWithACorruptTrailer) {
   OrchestrateOptions options;
   options.workers = 2;
   options.shards = 2;
-  options.speculate = false;
   options.command = [&docs, &launches](const WorkerAttempt& attempt) {
     ++launches;
     return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
@@ -501,7 +488,6 @@ TEST(OrchestrateFleet, RefusingHostIsQuarantinedAndRunDegrades) {
   // Zero retry budget on purpose: every launch-refused failure charges
   // the *host*, never the shard — a run that completes proves it.
   options.retries = 0;
-  options.speculate = false;
   options.backoff_base_s = 0.0;
   options.hosts = {"bad", "good"};
   options.health.quarantine_after = 2;
@@ -550,7 +536,6 @@ TEST(OrchestrateFleet, AllHostsDeadStopsWithAResumableManifest) {
   options.workers = 2;
   options.shards = 2;
   options.retries = 5;
-  options.speculate = false;
   options.backoff_base_s = 0.0;
   options.hosts = {"bad1", "bad2"};
   options.health.quarantine_after = 1;
@@ -602,7 +587,6 @@ TEST(OrchestrateFleet, QuarantinedHostRecoversViaReProbe) {
   options.workers = 1;  // one slot: every attempt lands on the fleet's pick
   options.shards = 4;
   options.retries = 0;
-  options.speculate = false;
   options.backoff_base_s = 0.0;
   options.hosts = {"flaky"};
   options.health.quarantine_after = 2;
@@ -642,7 +626,6 @@ TEST(OrchestrateFleet, CorruptTransferIsRejectedAndRecomputed) {
   options.workers = 1;
   options.shards = 2;
   options.retries = 0;  // transfer corruption must not charge the shard
-  options.speculate = false;
   options.backoff_base_s = 0.0;
   options.hosts = {"h1"};
   options.health.quarantine_after = 5;
@@ -683,42 +666,48 @@ TEST(OrchestrateFleet, CorruptTransferIsRejectedAndRecomputed) {
 TEST(OrchestrateFleet, LocalHostRunsWithoutFetchOrExitCodeMapping) {
   const auto plan = toy_plan();
   TempDir staging;
-  TempDir run;
   const auto docs = stage_toy_docs(plan, staging.path, 2);
 
-  OrchestrateOptions options;
-  options.workers = 2;
-  options.shards = 2;
-  options.retries = 1;
-  options.speculate = false;
-  options.backoff_base_s = 0.0;
-  options.hosts = {std::string(kLocalHost)};
-  std::size_t failures = 0;
-  options.command = [&docs, &failures](const WorkerAttempt& attempt) {
-    // worker_out_path == out_path on the local host even with a fetch
-    // builder configured: no fetch step applies.
-    EXPECT_EQ(attempt.worker_out_path, attempt.out_path);
-    if (attempt.shard == 0 && failures++ == 0) {
-      // Exit 255 on the *local* host is a plain worker failure, not a
-      // transport signature — it must charge the shard's retry budget.
-      return sh("exit 255");
-    }
-    return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
-              "'");
-  };
-  options.fetch = [](const WorkerAttempt&) -> std::vector<std::string> {
-    return {"/bin/false"};  // must never be invoked for local attempts
-  };
-  const auto result = orchestrate(plan, run.path.string(), options);
-  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_EQ(result.stats.launch_refused, 0u);
-  EXPECT_EQ(result.stats.connection_lost, 0u);
-  EXPECT_GE(result.stats.retried, 1u);
+  // An explicit `local` host and an empty host list are the same fleet.
+  const std::vector<std::string> local = {std::string(kLocalHost)};
+  for (const auto& hosts : {std::vector<std::string>{}, local}) {
+    SCOPED_TRACE(hosts.empty() ? "no hosts" : "--hosts local");
+    TempDir run;
+    OrchestrateOptions options;
+    options.workers = 2;
+    options.shards = 2;
+    options.retries = 1;
+    options.backoff_base_s = 0.0;
+    options.hosts = hosts;
+    std::size_t failures = 0;
+    options.command = [&docs, &failures](const WorkerAttempt& attempt) {
+      EXPECT_EQ(attempt.host, kLocalHost);
+      // worker_out_path == out_path on the local host even with a fetch
+      // builder configured: no fetch step applies.
+      EXPECT_EQ(attempt.worker_out_path, attempt.out_path);
+      if (attempt.shard == 0 && failures++ == 0) {
+        // Exit 255 on the *local* host is a plain worker failure, not a
+        // transport signature — it must charge the shard's retry budget.
+        return sh("exit 255");
+      }
+      return sh("cat '" + docs[attempt.shard] + "' > '" + attempt.out_path +
+                "'");
+    };
+    options.fetch = [](const WorkerAttempt&) -> std::vector<std::string> {
+      return {"/bin/false"};  // must never be invoked for local attempts
+    };
+    const auto result = orchestrate(plan, run.path.string(), options);
+    ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+    EXPECT_EQ(result.stats.launch_refused, 0u);
+    EXPECT_EQ(result.stats.connection_lost, 0u);
+    EXPECT_GE(result.stats.retried, 1u);
 
-  const auto manifest =
-      RunManifest::parse(read_file(run.path / "orchestrate.manifest"));
-  ASSERT_FALSE(manifest.failures.empty());
-  EXPECT_EQ(manifest.failures[0].cause, "exit-255");
+    const auto manifest =
+        RunManifest::parse(read_file(run.path / "orchestrate.manifest"));
+    ASSERT_FALSE(manifest.failures.empty());
+    EXPECT_EQ(manifest.failures[0].cause, "exit-255");
+    EXPECT_TRUE(manifest.host_events.empty());
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -769,8 +758,8 @@ TEST(OrchestrateEndToEnd, KilledWorkerIsRetriedByteIdentically) {
     };
     if (attempt.shard == 1 && attempt.attempt == 0) {
       // SIGKILL after the first cell: a genuine mid-shard worker death.
-      argv.push_back("--abort-after-cells");
-      argv.push_back("1");
+      argv.push_back("--fault");
+      argv.push_back("kill=1");
     }
     return argv;
   };

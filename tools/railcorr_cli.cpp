@@ -79,7 +79,6 @@
 #include "util/config.hpp"
 #include "util/contracts.hpp"
 #include "util/durable_io.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/vmath.hpp"
 
@@ -126,15 +125,14 @@ int usage(std::ostream& os) {
         "              [--stall-timeout SECONDS] [--backoff SECONDS]\n"
         "              [--include-sizing]\n"
         "              [--threads N[,N...]] [--accuracy MODE]\n"
-        "              [--no-speculate] [--chaos-seed N] [--out FILE]\n"
+        "              [--chaos-seed N] [--out FILE]\n"
         "              [--cache-dir DIR] [--cache-max-mb N]\n"
         "              [--hosts H1,H2,...] [--launcher TEMPLATE]\n"
         "              [--fetch TEMPLATE] [--fetch-timeout SECONDS]\n"
         "              [--trace-dir DIR]\n"
         "  orchestrate --resume DIR [same options]\n"
         "                            evaluate a grid with a worker fleet:\n"
-        "                            shard queue, straggler retry,\n"
-        "                            speculative tail execution, live\n"
+        "                            shard queue, failure retry, live\n"
         "                            progress, resumable manifest;\n"
         "                            --threads N,N,... assigns per-slot\n"
         "                            (per-host with --hosts) thread\n"
@@ -387,65 +385,6 @@ std::size_t parse_u64_option(const char* option, const std::string& value) {
   return static_cast<std::size_t>(railcorr::util::parse_u64(entry));
 }
 
-/// The seeded chaos schedule: which fault (if any) attempt `attempt`
-/// of shard `shard` suffers. A pure function of its arguments, so the
-/// same seed replays the same fault storm across runs and across the
-/// worker-command and fetch-command builders (which must agree on
-/// whether an attempt's transfer is sabotaged). Without hosts the
-/// schedule is the original `u % 8` draw, byte-for-byte — adding a
-/// fleet must not silently reshuffle the single-machine storms chaos
-/// tests have pinned; with hosts the draw widens to `u % 12`, adding
-/// the four network faults. Cache slots stay clean without a cache
-/// (preserving the non-cache schedule), and callers must only consult
-/// this for attempts below the retry budget — the last allowed attempt
-/// of every shard runs clean, so a chaos run converges by
-/// construction.
-std::optional<railcorr::orch::FaultSpec> chaos_fault_for(
-    std::uint64_t seed, std::size_t shard, std::size_t attempt,
-    bool with_hosts, bool with_cache) {
-  using railcorr::orch::FaultKind;
-  using railcorr::orch::FaultSpec;
-  railcorr::SplitMix64 rng(seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)) ^
-                           (0xbf58476d1ce4e5b9ULL * (attempt + 1)));
-  const std::uint64_t u = rng.next();
-  switch (u % (with_hosts ? 12 : 8)) {
-    case 0:
-      return FaultSpec{FaultKind::kTornWrite,
-                       1 + static_cast<std::size_t>((u >> 8) % 120)};
-    case 1:
-      return FaultSpec{FaultKind::kCorruptTrailer, 0};
-    case 2:
-      return FaultSpec{FaultKind::kStall, 1};
-    case 3:
-      return FaultSpec{FaultKind::kKillAfterCells, 1};
-    case 4:
-      // Cache faults poison the shared store, not the worker: the
-      // attempt still succeeds, the damage must surface only as
-      // recomputes.
-      if (with_cache) {
-        return FaultSpec{FaultKind::kCacheTornWrite,
-                         1 + static_cast<std::size_t>((u >> 8) % 120)};
-      }
-      return std::nullopt;
-    case 5:
-      if (with_cache) {
-        return FaultSpec{FaultKind::kCacheCorruptSegment, 0};
-      }
-      return std::nullopt;
-    case 6:
-      return FaultSpec{FaultKind::kLaunchRefused, 0};
-    case 7:
-      return FaultSpec{FaultKind::kTransferTorn,
-                       1 + static_cast<std::size_t>((u >> 8) % 120)};
-    case 8:
-      return FaultSpec{FaultKind::kTransferStalled, 0};
-    case 9:
-      return FaultSpec{FaultKind::kHostFlap, 1};
-    default:
-      return std::nullopt;  // Clean attempt.
-  }
-}
-
 /// Write one sweep shard document to `out_path`, honoring any armed
 /// write-side fault points. The faults simulate exactly the failure the
 /// durability layer must survive: a torn write leaves a prefix of the
@@ -525,13 +464,6 @@ int cmd_sweep(std::vector<std::string> args) {
       // torn-write=N, corrupt-trailer, stall=N, kill=N. Also armable
       // via RAILCORR_FAULT for workers the orchestrator launches.
       faults.arm(railcorr::orch::parse_fault_spec(value_of("--fault")));
-    } else if (args[i] == "--abort-after-cells") {
-      // Legacy spelling of --fault kill=N: evaluate N cells, report
-      // them on the progress stream, then die on SIGKILL mid-shard
-      // exactly like a crashed/killed worker.
-      faults.arm({railcorr::orch::FaultKind::kKillAfterCells,
-                  parse_u64_option("--abort-after-cells",
-                                   value_of("--abort-after-cells"))});
     } else if (args[i] == "--threads") {
       railcorr::exec::set_default_thread_count(
           parse_u64_option("--threads", value_of("--threads")));
@@ -825,8 +757,6 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       }
     } else if (args[i] == "--include-sizing") {
       options.include_sizing = true;
-    } else if (args[i] == "--no-speculate") {
-      options.speculate = false;
     } else if (args[i] == "--threads") {
       // One value for a homogeneous fleet, or a comma-separated list
       // assigning worker slot k the k-th entry (the last entry repeats
@@ -993,17 +923,15 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       [self, worker_plan, accuracy, worker_threads, sizing, inject_kill,
        chaos_seed, retries, cache_dir, cache_max_mb, fleet_hosts, launcher,
        heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
-        // Slot k gets the k-th --threads entry — or host k with a
-        // fleet, where thread counts describe machines, not slots; the
-        // last entry covers every higher index, so a single value
-        // stays homogeneous.
+        // Slot k gets the k-th --threads entry — or, when --hosts was
+        // given, host k, where thread counts describe machines, not
+        // slots; the last entry covers every higher index, so a single
+        // value stays homogeneous.
         std::size_t thread_index = attempt.slot;
-        if (!fleet_hosts.empty()) {
-          for (std::size_t h = 0; h < fleet_hosts.size(); ++h) {
-            if (fleet_hosts[h] == attempt.host) {
-              thread_index = h;
-              break;
-            }
+        for (std::size_t h = 0; h < fleet_hosts.size(); ++h) {
+          if (fleet_hosts[h] == attempt.host) {
+            thread_index = h;
+            break;
           }
         }
         const std::size_t threads = worker_threads[std::min(
@@ -1011,9 +939,6 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
         // The worker writes to worker_out_path (== out_path except for
         // remote attempts under a fetch step, whose file the fetch
         // command pulls back to out_path afterwards).
-        const std::string& worker_out = attempt.worker_out_path.empty()
-                                            ? attempt.out_path
-                                            : attempt.worker_out_path;
         std::vector<std::string> argv = {
             self,
             "sweep",
@@ -1023,7 +948,7 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
             std::to_string(attempt.shard) + "/" +
                 std::to_string(attempt.shard_count),
             "--out",
-            worker_out,
+            attempt.worker_out_path,
             "--progress",
             "--accuracy",
             accuracy,
@@ -1070,9 +995,9 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
         // converges by construction. Transfer faults belong to the
         // fetch builder, not the worker.
         if (chaos_seed.has_value() && attempt.attempt < retries) {
-          const auto fault =
-              chaos_fault_for(*chaos_seed, attempt.shard, attempt.attempt,
-                              !fleet_hosts.empty(), cache_dir.has_value());
+          const auto fault = railcorr::orch::chaos_fault_for(
+              *chaos_seed, attempt.shard, attempt.attempt,
+              !fleet_hosts.empty(), cache_dir.has_value());
           if (fault.has_value() &&
               fault->kind != railcorr::orch::FaultKind::kTransferTorn &&
               fault->kind != railcorr::orch::FaultKind::kTransferStalled) {
@@ -1087,8 +1012,9 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
         }
         // A remote attempt's command line is wrapped in the launcher
         // template ({cmd} becomes one shell-quoted word); the reserved
-        // host 'local' and non-fleet runs fork/exec the argv directly.
-        if (launcher.has_value() && !attempt.host.empty() &&
+        // host 'local' (every attempt of a run without --hosts)
+        // fork/execs the argv directly.
+        if (launcher.has_value() &&
             attempt.host != railcorr::orch::kLocalHost) {
           return launcher->build(attempt.host, argv);
         }
@@ -1104,9 +1030,9 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       // (the verify-after-fetch step must catch it), a stalled one
       // hangs until the fetch timeout kills it.
       if (chaos_seed.has_value() && attempt.attempt < retries) {
-        const auto fault =
-            chaos_fault_for(*chaos_seed, attempt.shard, attempt.attempt,
-                            /*with_hosts=*/true, has_cache);
+        const auto fault = railcorr::orch::chaos_fault_for(
+            *chaos_seed, attempt.shard, attempt.attempt,
+            /*with_hosts=*/true, has_cache);
         if (fault.has_value() &&
             fault->kind == railcorr::orch::FaultKind::kTransferTorn) {
           std::cerr << "[orchestrate] chaos: shard " << attempt.shard
@@ -1146,10 +1072,10 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
     return (result.contract_violation || result.manifest_mismatch) ? 2 : 1;
   }
   if (out_path.has_value()) write_grid_output(out_path, result.merged);
+  // The retired third counter stays, always 0, for parsers of this line.
   std::cout << "orchestrate: merged " << result.merged_path << " ("
             << result.stats.attempts << " attempt(s), "
-            << result.stats.retried << " retried, "
-            << result.stats.speculative << " speculative, "
+            << result.stats.retried << " retried, 0 speculative, "
             << result.stats.resumed << " resumed, "
             << result.stats.timed_out << " timed out, "
             << result.stats.stalled << " stalled, "
