@@ -35,6 +35,7 @@
 #include "cache/result_cache.hpp"
 #include "core/sweep_runner.hpp"
 #include "corridor/sweep.hpp"
+#include "exec/parallel.hpp"
 
 namespace {
 
@@ -99,6 +100,11 @@ int main(int argc, char** argv) {
 
   const auto plan = corridor::SweepPlan::from_spec(kPlanSpec);
   const corridor::ShardSpec whole_grid;
+  // Every sweep below runs on one thread, as the entries' thread
+  // column says: the warm path is serial work, so a multi-threaded cold
+  // reference would make the gated ratio depend on the runner's core
+  // count rather than on the work each path does.
+  exec::set_default_thread_count(1);
   const fs::path dir = fs::temp_directory_path() /
                        ("railcorr_bench_cache_" + std::to_string(::getpid()));
   fs::remove_all(dir);

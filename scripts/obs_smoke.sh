@@ -8,7 +8,8 @@
 #   2. the traced orchestrate assembles a fleet timeline: trace.json is
 #      plain valid JSON with one process_name lane per worker plus the
 #      orchestrator's own, and run_metrics.json is the plain-JSON
-#      counter/histogram rollup,
+#      counter/histogram rollup (the sweep's radio-memo counters
+#      included, as in the standalone sweep's metrics),
 #   3. the run summary is always printed (and appended to the manifest
 #      as an `info` line), traced or not,
 #   4. `railcorr trace merge|stats` consume worker `.trace` files, and
@@ -76,6 +77,15 @@ for f in "$TMP/sweep.trace" "$TMP/sweep.metrics.json"; do
     exit 1
   fi
 done
+# The radio stage runs once per distinct radio input: the 64 cells
+# hold 4 lp x 2 hp inputs, so 8 searches and 56 memo hits.
+for counter in '"sweep.isd_searches":8' '"sweep.isd_memo_hits":56'; do
+  if ! grep -q "$counter" "$TMP/sweep.metrics.json"; then
+    echo "FAIL: sweep.metrics.json lacks $counter:" >&2
+    cat "$TMP/sweep.metrics.json" >&2
+    exit 1
+  fi
+done
 
 # --- 2: traced orchestrate assembles the fleet timeline ---------------
 "$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/run_traced" \
@@ -111,6 +121,13 @@ if ! grep -q '"orchestrator"' "$TRACE"; then
 fi
 if ! grep -q '"sweep.cells":64' "$METRICS"; then
   echo "FAIL: run_metrics.json did not roll up 64 swept cells:" >&2
+  cat "$METRICS" >&2
+  exit 1
+fi
+# Each of the 8 interleaved shards holds one hp value, so each sees
+# the 4 lp inputs: 32 searches fleet-wide.
+if ! grep -q '"sweep.isd_searches":32' "$METRICS"; then
+  echo "FAIL: run_metrics.json did not roll up 32 radio searches:" >&2
   cat "$METRICS" >&2
   exit 1
 fi

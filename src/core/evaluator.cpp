@@ -154,9 +154,10 @@ PaperResults PaperEvaluator::run_all(corridor::IsdSource source,
   PaperResults results;
   // The heavy experiments are independent; run them as one task batch.
   // Each writes only its own member, so the aggregate is identical to
-  // the sequential evaluation at any thread count. The sweep is task 0:
-  // chunk 0 runs on the calling thread, which is not a pool worker, so
-  // the sweep's own inner grid loop stays parallel.
+  // the sequential evaluation at any thread count. Each task's inner
+  // loops run inline on its own thread, the sweep (task 0, on the
+  // caller) included: a paper-scenario search takes ~2 ms on one
+  // thread, far less than the Table IV sizing task running beside it.
   const std::size_t tasks = include_fig3 ? 4 : 3;
   exec::parallel_for(tasks, [&](std::size_t task) {
     switch (task) {

@@ -1,5 +1,6 @@
 #include "core/scenario_spec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -635,9 +636,17 @@ const std::vector<ScenarioFieldInfo>& scenario_fields() {
   return infos;
 }
 
-std::string to_spec(const Scenario& scenario) {
+std::string to_spec(const Scenario& scenario,
+                    std::span<const std::string_view> prefixes) {
   std::string out;
   for (const auto& field : registry()) {
+    const auto selects = [&](std::string_view prefix) {
+      return field.info.key.starts_with(prefix);
+    };
+    if (!prefixes.empty() &&
+        std::none_of(prefixes.begin(), prefixes.end(), selects)) {
+      continue;
+    }
     out += field.info.key;
     out += " = ";
     out += field.get(scenario);

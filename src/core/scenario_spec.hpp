@@ -20,6 +20,7 @@
 /// round-trip; specs cannot express that state.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,7 +44,13 @@ const std::vector<ScenarioFieldInfo>& scenario_fields();
 /// Render every registered field as `key = value` lines (registry
 /// order, deterministic formatting). parse(to_spec(s)) == s for any
 /// spec-reachable Scenario.
-std::string to_spec(const Scenario& scenario);
+///
+/// With `prefixes`, only the fields whose key starts with one of them:
+/// the canonical sub-spec of the keys one evaluation stage reads. The
+/// formatting round-trips exactly, so two scenarios render equal
+/// sub-specs iff they agree on every selected field.
+std::string to_spec(const Scenario& scenario,
+                    std::span<const std::string_view> prefixes = {});
 
 /// Apply one override. Throws util::ConfigError on an unknown key or a
 /// malformed/invalid value (the message names key and line).

@@ -1,13 +1,17 @@
 #include "core/sweep_runner.hpp"
 
 #include <algorithm>
+#include <array>
+#include <string_view>
+#include <unordered_map>
 
 #include "core/evaluator.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "core/scenario_registry.hpp"
 #include "core/scenario_spec.hpp"
 #include "corridor/multi_segment.hpp"
+#include "exec/parallel.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "traffic/duty.hpp"
 #include "util/config.hpp"
 
@@ -15,51 +19,77 @@ namespace railcorr::core {
 
 namespace {
 
-/// Headline quantities of one scenario, reduced from the evaluator's
-/// deterministic paths.
-struct CellMetrics {
+/// The registry keys the radio stage reads (key prefixes): everything
+/// PaperEvaluator::max_isd_sweep and the multi-segment check consume.
+/// Cells whose sub-specs over these keys are equal share one radio run.
+constexpr std::array<std::string_view, 5> kRadioStageKeys = {
+    "link.", "radio.", "isd_search.", "corridor.", "max_repeaters"};
+
+/// The radio columns of a row.
+struct RadioColumns {
   int max_n = 0;
   double max_isd_m = 0.0;
   double min_snr_at_max_db = 0.0;
   double corridor_min_snr_db = 0.0;
-  double baseline_wh_km_h = 0.0;
+};
+
+/// Radio stage: the deepest deployment the scenario's criterion still
+/// supports, and the whole-corridor worst case at that deployment. A
+/// pure function of the kRadioStageKeys fields.
+RadioColumns radio_stage(const Scenario& scenario) {
+  RadioColumns r;
+  const auto sweep = PaperEvaluator(scenario).max_isd_sweep();
+  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
+    if (it->max_isd_m.has_value()) {
+      r.max_n = it->repeater_count;
+      r.max_isd_m = *it->max_isd_m;
+      r.min_snr_at_max_db = it->min_snr_at_max.value();
+      break;
+    }
+  }
+  if (r.max_n == 0) return r;
+
+  // Every neighbour contributing; equals the single-segment minimum
+  // when corridor.segments == 1.
+  r.corridor_min_snr_db = r.min_snr_at_max_db;
+  if (scenario.corridor_segments > 1) {
+    corridor::SegmentDeployment segment;
+    segment.geometry.isd_m = r.max_isd_m;
+    segment.geometry.repeater_count = r.max_n;
+    segment.geometry.repeater_spacing_m = scenario.repeater_spacing_m;
+    segment.radio = scenario.radio;
+    const corridor::MultiSegmentAnalyzer analyzer(
+        scenario.link, scenario.isd_search.sample_step_m);
+    const auto per_segment = analyzer.per_segment(
+        corridor::CorridorDeployment::repeat(segment,
+                                             scenario.corridor_segments));
+    r.corridor_min_snr_db = per_segment.front().min_snr.value();
+    for (const auto& seg : per_segment) {
+      r.corridor_min_snr_db =
+          std::min(r.corridor_min_snr_db, seg.min_snr.value());
+    }
+  }
+  return r;
+}
+
+/// Per-cell stage: energy, duty and LP sleep power on top of the radio
+/// columns, plus the sizing columns when `sized` is given, rendered as
+/// the cell's CSV row (no trailing newline).
+std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
+                       const Scenario& scenario, const RadioColumns& radio,
+                       const std::vector<solar::SizingResult>* sized) {
+  const auto energy_model = scenario.make_energy_model();
+  const auto baseline = energy_model.conventional_baseline();
   double continuous_wh_km_h = 0.0;
   double sleep_wh_km_h = 0.0;
   double solar_wh_km_h = 0.0;
   double sleep_savings = 0.0;
   double solar_savings = 0.0;
   double duty_at_max_isd = 0.0;
-  double lp_sleep_avg_w = 0.0;
-  // Only populated with SweepRunOptions::include_sizing.
-  double sized_pv_wp_total = 0.0;
-  int ladder_exhausted = 0;
-};
-
-CellMetrics evaluate_metrics(const Scenario& scenario,
-                             const SweepRunOptions& options,
-                             const std::vector<solar::SizingResult>* sized) {
-  CellMetrics m;
-  const PaperEvaluator evaluator(scenario);
-
-  // The deepest deployment the scenario's criterion still supports.
-  const auto sweep = evaluator.max_isd_sweep();
-  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
-    if (it->max_isd_m.has_value()) {
-      m.max_n = it->repeater_count;
-      m.max_isd_m = *it->max_isd_m;
-      m.min_snr_at_max_db = it->min_snr_at_max.value();
-      break;
-    }
-  }
-
-  const auto energy_model = scenario.make_energy_model();
-  const auto baseline = energy_model.conventional_baseline();
-  m.baseline_wh_km_h = baseline.mains_wh_per_km_hour().value();
-
-  if (m.max_n > 0) {
+  if (radio.max_n > 0) {
     corridor::SegmentGeometry geometry;
-    geometry.isd_m = m.max_isd_m;
-    geometry.repeater_count = m.max_n;
+    geometry.isd_m = radio.max_isd_m;
+    geometry.repeater_count = radio.max_n;
     geometry.repeater_spacing_m = scenario.repeater_spacing_m;
     const auto continuous = energy_model.evaluate(
         geometry, corridor::RepeaterOperationMode::kContinuous);
@@ -67,61 +97,19 @@ CellMetrics evaluate_metrics(const Scenario& scenario,
         geometry, corridor::RepeaterOperationMode::kSleepMode);
     const auto solar = energy_model.evaluate(
         geometry, corridor::RepeaterOperationMode::kSolarPowered);
-    m.continuous_wh_km_h = continuous.mains_wh_per_km_hour().value();
-    m.sleep_wh_km_h = sleep.mains_wh_per_km_hour().value();
-    m.solar_wh_km_h = solar.mains_wh_per_km_hour().value();
-    m.sleep_savings = sleep.savings_vs(baseline);
-    m.solar_savings = solar.savings_vs(baseline);
-    m.duty_at_max_isd =
-        traffic::full_load_fraction(scenario.timetable, m.max_isd_m);
-
-    // Whole-corridor worst case with every neighbour contributing;
-    // equals the single-segment minimum when corridor.segments == 1.
-    if (scenario.corridor_segments > 1) {
-      corridor::SegmentDeployment segment;
-      segment.geometry = geometry;
-      segment.radio = scenario.radio;
-      const corridor::MultiSegmentAnalyzer analyzer(
-          scenario.link, scenario.isd_search.sample_step_m);
-      const auto per_segment = analyzer.per_segment(
-          corridor::CorridorDeployment::repeat(segment,
-                                               scenario.corridor_segments));
-      double worst = per_segment.front().min_snr.value();
-      for (const auto& seg : per_segment) {
-        worst = std::min(worst, seg.min_snr.value());
-      }
-      m.corridor_min_snr_db = worst;
-    } else {
-      m.corridor_min_snr_db = m.min_snr_at_max_db;
-    }
+    continuous_wh_km_h = continuous.mains_wh_per_km_hour().value();
+    sleep_wh_km_h = sleep.mains_wh_per_km_hour().value();
+    solar_wh_km_h = solar.mains_wh_per_km_hour().value();
+    sleep_savings = sleep.savings_vs(baseline);
+    solar_savings = solar.savings_vs(baseline);
+    duty_at_max_isd =
+        traffic::full_load_fraction(scenario.timetable, radio.max_isd_m);
   }
-
-  m.lp_sleep_avg_w =
+  const double lp_sleep_avg_w =
       traffic::average_unit_power(scenario.energy.lp_node, scenario.timetable,
                                   scenario.repeater_spacing_m,
                                   /*sleep_when_idle=*/true)
           .value();
-
-  if (options.include_sizing) {
-    // A caller-provided sizing result (the shard runner's batched
-    // simulation) is bit-identical to the per-cell evaluator path, so
-    // the reduced columns cannot depend on which route produced it.
-    const auto results = sized != nullptr ? *sized : evaluator.table4_sizing();
-    for (const auto& result : results) {
-      m.sized_pv_wp_total += result.chosen.pv_wp;
-      if (result.ladder_exhausted) ++m.ladder_exhausted;
-    }
-  }
-  return m;
-}
-
-/// Render one cell row from an already-built scenario (and, for sizing
-/// runs, pre-computed sizing results).
-std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
-                       const Scenario& scenario,
-                       const SweepRunOptions& options,
-                       const std::vector<solar::SizingResult>* sized) {
-  const CellMetrics m = evaluate_metrics(scenario, options, sized);
 
   std::string row = util::format_u64(index);
   const auto field = [&row](const std::string& value) {
@@ -132,21 +120,27 @@ std::string render_row(const corridor::SweepPlan& plan, std::size_t index,
   // coordinates exactly as declared, independent of field formatting.
   for (const auto& value : plan.axis_values_at(index)) field(value);
 
-  field(util::format_int(m.max_n));
-  field(util::format_double(m.max_isd_m));
-  field(util::format_double(m.min_snr_at_max_db));
-  field(util::format_double(m.corridor_min_snr_db));
-  field(util::format_double(m.baseline_wh_km_h));
-  field(util::format_double(m.continuous_wh_km_h));
-  field(util::format_double(m.sleep_wh_km_h));
-  field(util::format_double(m.solar_wh_km_h));
-  field(util::format_double(m.sleep_savings));
-  field(util::format_double(m.solar_savings));
-  field(util::format_double(m.duty_at_max_isd));
-  field(util::format_double(m.lp_sleep_avg_w));
-  if (options.include_sizing) {
-    field(util::format_double(m.sized_pv_wp_total));
-    field(util::format_int(m.ladder_exhausted));
+  field(util::format_int(radio.max_n));
+  field(util::format_double(radio.max_isd_m));
+  field(util::format_double(radio.min_snr_at_max_db));
+  field(util::format_double(radio.corridor_min_snr_db));
+  field(util::format_double(baseline.mains_wh_per_km_hour().value()));
+  field(util::format_double(continuous_wh_km_h));
+  field(util::format_double(sleep_wh_km_h));
+  field(util::format_double(solar_wh_km_h));
+  field(util::format_double(sleep_savings));
+  field(util::format_double(solar_savings));
+  field(util::format_double(duty_at_max_isd));
+  field(util::format_double(lp_sleep_avg_w));
+  if (sized != nullptr) {
+    double sized_pv_wp_total = 0.0;
+    int ladder_exhausted = 0;
+    for (const auto& result : *sized) {
+      sized_pv_wp_total += result.chosen.pv_wp;
+      if (result.ladder_exhausted) ++ladder_exhausted;
+    }
+    field(util::format_double(sized_pv_wp_total));
+    field(util::format_int(ladder_exhausted));
   }
   return row;
 }
@@ -179,7 +173,10 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
                                 std::size_t index,
                                 const SweepRunOptions& options) {
   const Scenario scenario = scenario_at(plan, index);
-  return render_row(plan, index, scenario, options, nullptr);
+  std::vector<solar::SizingResult> sized;
+  if (options.include_sizing) sized = PaperEvaluator(scenario).table4_sizing();
+  return render_row(plan, index, scenario, radio_stage(scenario),
+                    options.include_sizing ? &sized : nullptr);
 }
 
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
@@ -188,17 +185,20 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   const std::string banner = corridor::shard_banner(plan);
   const std::string header =
       corridor::shard_header(plan, sweep_metric_columns(options));
-  std::string document = banner + "\n" + header + "\n";
   const auto indices = shard.indices(plan.size());
 
-  // Telemetry is observation only: timing wraps rows that are already
-  // (or about to be) rendered by the unchanged evaluation paths, so
-  // traced and untraced runs emit byte-identical documents. Per-cell
-  // clocks are read only when someone consumes them (a progress
-  // callback or an enabled metrics registry).
+  // Telemetry is observation only: spans and clocks wrap stages whose
+  // outputs land in per-cell slots, so traced and untraced runs emit
+  // byte-identical documents. Per-cell clocks are read only when
+  // someone consumes them (a progress callback or an enabled metrics
+  // registry).
   auto& metrics = obs::MetricsRegistry::instance();
   static obs::Counter& cells_counter = metrics.counter("sweep.cells");
   static obs::Counter& cached_counter = metrics.counter("sweep.cells_cached");
+  static obs::Counter& searches_counter =
+      metrics.counter("sweep.isd_searches");
+  static obs::Counter& memo_hits_counter =
+      metrics.counter("sweep.isd_memo_hits");
   static obs::Histogram& cell_hist = metrics.histogram("sweep.cell_usec");
   const bool timed = static_cast<bool>(options.progress) || metrics.enabled();
   const auto cell_usec = [timed](std::uint64_t start) -> std::uint64_t {
@@ -219,111 +219,115 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
     return cache::cell_key(banner, index, header);
   };
 
-  if (!options.include_sizing) {
-    // Cells run sequentially: each cell's evaluator already saturates
-    // the exec engine's thread pool (grid parallelism is what the
-    // shards are for), and sequential emission keeps the document
-    // trivially ordered.
-    std::size_t done = 0;
-    for (const std::size_t index : indices) {
-      const std::uint64_t start = timed ? obs::usec_now() : 0;
-      std::uint64_t usec = 0;
-      {
-        const obs::ObsSpan span("cell", "sweep", "index", index);
-        std::string row;
-        if (cache != nullptr) {
-          const std::uint64_t key = key_of(index);
-          if (const auto hit = cache->lookup(key)) {
-            row = std::string(*hit);
-            cached_counter.add();
-          } else {
-            row = evaluate_sweep_cell(plan, index, options);
-            cache->insert(key, row);
-          }
-        } else {
-          row = evaluate_sweep_cell(plan, index, options);
-        }
-        document += row + "\n";
-        usec = cell_usec(start);
-      }
-      cells_counter.add();
-      if (metrics.enabled()) cell_hist.record(usec);
-      if (options.progress) {
-        options.progress(index, ++done, indices.size(), usec);
-      }
-    }
-    if (cache != nullptr) cache->flush();
-    return document;
-  }
-
-  // Sizing runs batch the off-grid simulations across the whole shard:
-  // every cell's (locations x ladder) grid goes into one size_jobs
-  // call, which synthesizes each distinct weather tuple once and steps
-  // all systems through it in SoA batches. Cells that vary only
-  // non-sizing axes therefore pay for weather once per location for
-  // the entire shard instead of once per cell. size_jobs results are
-  // bit-identical to the per-cell evaluator path, so the emitted rows
-  // are byte-identical to evaluate_sweep_cell's (the merge contract
-  // does not see the batching).
-  // Cache hits are resolved before the batch is formed, so only missed
-  // cells pay for weather synthesis — the incremental-sweep win
-  // compounds with the batching one.
+  // Stage 1: cache hits keep their stored rows; only missed cells
+  // (positions into `indices`) go through the stages below.
   std::vector<std::string> rows(indices.size());
   std::vector<std::uint64_t> usecs(indices.size(), 0);
   std::vector<std::size_t> missed;
   missed.reserve(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (cache == nullptr) {
-      missed.push_back(i);
-      continue;
+    if (cache != nullptr) {
+      const std::uint64_t start = timed ? obs::usec_now() : 0;
+      if (const auto hit = cache->lookup(key_of(indices[i]))) {
+        rows[i] = std::string(*hit);
+        usecs[i] = cell_usec(start);
+        continue;
+      }
     }
-    const std::uint64_t start = timed ? obs::usec_now() : 0;
-    if (const auto hit = cache->lookup(key_of(indices[i]))) {
-      rows[i] = std::string(*hit);
-      usecs[i] = cell_usec(start);
-      cached_counter.add();
-    } else {
-      missed.push_back(i);
-    }
+    missed.push_back(i);
+  }
+  cached_counter.add(indices.size() - missed.size());
+
+  std::vector<Scenario> scenarios(missed.size());
+  std::vector<std::string> radio_inputs(missed.size());
+  try {
+    exec::parallel_for(missed.size(), [&](std::size_t j) {
+      scenarios[j] = scenario_at(plan, indices[missed[j]]);
+      radio_inputs[j] = to_spec(scenarios[j], kRadioStageKeys);
+    });
+  } catch (const util::ConfigError&) {
+    // Report the lowest-index bad cell at any thread count.
+    for (const std::size_t i : missed) scenario_at(plan, indices[i]);
+    throw;
   }
 
-  std::vector<Scenario> scenarios;
-  std::vector<solar::SizingJob> jobs;
-  scenarios.reserve(missed.size());
-  jobs.reserve(missed.size());
-  for (const std::size_t i : missed) {
-    Scenario scenario = scenario_at(plan, indices[i]);
-    jobs.push_back(solar::SizingJob{scenario.sizing_locations,
-                                    scenario.repeater_consumption_profile(),
-                                    scenario.sizing,
-                                    scenario.sizing_ladder});
-    scenarios.push_back(std::move(scenario));
+  // Stage 2: each distinct radio input runs once, as the outer parallel
+  // loop (its inner search loops then run inline). group_of[j] is the
+  // radio run of missed cell j; groups number in first-seen order.
+  std::vector<std::size_t> group_of(missed.size());
+  std::vector<std::size_t> group_first;
+  std::vector<std::size_t> group_cells;
+  {
+    std::unordered_map<std::string_view, std::size_t> group_by_input;
+    for (std::size_t j = 0; j < missed.size(); ++j) {
+      const auto [it, fresh] =
+          group_by_input.emplace(radio_inputs[j], group_first.size());
+      if (fresh) {
+        group_first.push_back(j);
+        group_cells.push_back(0);
+      }
+      group_of[j] = it->second;
+      ++group_cells[it->second];
+    }
   }
-  const auto sized = [&] {
+  const auto radio =
+      exec::parallel_map(group_first.size(), [&](std::size_t g) {
+        const obs::ObsSpan span("isd_search", "sweep", "cells",
+                                group_cells[g]);
+        return radio_stage(scenarios[group_first[g]]);
+      });
+  searches_counter.add(group_first.size());
+  memo_hits_counter.add(missed.size() - group_first.size());
+
+  // Stage 3: the off-grid simulations of all missed cells as ONE
+  // size_jobs batch, each distinct weather tuple synthesized once for
+  // the shard. size_jobs is bit-identical to the per-cell evaluator
+  // path, so the rows cannot depend on the batching.
+  std::vector<std::vector<solar::SizingResult>> sized;
+  if (options.include_sizing) {
+    std::vector<solar::SizingJob> jobs;
+    jobs.reserve(missed.size());
+    for (const Scenario& scenario : scenarios) {
+      jobs.push_back(solar::SizingJob{scenario.sizing_locations,
+                                      scenario.repeater_consumption_profile(),
+                                      scenario.sizing,
+                                      scenario.sizing_ladder});
+    }
     // The batch is shared across cells, so it gets its own span rather
     // than being smeared into per-cell figures.
     const obs::ObsSpan batch_span("sizing_batch", "sweep", "cells",
                                   missed.size());
-    return solar::size_jobs(jobs);
-  }();
-  for (std::size_t j = 0; j < missed.size(); ++j) {
+    sized = solar::size_jobs(jobs);
+  }
+
+  // Stage 4: the per-cell rest, parallel over cells, each into its own
+  // slot. A cell's usec is this stage's time alone: the shared radio
+  // runs and sizing batch are not attributed to individual cells.
+  exec::parallel_for(missed.size(), [&](std::size_t j) {
     const std::size_t i = missed[j];
     const std::uint64_t start = timed ? obs::usec_now() : 0;
     {
       const obs::ObsSpan span("cell", "sweep", "index", indices[i]);
-      rows[i] = render_row(plan, indices[i], scenarios[j], options, &sized[j]);
+      rows[i] = render_row(plan, indices[i], scenarios[j], radio[group_of[j]],
+                           options.include_sizing ? &sized[j] : nullptr);
     }
     usecs[i] = cell_usec(start);
-    if (cache != nullptr) cache->insert(key_of(indices[i]), rows[i]);
-  }
+  });
 
+  // Stage 5: emission on the calling thread in ascending index order.
+  // The progress callback carries the kill/stall/host-flap fault
+  // points, so it must never run on a pool worker.
+  if (cache != nullptr) {
+    for (const std::size_t i : missed) {
+      cache->insert(key_of(indices[i]), rows[i]);
+    }
+  }
+  std::string document = banner + "\n" + header + "\n";
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    document += rows[i] + "\n";
+    document += rows[i];
+    document += '\n';
     cells_counter.add();
     if (metrics.enabled()) cell_hist.record(usecs[i]);
-    // Progress trails the batched simulation here: the heavy weather
-    // synthesis ran up front for the whole shard, so cells then render
-    // in a burst.
     if (options.progress) {
       options.progress(indices[i], i + 1, indices.size(), usecs[i]);
     }

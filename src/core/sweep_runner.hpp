@@ -1,7 +1,8 @@
 /// \file sweep_runner.hpp
 /// \brief Binds corridor::SweepPlan to core::Scenario: materializes grid
-///        cells as scenarios, evaluates them on the existing parallel
-///        exec engine, and renders byte-deterministic shard documents.
+///        cells as scenarios, evaluates a shard as a stage pipeline on
+///        the parallel exec engine, and renders byte-deterministic shard
+///        documents.
 ///
 /// Each grid cell's row is a pure function of (plan, index): the
 /// scenario is rebuilt from the registry base plus the cell's overrides,
@@ -9,6 +10,14 @@
 /// numbers are rendered with util::format_double. Two processes
 /// evaluating the same cell therefore emit byte-identical rows — the
 /// property corridor::merge_shards verifies.
+///
+/// A shard computes each distinct stage input once. The radio stage
+/// (max-ISD search plus the multi-segment minimum) reads only the
+/// `link.*`, `radio.*`, `isd_search.*`, `corridor.*` and
+/// `max_repeaters` keys, so cells that agree on those — e.g. a grid
+/// that varies traffic over a fixed radio layout — share one run.
+/// Because every stage is the same pure function of the same inputs,
+/// the memoized rows byte-match the naive per-cell evaluate_sweep_cell.
 #pragma once
 
 #include <cstddef>
@@ -35,19 +44,22 @@ struct SweepRunOptions {
   /// byte-identity contract makes the two paths indistinguishable in
   /// the output.
   cache::ResultCache* cache = nullptr;
-  /// Called by run_sweep_shard after each owned cell's row is rendered
-  /// with (grid cell index, cells finished, cells owned by the shard,
-  /// the cell's compute wall time in usec). The CLI's `--progress`
-  /// mode forwards these to the orchestrator's line protocol. Progress
-  /// emission cannot perturb the evaluation: rows are already rendered
-  /// when the callback fires. Empty = off.
+  /// Called by run_sweep_shard once per owned cell, on the calling
+  /// thread and in ascending index order, with (grid cell index, cells
+  /// finished, cells owned by the shard, the cell's compute wall time in
+  /// usec). The CLI's `--progress` mode forwards these to the
+  /// orchestrator's line protocol. Progress emission cannot perturb the
+  /// evaluation: rows are already rendered when the callback fires.
+  /// Empty = off.
   ///
-  /// Timing semantics: cache hits report (near-)zero usec, and on the
-  /// batched sizing path a cell reports only its per-cell render time
-  /// — the shard-wide batched weather synthesis is shared and is not
-  /// attributed to individual cells (it appears as the `sizing_batch`
-  /// span in a trace instead). The figure is a scheduling signal for
-  /// adaptive shard sizing, not an exact cost accounting.
+  /// Timing semantics: the calls arrive in a burst after the shard's
+  /// stages have run (`sweep --heartbeat` keeps a worker visibly alive
+  /// in the meantime). A computed cell reports its per-cell stage time
+  /// (energy, duty, row render); the shared radio runs and the batched
+  /// sizing are not attributed to individual cells (they appear as the
+  /// `isd_search` and `sizing_batch` spans in a trace instead), and
+  /// cache hits report their lookup time. The figure is a scheduling
+  /// signal, not an exact cost accounting.
   std::function<void(std::size_t index, std::size_t done, std::size_t total,
                      std::uint64_t usec)>
       progress;
@@ -60,17 +72,28 @@ std::vector<std::string> sweep_metric_columns(const SweepRunOptions& options);
 /// Throws util::ConfigError on unknown base or bad overrides.
 Scenario scenario_at(const corridor::SweepPlan& plan, std::size_t index);
 
-/// Evaluate one cell into its CSV row (no trailing newline).
+/// Evaluate one cell into its CSV row (no trailing newline): the naive
+/// per-cell reference that run_sweep_shard's rows must byte-match.
 std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
                                 std::size_t index,
                                 const SweepRunOptions& options = {});
 
 /// Evaluate a whole shard into a shard document (banner + header +
-/// ascending-index rows, one per owned cell). With include_sizing the
-/// off-grid simulations of ALL owned cells run as one batched
-/// solar::size_jobs call (each distinct weather tuple synthesized once
-/// for the shard); the batching is bit-identical to the per-cell path,
-/// so the emitted rows byte-match evaluate_sweep_cell's.
+/// ascending-index rows, one per owned cell) through one stage
+/// pipeline:
+///  1. cache hits keep their stored rows; each missed cell gets its
+///     scenario;
+///  2. radio stage: missed cells are grouped by their canonical
+///     sub-spec of the radio keys, and each distinct input runs once,
+///     as the outer parallel loop;
+///  3. with include_sizing, the off-grid simulations of all missed
+///     cells run as one solar::size_jobs batch (each distinct weather
+///     tuple synthesized once for the shard);
+///  4. per-cell stage: energy, duty, LP sleep power and row render, in
+///     parallel over cells, each into its own slot;
+///  5. emission on the calling thread in index order: document rows,
+///     cache inserts, counters, progress.
+/// The rows byte-match evaluate_sweep_cell's at any thread count.
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
                             corridor::ShardSpec shard,
                             const SweepRunOptions& options = {});

@@ -17,6 +17,10 @@ namespace {
 
 std::atomic<std::size_t> g_default_threads{0};  // 0 = auto
 
+// Set while the calling thread runs chunk 0 of a multi-chunk region;
+// pool workers are covered by ThreadPool::on_worker_thread().
+thread_local bool t_caller_in_region = false;
+
 std::size_t env_thread_count() {
   static const std::size_t cached = [] {
     const char* env = std::getenv("RAILCORR_THREADS");
@@ -82,6 +86,10 @@ void set_default_thread_count(std::size_t n) {
   g_default_threads.store(n, std::memory_order_relaxed);
 }
 
+bool in_parallel_region() {
+  return t_caller_in_region || ThreadPool::on_worker_thread();
+}
+
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   ParallelOptions opts) {
   if (n == 0) return;
@@ -90,9 +98,11 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
   const std::size_t grain = std::max<std::size_t>(opts.grain, 1);
   threads = std::min({threads, n, std::max<std::size_t>(n / grain, 1)});
 
-  // Sequential fast path: one chunk, or we are already on a pool worker
-  // (nested region) and must not wait on the pool we occupy.
-  if (threads <= 1 || ThreadPool::on_worker_thread()) {
+  // Sequential fast path: one chunk, or we are already a participant of
+  // an enclosing region (nested region): a worker must not wait on the
+  // pool it occupies, and the caller's chunk must not hand its inner
+  // work to workers busy with their own chunks.
+  if (threads <= 1 || in_parallel_region()) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -124,7 +134,11 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     }
   }
 
-  batch->run_chunk(0);  // the caller participates
+  // The caller participates; run_chunk is noexcept, so the flag always
+  // clears again.
+  t_caller_in_region = true;
+  batch->run_chunk(0);
+  t_caller_in_region = false;
   {
     std::unique_lock<std::mutex> lock(batch->mutex);
     batch->done.wait(lock, [&] { return batch->pending == 0; });

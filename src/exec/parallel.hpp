@@ -16,9 +16,14 @@
 ///    the caller can reduce the indexed results in index order. With
 ///    per-index outputs and an index-ordered reduction, results are
 ///    bit-identical for any thread count, including 1.
-///  * Nested parallel regions execute sequentially inline (a pool worker
-///    never re-enters the pool), which both avoids deadlock and keeps
-///    the same per-index evaluation everywhere.
+///  * Nested parallel regions execute sequentially inline on every
+///    participant of a multi-chunk region: on pool workers (a worker
+///    never re-enters the pool) and on the calling thread while it runs
+///    chunk 0. This avoids deadlock, keeps the caller's chunk from
+///    handing inner work to workers busy with their own chunks, and
+///    keeps the same per-index evaluation everywhere. A region that
+///    runs as one chunk on the caller does not count as enclosing, so
+///    its nested regions still go parallel.
 ///
 /// Thread-count resolution: an explicit `ParallelOptions::threads` wins;
 /// otherwise the process-wide default set by `set_default_thread_count`;
@@ -56,6 +61,15 @@ namespace railcorr::exec {
 /// benchmarks do this to pin a count).
 void set_default_thread_count(std::size_t n);
 
+/// True while the calling thread is a participant of a multi-chunk
+/// parallel region: a pool worker, or the caller running chunk 0. A
+/// parallel_for entered here runs sequentially inline; code that picks
+/// a cheaper sequential algorithm for that case tests this predicate.
+///
+/// \par Thread safety
+/// Safe to call from any thread at any time (reads thread-local state).
+[[nodiscard]] bool in_parallel_region();
+
 /// Tuning knobs for one parallel region.
 struct ParallelOptions {
   /// Number of chunks to split the range into; 0 = default_thread_count().
@@ -81,7 +95,8 @@ struct ParallelOptions {
 /// all chunks finish; all of `body`'s writes happen-before the return,
 /// so the caller needs no further synchronization to reduce results.
 /// Reentrancy: calling parallel_for from inside a `body` is allowed
-/// and runs the nested region sequentially inline.
+/// and runs the nested region sequentially inline whenever the outer
+/// region split into more than one chunk.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   ParallelOptions opts = {});
 

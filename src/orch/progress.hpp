@@ -20,8 +20,9 @@
 /// per shard the aggregator keeps the latest report, so a retried
 /// attempt replaces — never double-counts — its predecessor's.
 ///
-/// The cell event's `usec` field carries the cell's compute wall time
-/// (microseconds); it is optional on parse (older workers omit it) and
+/// The cell event's `usec` field carries the cell's own compute wall
+/// time (microseconds; the shard's shared stages are not attributed to
+/// cells); it is optional on parse (older workers omit it) and
 /// feeds the aggregator's per-shard timing summary — the input adaptive
 /// shard sizing needs. The metrics event snapshots the worker's
 /// counter registry (obs/metrics.hpp), keys restricted to
@@ -29,12 +30,12 @@
 /// latest report per shard.
 ///
 /// The heartbeat event carries no payload and is ignored by the
-/// aggregator's tallies; its only job is liveness. A worker grinding
-/// through one slow cell emits no `cell` line for that whole stretch,
-/// so without heartbeats the orchestrator's `--stall-timeout` cannot
-/// tell "slow cell" from "dead transport" (a remote pipe buffering a
-/// vanished host's silence looks identical). Workers emit it from a
-/// timer thread (HeartbeatThread) between cells.
+/// aggregator's tallies; its only job is liveness. A worker emits its
+/// `cell` lines in a burst after the shard's stages have run, so it is
+/// silent while it computes, and without heartbeats the orchestrator's
+/// `--stall-timeout` cannot tell "slow shard" from "dead transport" (a
+/// remote pipe buffering a vanished host's silence looks identical).
+/// Workers emit it from a timer thread (HeartbeatThread).
 ///
 /// `@railcorr 1` is the protocol magic + version; unknown lines (a
 /// worker's stray print, a future protocol extension) parse to

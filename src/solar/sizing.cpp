@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/parallel.hpp"
-#include "exec/thread_pool.hpp"
 #include "util/contracts.hpp"
 
 namespace railcorr::solar {
@@ -162,8 +161,7 @@ std::vector<SizingResult> size_locations(
   // parallel_map executes inline — the sequential early-exit walk does
   // strictly less work for the identical result (pinned by
   // tests/solar/sizing_test.cpp).
-  if (exec::ThreadPool::on_worker_thread() ||
-      exec::default_thread_count() <= 1) {
+  if (exec::in_parallel_region() || exec::default_thread_count() <= 1) {
     std::vector<SizingResult> results;
     results.reserve(locations.size());
     for (const auto& location : locations) {

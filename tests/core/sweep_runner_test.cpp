@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "exec/parallel.hpp"
+#include "util/config.hpp"
 
 namespace railcorr::core {
 namespace {
@@ -111,6 +112,29 @@ TEST(SweepRunner, ListValuedKeysSweepViaSemicolonSpelling) {
   const Scenario cell1 = scenario_at(plan, 1);
   ASSERT_EQ(cell1.sizing_ladder.size(), 1u);
   EXPECT_DOUBLE_EQ(cell1.sizing_ladder[0].pv_wp, 600.0);
+}
+
+TEST(SweepRunner, BadCellReportsTheLowestIndexErrorAtAnyThreadCount) {
+  // Cell 7 is the first bad cell (its LP value); cells 8..15 carry a
+  // bad trains/h value, which fails first in their override order. The
+  // scenarios build in parallel, yet the error must be cell 7's, as a
+  // serial build would report.
+  const auto plan = corridor::SweepPlan::from_spec(
+      "base = paper\n"
+      "axis timetable.trains_per_hour = 8, many\n"
+      "axis radio.lp_eirp_dbm = 34, 35, 36, 37, 38, 39, 40, loud\n");
+  for (const std::size_t threads : {1u, 4u}) {
+    exec::set_default_thread_count(threads);
+    try {
+      (void)run_sweep_shard(plan, corridor::ShardSpec{0, 1});
+      ADD_FAILURE() << "a plan with bad axis values evaluated";
+    } catch (const util::ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("radio.lp_eirp_dbm"),
+                std::string::npos)
+          << threads << " thread(s): " << error.what();
+    }
+  }
+  exec::set_default_thread_count(0);
 }
 
 TEST(SweepRunner, BatchedSizingShardMatchesPerCellRowsByteExact) {

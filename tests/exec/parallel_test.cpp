@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -99,6 +100,41 @@ TEST_F(ParallelTest, NestedRegionsCompleteWithoutDeadlock) {
                  opts);
   }, opts);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST_F(ParallelTest, RegionNestedInCallersChunkRunsOnTheCaller) {
+  // The calling thread is a participant while it runs chunk 0 of a
+  // multi-chunk region, so a region nested there runs every index
+  // inline instead of handing work to workers busy with their chunks.
+  ParallelOptions opts;
+  opts.threads = 4;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> inner(16);
+  bool caller_in_region = false;
+  EXPECT_FALSE(in_parallel_region());
+  parallel_for(4, [&](std::size_t outer) {
+    if (outer != 0) return;
+    caller_in_region = in_parallel_region();
+    parallel_for(inner.size(), [&](std::size_t i) {
+      inner[i] = std::this_thread::get_id();
+    }, opts);
+  }, opts);
+  EXPECT_TRUE(caller_in_region);
+  EXPECT_FALSE(in_parallel_region());
+  for (const auto& id : inner) EXPECT_EQ(id, caller);
+
+  // A one-chunk region does not enclose: its nested region still fans
+  // out to the pool.
+  std::vector<std::atomic<int>> on_worker(4);
+  for (auto& w : on_worker) w.store(0);
+  parallel_for(1, [&](std::size_t) {
+    EXPECT_FALSE(in_parallel_region());
+    parallel_for(4, [&](std::size_t i) {
+      on_worker[i] = ThreadPool::on_worker_thread() ? 1 : 0;
+    }, opts);
+  }, opts);
+  EXPECT_EQ(on_worker[0].load(), 0);
+  EXPECT_EQ(on_worker[3].load(), 1);
 }
 
 TEST_F(ParallelTest, WorkerThreadsAreMarked) {

@@ -103,7 +103,7 @@ int usage(std::ostream& os) {
         "                            --progress streams the worker line\n"
         "                            protocol on stdout (requires --out);\n"
         "                            --heartbeat emits a liveness line\n"
-        "                            this often even between slow cells;\n"
+        "                            this often while the shard computes;\n"
         "                            --out files carry a crash-safe\n"
         "                            @railcorr-crc integrity trailer;\n"
         "                            --cache-dir serves already-computed\n"
@@ -450,8 +450,9 @@ int cmd_sweep(std::vector<std::string> args) {
       progress = true;
     } else if (args[i] == "--heartbeat") {
       // Periodic liveness lines on the progress stream: a supervisor's
-      // --stall-timeout can then tell a slow cell (heartbeats keep
-      // flowing) from a dead transport (silence).
+      // --stall-timeout can then tell a slow shard (heartbeats keep
+      // flowing while its cell lines wait for the stages) from a dead
+      // transport (silence).
       railcorr::util::SpecEntry entry;
       entry.key = "--heartbeat";
       entry.value = value_of("--heartbeat");
@@ -762,7 +763,8 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       // assigning worker slot k the k-th entry (the last entry repeats
       // for higher slots) — heterogeneous machines give their big
       // cores more threads than their little ones.
-      std::string_view rest = value_of("--threads");
+      const std::string list = value_of("--threads");
+      std::string_view rest = list;
       worker_threads.clear();
       while (!rest.empty()) {
         const std::size_t comma = rest.find(',');
@@ -912,7 +914,7 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
   const bool sizing = options.include_sizing;
   const std::size_t retries = options.retries;
   const std::vector<std::string> fleet_hosts = options.hosts;
-  // Workers heartbeat at a quarter of the stall budget: a slow cell
+  // Workers heartbeat at a quarter of the stall budget: a slow shard
   // keeps the liveness stream alive, so --stall-timeout only fires on
   // genuinely dead workers (hung evaluators, dropped transports).
   const double heartbeat_s =
