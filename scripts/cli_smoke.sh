@@ -107,6 +107,12 @@ expect_error() {
 # sweep flag misuse.
 expect_error 1 "--progress requires --out" \
     sweep --plan "$TMP/plan.sweep" --progress
+# A study shape the max-ISD search cannot run is a spec error naming
+# the key and line, not a contract abort inside the search.
+sed 's/^set max_repeaters = 2$/set max_repeaters = 0/' "$TMP/plan.sweep" \
+    > "$TMP/no_repeaters.sweep"
+expect_error 1 "invalid value for 'max_repeaters' (line 2)" \
+    sweep --plan "$TMP/no_repeaters.sweep" --out "$TMP/no_repeaters.csv"
 expect_error 1 "--cache-max-mb requires --cache-dir" \
     sweep --plan "$TMP/plan.sweep" --cache-max-mb 64
 expect_error 1 "--plan FILE required" sweep

@@ -78,8 +78,11 @@ for f in "$TMP/sweep.trace" "$TMP/sweep.metrics.json"; do
   fi
 done
 # The radio stage runs once per distinct radio input: the 64 cells
-# hold 4 lp x 2 hp inputs, so 8 searches and 56 memo hits.
-for counter in '"sweep.isd_searches":8' '"sweep.isd_memo_hits":56'; do
+# hold 4 lp x 2 hp inputs, so 8 searches and 56 memo hits. Each search
+# walks N = 2's grid down from the top: 214 grid points visited in all,
+# and only the 8 winners run the full min-SNR reduction.
+for counter in '"sweep.isd_searches":8' '"sweep.isd_memo_hits":56' \
+    '"corridor.isd_points":214' '"corridor.isd_full_scans":8'; do
   if ! grep -q "$counter" "$TMP/sweep.metrics.json"; then
     echo "FAIL: sweep.metrics.json lacks $counter:" >&2
     cat "$TMP/sweep.metrics.json" >&2

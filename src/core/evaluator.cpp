@@ -47,12 +47,20 @@ std::vector<Fig3Row> PaperEvaluator::fig3_profile(double isd_m, int repeaters,
   return rows;
 }
 
-std::vector<corridor::MaxIsdResult> PaperEvaluator::max_isd_sweep() const {
+corridor::IsdSearch PaperEvaluator::isd_search() const {
   corridor::IsdSearchConfig config = scenario_.isd_search;
   config.repeater_spacing_m = scenario_.repeater_spacing_m;
-  const corridor::IsdSearch search(scenario_.make_analyzer(), config,
-                                   scenario_.radio);
-  return search.sweep(1, scenario_.max_repeaters);
+  return corridor::IsdSearch(scenario_.make_analyzer(), config,
+                             scenario_.radio);
+}
+
+std::vector<corridor::MaxIsdResult> PaperEvaluator::max_isd_sweep() const {
+  return isd_search().sweep(1, scenario_.max_repeaters);
+}
+
+std::optional<corridor::MaxIsdResult> PaperEvaluator::deepest_feasible()
+    const {
+  return isd_search().deepest_feasible(1, scenario_.max_repeaters);
 }
 
 std::vector<Fig4Entry> PaperEvaluator::fig4_energy(

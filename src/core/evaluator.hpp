@@ -3,6 +3,7 @@
 ///        method regenerates one table or figure from a Scenario.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -73,6 +74,11 @@ class PaperEvaluator {
   /// E2: max-ISD sweep, N = 1..max_repeaters (model-derived).
   [[nodiscard]] std::vector<corridor::MaxIsdResult> max_isd_sweep() const;
 
+  /// The deepest deployment of max_isd_sweep(): its last entry with a
+  /// max ISD, or none, searched top-down without the rest of the sweep
+  /// (corridor::IsdSearch::deepest_feasible).
+  [[nodiscard]] std::optional<corridor::MaxIsdResult> deepest_feasible() const;
+
   /// E3 / Fig. 4: energy bars. `source` selects model-derived or
   /// paper-published max ISDs per N.
   [[nodiscard]] std::vector<Fig4Entry> fig4_energy(
@@ -101,6 +107,10 @@ class PaperEvaluator {
   /// Fig. 4 energy bars for the given per-N max ISDs (isds[i] = N i+1).
   [[nodiscard]] std::vector<Fig4Entry> fig4_from_isds(
       const std::vector<double>& isds) const;
+
+  /// The max-ISD search over the scenario's link, radio and search
+  /// settings.
+  [[nodiscard]] corridor::IsdSearch isd_search() const;
 
   /// Max ISD per N for Fig. 4: the paper's published list (truncated to
   /// max_repeaters) or the ISDs found by `sweep`.

@@ -41,6 +41,19 @@ power::EarthPowerModel earth_with(double p_max, double p0, double dp,
   return power::EarthPowerModel(Watts(p_max), Watts(p0), dp, Watts(p_sleep));
 }
 
+/// Study-shape values the max-ISD search cannot run with are rejected
+/// when the spec is applied: apply_override reports the violation as
+/// "invalid value for '<key>' (line N)".
+double positive(double v) {
+  if (!(v > 0.0)) throw ContractViolation("must be positive");
+  return v;
+}
+
+int at_least_one(int v) {
+  if (v < 1) throw ContractViolation("must be at least 1");
+  return v;
+}
+
 /// The spec layer keeps the two timetable copies coherent (see header).
 template <typename Mutate>
 void set_timetable(Scenario& s, Mutate&& mutate) {
@@ -312,14 +325,14 @@ const std::vector<Field>& registry() {
          return util::format_double(s.isd_search.isd_step_m);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.isd_search.isd_step_m = util::parse_double(e);
+         s.isd_search.isd_step_m = positive(util::parse_double(e));
        }},
       {{"isd_search.max_isd_m", "sweep upper bound [m] (default: 3600)"},
        [](const Scenario& s) {
          return util::format_double(s.isd_search.max_isd_m);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.isd_search.max_isd_m = util::parse_double(e);
+         s.isd_search.max_isd_m = positive(util::parse_double(e));
        }},
       {{"isd_search.snr_threshold_db",
         "peak-throughput SNR criterion [dB] (paper: 29)"},
@@ -335,7 +348,7 @@ const std::vector<Field>& registry() {
          return util::format_double(s.isd_search.sample_step_m);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.isd_search.sample_step_m = util::parse_double(e);
+         s.isd_search.sample_step_m = positive(util::parse_double(e));
        }},
       // ---- timetable (kept coherent across both copies) ---------------
       {{"timetable.trains_per_hour",
@@ -493,13 +506,13 @@ const std::vector<Field>& registry() {
         "largest repeater count in the sweep / Fig. 4 (paper: 10)"},
        [](const Scenario& s) { return util::format_int(s.max_repeaters); },
        [](Scenario& s, const SpecEntry& e) {
-         s.max_repeaters = util::parse_int(e);
+         s.max_repeaters = at_least_one(util::parse_int(e));
        }},
       {{"corridor.segments",
         "identical segments chained for multi-segment analyses (default: 1)"},
        [](const Scenario& s) { return util::format_int(s.corridor_segments); },
        [](Scenario& s, const SpecEntry& e) {
-         s.corridor_segments = util::parse_int(e);
+         s.corridor_segments = at_least_one(util::parse_int(e));
        }},
       {{"corridor.repeater_spacing_m",
         "node-to-node spacing of the repeater cluster [m] (paper: 200)"},
@@ -507,7 +520,7 @@ const std::vector<Field>& registry() {
          return util::format_double(s.repeater_spacing_m);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.repeater_spacing_m = util::parse_double(e);
+         s.repeater_spacing_m = positive(util::parse_double(e));
        }},
       // ---- sizing -----------------------------------------------------
       {{"sizing.years",

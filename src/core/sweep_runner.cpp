@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -20,7 +21,7 @@ namespace railcorr::core {
 namespace {
 
 /// The registry keys the radio stage reads (key prefixes): everything
-/// PaperEvaluator::max_isd_sweep and the multi-segment check consume.
+/// PaperEvaluator::deepest_feasible and the multi-segment check consume.
 /// Cells whose sub-specs over these keys are equal share one radio run.
 constexpr std::array<std::string_view, 5> kRadioStageKeys = {
     "link.", "radio.", "isd_search.", "corridor.", "max_repeaters"};
@@ -33,21 +34,17 @@ struct RadioColumns {
   double corridor_min_snr_db = 0.0;
 };
 
-/// Radio stage: the deepest deployment the scenario's criterion still
-/// supports, and the whole-corridor worst case at that deployment. A
-/// pure function of the kRadioStageKeys fields.
-RadioColumns radio_stage(const Scenario& scenario) {
+/// The radio columns of `deepest`, the deepest deployment the
+/// scenario's criterion still supports (none: all zero), with the
+/// whole-corridor worst case at that deployment.
+RadioColumns radio_columns(
+    const Scenario& scenario,
+    const std::optional<corridor::MaxIsdResult>& deepest) {
   RadioColumns r;
-  const auto sweep = PaperEvaluator(scenario).max_isd_sweep();
-  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
-    if (it->max_isd_m.has_value()) {
-      r.max_n = it->repeater_count;
-      r.max_isd_m = *it->max_isd_m;
-      r.min_snr_at_max_db = it->min_snr_at_max.value();
-      break;
-    }
-  }
-  if (r.max_n == 0) return r;
+  if (!deepest) return r;
+  r.max_n = deepest->repeater_count;
+  r.max_isd_m = *deepest->max_isd_m;
+  r.min_snr_at_max_db = deepest->min_snr_at_max.value();
 
   // Every neighbour contributing; equals the single-segment minimum
   // when corridor.segments == 1.
@@ -60,16 +57,28 @@ RadioColumns radio_stage(const Scenario& scenario) {
     segment.radio = scenario.radio;
     const corridor::MultiSegmentAnalyzer analyzer(
         scenario.link, scenario.isd_search.sample_step_m);
-    const auto per_segment = analyzer.per_segment(
-        corridor::CorridorDeployment::repeat(segment,
-                                             scenario.corridor_segments));
-    r.corridor_min_snr_db = per_segment.front().min_snr.value();
-    for (const auto& seg : per_segment) {
-      r.corridor_min_snr_db =
-          std::min(r.corridor_min_snr_db, seg.min_snr.value());
-    }
+    r.corridor_min_snr_db =
+        analyzer
+            .min_snr(corridor::CorridorDeployment::repeat(
+                segment, scenario.corridor_segments))
+            .value();
   }
   return r;
+}
+
+/// Radio stage: a pure function of the kRadioStageKeys fields.
+RadioColumns radio_stage(const Scenario& scenario) {
+  return radio_columns(scenario, PaperEvaluator(scenario).deepest_feasible());
+}
+
+/// The naive reference of radio_stage: the full max-ISD sweep, scanned
+/// from the deepest N for the first one that has a max ISD.
+RadioColumns naive_radio_stage(const Scenario& scenario) {
+  const auto sweep = PaperEvaluator(scenario).max_isd_sweep();
+  for (auto it = sweep.rbegin(); it != sweep.rend(); ++it) {
+    if (it->max_isd_m.has_value()) return radio_columns(scenario, *it);
+  }
+  return radio_columns(scenario, std::nullopt);
 }
 
 /// Per-cell stage: energy, duty and LP sleep power on top of the radio
@@ -175,7 +184,7 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
   const Scenario scenario = scenario_at(plan, index);
   std::vector<solar::SizingResult> sized;
   if (options.include_sizing) sized = PaperEvaluator(scenario).table4_sizing();
-  return render_row(plan, index, scenario, radio_stage(scenario),
+  return render_row(plan, index, scenario, naive_radio_stage(scenario),
                     options.include_sizing ? &sized : nullptr);
 }
 
@@ -251,9 +260,9 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
     throw;
   }
 
-  // Stage 2: each distinct radio input runs once, as the outer parallel
-  // loop (its inner search loops then run inline). group_of[j] is the
-  // radio run of missed cell j; groups number in first-seen order.
+  // Stage 2: each distinct radio input runs its sequential top-down
+  // search once, as the outer parallel loop. group_of[j] is the radio
+  // run of missed cell j; groups number in first-seen order.
   std::vector<std::size_t> group_of(missed.size());
   std::vector<std::size_t> group_first;
   std::vector<std::size_t> group_cells;

@@ -13,11 +13,14 @@ std::vector<double> SegmentGeometry::repeater_positions() const {
   RAILCORR_EXPECTS(repeater_spacing_m > 0.0);
   std::vector<double> positions;
   positions.reserve(static_cast<std::size_t>(repeater_count));
-  const double gap = edge_gap_m();
   for (int i = 0; i < repeater_count; ++i) {
-    positions.push_back(gap + repeater_spacing_m * static_cast<double>(i));
+    positions.push_back(repeater_position_m(i));
   }
   return positions;
+}
+
+double SegmentGeometry::repeater_position_m(int i) const {
+  return edge_gap_m() + repeater_spacing_m * static_cast<double>(i);
 }
 
 double SegmentGeometry::edge_gap_m() const {

@@ -26,6 +26,9 @@ struct SegmentGeometry {
   /// Positions of the service nodes (centred cluster), ascending.
   [[nodiscard]] std::vector<double> repeater_positions() const;
 
+  /// Position of service node `i` (0-based): repeater_positions()[i].
+  [[nodiscard]] double repeater_position_m(int i) const;
+
   /// Edge gap between a mast and the nearest service node [m];
   /// equals isd for repeater_count == 0.
   [[nodiscard]] double edge_gap_m() const;

@@ -60,6 +60,22 @@ class IsdSearch {
   /// Sweep N = `from` .. `to` inclusive.
   [[nodiscard]] std::vector<MaxIsdResult> sweep(int from, int to) const;
 
+  /// The last entry of `sweep(from, to)` that has a max ISD, or none,
+  /// bit for bit, found without the rest of the sweep. Walks N down from
+  /// `to` and each N's ISD grid (generated ascending as in sweep, then
+  /// walked backwards) from the top; the first point meeting the
+  /// criterion is the answer, which needs no monotonicity of SNR in ISD.
+  /// Per point, one reused transmitter table is refilled from gains
+  /// computed once per call. A point is rejected as soon as a
+  /// 16-sample block of the min-SNR sample sequence holds a ratio below
+  /// the threshold less 1e-6 dB, a margin far beyond log10's rounding
+  /// and the fast kernels' 8-ULP deviation; the rest run sweep's exact
+  /// min-SNR reduction and `>=` test. Sequential; counts the points it
+  /// visits and fully scans in the metrics counters `corridor.isd_points`
+  /// and `corridor.isd_full_scans`.
+  [[nodiscard]] std::optional<MaxIsdResult> deepest_feasible(int from,
+                                                             int to) const;
+
   [[nodiscard]] const IsdSearchConfig& config() const { return config_; }
 
  private:

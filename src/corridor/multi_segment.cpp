@@ -9,6 +9,16 @@
 
 namespace railcorr::corridor {
 
+namespace {
+
+/// Track span [lo, hi] of segment `s` in a corridor of `isd_m` segments.
+std::pair<double, double> segment_span(double isd_m, std::size_t s) {
+  const double lo = isd_m * static_cast<double>(s);
+  return {lo, lo + isd_m};
+}
+
+}  // namespace
+
 std::vector<rf::TrackTransmitter> CorridorDeployment::transmitters(
     const rf::NrCarrier& carrier) const {
   RAILCORR_EXPECTS(geometry.segments >= 1);
@@ -75,12 +85,23 @@ std::vector<SegmentCapacity> MultiSegmentAnalyzer::per_segment(
       [&](std::size_t s) {
         SegmentCapacity cap;
         cap.segment_index = static_cast<int>(s);
-        const double lo = isd * static_cast<double>(s);
-        const double hi = lo + isd;
+        const auto [lo, hi] = segment_span(isd, s);
         cap.min_snr = model.min_snr(lo, hi, sample_step_m_);
         cap.mean_snr_db = model.mean_snr_db(lo, hi, sample_step_m_);
         return cap;
       });
+}
+
+Db MultiSegmentAnalyzer::min_snr(const CorridorDeployment& corridor) const {
+  const auto model = link_model(corridor);
+  const double isd = corridor.geometry.segment.isd_m;
+  const auto mins = exec::parallel_map(
+      static_cast<std::size_t>(corridor.geometry.segments),
+      [&](std::size_t s) {
+        const auto [lo, hi] = segment_span(isd, s);
+        return model.min_snr(lo, hi, sample_step_m_);
+      });
+  return *std::min_element(mins.begin(), mins.end());
 }
 
 Db MultiSegmentAnalyzer::interior_boundary_effect(

@@ -59,6 +59,10 @@ class MultiSegmentAnalyzer {
   [[nodiscard]] std::vector<SegmentCapacity> per_segment(
       const CorridorDeployment& corridor) const;
 
+  /// Worst SNR of the whole corridor: the minimum over per_segment()'s
+  /// min_snr, bit for bit, without its mean scans.
+  [[nodiscard]] Db min_snr(const CorridorDeployment& corridor) const;
+
   /// Boundary effect on an interior segment: its min SNR in the corridor
   /// minus the min SNR of the same segment in isolation [dB]. Positive
   /// means neighbours help.

@@ -42,6 +42,7 @@
 #include <array>
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/vmath.hpp"
@@ -211,23 +212,31 @@ void blocked_ratios(std::span<const double> positions_m, Kernel&& kernel,
 /// Same over the generated arithmetic scan `lo, lo+step, ...` up to
 /// `hi + step/2`, with every sample clamped to `hi` (the historical
 /// scalar sampling sequence of the range-based min/mean overloads:
-/// accumulated steps, end clamp).
-template <typename Kernel, typename ConsumeBlock>
+/// accumulated steps, end clamp), in blocks of `Block` positions. The
+/// positions do not depend on `Block`. When `consume_block` returns a
+/// bool, `false` ends the scan after that block.
+template <std::size_t Block = kBatchBlock, typename Kernel,
+          typename ConsumeBlock>
 void blocked_range_ratio_blocks(double lo_m, double hi_m, double step_m,
                                 Kernel&& kernel,
                                 ConsumeBlock&& consume_block) {
-  std::array<double, kBatchBlock> positions;
-  std::array<double, kBatchBlock> ratios;
+  std::array<double, Block> positions;
+  std::array<double, Block> ratios;
   double d = lo_m;
   const double end = hi_m + 0.5 * step_m;
   while (d <= end) {
     std::size_t count = 0;
-    for (; count < kBatchBlock && d <= end; ++count, d += step_m) {
+    for (; count < Block && d <= end; ++count, d += step_m) {
       positions[count] = std::min(d, hi_m);
     }
     kernel(std::span<const double>(positions.data(), count),
            std::span<double>(ratios.data(), count));
-    consume_block(std::span<const double>(ratios.data(), count));
+    const std::span<const double> block(ratios.data(), count);
+    if constexpr (std::is_void_v<decltype(consume_block(block))>) {
+      consume_block(block);
+    } else if (!consume_block(block)) {
+      return;
+    }
   }
 }
 

@@ -24,6 +24,59 @@ auto bound_kernel(const DownlinkTxSoA& soa) {
 
 }  // namespace
 
+TxKernel tx_gains(const LinkModelConfig& config, const TrackTransmitter& tx) {
+  // Geometry factor of Eq. (1): L(d) = (4 pi d / lambda)^2 * L_calib, so
+  // every per-position term is <constant> / d_eff^2.
+  const double wavelength = config.carrier.wavelength_m();
+  const double geometry_lin =
+      (4.0 * constants::kPi / wavelength) * (4.0 * constants::kPi / wavelength);
+  const double attenuation_lin = geometry_lin * tx.calibration.linear();
+  TxKernel k;
+  k.repeater = tx.kind == NodeKind::kLowPowerRepeater;
+  k.signal_gain_lin = tx.rstp.to_milliwatts().value() / attenuation_lin;
+  if (k.repeater) {
+    const Dbm repeater_floor =
+        config.noise.thermal_per_subcarrier + config.noise.nf_repeater;
+    k.literal_noise_gain_lin =
+        repeater_floor.to_milliwatts().value() / attenuation_lin;
+  }
+  return k;
+}
+
+TxKernel place_tx(const LinkModelConfig& config, TxKernel gains,
+                  double position_m, double donor_distance_m) {
+  RAILCORR_EXPECTS(donor_distance_m >= 0.0);
+  gains.position_m = position_m;
+  if (gains.repeater) {
+    gains.fronthaul_factor_lin =
+        (-config.fronthaul.snr_at(donor_distance_m)).linear();
+  }
+  return gains;
+}
+
+double soa_noise_gain(const LinkModelConfig& config, const TxKernel& k) {
+  // With the fronthaul-aware model the injected noise is
+  // (literal + signal_gain * fronthaul_factor) / d_eff^2, under the
+  // literal model only the first summand, and zero for RRHs.
+  double noise_gain = k.literal_noise_gain_lin;
+  if (k.repeater && config.noise_model == RepeaterNoiseModel::kFronthaulAware) {
+    noise_gain += k.signal_gain_lin * k.fronthaul_factor_lin;
+  }
+  return noise_gain;
+}
+
+Db min_snr(const DownlinkTxSoA& soa, double lo_m, double hi_m,
+           double step_m) {
+  RAILCORR_EXPECTS(step_m > 0.0);
+  RAILCORR_EXPECTS(hi_m >= lo_m);
+  double worst_ratio = std::numeric_limits<double>::infinity();
+  blocked_range_ratios(lo_m, hi_m, step_m, bound_kernel(soa),
+                       [&](double ratio) {
+                         worst_ratio = std::min(worst_ratio, ratio);
+                       });
+  return Db(10.0 * std::log10(worst_ratio));
+}
+
 CorridorLinkModel::CorridorLinkModel(LinkModelConfig config,
                                      std::vector<TrackTransmitter> transmitters)
     : config_(std::move(config)), transmitters_(std::move(transmitters)) {
@@ -31,42 +84,15 @@ CorridorLinkModel::CorridorLinkModel(LinkModelConfig config,
   path_loss_.reserve(transmitters_.size());
   kernels_.reserve(transmitters_.size());
   const double wavelength = config_.carrier.wavelength_m();
-  // Geometry factor of Eq. (1): L(d) = (4 pi d / lambda)^2 * L_calib, so
-  // every per-position term is <constant> / d_eff^2.
-  const double geometry_lin =
-      (4.0 * constants::kPi / wavelength) * (4.0 * constants::kPi / wavelength);
-  const Dbm repeater_floor =
-      config_.noise.thermal_per_subcarrier + config_.noise.nf_repeater;
   for (const auto& tx : transmitters_) {
-    RAILCORR_EXPECTS(tx.donor_distance_m >= 0.0);
     path_loss_.emplace_back(wavelength, tx.calibration, config_.min_distance_m);
-
-    TxKernel k;
-    k.position_m = tx.position_m;
-    k.repeater = tx.kind == NodeKind::kLowPowerRepeater;
-    const double attenuation_lin = geometry_lin * tx.calibration.linear();
-    k.signal_gain_lin =
-        tx.rstp.to_milliwatts().value() / attenuation_lin;
-    if (k.repeater) {
-      k.literal_noise_gain_lin =
-          repeater_floor.to_milliwatts().value() / attenuation_lin;
-      k.fronthaul_factor_lin =
-          (-config_.fronthaul.snr_at(tx.donor_distance_m)).linear();
-    }
+    const TxKernel k = place_tx(config_, tx_gains(config_, tx), tx.position_m,
+                                tx.donor_distance_m);
     kernels_.push_back(k);
-
-    // The SoA mirror folds the two repeater-noise terms into one gain:
-    // with the fronthaul-aware model the injected noise is
-    // (literal + signal_gain * fronthaul_factor) / d_eff^2, under the
-    // literal model only the first summand, and zero for RRHs.
+    // The SoA mirror folds the two repeater-noise terms into one gain.
     soa_.position_m.push_back(k.position_m);
     soa_.signal_gain_lin.push_back(k.signal_gain_lin);
-    double noise_gain = k.literal_noise_gain_lin;
-    if (k.repeater &&
-        config_.noise_model == RepeaterNoiseModel::kFronthaulAware) {
-      noise_gain += k.signal_gain_lin * k.fronthaul_factor_lin;
-    }
-    soa_.noise_gain_lin.push_back(noise_gain);
+    soa_.noise_gain_lin.push_back(soa_noise_gain(config_, k));
   }
   terminal_noise_mw_ = config_.noise.terminal_noise().to_milliwatts().value();
   soa_.terminal_noise_mw = terminal_noise_mw_;
@@ -200,14 +226,7 @@ std::vector<SignalSample> CorridorLinkModel::profile(
 }
 
 Db CorridorLinkModel::min_snr(double lo_m, double hi_m, double step_m) const {
-  RAILCORR_EXPECTS(step_m > 0.0);
-  RAILCORR_EXPECTS(hi_m >= lo_m);
-  double worst_ratio = std::numeric_limits<double>::infinity();
-  blocked_range_ratios(lo_m, hi_m, step_m, bound_kernel(soa_),
-                       [&](double ratio) {
-                         worst_ratio = std::min(worst_ratio, ratio);
-                       });
-  return Db(10.0 * std::log10(worst_ratio));
+  return rf::min_snr(soa_, lo_m, hi_m, step_m);
 }
 
 Db CorridorLinkModel::mean_snr_db(double lo_m, double hi_m,

@@ -86,6 +86,36 @@ struct TxKernel {
   double fronthaul_factor_lin = 0.0;
 };
 
+/// \name Transmitter constants
+/// The steps CorridorLinkModel's constructor derives each transmitter's
+/// constants by. A caller that lays one transmitter population out at
+/// many geometries (the max-ISD search) runs the position-independent
+/// first step once and the rest per layout, and its constants are
+/// bit-identical to a freshly built model's.
+///@{
+/// Kind, signal gain and literal noise gain of `tx`. Its position and
+/// donor distance are not read; the result's are zero.
+[[nodiscard]] TxKernel tx_gains(const LinkModelConfig& config,
+                                const TrackTransmitter& tx);
+
+/// `gains` at `position_m`; a repeater also gets the fronthaul factor
+/// of its `donor_distance_m` (>= 0) donor link.
+[[nodiscard]] TxKernel place_tx(const LinkModelConfig& config, TxKernel gains,
+                                double position_m, double donor_distance_m);
+
+/// DownlinkTxSoA::noise_gain_lin of `k`: the literal Eq. (2) term plus,
+/// under the fronthaul-aware model, the amplified fronthaul noise.
+[[nodiscard]] double soa_noise_gain(const LinkModelConfig& config,
+                                    const TxKernel& k);
+///@}
+
+/// Minimum SNR of the transmitters `soa` over [lo, hi] sampled every
+/// `step_m` (> 0): CorridorLinkModel::min_snr(lo, hi, step) of the
+/// model whose soa() it is. Allocation-free: positions are generated on
+/// the fly and reduced in the linear domain (one log10 total).
+[[nodiscard]] Db min_snr(const DownlinkTxSoA& soa, double lo_m, double hi_m,
+                         double step_m);
+
 /// Evaluates Eq. (2) along the track for a fixed set of transmitters.
 ///
 /// All powers are per-subcarrier (RSTP/RSRP domain), matching the paper.

@@ -84,6 +84,27 @@ TEST(ScenarioSpec, ConstructorValidationBecomesConfigError) {
   EXPECT_THROW(apply_spec(s, "link.carrier.bandwidth_hz = -5\n"),
                util::ConfigError);
   EXPECT_THROW(apply_spec(s, "throughput.alpha = 0\n"), util::ConfigError);
+
+  // Study-shape values the max-ISD search cannot run with are rejected
+  // when applied, naming the key and line.
+  for (const std::string key_value :
+       {"max_repeaters = 0", "max_repeaters = -3", "corridor.segments = 0",
+        "corridor.repeater_spacing_m = 0", "corridor.repeater_spacing_m = -200",
+        "isd_search.isd_step_m = 0", "isd_search.max_isd_m = -1",
+        "isd_search.sample_step_m = 0"}) {
+    const std::string key = key_value.substr(0, key_value.find(' '));
+    try {
+      apply_spec(s, key_value + "\n");
+      ADD_FAILURE() << "accepted " << key_value;
+    } catch (const util::ConfigError& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("invalid value for '" + key + "' (line 1)"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_EQ(s.max_repeaters, Scenario::paper().max_repeaters);
+  EXPECT_EQ(s.corridor_segments, 1);
 }
 
 TEST(ScenarioSpec, FieldCatalogIsConsistent) {

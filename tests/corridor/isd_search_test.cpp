@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "core/scenario_registry.hpp"
+#include "core/scenario_spec.hpp"
+#include "obs/metrics.hpp"
+#include "util/config.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
+#include "util/vmath.hpp"
 
 namespace railcorr::corridor {
 namespace {
@@ -100,10 +110,152 @@ TEST(IsdSearch, GridStepGranularity) {
 
 TEST(IsdSearch, Contracts) {
   EXPECT_THROW(paper_search().find_max_isd(-1), ContractViolation);
+  EXPECT_THROW((void)paper_search().deepest_feasible(-1, 3), ContractViolation);
+  EXPECT_THROW((void)paper_search().deepest_feasible(4, 3), ContractViolation);
   IsdSearchConfig bad;
   bad.isd_step_m = 0.0;
   EXPECT_THROW(IsdSearch(CapacityAnalyzer::paper_analyzer(), bad),
                ContractViolation);
+}
+
+// ---- deepest_feasible ---------------------------------------------------
+
+/// The search a scenario's evaluator runs (PaperEvaluator::isd_search).
+IsdSearch search_of(const core::Scenario& scenario) {
+  IsdSearchConfig config = scenario.isd_search;
+  config.repeater_spacing_m = scenario.repeater_spacing_m;
+  return IsdSearch(scenario.make_analyzer(), config, scenario.radio);
+}
+
+/// Exact min SNR of one grid point, as sweep() evaluates it.
+Db point_min_snr(const core::Scenario& scenario, int n, double isd_m) {
+  SegmentDeployment deployment;
+  deployment.geometry.isd_m = isd_m;
+  deployment.geometry.repeater_count = n;
+  deployment.geometry.repeater_spacing_m = scenario.repeater_spacing_m;
+  deployment.radio = scenario.radio;
+  return scenario.make_analyzer().link_model(deployment).min_snr(
+      0.0, isd_m, scenario.isd_search.sample_step_m);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// deepest_feasible(from, to) is the last entry of sweep(from, to) with
+/// a value, or both have none; ISD and min SNR agree bit for bit.
+void expect_deepest_is_last_feasible(const core::Scenario& scenario, int from,
+                                     const std::string& label) {
+  SCOPED_TRACE(label);
+  const IsdSearch search = search_of(scenario);
+  const int to = scenario.max_repeaters;
+  const auto sweep = search.sweep(from, to);
+  const MaxIsdResult* last = nullptr;
+  for (const auto& r : sweep) {
+    if (r.max_isd_m.has_value()) last = &r;
+  }
+  const auto deepest = search.deepest_feasible(from, to);
+  ASSERT_EQ(deepest.has_value(), last != nullptr);
+  if (last == nullptr) return;
+  EXPECT_EQ(deepest->repeater_count, last->repeater_count);
+  ASSERT_TRUE(deepest->max_isd_m.has_value());
+  EXPECT_EQ(bits(*deepest->max_isd_m), bits(*last->max_isd_m));
+  EXPECT_EQ(bits(deepest->min_snr_at_max.value()),
+            bits(last->min_snr_at_max.value()));
+}
+
+/// One seeded perturbation of the radio-stage keys of `base`.
+core::Scenario perturbed(const core::Scenario& base, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  const auto pick = [&rng](const std::vector<std::string>& values) {
+    return values[rng.next() % values.size()];
+  };
+  const std::vector<std::pair<std::string, std::vector<std::string>>> keys = {
+      {"radio.hp_eirp_dbm", {"55", "58.5", "61", "64", "67", "70"}},
+      {"radio.lp_eirp_dbm", {"28", "31.5", "34", "37", "40", "43", "46"}},
+      {"radio.hp_calibration_db", {"28", "33", "37.5"}},
+      {"radio.lp_calibration_db", {"15", "20", "24.5"}},
+      {"link.noise.nf_mobile_terminal_db", {"3", "5", "7.5"}},
+      {"link.noise.nf_repeater_db", {"4", "8", "11", "14"}},
+      {"link.fronthaul.snr_at_ref_db", {"45", "53", "60"}},
+      {"link.fronthaul.ref_distance_m", {"50", "100", "250"}},
+      {"link.fronthaul.atmospheric_db_per_km", {"0", "0.5", "4"}},
+      {"link.noise_model", {"literal_eq2", "fronthaul_aware"}},
+      {"corridor.repeater_spacing_m", {"120", "200", "275"}},
+      {"isd_search.isd_step_m", {"25", "50", "75"}},
+      {"isd_search.sample_step_m", {"5", "10", "12.5", "20"}},
+  };
+  core::Scenario scenario = base;
+  for (const auto& [key, values] : keys) {
+    // Each key moves in about half of the perturbations.
+    if (rng.next() % 2 == 0) continue;
+    core::apply_override(scenario, util::SpecEntry{key, pick(values), 0});
+  }
+  return scenario;
+}
+
+/// Every case of the equivalence, under the active accuracy mode.
+void expect_deepest_matches_sweep_everywhere() {
+  for (const auto& variant : core::scenario_registry()) {
+    const core::Scenario scenario = core::make_scenario(variant.name);
+    expect_deepest_is_last_feasible(scenario, 1, variant.name);
+    expect_deepest_is_last_feasible(scenario, 0, variant.name + " from 0");
+  }
+  const core::Scenario paper = core::Scenario::paper();
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_deepest_is_last_feasible(perturbed(paper, seed), 1,
+                                    "perturbation " + std::to_string(seed));
+  }
+
+  // No grid point meets the threshold.
+  core::Scenario unreachable = paper;
+  unreachable.isd_search.snr_threshold = Db(80.0);
+  expect_deepest_is_last_feasible(unreachable, 1, "80 dB threshold");
+  ASSERT_FALSE(search_of(unreachable).deepest_feasible(1, 10).has_value());
+
+  // Thresholds equal to one grid point's exact min SNR: that point meets
+  // `>=` with equality, so the reject margin must not cut it. The top
+  // of the grid is the first point the search visits; one step past
+  // N = 3's and N = 7's max ISD is a point inside the walk.
+  for (const auto& [n, isd] : std::vector<std::pair<int, double>>{
+           {10, 3600.0}, {3, 1650.0}, {7, 2300.0}}) {
+    core::Scenario boundary = paper;
+    boundary.max_repeaters = n;
+    const Db exact = point_min_snr(boundary, n, isd);
+    boundary.isd_search.snr_threshold = exact;
+    expect_deepest_is_last_feasible(
+        boundary, n, "threshold = min SNR of N=" + std::to_string(n) + ", " +
+                         std::to_string(isd) + " m");
+    const auto deepest = search_of(boundary).deepest_feasible(n, n);
+    ASSERT_TRUE(deepest.has_value());
+    EXPECT_GE(*deepest->max_isd_m, isd);
+    EXPECT_GE(deepest->min_snr_at_max, exact);
+  }
+}
+
+TEST(IsdSearch, DeepestFeasibleIsTheLastFeasibleSweepEntry) {
+  for (const auto mode : {vmath::AccuracyMode::kBitExact,
+                          vmath::AccuracyMode::kFastUlp}) {
+    SCOPED_TRACE(vmath::accuracy_mode_name(mode));
+    vmath::force_accuracy_mode(mode);
+    expect_deepest_matches_sweep_everywhere();
+  }
+  vmath::reset_accuracy_mode();
+}
+
+TEST(IsdSearch, DeepestFeasibleCountsItsWork) {
+  // The paper scenario's deepest N = 10 is found walking down from the
+  // top of its grid; only the winning point runs the full reduction.
+  auto& metrics = obs::MetricsRegistry::instance();
+  metrics.reset_values();
+  const auto deepest = paper_search().deepest_feasible(1, 10);
+  ASSERT_TRUE(deepest.has_value());
+  EXPECT_EQ(deepest->repeater_count, 10);
+  const IsdSearchConfig config;
+  const auto visited = static_cast<std::uint64_t>(
+      std::lround((config.max_isd_m - *deepest->max_isd_m) /
+                  config.isd_step_m) +
+      1);
+  EXPECT_EQ(metrics.counter("corridor.isd_points").value(), visited);
+  EXPECT_EQ(metrics.counter("corridor.isd_full_scans").value(), 1u);
 }
 
 }  // namespace

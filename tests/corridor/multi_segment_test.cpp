@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "exec/parallel.hpp"
 #include "rf/batch_kernel.hpp"
 #include "util/contracts.hpp"
@@ -126,6 +130,32 @@ TEST(MultiSegment, PerSegmentBitIdenticalAcrossSimdLevels) {
     EXPECT_EQ(scalar[i].min_snr.value(), dispatched[i].min_snr.value());
     EXPECT_EQ(scalar[i].mean_snr_db.value(),
               dispatched[i].mean_snr_db.value());
+  }
+}
+
+TEST(MultiSegment, MinOnlyCheckIsThePerSegmentMinimum) {
+  rf::LinkModelConfig literal;
+  literal.noise_model = rf::RepeaterNoiseModel::kLiteralEq2;
+  for (const auto& config : {rf::LinkModelConfig{}, literal}) {
+    for (const double step : {10.0, 20.0}) {
+      const MultiSegmentAnalyzer analyzer(config, step);
+      for (const auto& corridor :
+           {five_segments(),
+            CorridorDeployment::repeat(
+                SegmentDeployment::with_repeaters(1600.0, 3), 1),
+            CorridorDeployment::repeat(
+                SegmentDeployment::with_repeaters(2650.0, 10), 10)}) {
+        const auto capacities = analyzer.per_segment(corridor);
+        Db expected = capacities.front().min_snr;
+        for (const auto& cap : capacities) {
+          expected = std::min(expected, cap.min_snr);
+        }
+        const Db min_only = analyzer.min_snr(corridor);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(min_only.value()),
+                  std::bit_cast<std::uint64_t>(expected.value()))
+            << corridor.geometry.segments << " segments, step " << step;
+      }
+    }
   }
 }
 

@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/sweep_runner.hpp"
 #include "corridor/capacity.hpp"
 #include "corridor/cost.hpp"
 #include "corridor/energy.hpp"
@@ -186,6 +192,84 @@ TEST_P(OperatingPointTest, MastDutyConsistentWithOccupancy) {
 
 INSTANTIATE_TEST_SUITE_P(AllPublishedPoints, OperatingPointTest,
                          ::testing::Range(1, 11));
+
+// --- Metamorphic: more transmit power never shrinks the deployment ------
+//
+// A stronger mast or repeater raises the signal at every track position
+// by more than the noise it injects (the repeater noise scales with its
+// own signal), so the deepest feasible deployment the sweep reports,
+// (max_n, max_isd_m) in lexicographic order, is non-decreasing in both
+// EIRPs. The oracle is the physics, not the search code.
+
+/// Split one CSV line (no quoting in sweep documents).
+std::vector<std::string> csv_fields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::stringstream in(line);
+  std::string field;
+  while (std::getline(in, field, ',')) fields.push_back(field);
+  return fields;
+}
+
+TEST(EirpMonotonicity, DeepestDeploymentNeverShrinksWithMorePower) {
+  constexpr int kLpLo = 28, kLpHi = 46, kHpLo = 54, kHpHi = 70;
+  std::string spec = "base = paper\naxis radio.lp_eirp_dbm = ";
+  for (int lp = kLpLo; lp <= kLpHi; ++lp) {
+    spec += (lp > kLpLo ? ", " : "") + std::to_string(lp);
+  }
+  spec += "\naxis radio.hp_eirp_dbm = ";
+  for (int hp = kHpLo; hp <= kHpHi; ++hp) {
+    spec += (hp > kHpLo ? ", " : "") + std::to_string(hp);
+  }
+  spec += "\n";
+  const auto plan = corridor::SweepPlan::from_spec(spec);
+  const std::string document =
+      core::run_sweep_shard(plan, corridor::ShardSpec{0, 1}, {});
+
+  // Column positions from the header (second line).
+  std::stringstream lines(document);
+  std::string line;
+  std::getline(lines, line);  // banner
+  std::getline(lines, line);
+  const auto header = csv_fields(line);
+  const auto column = [&header](const std::string& name) {
+    for (std::size_t i = 0; i < header.size(); ++i) {
+      if (header[i] == name) return i;
+    }
+    ADD_FAILURE() << "no column " << name;
+    return std::size_t{0};
+  };
+  const std::size_t lp_col = column("radio.lp_eirp_dbm");
+  const std::size_t hp_col = column("radio.hp_eirp_dbm");
+  const std::size_t n_col = column("max_n");
+  const std::size_t isd_col = column("max_isd_m");
+
+  // deepest[{lp, hp}] = (max_n, max_isd_m).
+  std::map<std::pair<int, int>, std::pair<int, double>> deepest;
+  while (std::getline(lines, line)) {
+    const auto fields = csv_fields(line);
+    ASSERT_EQ(fields.size(), header.size()) << line;
+    deepest[{std::stoi(fields[lp_col]), std::stoi(fields[hp_col])}] = {
+        std::stoi(fields[n_col]), std::stod(fields[isd_col])};
+  }
+  ASSERT_EQ(deepest.size(), static_cast<std::size_t>((kLpHi - kLpLo + 1) *
+                                                    (kHpHi - kHpLo + 1)));
+
+  int strict_rises = 0;
+  for (const auto& [cell, here] : deepest) {
+    const auto [lp, hp] = cell;
+    for (const auto& next : {std::pair{lp + 1, hp}, std::pair{lp, hp + 1}}) {
+      const auto it = deepest.find(next);
+      if (it == deepest.end()) continue;
+      EXPECT_LE(here, it->second)
+          << "LP " << lp << " dBm, HP " << hp << " dBm -> LP " << next.first
+          << " dBm, HP " << next.second << " dBm";
+      if (here < it->second) ++strict_rises;
+    }
+  }
+  // The grid spans feasible and infeasible regimes, so power does move
+  // the result.
+  EXPECT_GT(strict_rises, 0);
+}
 
 }  // namespace
 }  // namespace railcorr
