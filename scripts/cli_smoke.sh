@@ -3,7 +3,8 @@
 # `cli/shard_merge_smoke` and run by CI):
 #   1. evaluate a tiny sweep grid as 2 shards and as 1 shard,
 #   2. merge both ways — the outputs must be byte-identical
-#      (the cross-shard determinism contract),
+#      (the cross-shard determinism contract), also for a small grid
+#      with the off-grid sizing stage at one and at four threads,
 #   3. corrupt one shard row and check merge exits nonzero,
 #   4. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
@@ -68,6 +69,41 @@ if [ "$code" -ne 2 ]; then
   exit 1
 fi
 
+# The same contract with the off-grid sizing stage on: a small
+# arctic-climate grid (3 sites, 2 weather seeds, 2 timetables) as 2
+# shards + merge must byte-match the single-process sweep, at one and
+# at four threads.
+cat > "$TMP/sizing.sweep" <<'PLAN'
+base = arctic-climate
+set max_repeaters = 2
+set isd_search.isd_step_m = 100
+set isd_search.sample_step_m = 50
+set sizing.years = 1
+axis sizing.seed = 1, 2
+axis timetable.trains_per_hour = 4, 12
+PLAN
+for threads in 1 4; do
+  for shard in 0 1; do
+    "$BIN" sweep --plan "$TMP/sizing.sweep" --include-sizing \
+        --threads "$threads" --shard "$shard/2" \
+        --out "$TMP/sizing_shard$shard.csv"
+  done
+  "$BIN" sweep --plan "$TMP/sizing.sweep" --include-sizing \
+      --threads "$threads" --out "$TMP/sizing_full.csv"
+  "$BIN" merge --out "$TMP/sizing_sharded_t$threads.csv" \
+      "$TMP/sizing_shard0.csv" "$TMP/sizing_shard1.csv"
+  "$BIN" merge --out "$TMP/sizing_single_t$threads.csv" "$TMP/sizing_full.csv"
+  if ! cmp "$TMP/sizing_sharded_t$threads.csv" \
+      "$TMP/sizing_single_t$threads.csv"; then
+    echo "FAIL: sharded sizing merge differs at --threads $threads" >&2
+    exit 1
+  fi
+done
+if ! cmp "$TMP/sizing_single_t1.csv" "$TMP/sizing_single_t4.csv"; then
+  echo "FAIL: sizing sweep differs between --threads 1 and 4" >&2
+  exit 1
+fi
+
 # Garbage input is a usage error (1), not a determinism violation.
 echo "not a shard document" > "$TMP/garbage.csv"
 set +e
@@ -113,6 +149,12 @@ sed 's/^set max_repeaters = 2$/set max_repeaters = 0/' "$TMP/plan.sweep" \
     > "$TMP/no_repeaters.sweep"
 expect_error 1 "invalid value for 'max_repeaters' (line 2)" \
     sweep --plan "$TMP/no_repeaters.sweep" --out "$TMP/no_repeaters.csv"
+# An out-of-range sizing value is rejected the same way, even by a
+# sweep that never runs the sizing stage.
+sed 's/^set sizing.years = 1$/set sizing.plane.albedo = 1.5/' \
+    "$TMP/sizing.sweep" > "$TMP/bad_albedo.sweep"
+expect_error 1 "invalid value for 'sizing.plane.albedo' (line 5)" \
+    sweep --plan "$TMP/bad_albedo.sweep" --out "$TMP/bad_albedo.csv"
 expect_error 1 "--cache-max-mb requires --cache-dir" \
     sweep --plan "$TMP/plan.sweep" --cache-max-mb 64
 expect_error 1 "--plan FILE required" sweep

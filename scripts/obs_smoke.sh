@@ -3,8 +3,10 @@
 # CI): the run-telemetry contract on the same 64-cell grid as the other
 # smokes —
 #   1. telemetry is provably inert: a traced 4-worker orchestrate (and a
-#      traced standalone sweep, and a traced chaos-seeded orchestrate)
-#      produce result artifacts byte-identical to their untraced twins,
+#      traced standalone sweep, a traced sizing sweep, and a traced
+#      chaos-seeded orchestrate) produce result artifacts byte-identical
+#      to their untraced twins; the sizing sweep's work counters
+#      (sky tables, weather syntheses, case-days) are pinned,
 #   2. the traced orchestrate assembles a fleet timeline: trace.json is
 #      plain valid JSON with one process_name lane per worker plus the
 #      orchestrator's own, and run_metrics.json is the plain-JSON
@@ -86,6 +88,38 @@ for counter in '"sweep.isd_searches":8' '"sweep.isd_memo_hits":56' \
   if ! grep -q "$counter" "$TMP/sweep.metrics.json"; then
     echo "FAIL: sweep.metrics.json lacks $counter:" >&2
     cat "$TMP/sweep.metrics.json" >&2
+    exit 1
+  fi
+done
+
+# --- 1c: traced sizing sweep is byte-identical and counts its work ----
+# The small arctic-climate sizing grid of cli_smoke.sh: 3 sites at one
+# plane (3 sky tables), 2 weather seeds (6 syntheses), and the days the
+# ladder walks simulate, summed over cases (ladder rungs that fail before
+# the last stop at their first outage day).
+cat > "$TMP/sizing.sweep" <<'PLAN'
+base = arctic-climate
+set max_repeaters = 2
+set isd_search.isd_step_m = 100
+set isd_search.sample_step_m = 50
+set sizing.years = 1
+axis sizing.seed = 1, 2
+axis timetable.trains_per_hour = 4, 12
+PLAN
+"$BIN" sweep --plan "$TMP/sizing.sweep" --include-sizing \
+    --out "$TMP/sizing_plain.csv"
+"$BIN" sweep --plan "$TMP/sizing.sweep" --include-sizing \
+    --out "$TMP/sizing_traced.csv" --trace "$TMP/sizing.trace" \
+    --metrics "$TMP/sizing.metrics.json"
+if ! cmp "$TMP/sizing_traced.csv" "$TMP/sizing_plain.csv"; then
+  echo "FAIL: traced sizing sweep differs from the untraced sweep" >&2
+  exit 1
+fi
+for counter in '"solar.sky_tables":3' '"solar.weather_syntheses":6' \
+    '"solar.case_days":16670'; do
+  if ! grep -q "$counter" "$TMP/sizing.metrics.json"; then
+    echo "FAIL: sizing.metrics.json lacks $counter:" >&2
+    cat "$TMP/sizing.metrics.json" >&2
     exit 1
   fi
 done

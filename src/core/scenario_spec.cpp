@@ -54,6 +54,23 @@ int at_least_one(int v) {
   return v;
 }
 
+/// Sizing values the weather synthesis and the transposition cannot run
+/// with are rejected the same way. Every test is written so that NaN
+/// fails it. (kt_min < kt_max spans two keys, so the synthesis checks
+/// it.)
+double in_range(double v, double lo, double hi) {
+  if (!(v >= lo && v <= hi)) {
+    throw ContractViolation("must be in [" + util::format_double(lo) + ", " +
+                            util::format_double(hi) + "]");
+  }
+  return v;
+}
+
+double non_negative(double v) {
+  if (!(v >= 0.0)) throw ContractViolation("must be non-negative");
+  return v;
+}
+
 /// The spec layer keeps the two timetable copies coherent (see header).
 template <typename Mutate>
 void set_timetable(Scenario& s, Mutate&& mutate) {
@@ -527,7 +544,7 @@ const std::vector<Field>& registry() {
         "weather years per sizing candidate (default: 3)"},
        [](const Scenario& s) { return util::format_int(s.sizing.years); },
        [](Scenario& s, const SpecEntry& e) {
-         s.sizing.years = util::parse_int(e);
+         s.sizing.years = at_least_one(util::parse_int(e));
        }},
       {{"sizing.seed", "sizing RNG seed (default: 1592639491)"},
        [](const Scenario& s) { return util::format_u64(s.sizing.seed); },
@@ -540,7 +557,7 @@ const std::vector<Field>& registry() {
          return util::format_double(s.sizing.weather.kt_sigma);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.sizing.weather.kt_sigma = util::parse_double(e);
+         s.sizing.weather.kt_sigma = non_negative(util::parse_double(e));
        }},
       {{"sizing.weather.kt_autocorrelation",
         "day-to-day clearness autocorrelation (default: 0.75)"},
@@ -548,21 +565,28 @@ const std::vector<Field>& registry() {
          return util::format_double(s.sizing.weather.kt_autocorrelation);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.sizing.weather.kt_autocorrelation = util::parse_double(e);
+         const double rho = util::parse_double(e);
+         if (!(rho >= 0.0 && rho < 1.0)) {
+           throw ContractViolation("must be in [0, 1)");
+         }
+         s.sizing.weather.kt_autocorrelation = rho;
        }},
       {{"sizing.weather.kt_min", "clearness clamp, lower (default: 0.05)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.weather.kt_min);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.sizing.weather.kt_min = util::parse_double(e);
+         s.sizing.weather.kt_min = positive(util::parse_double(e));
        }},
       {{"sizing.weather.kt_max", "clearness clamp, upper (default: 0.75)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.weather.kt_max);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.sizing.weather.kt_max = util::parse_double(e);
+         // The Erbs diffuse fraction is defined for clearness <= 1.
+         const double kt_max = util::parse_double(e);
+         if (!(kt_max <= 1.0)) throw ContractViolation("must be at most 1");
+         s.sizing.weather.kt_max = kt_max;
        }},
       {{"sizing.weather.winter_sigma_boost",
         "extra winter clearness variability (default: 1.0)"},
@@ -573,27 +597,20 @@ const std::vector<Field>& registry() {
          s.sizing.weather.winter_sigma_boost = util::parse_double(e);
        }},
       {{"sizing.plane.tilt_deg",
-        "PV tilt from horizontal [deg] (paper: 90, catenary mast)"},
+        "PV tilt from horizontal [deg], equator-facing (paper: 90, "
+        "catenary mast)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.plane.tilt_deg);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.sizing.plane.tilt_deg = util::parse_double(e);
-       }},
-      {{"sizing.plane.azimuth_deg",
-        "PV azimuth [deg], 0 = equator-facing (paper: 0)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.plane.azimuth_deg);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.plane.azimuth_deg = util::parse_double(e);
+         s.sizing.plane.tilt_deg = in_range(util::parse_double(e), 0.0, 90.0);
        }},
       {{"sizing.plane.albedo", "ground albedo (default: 0.2)"},
        [](const Scenario& s) {
          return util::format_double(s.sizing.plane.albedo);
        },
        [](Scenario& s, const SpecEntry& e) {
-         s.sizing.plane.albedo = util::parse_double(e);
+         s.sizing.plane.albedo = in_range(util::parse_double(e), 0.0, 1.0);
        }},
       {{"sizing.locations",
         "comma-separated sizing sites from the named catalog "

@@ -11,9 +11,9 @@ namespace railcorr::solar {
 /// A simple energy-reservoir battery model.
 class Battery {
  public:
-  /// Default round-trip efficiencies, shared with the SoA batched
-  /// off-grid engine (solar/offgrid.hpp) so both paths run the exact
-  /// same arithmetic.
+  /// Default round-trip efficiencies, shared with the off-grid kernel
+  /// simulate_cases (solar/offgrid.hpp) so both run the exact same
+  /// arithmetic.
   static constexpr double kDefaultChargeEfficiency = 0.95;
   static constexpr double kDefaultDischargeEfficiency = 0.95;
 

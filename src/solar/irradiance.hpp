@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "solar/locations.hpp"
@@ -49,10 +50,9 @@ struct WeatherModel {
 /// Fixed mounting of the PV module.
 struct PlaneOfArray {
   /// Tilt from horizontal [deg]; 90 = vertical (paper's catenary-mast
-  /// mounting).
+  /// mounting). The plane always faces the equator (the paper's
+  /// mounting): the transposition has no azimuth.
   double tilt_deg = 90.0;
-  /// Azimuth [deg], 0 = equator-facing (paper: 0).
-  double azimuth_deg = 0.0;
   /// Ground albedo for the reflected component.
   double albedo = 0.2;
 };
@@ -101,6 +101,42 @@ class IrradianceSynthesizer {
   Location location_;
   PlaneOfArray plane_;
   WeatherModel weather_;
+};
+
+/// The weather-independent half of the synthesis for one (location,
+/// plane): per day of year the extraterrestrial irradiation, sunset
+/// hour angle, seasonal sigma factor and the month's mean clearness;
+/// per hour the Collares-Pereira and Liu-Jordan profiles, whether the
+/// sun is meaningfully above the horizon and the capped beam
+/// transposition ratio. Studies that share a site and plane but differ
+/// in weather, seed or years (sizing sweeps) build it once and pay
+/// only the AR(1) clearness draws and a few products per hour.
+class SkyTable {
+ public:
+  SkyTable(const Location& location, const PlaneOfArray& plane);
+
+  /// The days synthesize_days(location, plane, weather, seed, years)
+  /// returns, bit for bit: the same clearness draws, then the same
+  /// per-hour expressions in the same order over the tabulated terms.
+  [[nodiscard]] std::vector<DailyIrradiance> synthesize_days(
+      const WeatherModel& weather, std::uint64_t seed, int years) const;
+
+ private:
+  struct Day {
+    double h0 = 0.0;       ///< daily extraterrestrial irradiation
+    double ws = 0.0;       ///< sunset hour angle [rad]
+    double mean_kt = 0.0;  ///< the month's mean clearness
+    double season = 0.0;   ///< cos(pi (doy - 15) / 365)
+    std::array<double, 24> rt{};          ///< hourly / daily global
+    std::array<double, 24> rd{};          ///< hourly / daily diffuse
+    std::array<double, 24> beam_ratio{};  ///< capped R_b where sun_up
+    std::array<bool, 24> sun_up{};        ///< cos(zenith) > 0.017
+  };
+
+  PlaneOfArray plane_;
+  double sky_view_ = 0.0;     ///< 1 + cos(tilt)
+  double ground_view_ = 0.0;  ///< 1 - cos(tilt)
+  std::vector<Day> days_;     ///< index = day of year - 1
 };
 
 }  // namespace railcorr::solar

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "solar/battery.hpp"
 #include "util/contracts.hpp"
 
@@ -13,6 +14,8 @@ std::vector<DailyIrradiance> synthesize_days(const Location& location,
                                              const WeatherModel& weather,
                                              std::uint64_t seed, int years) {
   RAILCORR_EXPECTS(years >= 1);
+  static obs::Counter& syntheses_counter =
+      obs::MetricsRegistry::instance().counter("solar.weather_syntheses");
   IrradianceSynthesizer synth(location, plane, weather);
   Rng rng(seed);
   std::vector<DailyIrradiance> days;
@@ -21,101 +24,113 @@ std::vector<DailyIrradiance> synthesize_days(const Location& location,
     auto year = synth.synthesize_year(rng);
     days.insert(days.end(), year.begin(), year.end());
   }
+  syntheses_counter.add();
   return days;
 }
+
+namespace {
+
+/// One case of simulate_cases through `days`; adds the days it
+/// simulated to `simulated_days`.
+OffGridReport simulate_case(std::span<const DailyIrradiance> days,
+                            const OffGridCase& cell,
+                            std::uint64_t& simulated_days) {
+  const OffGridSystem& system = cell.system;
+  RAILCORR_EXPECTS(system.battery_capacity_wh > 0.0);
+  RAILCORR_EXPECTS(system.battery_cutoff >= 0.0 && system.battery_cutoff < 1.0);
+  constexpr double kChargeEff = Battery::kDefaultChargeEfficiency;
+  constexpr double kDischargeEff = Battery::kDefaultDischargeEfficiency;
+  const double capacity = system.battery_capacity_wh;
+  const double cutoff_wh = system.battery_cutoff * capacity;
+  const double full_level = capacity * (1.0 - 1e-9);
+  const double pv_wp = system.array.peak_power_wp();
+  const double one_minus_loss = 1.0 - system.array.system_loss();
+  const auto& hourly_load = cell.consumption.hourly_watts;
+
+  double soc = capacity;  // state of charge [Wh]; starts full
+  double annual_pv = 0.0;
+  double annual_load = 0.0;
+  double curtailed = 0.0;
+  double unserved = 0.0;
+  // Minimum state of charge [Wh], starting at the capacity as the
+  // fraction starts at 1. Correctly rounded division by the positive
+  // capacity is monotone, so min_soc / capacity equals the running
+  // minimum of 1 and every hour's soc / capacity, bit for bit.
+  double min_soc = capacity;
+  int downtime_hours = 0;
+  int downtime_days = 0;
+  int full_days = 0;
+  std::size_t day_count = 0;
+  for (const auto& day : days) {
+    bool reached_full = false;
+    bool any_unmet = false;
+    for (std::size_t h = 0; h < 24; ++h) {
+      // PvArray::hourly_energy, with (1 - loss) hoisted (same value
+      // every hour, so the product is unchanged).
+      const double pv = pv_wp * day.poa_wh_m2[h] / 1000.0 * one_minus_loss;
+      const double load = hourly_load[h];
+      annual_pv += pv;
+      annual_load += load;
+      if (pv >= load) {
+        // Battery::charge on the surplus; the load is served directly.
+        const double stored_if_all = (pv - load) * kChargeEff;
+        const double stored = std::min(stored_if_all, capacity - soc);
+        soc += stored;
+        curtailed += (stored_if_all - stored) / kChargeEff;
+      } else {
+        // Battery::discharge toward the deficit.
+        const double deficit = load - pv;
+        const double wanted_from_cells = deficit / kDischargeEff;
+        const double available = std::max(0.0, soc - cutoff_wh);
+        const double drawn = std::min(wanted_from_cells, available);
+        soc -= drawn;
+        const double delivered = drawn * kDischargeEff;
+        if (delivered < deficit - 1e-9) {
+          any_unmet = true;
+          ++downtime_hours;
+          unserved += deficit - delivered;
+        }
+      }
+      if (soc >= full_level) reached_full = true;
+      min_soc = std::min(min_soc, soc);
+    }
+    ++day_count;
+    if (reached_full) ++full_days;
+    if (any_unmet) {
+      ++downtime_days;
+      if (cell.stop_at_first_outage) break;
+    }
+  }
+  simulated_days += day_count;
+
+  OffGridReport report;
+  report.days_with_full_battery_pct = 100.0 * static_cast<double>(full_days) /
+                                      static_cast<double>(day_count);
+  report.downtime_days = downtime_days;
+  report.downtime_hours = downtime_hours;
+  report.unserved_energy = WattHours(unserved);
+  report.annual_pv_energy = WattHours(annual_pv);
+  report.annual_load = WattHours(annual_load);
+  report.curtailed_energy = WattHours(curtailed);
+  report.min_soc_fraction = min_soc / capacity;
+  return report;
+}
+
+}  // namespace
 
 std::vector<OffGridReport> simulate_cases(
     std::span<const DailyIrradiance> days,
     std::span<const OffGridCase> cases) {
   RAILCORR_EXPECTS(!days.empty());
-  const std::size_t n = cases.size();
-  std::vector<OffGridReport> reports(n);
-  if (n == 0) return reports;
-
-  // SoA battery/report state over the cases: the per-hour update below
-  // is the exact arithmetic of Battery::charge / Battery::discharge and
-  // the historical per-system day loop, evaluated per case in
-  // chronological order — so each slot of the result is bit-identical
-  // to an independent OffGridSimulator run over the same days.
-  constexpr double kChargeEff = Battery::kDefaultChargeEfficiency;
-  constexpr double kDischargeEff = Battery::kDefaultDischargeEfficiency;
-  std::vector<double> soc(n);          // state of charge [Wh]; starts full
-  std::vector<double> capacity(n);
-  std::vector<double> cutoff_wh(n);    // cutoff_fraction * capacity
-  std::vector<double> full_level(n);   // capacity * (1 - 1e-9)
-  std::vector<double> pv_wp(n);
-  std::vector<double> one_minus_loss(n);
-  std::vector<int> full_days(n, 0);
-  std::vector<unsigned char> reached_full(n), any_unmet(n);
-
-  for (std::size_t c = 0; c < n; ++c) {
-    const OffGridSystem& system = cases[c].system;
-    RAILCORR_EXPECTS(system.battery_capacity_wh > 0.0);
-    RAILCORR_EXPECTS(system.battery_cutoff >= 0.0 &&
-                     system.battery_cutoff < 1.0);
-    soc[c] = system.battery_capacity_wh;
-    capacity[c] = system.battery_capacity_wh;
-    cutoff_wh[c] = system.battery_cutoff * system.battery_capacity_wh;
-    full_level[c] = system.battery_capacity_wh * (1.0 - 1e-9);
-    pv_wp[c] = system.array.peak_power_wp();
-    one_minus_loss[c] = 1.0 - system.array.system_loss();
+  static obs::Counter& case_days_counter =
+      obs::MetricsRegistry::instance().counter("solar.case_days");
+  std::vector<OffGridReport> reports;
+  reports.reserve(cases.size());
+  std::uint64_t simulated_days = 0;
+  for (const OffGridCase& cell : cases) {
+    reports.push_back(simulate_case(days, cell, simulated_days));
   }
-
-  for (const auto& day : days) {
-    std::fill(reached_full.begin(), reached_full.end(),
-              static_cast<unsigned char>(0));
-    std::fill(any_unmet.begin(), any_unmet.end(),
-              static_cast<unsigned char>(0));
-    for (int h = 0; h < 24; ++h) {
-      const double poa = day.poa_wh_m2[static_cast<std::size_t>(h)];
-      for (std::size_t c = 0; c < n; ++c) {
-        OffGridReport& report = reports[c];
-        // PvArray::hourly_energy, with (1 - loss) hoisted (same value
-        // every hour, so the product is unchanged).
-        const double pv = pv_wp[c] * poa / 1000.0 * one_minus_loss[c];
-        const double load =
-            cases[c].consumption.hourly_watts[static_cast<std::size_t>(h)];
-        report.annual_pv_energy += WattHours(pv);
-        report.annual_load += WattHours(load);
-
-        if (pv >= load) {
-          // Battery::charge on the surplus; the load is served directly.
-          const double stored_if_all = (pv - load) * kChargeEff;
-          const double headroom = capacity[c] - soc[c];
-          const double stored = std::min(stored_if_all, headroom);
-          soc[c] += stored;
-          report.curtailed_energy +=
-              WattHours((stored_if_all - stored) / kChargeEff);
-        } else {
-          // Battery::discharge toward the deficit.
-          const double deficit = load - pv;
-          const double wanted_from_cells = deficit / kDischargeEff;
-          const double available = std::max(0.0, soc[c] - cutoff_wh[c]);
-          const double drawn = std::min(wanted_from_cells, available);
-          soc[c] -= drawn;
-          const double delivered = drawn * kDischargeEff;
-          if (delivered < deficit - 1e-9) {
-            any_unmet[c] = 1;
-            ++report.downtime_hours;
-            report.unserved_energy += WattHours(deficit - delivered);
-          }
-        }
-        if (soc[c] >= full_level[c]) reached_full[c] = 1;
-        report.min_soc_fraction =
-            std::min(report.min_soc_fraction, soc[c] / capacity[c]);
-      }
-    }
-    for (std::size_t c = 0; c < n; ++c) {
-      if (reached_full[c] != 0) ++full_days[c];
-      if (any_unmet[c] != 0) ++reports[c].downtime_days;
-    }
-  }
-
-  for (std::size_t c = 0; c < n; ++c) {
-    reports[c].days_with_full_battery_pct =
-        100.0 * static_cast<double>(full_days[c]) /
-        static_cast<double>(days.size());
-  }
+  case_days_counter.add(simulated_days);
   return reports;
 }
 

@@ -50,10 +50,12 @@ struct OffGridReport {
 /// The synthesized day sequence OffGridSimulator::simulate evaluates
 /// for (location, plane, weather, seed, years): `years` stochastic
 /// weather years from one RNG stream, concatenated. Exposed so callers
-/// evaluating many systems against the same climate (the sizing ladder,
-/// sizing sweeps across scenario cells) can synthesize the weather once
-/// — synthesis is the dominant per-simulation cost — and share it
-/// across every system via simulate_cases.
+/// evaluating many systems against the same climate (the sizing ladder)
+/// can synthesize the weather once and share it across every system via
+/// simulate_cases. This is the reference synthesis, with the sun
+/// geometry recomputed per hour; SkyTable::synthesize_days returns the
+/// same days from a per-(location, plane) table. Counted in the metrics
+/// counter `solar.weather_syntheses`.
 [[nodiscard]] std::vector<DailyIrradiance> synthesize_days(
     const Location& location, const PlaneOfArray& plane,
     const WeatherModel& weather, std::uint64_t seed, int years);
@@ -64,15 +66,23 @@ struct OffGridReport {
 struct OffGridCase {
   OffGridSystem system;
   ConsumptionProfile consumption;
+  /// Stop at the end of the first day with unmet load, for callers that
+  /// only need to know whether the system runs without downtime (a
+  /// sizing rung that is not the ladder's last). The report then covers
+  /// the simulated days only: downtime_days == 1 and
+  /// days_with_full_battery_pct is relative to the days simulated. A
+  /// case that never fails runs every day and reports exactly what an
+  /// unflagged case does.
+  bool stop_at_first_outage = false;
 };
 
-/// Batched off-grid simulation: every case steps hour-by-hour through
-/// the same shared `days`, with the per-case battery/report state held
-/// in SoA arrays (cases are the vectorizable inner dimension). Each
-/// case's report is bit-identical to running OffGridSimulator over the
-/// same days on its own — per-hour updates touch only that case's
-/// state, in chronological order — which is what lets sweep grids
-/// collapse N independent simulations into one batched pass.
+/// Off-grid simulation of many systems over the same shared `days`:
+/// each case in turn steps hour by hour through the days with its
+/// battery and report state in locals. The per-hour arithmetic is that
+/// of Battery::charge / Battery::discharge and PvArray::hourly_energy
+/// in chronological order, so each case's report is bit-identical to
+/// running that system on its own. The days simulated, summed over
+/// cases, are counted in the metrics counter `solar.case_days`.
 [[nodiscard]] std::vector<OffGridReport> simulate_cases(
     std::span<const DailyIrradiance> days,
     std::span<const OffGridCase> cases);

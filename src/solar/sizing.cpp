@@ -1,6 +1,7 @@
 #include "solar/sizing.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "exec/parallel.hpp"
 #include "util/contracts.hpp"
@@ -26,8 +27,7 @@ bool locations_equal(const Location& a, const Location& b) {
 }
 
 bool planes_equal(const PlaneOfArray& a, const PlaneOfArray& b) {
-  return a.tilt_deg == b.tilt_deg && a.azimuth_deg == b.azimuth_deg &&
-         a.albedo == b.albedo;
+  return a.tilt_deg == b.tilt_deg && a.albedo == b.albedo;
 }
 
 bool weather_equal(const WeatherModel& a, const WeatherModel& b) {
@@ -42,6 +42,8 @@ bool weather_equal(const WeatherModel& a, const WeatherModel& b) {
 struct WeatherGroup {
   const Location* location = nullptr;
   const SizingOptions* options = nullptr;  // plane/weather/seed/years key
+  /// Index of the sky table of its (location, plane).
+  std::size_t sky = 0;
   /// (job, location index within the job) pairs sharing this weather.
   std::vector<std::pair<std::size_t, std::size_t>> members;
 };
@@ -55,59 +57,29 @@ bool same_weather_tuple(const WeatherGroup& group, const Location& location,
          group.options->years == options.years;
 }
 
-/// One sizing study sharing a weather-day sequence: ladder + inputs in,
-/// SizingResult out.
-struct LadderCell {
-  const std::vector<SizingCandidate>* ladder = nullptr;
-  const ConsumptionProfile* consumption = nullptr;
-  const SizingOptions* options = nullptr;
-  const Location* location = nullptr;
-};
-
-/// Size every cell against the shared `days`, walking the ladders in
-/// rung waves: wave r simulates rung r of every still-unresolved cell
-/// as one SoA batch, and cells whose rung runs without downtime drop
-/// out. This does exactly the simulations of the sequential early-exit
-/// walk (and so chooses identical configurations, bit for bit) while
-/// keeping the SoA batch as wide as the unresolved set.
-std::vector<SizingResult> size_cells_shared(
-    std::span<const DailyIrradiance> days,
-    std::span<const LadderCell> cells) {
-  std::vector<SizingResult> results(cells.size());
-  std::vector<std::size_t> unresolved(cells.size());
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    results[c].location = *cells[c].location;
-    unresolved[c] = c;
+/// Walk one study's ladder against its shared `days`. Every rung but
+/// the last stops at its first outage day: a failing intermediate
+/// rung's report is discarded, and a passing one runs every day. The
+/// last rung always runs in full, so an exhausted ladder keeps its full
+/// report. Chooses the rung size_for_location chooses, with the same
+/// report, bit for bit.
+SizingResult walk_ladder(std::span<const DailyIrradiance> days,
+                         const Location& location,
+                         const ConsumptionProfile& consumption,
+                         const SizingOptions& options,
+                         const std::vector<SizingCandidate>& ladder) {
+  SizingResult result;
+  result.location = location;
+  for (std::size_t rung = 0; rung < ladder.size(); ++rung) {
+    OffGridCase cell{system_of(ladder[rung], options), consumption};
+    cell.stop_at_first_outage = rung + 1 < ladder.size();
+    result.chosen = ladder[rung];
+    result.report =
+        simulate_cases(days, std::span<const OffGridCase>(&cell, 1)).front();
+    result.ladder_exhausted = !result.report.continuous_operation();
+    if (!result.ladder_exhausted) break;
   }
-
-  std::vector<OffGridCase> wave;
-  std::vector<std::size_t> next;
-  for (std::size_t rung = 0; !unresolved.empty(); ++rung) {
-    wave.clear();
-    for (const std::size_t c : unresolved) {
-      const SizingCandidate& candidate = (*cells[c].ladder)[rung];
-      wave.push_back(OffGridCase{system_of(candidate, *cells[c].options),
-                                 *cells[c].consumption});
-    }
-    const auto reports = simulate_cases(days, wave);
-    next.clear();
-    for (std::size_t i = 0; i < unresolved.size(); ++i) {
-      const std::size_t c = unresolved[i];
-      const std::vector<SizingCandidate>& ladder = *cells[c].ladder;
-      results[c].chosen = ladder[rung];
-      results[c].report = reports[i];
-      if (reports[i].continuous_operation()) {
-        results[c].ladder_exhausted = false;
-      } else if (rung + 1 < ladder.size()) {
-        results[c].ladder_exhausted = true;  // provisional; more rungs left
-        next.push_back(c);
-      } else {
-        results[c].ladder_exhausted = true;  // largest candidate failed
-      }
-    }
-    unresolved.swap(next);
-  }
-  return results;
+  return result;
 }
 
 }  // namespace
@@ -157,35 +129,9 @@ std::vector<SizingResult> size_locations(
     const ConsumptionProfile& consumption, const SizingOptions& options,
     const std::vector<SizingCandidate>& ladder) {
   RAILCORR_EXPECTS(!ladder.empty());
-  // With one thread — or inside a nested parallel region, where
-  // parallel_map executes inline — the sequential early-exit walk does
-  // strictly less work for the identical result (pinned by
-  // tests/solar/sizing_test.cpp).
-  if (exec::in_parallel_region() || exec::default_thread_count() <= 1) {
-    std::vector<SizingResult> results;
-    results.reserve(locations.size());
-    for (const auto& location : locations) {
-      results.push_back(
-          size_for_location(location, consumption, options, ladder));
-    }
-    return results;
-  }
-
-  // Parallel grid: one task per location synthesizes that site's
-  // weather once and walks the ladder against it (wave early-exit, one
-  // cell). Identical to the sequential walk at any thread count.
-  const auto per_location =
-      exec::parallel_map(locations.size(), [&](std::size_t l) {
-        const auto days =
-            synthesize_days(locations[l], options.plane, options.weather,
-                            options.seed, options.years);
-        const LadderCell cell{&ladder, &consumption, &options,
-                              &locations[l]};
-        return size_cells_shared(days,
-                                 std::span<const LadderCell>(&cell, 1))
-            .front();
-      });
-  return per_location;
+  return exec::parallel_map(locations.size(), [&](std::size_t l) {
+    return size_for_location(locations[l], consumption, options, ladder);
+  });
 }
 
 std::vector<SizingResult> size_paper_locations(
@@ -210,33 +156,48 @@ std::vector<std::vector<SizingResult>> size_jobs(
         }
       }
       if (group == nullptr) {
-        groups.push_back(WeatherGroup{&location, &jobs[j].options, {}});
+        groups.push_back(WeatherGroup{&location, &jobs[j].options, 0, {}});
         group = &groups.back();
       }
       group->members.emplace_back(j, l);
     }
   }
 
+  // One sky table per distinct (location, plane), shared by every
+  // weather tuple at that site.
+  std::vector<const WeatherGroup*> sky_keys;
+  for (auto& group : groups) {
+    const auto same_sky = [&](const WeatherGroup* key) {
+      return locations_equal(*key->location, *group.location) &&
+             planes_equal(key->options->plane, group.options->plane);
+    };
+    const auto it = std::find_if(sky_keys.begin(), sky_keys.end(), same_sky);
+    group.sky = static_cast<std::size_t>(it - sky_keys.begin());
+    if (it == sky_keys.end()) sky_keys.push_back(&group);
+  }
+  const auto skies =
+      exec::parallel_map(sky_keys.size(), [&](std::size_t s) {
+        return std::optional<SkyTable>(std::in_place, *sky_keys[s]->location,
+                                       sky_keys[s]->options->plane);
+      });
+
   // One parallel task per weather group: synthesize the shared days
-  // once, then wave-walk every member cell's ladder against them
-  // (size_cells_shared keeps the SoA batch as wide as the unresolved
-  // member set per rung).
+  // from the site's sky table, then walk every member cell's ladder
+  // against them.
   const auto group_results = exec::parallel_map(
       groups.size(), [&](std::size_t g) {
         const WeatherGroup& group = groups[g];
         const SizingOptions& options = *group.options;
-        const auto days =
-            synthesize_days(*group.location, options.plane, options.weather,
-                            options.seed, options.years);
-        std::vector<LadderCell> cells;
-        cells.reserve(group.members.size());
+        const auto days = skies[group.sky]->synthesize_days(
+            options.weather, options.seed, options.years);
+        std::vector<SizingResult> results;
+        results.reserve(group.members.size());
         for (const auto& [job, location] : group.members) {
-          cells.push_back(LadderCell{&jobs[job].ladder,
-                                     &jobs[job].consumption,
-                                     &jobs[job].options,
-                                     &jobs[job].locations[location]});
+          results.push_back(walk_ladder(days, jobs[job].locations[location],
+                                        jobs[job].consumption,
+                                        jobs[job].options, jobs[job].ladder));
         }
-        return size_cells_shared(days, cells);
+        return results;
       });
 
   // Scatter the per-group results back into per-job location order.

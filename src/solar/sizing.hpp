@@ -47,30 +47,28 @@ struct SizingOptions {
   PlaneOfArray plane;  ///< vertical, equator-facing by default
 };
 
-/// Walk the ladder until a configuration runs without downtime
-/// (sequential early-exit; the single-site API).
+/// Walk the ladder until a configuration runs without downtime: one
+/// reference weather synthesis (synthesize_days), then every rung
+/// simulated in full until one passes. This is the naive per-cell
+/// path — the sweep's per-cell evaluator, Table IV and the differential
+/// oracle of size_jobs.
 SizingResult size_for_location(const Location& location,
                                const ConsumptionProfile& consumption,
                                const SizingOptions& options = SizingOptions{},
                                const std::vector<SizingCandidate>& ladder =
                                    paper_sizing_ladder());
 
-/// Size many locations at once. The weather years are synthesized once
-/// per location (synthesis dominates each simulation) and every ladder
-/// candidate steps through them in one SoA batch (simulate_cases);
-/// locations evaluate through exec::parallel_map. Results are identical
-/// to calling size_for_location per site — every cell depends only on
-/// its fixed seed — and bit-identical at any thread count. When no
-/// concurrency is available (one thread, or called from inside a
-/// parallel region) the sequential early-exit walk runs instead: same
-/// results, fewer simulations.
+/// size_for_location for each site, one exec::parallel_map task per
+/// site (inline at one thread or inside a parallel region).
+/// Bit-identical at any thread count: every site depends only on its
+/// fixed seed.
 std::vector<SizingResult> size_locations(
     const std::vector<Location>& locations,
     const ConsumptionProfile& consumption,
     const SizingOptions& options = SizingOptions{},
     const std::vector<SizingCandidate>& ladder = paper_sizing_ladder());
 
-/// Size all four paper locations (Table IV) via the batched grid.
+/// Size all four paper locations (Table IV).
 std::vector<SizingResult> size_paper_locations(
     const ConsumptionProfile& consumption,
     const SizingOptions& options = SizingOptions{});
@@ -85,15 +83,21 @@ struct SizingJob {
   std::vector<SizingCandidate> ladder = paper_sizing_ladder();
 };
 
-/// Run many sizing studies as ONE batched simulation: the weather-year
-/// sequence is synthesized once per distinct (location, plane, weather,
-/// seed, years) tuple across ALL jobs, and every system sharing a tuple
-/// steps through it in a single SoA pass. Sweep grids whose cells vary
-/// only non-sizing axes therefore pay for each location's weather once
-/// for the whole grid instead of once per cell. `result[j]` equals
-/// `size_locations(jobs[j].locations, ...)` element-wise, bit for bit
-/// (the full-grid reduction and the early-exit walk choose identical
-/// configurations by construction).
+/// Run many sizing studies as one batch that does only the work a row
+/// needs:
+///  - one SkyTable per distinct (location, plane) across all jobs,
+///    counted in `solar.sky_tables`;
+///  - one weather synthesis from that table per distinct (location,
+///    plane, weather, seed, years) tuple, counted in
+///    `solar.weather_syntheses`;
+///  - every cell sharing a tuple walks its own ladder against those
+///    days, each rung but the last stopping at its first outage day
+///    (simulate_cases' `stop_at_first_outage`; days counted in
+///    `solar.case_days`).
+/// Sweep grids whose cells vary only non-sizing axes therefore pay for
+/// each site's sun geometry once and each weather tuple once.
+/// `result[j]` equals `size_locations(jobs[j].locations, ...)`
+/// element-wise, bit for bit, at any thread count.
 std::vector<std::vector<SizingResult>> size_jobs(
     std::span<const SizingJob> jobs);
 

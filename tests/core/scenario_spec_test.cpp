@@ -64,6 +64,10 @@ TEST(ScenarioSpec, UnknownKeyNamesKeyAndLine) {
     EXPECT_NE(what.find("radio.warp_drive"), std::string::npos);
     EXPECT_NE(what.find("line 2"), std::string::npos);
   }
+  // The transposition models equator-facing planes only, so the plane
+  // has no azimuth key.
+  EXPECT_THROW(apply_spec(s, "sizing.plane.azimuth_deg = 0\n"),
+               util::ConfigError);
 }
 
 TEST(ScenarioSpec, MalformedValueNamesKey) {
@@ -74,6 +78,9 @@ TEST(ScenarioSpec, MalformedValueNamesKey) {
   EXPECT_THROW(apply_spec(s, "energy.hp_sleep_when_idle = maybe\n"),
                util::ConfigError);
   EXPECT_THROW(apply_spec(s, "link.noise_model = psychic\n"),
+               util::ConfigError);
+  EXPECT_THROW(apply_spec(s, "sizing.years = 2.5\n"), util::ConfigError);
+  EXPECT_THROW(apply_spec(s, "sizing.plane.albedo = bright\n"),
                util::ConfigError);
 }
 
@@ -91,7 +98,16 @@ TEST(ScenarioSpec, ConstructorValidationBecomesConfigError) {
        {"max_repeaters = 0", "max_repeaters = -3", "corridor.segments = 0",
         "corridor.repeater_spacing_m = 0", "corridor.repeater_spacing_m = -200",
         "isd_search.isd_step_m = 0", "isd_search.max_isd_m = -1",
-        "isd_search.sample_step_m = 0"}) {
+        "isd_search.sample_step_m = 0",
+        // Sizing values the weather synthesis or the transposition
+        // cannot run with.
+        "sizing.years = 0", "sizing.weather.kt_sigma = -0.1",
+        "sizing.weather.kt_autocorrelation = 1",
+        "sizing.weather.kt_autocorrelation = -0.5",
+        "sizing.weather.kt_min = 0", "sizing.weather.kt_max = 1.2",
+        "sizing.weather.kt_max = nan", "sizing.plane.tilt_deg = 120",
+        "sizing.plane.tilt_deg = -5", "sizing.plane.albedo = 1.5",
+        "sizing.plane.albedo = -0.1"}) {
     const std::string key = key_value.substr(0, key_value.find(' '));
     try {
       apply_spec(s, key_value + "\n");
@@ -105,6 +121,18 @@ TEST(ScenarioSpec, ConstructorValidationBecomesConfigError) {
   }
   EXPECT_EQ(s.max_repeaters, Scenario::paper().max_repeaters);
   EXPECT_EQ(s.corridor_segments, 1);
+  EXPECT_EQ(s.sizing.plane.albedo, Scenario::paper().sizing.plane.albedo);
+
+  // The range ends themselves are valid.
+  EXPECT_NO_THROW(apply_spec(s,
+                             "sizing.years = 1\n"
+                             "sizing.weather.kt_sigma = 0\n"
+                             "sizing.weather.kt_autocorrelation = 0\n"
+                             "sizing.weather.kt_max = 1\n"
+                             "sizing.plane.tilt_deg = 0\n"
+                             "sizing.plane.tilt_deg = 90\n"
+                             "sizing.plane.albedo = 0\n"
+                             "sizing.plane.albedo = 1\n"));
 }
 
 TEST(ScenarioSpec, FieldCatalogIsConsistent) {

@@ -87,7 +87,6 @@ const std::map<std::string, std::string>& second_values() {
       {"sizing.weather.kt_max", "0.6"},
       {"sizing.weather.winter_sigma_boost", "1.5"},
       {"sizing.plane.tilt_deg", "35"},
-      {"sizing.plane.azimuth_deg", "20"},
       {"sizing.plane.albedo", "0.4"},
       {"sizing.locations", "oslo;sevilla"},
       {"sizing.ladder", "540:720;720:2160"},

@@ -6,11 +6,13 @@
 
 #include <cmath>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/scenario_registry.hpp"
 #include "core/sweep_runner.hpp"
 #include "corridor/capacity.hpp"
 #include "corridor/cost.hpp"
@@ -269,6 +271,118 @@ TEST(EirpMonotonicity, DeepestDeploymentNeverShrinksWithMorePower) {
   // The grid spans feasible and infeasible regimes, so power does move
   // the result.
   EXPECT_GT(strict_rises, 0);
+}
+
+// --- Metamorphic: more trains never make a deployment cheaper to run ----
+//
+// Each train wakes the sleeping repeaters for its passage, so a denser
+// timetable raises every repeater's load and the sleep-mode energy while
+// the continuous-mode energy does not depend on it. Two consequences,
+// checked on the sweep's rows along timetable.trains_per_hour:
+//  - the absolute sleep-mode saving, continuous_wh_km_h - sleep_wh_km_h,
+//    is non-increasing (the relative sleep_savings column is not: where
+//    savings are negative, a growing baseline can raise it);
+//  - the off-grid system the sizing ladder picks is never smaller:
+//    sized_pv_wp_total and ladder_exhausted are non-decreasing. A sizing
+//    walk that dropped a passing rung would pick a smaller system.
+
+/// The data rows of a sweep document as column name -> field maps.
+std::vector<std::map<std::string, std::string>> sweep_rows(
+    const std::string& spec, bool include_sizing) {
+  const auto plan = corridor::SweepPlan::from_spec(spec);
+  core::SweepRunOptions options;
+  options.include_sizing = include_sizing;
+  std::stringstream lines(
+      core::run_sweep_shard(plan, corridor::ShardSpec{0, 1}, options));
+  std::string line;
+  std::getline(lines, line);  // banner
+  std::getline(lines, line);
+  const auto header = csv_fields(line);
+  std::vector<std::map<std::string, std::string>> rows;
+  while (std::getline(lines, line)) {
+    const auto fields = csv_fields(line);
+    EXPECT_EQ(fields.size(), header.size()) << line;
+    auto& row = rows.emplace_back();
+    for (std::size_t i = 0; i < fields.size() && i < header.size(); ++i) {
+      row[header[i]] = fields[i];
+    }
+  }
+  EXPECT_EQ(rows.size(), plan.size());
+  return rows;
+}
+
+/// `values` joined as one sweep axis value list.
+template <typename T>
+std::string axis_values(const std::vector<T>& values) {
+  std::string out;
+  for (const T& value : values) {
+    if (!out.empty()) out += ", ";
+    out += std::to_string(value);
+  }
+  return out;
+}
+
+TEST(TrainsPerHourMonotonicity, AbsoluteSleepSavingNeverGrows) {
+  const std::vector<int> trains = {1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20};
+  const std::vector<int> lp_eirps = {30, 35, 40, 45};
+  int strict_drops = 0;
+  for (const auto& variant : core::scenario_registry()) {
+    SCOPED_TRACE(variant.name);
+    const auto rows = sweep_rows(
+        "base = " + variant.name + "\naxis radio.lp_eirp_dbm = " +
+            axis_values(lp_eirps) +
+            "\naxis timetable.trains_per_hour = " + axis_values(trains) + "\n",
+        false);
+    ASSERT_EQ(rows.size(), lp_eirps.size() * trains.size());
+    // Row-major grid: the trains/h axis is the fastest.
+    for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+      if ((i + 1) % trains.size() == 0) continue;
+      const auto saving = [](const std::map<std::string, std::string>& row) {
+        return std::stod(row.at("continuous_wh_km_h")) -
+               std::stod(row.at("sleep_wh_km_h"));
+      };
+      EXPECT_LE(saving(rows[i + 1]), saving(rows[i]))
+          << "LP " << rows[i].at("radio.lp_eirp_dbm") << " dBm, "
+          << rows[i].at("timetable.trains_per_hour") << " -> "
+          << rows[i + 1].at("timetable.trains_per_hour") << " trains/h";
+      if (saving(rows[i + 1]) < saving(rows[i])) ++strict_drops;
+    }
+  }
+  EXPECT_GT(strict_drops, 0);
+}
+
+TEST(TrainsPerHourMonotonicity, SizedSystemNeverShrinks) {
+  const std::vector<int> trains = {1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20};
+  const std::vector<int> seeds = {1, 2, 3, 5, 8};
+  for (const std::string base :
+       {"arctic-climate", "paper", "iberian-corridor"}) {
+    SCOPED_TRACE(base);
+    const auto rows = sweep_rows(
+        "base = " + base + "\nset sizing.years = 2\naxis sizing.seed = " +
+            axis_values(seeds) + "\naxis timetable.trains_per_hour = " +
+            axis_values(trains) + "\n",
+        true);
+    ASSERT_EQ(rows.size(), seeds.size() * trains.size());
+    std::set<double> totals;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      totals.insert(std::stod(rows[i].at("sized_pv_wp_total")));
+      if ((i + 1) % trains.size() == 0) continue;
+      const auto& here = rows[i];
+      const auto& next = rows[i + 1];
+      const std::string where = "seed " + here.at("sizing.seed") + ", " +
+                                here.at("timetable.trains_per_hour") + " -> " +
+                                next.at("timetable.trains_per_hour") +
+                                " trains/h";
+      EXPECT_LE(std::stod(here.at("sized_pv_wp_total")),
+                std::stod(next.at("sized_pv_wp_total")))
+          << where;
+      EXPECT_LE(std::stoi(here.at("ladder_exhausted")),
+                std::stoi(next.at("ladder_exhausted")))
+          << where;
+    }
+    // The timetable moves the sized system within every base.
+    EXPECT_GE(totals.size(), 3u);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "solar/geometry.hpp"
+#include "solar/offgrid.hpp"
 #include "util/constants.hpp"
 #include "util/contracts.hpp"
 
@@ -156,6 +161,87 @@ TEST(Locations, ClearnessIndicesPhysical) {
       EXPECT_LT(kt, 0.70) << loc.name << " month " << m;
     }
   }
+}
+
+// --- SkyTable against the reference synthesis -----------------------------
+
+/// The first field where `table` and `reference` differ in any bit, or
+/// an empty string when every day is identical.
+std::string first_difference(const std::vector<DailyIrradiance>& table,
+                             const std::vector<DailyIrradiance>& reference) {
+  if (table.size() != reference.size()) {
+    return "day count " + std::to_string(table.size()) + " vs " +
+           std::to_string(reference.size());
+  }
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (std::size_t d = 0; d < table.size(); ++d) {
+    const std::string at = "day " + std::to_string(d) + ": ";
+    if (table[d].day_of_year != reference[d].day_of_year) {
+      return at + "day_of_year";
+    }
+    if (!same(table[d].clearness, reference[d].clearness)) {
+      return at + "clearness";
+    }
+    for (std::size_t h = 0; h < 24; ++h) {
+      if (!same(table[d].ghi_wh_m2[h], reference[d].ghi_wh_m2[h])) {
+        return at + "ghi_wh_m2[" + std::to_string(h) + "]";
+      }
+      if (!same(table[d].poa_wh_m2[h], reference[d].poa_wh_m2[h])) {
+        return at + "poa_wh_m2[" + std::to_string(h) + "]";
+      }
+    }
+  }
+  return "";
+}
+
+TEST(SkyTable, DaysEqualTheReferenceSynthesisBitForBit) {
+  // The arctic-climate scenario's weather: persistent, deep overcast
+  // spells and a low clearness cap.
+  WeatherModel arctic;
+  arctic.kt_sigma = 0.16;
+  arctic.kt_autocorrelation = 0.85;
+  arctic.kt_max = 0.65;
+  arctic.winter_sigma_boost = 2.5;
+  int tuples = 0;
+  for (const Location& location : location_catalog()) {
+    for (const double tilt : {0.0, 45.0, 90.0}) {
+      for (const double albedo : {0.0, 0.2, 1.0}) {
+        const PlaneOfArray plane{tilt, albedo};
+        const SkyTable sky(location, plane);
+        for (const WeatherModel& weather : {WeatherModel{}, arctic}) {
+          for (const std::uint64_t seed : {1u, 0x5EEDC003u, 987654321u}) {
+            for (const int years : {1, 4}) {
+              SCOPED_TRACE(location.name + " tilt " + std::to_string(tilt) +
+                           " albedo " + std::to_string(albedo) + " kt_sigma " +
+                           std::to_string(weather.kt_sigma) + " seed " +
+                           std::to_string(seed) + " years " +
+                           std::to_string(years));
+              EXPECT_EQ(first_difference(
+                            sky.synthesize_days(weather, seed, years),
+                            synthesize_days(location, plane, weather, seed,
+                                            years)),
+                        "");
+              ++tuples;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(tuples, 648);
+}
+
+TEST(SkyTable, RejectsWhatTheReferenceRejects) {
+  EXPECT_THROW(SkyTable(madrid(), PlaneOfArray{120.0, 0.2}), ContractViolation);
+  EXPECT_THROW(SkyTable(madrid(), PlaneOfArray{90.0, 1.5}), ContractViolation);
+  const SkyTable sky(madrid(), PlaneOfArray{});
+  WeatherModel inverted;
+  inverted.kt_min = 0.8;
+  EXPECT_THROW((void)sky.synthesize_days(inverted, 1, 1), ContractViolation);
+  EXPECT_THROW((void)sky.synthesize_days(WeatherModel{}, 1, 0),
+               ContractViolation);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "solar/sizing.hpp"
 #include "util/contracts.hpp"
 
@@ -150,6 +152,124 @@ TEST(OffGrid, BatchedCasesBitIdenticalToIndependentRuns) {
     EXPECT_EQ(batched[i].days_with_full_battery_pct,
               reference.days_with_full_battery_pct);
   }
+}
+
+// --- simulate_cases against an independent loop --------------------------
+
+/// The off-grid day loop written with the component models themselves
+/// (PvArray::hourly_energy, Battery::charge / Battery::discharge), none
+/// of simulate_cases' code: the oracle the kernel must reproduce field
+/// for field, including the first-outage stop.
+OffGridReport component_run(const std::vector<DailyIrradiance>& days,
+                            const OffGridCase& cell) {
+  Battery battery(cell.system.battery_capacity_wh, cell.system.battery_cutoff);
+  OffGridReport report;
+  int full_days = 0;
+  int simulated = 0;
+  for (const auto& day : days) {
+    bool full = false;
+    bool unmet = false;
+    for (std::size_t h = 0; h < 24; ++h) {
+      const WattHours pv = cell.system.array.hourly_energy(day.poa_wh_m2[h]);
+      const WattHours load(cell.consumption.hourly_watts[h]);
+      report.annual_pv_energy += pv;
+      report.annual_load += load;
+      if (pv >= load) {
+        report.curtailed_energy += battery.charge(pv - load);
+      } else {
+        const WattHours deficit = load - pv;
+        const WattHours delivered = battery.discharge(deficit);
+        if (delivered.value() < deficit.value() - 1e-9) {
+          unmet = true;
+          ++report.downtime_hours;
+          report.unserved_energy += deficit - delivered;
+        }
+      }
+      if (battery.is_full()) full = true;
+      report.min_soc_fraction =
+          std::min(report.min_soc_fraction, battery.soc_fraction());
+    }
+    ++simulated;
+    if (full) ++full_days;
+    if (unmet) {
+      ++report.downtime_days;
+      if (cell.stop_at_first_outage) break;
+    }
+  }
+  report.days_with_full_battery_pct =
+      100.0 * full_days / static_cast<double>(simulated);
+  return report;
+}
+
+void expect_reports_identical(const OffGridReport& a, const OffGridReport& b) {
+  EXPECT_EQ(a.days_with_full_battery_pct, b.days_with_full_battery_pct);
+  EXPECT_EQ(a.downtime_days, b.downtime_days);
+  EXPECT_EQ(a.downtime_hours, b.downtime_hours);
+  EXPECT_EQ(a.unserved_energy.value(), b.unserved_energy.value());
+  EXPECT_EQ(a.annual_pv_energy.value(), b.annual_pv_energy.value());
+  EXPECT_EQ(a.annual_load.value(), b.annual_load.value());
+  EXPECT_EQ(a.curtailed_energy.value(), b.curtailed_energy.value());
+  EXPECT_EQ(a.min_soc_fraction, b.min_soc_fraction);
+}
+
+TEST(OffGrid, KernelMatchesComponentModelLoop) {
+  // Heterogeneous arrays (sizes and losses), batteries (capacities and
+  // cutoffs), loads and stop flags, over two years of Oslo weather:
+  // some cases run clean, some fail in winter.
+  const auto days =
+      synthesize_days(oslo(), PlaneOfArray{}, WeatherModel{}, 4242, 2);
+  std::vector<OffGridCase> cases;
+  for (int i = 0; i < 12; ++i) {
+    OffGridCase cell;
+    cell.system.array = PvArray(300.0 + 110.0 * i, 0.08 + 0.01 * (i % 5));
+    cell.system.battery_capacity_wh = 600.0 + 250.0 * (i % 7);
+    cell.system.battery_cutoff = 0.2 + 0.05 * (i % 4);
+    cell.consumption = paper_load();
+    for (auto& w : cell.consumption.hourly_watts) w *= 0.6 + 0.15 * (i % 6);
+    cell.stop_at_first_outage = i % 2 == 1;
+    cases.push_back(cell);
+  }
+  const auto reports = simulate_cases(days, cases);
+  ASSERT_EQ(reports.size(), cases.size());
+  int failing = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    expect_reports_identical(reports[i], component_run(days, cases[i]));
+    if (!reports[i].continuous_operation()) ++failing;
+  }
+  // Both outcomes occur, so both stop-flag branches are exercised.
+  EXPECT_GT(failing, 0);
+  EXPECT_LT(failing, static_cast<int>(cases.size()));
+}
+
+TEST(OffGrid, FirstOutageStop) {
+  const auto days =
+      synthesize_days(berlin(), PlaneOfArray{}, WeatherModel{}, 99, 2);
+  OffGridCase passing;
+  passing.system.array = PvArray(2000.0);
+  passing.system.battery_capacity_wh = 5000.0;
+  passing.consumption = paper_load();
+  OffGridCase failing = passing;
+  failing.system.array = PvArray(200.0);
+  failing.system.battery_capacity_wh = 300.0;
+
+  // A flagged case that never fails runs every day: the unflagged report.
+  OffGridCase passing_flagged = passing;
+  passing_flagged.stop_at_first_outage = true;
+  const auto clean =
+      simulate_cases(days, std::vector{passing, passing_flagged});
+  ASSERT_TRUE(clean[0].continuous_operation());
+  expect_reports_identical(clean[1], clean[0]);
+
+  // A flagged failing case stops at the end of its first outage day.
+  OffGridCase failing_flagged = failing;
+  failing_flagged.stop_at_first_outage = true;
+  const auto outage =
+      simulate_cases(days, std::vector{failing, failing_flagged});
+  EXPECT_GT(outage[0].downtime_days, 1);
+  EXPECT_EQ(outage[1].downtime_days, 1);
+  EXPECT_FALSE(outage[1].continuous_operation());
+  EXPECT_LT(outage[1].annual_load.value(), outage[0].annual_load.value());
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "exec/parallel.hpp"
+#include "obs/metrics.hpp"
 
 namespace railcorr::solar {
 namespace {
@@ -174,6 +178,148 @@ TEST(Sizing, BatchedJobsBitIdenticalToPerJobRuns) {
                 reference[l].report.days_with_full_battery_pct);
     }
   }
+}
+
+/// Every field of a SizingResult but the location, compared exactly.
+void expect_results_identical(const SizingResult& a, const SizingResult& b) {
+  EXPECT_EQ(a.chosen.pv_wp, b.chosen.pv_wp);
+  EXPECT_EQ(a.chosen.battery_wh, b.chosen.battery_wh);
+  EXPECT_EQ(a.ladder_exhausted, b.ladder_exhausted);
+  EXPECT_EQ(a.report.days_with_full_battery_pct,
+            b.report.days_with_full_battery_pct);
+  EXPECT_EQ(a.report.downtime_days, b.report.downtime_days);
+  EXPECT_EQ(a.report.downtime_hours, b.report.downtime_hours);
+  EXPECT_EQ(a.report.unserved_energy.value(), b.report.unserved_energy.value());
+  EXPECT_EQ(a.report.annual_pv_energy.value(),
+            b.report.annual_pv_energy.value());
+  EXPECT_EQ(a.report.annual_load.value(), b.report.annual_load.value());
+  EXPECT_EQ(a.report.curtailed_energy.value(),
+            b.report.curtailed_energy.value());
+  EXPECT_EQ(a.report.min_soc_fraction, b.report.min_soc_fraction);
+}
+
+/// A seeded random sizing batch: sites, loads, weather tuples (drawn
+/// from small pools, so cells share tuples and sites share sky tables
+/// across planes and seeds) and four ladder shapes — one rung, a ladder
+/// that every site exhausts, a ladder whose first rung passes, and the
+/// paper's ladder.
+std::vector<SizingJob> random_batch(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto& catalog = location_catalog();
+  std::vector<SizingJob> jobs;
+  for (int j = 0; j < 10; ++j) {
+    SizingJob job;
+    const std::size_t sites = 1 + pick(3);
+    for (std::size_t l = 0; l < sites; ++l) {
+      job.locations.push_back(catalog[pick(catalog.size())]);
+    }
+    job.consumption = paper_load();
+    const double scale = 0.5 + 0.25 * static_cast<double>(pick(7));
+    for (auto& w : job.consumption.hourly_watts) w *= scale;
+    job.options.years = 1 + static_cast<int>(pick(2));
+    job.options.seed = 1 + pick(3);
+    job.options.weather.kt_sigma = pick(2) == 0 ? 0.13 : 0.18;
+    job.options.plane.tilt_deg = pick(2) == 0 ? 90.0 : 40.0;
+    switch (j % 4) {
+      case 0:
+        job.ladder = {{180.0 + 180.0 * static_cast<double>(pick(4)),
+                       720.0 * static_cast<double>(1 + pick(3))}};
+        break;
+      case 1:
+        job.ladder = {{90.0, 150.0}, {120.0, 200.0}, {150.0, 250.0}};
+        break;
+      case 2:
+        job.ladder = {{3000.0, 8000.0}, {4000.0, 9000.0}};
+        break;
+      default:
+        break;  // the paper's ladder
+    }
+    jobs.push_back(job);
+  }
+  return jobs;
+}
+
+TEST(Sizing, RandomBatchesMatchPerJobRunsInEveryField) {
+  int one_rung = 0, exhausted = 0, first_rung = 0, later_rung = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    const auto jobs = random_batch(seed);
+    const auto batched = size_jobs(jobs);
+    ASSERT_EQ(batched.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const auto reference = size_locations(jobs[j].locations,
+                                            jobs[j].consumption,
+                                            jobs[j].options, jobs[j].ladder);
+      ASSERT_EQ(batched[j].size(), reference.size());
+      for (std::size_t l = 0; l < reference.size(); ++l) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " job " +
+                     std::to_string(j) + " " + reference[l].location.name);
+        EXPECT_EQ(batched[j][l].location.name, reference[l].location.name);
+        expect_results_identical(batched[j][l], reference[l]);
+        const auto& ladder = jobs[j].ladder;
+        if (ladder.size() == 1) {
+          ++one_rung;
+        } else if (reference[l].ladder_exhausted) {
+          ++exhausted;
+        } else if (reference[l].chosen.pv_wp == ladder[0].pv_wp &&
+                   reference[l].chosen.battery_wh == ladder[0].battery_wh) {
+          ++first_rung;
+        } else {
+          ++later_rung;
+        }
+      }
+    }
+  }
+  // Every ladder outcome occurs in the batches.
+  EXPECT_GT(one_rung, 0);
+  EXPECT_GT(exhausted, 0);
+  EXPECT_GT(first_rung, 0);
+  EXPECT_GT(later_rung, 0);
+}
+
+TEST(Sizing, BatchCountsItsWork) {
+  // Two jobs of Vienna + Oslo at one plane: 2 sky tables. The jobs
+  // differ in seed, so each site has 2 weather tuples: 4 syntheses of
+  // 365 days. The four cells walk the paper's 5-rung ladder through 15
+  // rungs (Oslo at seed 7 exhausts it); the 11 rungs that fail before
+  // the last stop at their first outage day, so the batch simulates
+  // 4,202 case-days where the reference walk simulates 15 x 365.
+  SizingJob job;
+  job.locations = {vienna(), oslo()};
+  job.consumption = paper_load();
+  job.options.years = 1;
+  std::vector<SizingJob> jobs{job, job};
+  jobs[1].options.seed = 7;
+
+  auto& metrics = obs::MetricsRegistry::instance();
+  metrics.reset_values();
+  const auto results = size_jobs(jobs);
+  EXPECT_EQ(metrics.counter("solar.sky_tables").value(), 2u);
+  EXPECT_EQ(metrics.counter("solar.weather_syntheses").value(), 4u);
+  const std::uint64_t batched_days = metrics.counter("solar.case_days").value();
+  EXPECT_EQ(batched_days, 4202u);
+
+  // The reference walk simulates every rung it tries in full.
+  metrics.reset_values();
+  std::uint64_t rungs = 0;
+  for (const auto& j : jobs) {
+    for (const auto& result :
+         size_locations(j.locations, j.consumption, j.options, j.ladder)) {
+      for (const auto& rung : j.ladder) {
+        ++rungs;
+        if (rung.pv_wp == result.chosen.pv_wp &&
+            rung.battery_wh == result.chosen.battery_wh) {
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(metrics.counter("solar.sky_tables").value(), 0u);
+  EXPECT_EQ(metrics.counter("solar.weather_syntheses").value(), 4u);
+  EXPECT_EQ(metrics.counter("solar.case_days").value(), rungs * 365);
+  EXPECT_LT(batched_days, rungs * 365);
 }
 
 TEST(Sizing, CatalogLookupAndNames) {
