@@ -6,11 +6,10 @@
 /// numeric results, and emits a machine-readable JSON report (ns/op,
 /// throughput, speedup vs the single-thread baseline). A second section
 /// times the SoA batch kernels at one thread: seed-style scalar
-/// dB-domain evaluation vs the batched linear-domain kernel, the
-/// forced-scalar kernel vs the SIMD-dispatched one, and the kFastUlp
-/// accuracy mode vs the bit-exact default. A third section times the
-/// shared-weather batched off-grid sizing (size_jobs) against the
-/// per-cell walk over an 8-cell sweep slice and checks they agree
+/// dB-domain evaluation vs the batched linear-domain kernel, and the
+/// forced-scalar kernel vs the SIMD-dispatched one. A third section
+/// times the shared-weather batched off-grid sizing (size_jobs) against
+/// the per-cell walk over an 8-cell sweep slice and checks they agree
 /// bit for bit.
 ///
 /// Usage: bench_parallel_scaling [--json=PATH] [--min-seconds=S]
@@ -44,7 +43,6 @@
 #include "solar/consumption.hpp"
 #include "solar/sizing.hpp"
 #include "traffic/timetable.hpp"
-#include "util/vmath.hpp"
 
 namespace {
 
@@ -376,18 +374,6 @@ int main(int argc, char** argv) {
                                             uplink_batch.ns_per_op);
     }
 
-    // (d) the kFastUlp accuracy mode on the same snr_batch path: the
-    // polynomial dB pass plus the reciprocal-Newton kernel vs the
-    // bit-exact default (bench_vmath carries the per-function detail).
-    vmath::force_accuracy_mode(vmath::AccuracyMode::kFastUlp);
-    auto& snr_fast = harness.run(
-        "snr_batch_fast_10k", 1, [&] { model.snr_batch(positions, snr_db); },
-        min_seconds);
-    vmath::reset_accuracy_mode();
-    if (const auto* exact = harness.find("snr_batch_10k", 1)) {
-      snr_fast.metrics.emplace_back("fast_speedup_vs_exact",
-                                    exact->ns_per_op / snr_fast.ns_per_op);
-    }
     if (sink == 42.0) std::cerr << "";  // keep the scalar loops observable
   }
 
@@ -395,8 +381,8 @@ int main(int argc, char** argv) {
   // Eight cells sharing the weather tuple (only the load differs, as a
   // traffic-axis sweep would): the size_jobs batch synthesizes each
   // location's weather once for the whole set, vs once per cell on the
-  // per-cell path. Workload and identity check shared with bench_vmath
-  // (bench/sizing_workload.hpp) so both gates enforce one contract.
+  // per-cell path. Workload and identity check live in
+  // bench/sizing_workload.hpp.
   {
     const auto jobs = bench::sizing_sweep_cells(consumption, sizing_options,
                                                 8);

@@ -127,7 +127,6 @@ int main(int argc, char** argv) {
   bench::BenchHarness harness("robustness_mc");
   harness.add_context(
       "simd", std::string(vmath::simd_level_name(vmath::active_simd_level())));
-  harness.add_context("fast_avx2", vmath::fast_avx2_active() ? "yes" : "no");
   bool contract_ok = true;
   const auto violate = [&](const std::string& what) {
     std::cerr << "DETERMINISM CONTRACT VIOLATION: " << what << '\n';

@@ -1,8 +1,7 @@
 /// \file sizing_workload.hpp
-/// \brief The shared batched-vs-per-cell sizing workload used by both
-///        bench_parallel_scaling and bench_vmath: one definition of the
-///        8-cell sweep slice and of the bit-identity check, so the two
-///        gates enforce the same contract.
+/// \brief The batched-vs-per-cell sizing workload of
+///        bench_parallel_scaling: the 8-cell sweep slice and the
+///        bit-identity check.
 #pragma once
 
 #include <cstddef>

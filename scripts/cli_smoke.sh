@@ -4,7 +4,9 @@
 #   1. evaluate a tiny sweep grid as 2 shards and as 1 shard,
 #   2. merge both ways — the outputs must be byte-identical
 #      (the cross-shard determinism contract), also for a small grid
-#      with the off-grid sizing stage at one and at four threads,
+#      with the off-grid sizing stage at one and at four threads; the
+#      one accepted --accuracy value and the retired RAILCORR_ACCURACY
+#      variable leave the bytes alone,
 #   3. corrupt one shard row and check merge exits nonzero,
 #   4. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
@@ -41,6 +43,19 @@ if ! cmp "$TMP/merged_sharded.csv" "$TMP/merged_single.csv"; then
   echo "FAIL: sharded merge differs from single-process run" >&2
   exit 1
 fi
+
+# One numeric contract: `--accuracy bitexact` is accepted and changes
+# nothing, and the retired RAILCORR_ACCURACY variable is ignored.
+"$BIN" sweep --plan "$TMP/plan.sweep" --accuracy bitexact \
+    --out "$TMP/bitexact.csv"
+RAILCORR_ACCURACY=fast "$BIN" sweep --plan "$TMP/plan.sweep" \
+    --out "$TMP/env_fast.csv"
+for variant in bitexact env_fast; do
+  if ! cmp "$TMP/$variant.csv" "$TMP/full.csv"; then
+    echo "FAIL: $variant sweep differs from the plain sweep" >&2
+    exit 1
+  fi
+done
 
 # A corrupted row under a now-stale integrity trailer is caught by the
 # trailer check first: an I/O-integrity input error (exit 1), not a
@@ -143,6 +158,8 @@ expect_error() {
 # sweep flag misuse.
 expect_error 1 "--progress requires --out" \
     sweep --plan "$TMP/plan.sweep" --progress
+expect_error 1 "--accuracy accepts only 'bitexact', got 'fast'" \
+    sweep --plan "$TMP/plan.sweep" --accuracy fast
 # A study shape the max-ISD search cannot run is a spec error naming
 # the key and line, not a contract abort inside the search.
 sed 's/^set max_repeaters = 2$/set max_repeaters = 0/' "$TMP/plan.sweep" \

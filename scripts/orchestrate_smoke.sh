@@ -9,8 +9,9 @@
 #   2. --resume re-runs only the missing shard and reproduces the same
 #      bytes,
 #   3. a resumed run whose plan fingerprint changed is refused, exit 2,
-#   4. a resumed run under a different accuracy mode (banner mismatch)
-#      is refused, exit 2,
+#   4. a resumed run whose manifest records a different banner (the
+#      ` accuracy=fast-ulp` tag older fast-mode runs left) is refused,
+#      exit 2,
 #   5. a fresh (non-resume) run into a used directory is refused,
 #      exit 1.
 #
@@ -90,16 +91,29 @@ if [ "$code" -ne 2 ]; then
   echo "FAIL: tampered plan fingerprint exited $code, expected 2" >&2
   exit 1
 fi
-# Restore the canonical plan for the accuracy check.
+# Restore the canonical plan for the banner check.
 cp "$TMP/plan.sweep" "$TMP/run/plan.sweep"
 
-# --- 4: accuracy-banner mismatch is refused with exit 2 --------------
+# --- 4: banner mismatch is refused with exit 2 -----------------------
+# The banner line a run made in the retired fast-ULP mode recorded.
+sed 's/^banner = .*/& accuracy=fast-ulp/' "$TMP/run/orchestrate.manifest" \
+    > "$TMP/run/manifest.edited"
+mv "$TMP/run/manifest.edited" "$TMP/run/orchestrate.manifest"
+if ! grep -q '^banner = # railcorr-sweep-v1 .* accuracy=fast-ulp$' \
+    "$TMP/run/orchestrate.manifest"; then
+  echo "FAIL: manifest banner line was not edited" >&2
+  exit 1
+fi
 set +e
-"$BIN" orchestrate --resume "$TMP/run" --accuracy fast > /dev/null 2>&1
+"$BIN" orchestrate --resume "$TMP/run" > /dev/null 2> "$TMP/banner.log"
 code=$?
 set -e
 if [ "$code" -ne 2 ]; then
-  echo "FAIL: accuracy-mode mismatch exited $code, expected 2" >&2
+  echo "FAIL: banner mismatch exited $code, expected 2" >&2
+  exit 1
+fi
+if ! grep -q "banner mismatch" "$TMP/banner.log"; then
+  echo "FAIL: refused resume does not name the banner mismatch" >&2
   exit 1
 fi
 

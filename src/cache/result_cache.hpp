@@ -5,14 +5,14 @@
 ///        recompute cells whose inputs actually changed.
 ///
 /// Every sweep cell's CSV row is a pure function of (plan fingerprint,
-/// cell index, accuracy banner, result-schema version) — the same
+/// cell index, shard banner, result-schema version) — the same
 /// purity the orchestrator's retry safety rests on. The
 /// cache keys on exactly that tuple: `cell_key` hashes the shard
-/// banner (which carries the plan fingerprint, grid size, and the
-/// accuracy tag), the grid cell index, the CSV header (which pins the
+/// banner (which carries the plan fingerprint and grid size), the
+/// grid cell index, the CSV header (which pins the
 /// column set, e.g. `--include-sizing`), and `kResultSchemaVersion`
 /// with FNV-1a 64. The value is the exact row bytes. Any input change
-/// — a flipped axis value, a different accuracy mode, a new metric
+/// — a flipped axis value, an edited banner, a new metric
 /// column, a schema bump — changes the key, so stale entries are
 /// unreachable by construction rather than invalidated by bookkeeping.
 ///
@@ -72,7 +72,7 @@ namespace railcorr::cache {
 inline constexpr std::uint32_t kResultSchemaVersion = 1;
 
 /// The content address of one sweep cell's row: FNV-1a 64 over the
-/// shard banner (plan fingerprint + grid + accuracy tag), the cell
+/// shard banner (plan fingerprint + grid), the cell
 /// index, the CSV header (column set), and the schema version.
 std::uint64_t cell_key(std::string_view banner, std::size_t index,
                        std::string_view header,

@@ -218,7 +218,7 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   const obs::ObsSpan shard_span("shard", "sweep", "cells", indices.size());
 
   // The cache key covers everything a row's bytes depend on: the
-  // banner (plan fingerprint + grid + accuracy tag), the cell index,
+  // banner (plan fingerprint + grid), the cell index,
   // and the header (column set). A hit therefore IS the row a cold
   // evaluation would render, byte for byte.
   cache::ResultCache* cache =

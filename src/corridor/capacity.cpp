@@ -34,7 +34,7 @@ std::vector<CapacitySample> CapacityAnalyzer::profile(
   std::vector<double> snr_db(positions.size());
   model.snr_batch(positions, snr_db);
   // Shannon mapping as a second batched pass (bit-identical to the
-  // per-sample scalar path in the default accuracy mode).
+  // per-sample scalar path).
   std::vector<double> se(positions.size());
   throughput_.spectral_efficiency_batch(snr_db, se);
 

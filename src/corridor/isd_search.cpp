@@ -25,10 +25,9 @@ struct GridPoint {
 constexpr std::size_t kProbeBlock = 16;
 
 /// How far below the threshold [dB] a probed sample must fall to reject
-/// its point outright. log10's rounding and the fast kernels' 8-ULP
-/// ratio deviation are ~1e-14 dB, so every rejected point also fails
-/// the exact min-SNR test, and a point whose exact minimum equals the
-/// threshold is never rejected.
+/// its point outright. log10's rounding is ~1e-14 dB, so every rejected
+/// point also fails the exact min-SNR test, and a point whose exact
+/// minimum equals the threshold is never rejected.
 constexpr double kRejectMarginDb = 1e-6;
 
 /// One segment's transmitters at any (N, ISD), in the order of
@@ -126,6 +125,25 @@ MaxIsdResult IsdSearch::find_max_isd(int repeater_count) const {
   return sweep(repeater_count, repeater_count).front();
 }
 
+void IsdSearch::isd_grid(int n, std::vector<double>& isds) const {
+  isds.clear();
+  // Smallest geometrically valid ISD on the grid: the node cluster
+  // span plus one spacing of edge gap on either side.
+  const double span =
+      n > 0 ? config_.repeater_spacing_m * static_cast<double>(n - 1) : 0.0;
+  const double min_isd = std::max(
+      config_.isd_step_m,
+      std::ceil((span + 1.0) / config_.isd_step_m) * config_.isd_step_m);
+  for (double isd = min_isd; isd <= config_.max_isd_m + 1e-9;
+       isd += config_.isd_step_m) {
+    SegmentGeometry geometry;
+    geometry.isd_m = isd;
+    geometry.repeater_count = n;
+    geometry.repeater_spacing_m = config_.repeater_spacing_m;
+    if (geometry.valid()) isds.push_back(isd);
+  }
+}
+
 std::vector<MaxIsdResult> IsdSearch::sweep(int from, int to) const {
   RAILCORR_EXPECTS(from >= 0);
   RAILCORR_EXPECTS(to >= from);
@@ -137,24 +155,11 @@ std::vector<MaxIsdResult> IsdSearch::sweep(int from, int to) const {
   std::vector<GridPoint> points;
   std::vector<std::size_t> first_point;  // per N, index into `points`
   first_point.reserve(static_cast<std::size_t>(to - from) + 2);
+  std::vector<double> isds;
   for (int n = from; n <= to; ++n) {
     first_point.push_back(points.size());
-    // Smallest geometrically valid ISD on the grid: the node cluster
-    // span plus one spacing of edge gap on either side.
-    const double span =
-        n > 0 ? config_.repeater_spacing_m * static_cast<double>(n - 1) : 0.0;
-    const double min_isd = std::max(
-        config_.isd_step_m,
-        std::ceil((span + 1.0) / config_.isd_step_m) * config_.isd_step_m);
-    for (double isd = min_isd; isd <= config_.max_isd_m + 1e-9;
-         isd += config_.isd_step_m) {
-      SegmentGeometry geometry;
-      geometry.isd_m = isd;
-      geometry.repeater_count = n;
-      geometry.repeater_spacing_m = config_.repeater_spacing_m;
-      if (!geometry.valid()) continue;
-      points.push_back(GridPoint{n, isd});
-    }
+    isd_grid(n, isds);
+    for (const double isd : isds) points.push_back(GridPoint{n, isd});
   }
   first_point.push_back(points.size());
 
@@ -212,22 +217,7 @@ std::optional<MaxIsdResult> IsdSearch::deepest_feasible(int from,
   std::optional<MaxIsdResult> found;
   std::vector<double> isds;
   for (int n = to; n >= from && !found; --n) {
-    // N's grid exactly as sweep enumerates it: accumulated steps from
-    // the smallest geometrically valid ISD, then the valid() filter.
-    isds.clear();
-    const double span =
-        n > 0 ? config_.repeater_spacing_m * static_cast<double>(n - 1) : 0.0;
-    const double min_isd = std::max(
-        config_.isd_step_m,
-        std::ceil((span + 1.0) / config_.isd_step_m) * config_.isd_step_m);
-    for (double isd = min_isd; isd <= config_.max_isd_m + 1e-9;
-         isd += config_.isd_step_m) {
-      SegmentGeometry geometry;
-      geometry.isd_m = isd;
-      geometry.repeater_count = n;
-      geometry.repeater_spacing_m = config_.repeater_spacing_m;
-      if (geometry.valid()) isds.push_back(isd);
-    }
+    isd_grid(n, isds);
     for (auto it = isds.rbegin(); it != isds.rend(); ++it) {
       ++points;
       const rf::DownlinkTxSoA& soa = layout.at(n, *it);

@@ -68,9 +68,8 @@ class IsdSearch {
   /// Per point, one reused transmitter table is refilled from gains
   /// computed once per call. A point is rejected as soon as a
   /// 16-sample block of the min-SNR sample sequence holds a ratio below
-  /// the threshold less 1e-6 dB, a margin far beyond log10's rounding
-  /// and the fast kernels' 8-ULP deviation; the rest run sweep's exact
-  /// min-SNR reduction and `>=` test. Sequential; counts the points it
+  /// the threshold less 1e-6 dB, a margin far beyond log10's rounding;
+  /// the rest run sweep's exact min-SNR reduction and `>=` test. Sequential; counts the points it
   /// visits and fully scans in the metrics counters `corridor.isd_points`
   /// and `corridor.isd_full_scans`.
   [[nodiscard]] std::optional<MaxIsdResult> deepest_feasible(int from,
@@ -79,6 +78,12 @@ class IsdSearch {
   [[nodiscard]] const IsdSearchConfig& config() const { return config_; }
 
  private:
+  /// The ISD grid of `n` nodes, ascending, into `isds`: accumulated
+  /// steps from the smallest geometrically valid ISD up to max_isd_m
+  /// (+1e-9), keeping the points whose geometry is valid. The one
+  /// enumeration sweep and deepest_feasible share.
+  void isd_grid(int n, std::vector<double>& isds) const;
+
   CapacityAnalyzer analyzer_;
   IsdSearchConfig config_;
   RadioParameters radio_;

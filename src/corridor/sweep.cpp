@@ -6,7 +6,6 @@
 
 #include "util/contracts.hpp"
 #include "util/durable_io.hpp"
-#include "util/vmath.hpp"
 
 namespace railcorr::corridor {
 
@@ -294,18 +293,9 @@ std::optional<std::size_t> banner_grid(std::string_view banner) {
 }
 
 std::string shard_banner(const SweepPlan& plan) {
-  std::string banner = "# railcorr-sweep-v1 fingerprint=" +
-                       fingerprint_hex(plan.fingerprint()) +
-                       " grid=" + std::to_string(plan.size());
-  // Fast-accuracy runs are deterministic but not byte-stable against
-  // the default mode, so tag their documents: merge compares banners
-  // for equality and therefore rejects mixed-mode grids instead of
-  // reporting spurious cross-shard determinism violations. The default
-  // mode's banner is unchanged (byte-compatible with earlier releases).
-  if (vmath::active_accuracy_mode() == vmath::AccuracyMode::kFastUlp) {
-    banner += " accuracy=fast-ulp";
-  }
-  return banner;
+  return "# railcorr-sweep-v1 fingerprint=" +
+         fingerprint_hex(plan.fingerprint()) +
+         " grid=" + std::to_string(plan.size());
 }
 
 std::string shard_header(const SweepPlan& plan,

@@ -252,7 +252,7 @@ std::vector<std::string> RunManifest::mismatches_against(
                      corridor::fingerprint_hex(wanted.fingerprint));
   }
   if (banner != wanted.banner) {
-    errors.push_back("banner mismatch (plan or accuracy mode): manifest has '" +
+    errors.push_back("banner mismatch: manifest has '" +
                      banner + "', this invocation would produce '" +
                      wanted.banner + "'");
   }

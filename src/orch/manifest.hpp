@@ -40,10 +40,9 @@
 /// history only and never influence a resume.
 /// `railcorr orchestrate --resume <dir>` replays the
 /// manifest: finished shards are skipped, and a manifest whose
-/// fingerprint, banner (which encodes the accuracy mode), shard count,
-/// or sizing flag disagrees with the resumed invocation is refused —
-/// mixing plans or accuracy modes across a resume would poison the
-/// merge.
+/// fingerprint, banner, shard count, or sizing flag disagrees with the
+/// resumed invocation is refused — mixing plans or banners across a
+/// resume would poison the merge.
 ///
 /// The banner is stored verbatim (not re-derived) because it is the
 /// exact string every shard file and worker must reproduce; comparing
@@ -70,7 +69,7 @@ struct RunManifest {
   std::size_t shards = 0;
   /// Whether the run evaluates the off-grid sizing columns.
   bool include_sizing = false;
-  /// The run's shard banner, verbatim (fingerprint, grid, accuracy).
+  /// The run's shard banner, verbatim (fingerprint, grid).
   std::string banner;
   /// Finalized shards: (shard index, file name relative to the run
   /// directory), in completion order. May contain repeats when a run
@@ -101,9 +100,8 @@ struct RunManifest {
   /// (run summaries and the like); never consulted on resume.
   std::vector<std::string> infos;
 
-  /// The manifest a fresh orchestration of `plan` starts from. The
-  /// banner captures the *current* accuracy mode via
-  /// corridor::shard_banner.
+  /// The manifest a fresh orchestration of `plan` starts from; the
+  /// banner is corridor::shard_banner's.
   static RunManifest plan_run(const corridor::SweepPlan& plan,
                               std::size_t shards, bool include_sizing);
 
@@ -138,8 +136,8 @@ struct RunManifest {
 
   /// Human-readable mismatches between this (parsed) manifest and the
   /// run another invocation is about to perform — empty means the
-  /// resume is safe. Checks fingerprint, banner (and therefore the
-  /// accuracy mode), shard count, and the sizing flag.
+  /// resume is safe. Checks fingerprint, banner, shard count, and the
+  /// sizing flag.
   [[nodiscard]] std::vector<std::string> mismatches_against(
       const RunManifest& wanted) const;
 };

@@ -1131,9 +1131,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     result.errors.push_back(error);
   }
   // The fleet's banner must be the one this invocation planned — a
-  // divergence means the workers evaluated a different plan or
-  // accuracy mode than the manifest records (e.g. a tampered
-  // plan.sweep), and the merged output would be mislabeled.
+  // divergence means the workers evaluated a different plan than the
+  // manifest records (e.g. a tampered plan.sweep), and the merged
+  // output would be mislabeled.
   if (!aggregator.banner().empty() && aggregator.banner() != wanted.banner) {
     result.errors.push_back("worker fleet produced banner '" +
                             aggregator.banner() +

@@ -16,7 +16,7 @@
 /// re-queued attempt reproduces the same bytes. A hung worker is
 /// cleared by the progress-silence check (`stall_timeout_s`) or the
 /// wall-clock budget (`timeout_s`) and retried like any other failure.
-/// Any divergence (a worker fleet mixing plans or accuracy modes) is
+/// Any divergence (a worker fleet mixing plans or banners) is
 /// caught twice: live, by the aggregator comparing worker banners, and
 /// at the end, by the merge's banner and byte-identity checks.
 ///
@@ -217,7 +217,7 @@ struct OrchestrateResult {
   /// Merge-level determinism-contract violation (CLI exit 2).
   bool contract_violation = false;
   /// Resume refused: the run directory's manifest disagrees with this
-  /// invocation's plan fingerprint, banner/accuracy, shard count, or
+  /// invocation's plan fingerprint, banner, shard count, or
   /// sizing flag (CLI exit 2).
   bool manifest_mismatch = false;
   /// Every host of a distributed fleet died before the grid finished;

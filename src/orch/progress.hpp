@@ -43,10 +43,9 @@
 /// forward-compatible by construction.
 ///
 /// The banner event carries the worker's shard banner *verbatim* —
-/// plan fingerprint, grid size, and the accuracy tag when the worker
-/// runs in fast mode. The aggregator compares every worker's banner
-/// against the first one seen and flags divergence immediately, so a
-/// mis-configured worker (wrong plan file, wrong accuracy mode) is
+/// plan fingerprint and grid size. The aggregator compares every
+/// worker's banner against the first one seen and flags divergence
+/// immediately, so a mis-configured worker (wrong plan file) is
 /// caught while it runs instead of at merge time.
 #pragma once
 
@@ -165,8 +164,8 @@ class ProgressAggregator {
 
   /// Banners that differed from the first one, as human-readable
   /// errors ("shard 3: banner ... differs from ..."). Non-empty means
-  /// the fleet is evaluating inconsistent plans or accuracy modes and
-  /// the merge is guaranteed to fail.
+  /// the fleet is evaluating inconsistent plans and the merge is
+  /// guaranteed to fail.
   [[nodiscard]] const std::vector<std::string>& banner_errors() const {
     return banner_errors_;
   }

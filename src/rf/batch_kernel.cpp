@@ -7,17 +7,6 @@
 
 namespace railcorr::rf {
 
-namespace {
-
-/// True when the dispatcher should take a `_fast` AVX2 kernel: fast
-/// accuracy mode requested and the AVX2+FMA lane is runnable.
-[[maybe_unused]] bool use_fast_kernels() {
-  return vmath::active_accuracy_mode() == vmath::AccuracyMode::kFastUlp &&
-         vmath::fast_avx2_active();
-}
-
-}  // namespace
-
 void snr_ratio_batch_scalar(const DownlinkTxSoA& tx,
                             std::span<const double> positions_m,
                             std::span<double> out_ratio) {
@@ -98,11 +87,7 @@ void snr_ratio_batch(const DownlinkTxSoA& tx,
                      std::span<double> out_ratio) {
 #if defined(RAILCORR_HAVE_AVX2)
   if (active_simd_level() == SimdLevel::kAvx2) {
-    if (use_fast_kernels()) {
-      snr_ratio_batch_avx2_fast(tx, positions_m, out_ratio);
-    } else {
-      snr_ratio_batch_avx2(tx, positions_m, out_ratio);
-    }
+    snr_ratio_batch_avx2(tx, positions_m, out_ratio);
     return;
   }
 #endif
@@ -115,11 +100,7 @@ void snr_ratio_masked_batch(const DownlinkTxSoA& tx,
                             std::span<double> out_ratio) {
 #if defined(RAILCORR_HAVE_AVX2)
   if (active_simd_level() == SimdLevel::kAvx2) {
-    if (use_fast_kernels()) {
-      snr_ratio_masked_batch_avx2_fast(tx, active, positions_m, out_ratio);
-    } else {
-      snr_ratio_masked_batch_avx2(tx, active, positions_m, out_ratio);
-    }
+    snr_ratio_masked_batch_avx2(tx, active, positions_m, out_ratio);
     return;
   }
 #endif
@@ -131,11 +112,7 @@ void uplink_best_ratio_batch(const UplinkTxSoA& tx,
                              std::span<double> out_ratio) {
 #if defined(RAILCORR_HAVE_AVX2)
   if (active_simd_level() == SimdLevel::kAvx2) {
-    if (use_fast_kernels()) {
-      uplink_best_ratio_batch_avx2_fast(tx, positions_m, out_ratio);
-    } else {
-      uplink_best_ratio_batch_avx2(tx, positions_m, out_ratio);
-    }
+    uplink_best_ratio_batch_avx2(tx, positions_m, out_ratio);
     return;
   }
 #endif

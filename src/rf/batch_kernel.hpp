@@ -21,15 +21,6 @@
 /// (one process-wide switch shared with the batched transcendentals)
 /// and is re-exported here under the historical rf:: names.
 ///
-/// Accuracy modes: under the default vmath::AccuracyMode::kBitExact the
-/// kernels behave exactly as documented above (scalar and AVX2 lanes
-/// bit-identical). Under kFastUlp the AVX2 dispatch substitutes the
-/// `_fast` kernel variants, which replace IEEE division with the
-/// reciprocal-Newton form (vmath_detail.hpp) — each per-position ratio
-/// stays within 8 ULP of the bit-exact kernel's (property-tested in
-/// tests/rf/batch_kernel_test.cpp; < 4e-14 dB after conversion), but
-/// outputs are no longer byte-stable against the default mode.
-///
 /// \par Thread safety
 /// The SoA structs are immutable after construction and may be shared
 /// freely across threads. The batch entry points are const over the SoA
@@ -151,21 +142,6 @@ void snr_ratio_masked_batch_avx2(const DownlinkTxSoA& tx,
 void uplink_best_ratio_batch_avx2(const UplinkTxSoA& tx,
                                   std::span<const double> positions_m,
                                   std::span<double> out_ratio);
-
-/// kFastUlp variants: identical arithmetic shape, but every IEEE
-/// division is the reciprocal-Newton form. Ratios within 8 ULP of the
-/// bit-exact kernels; reached by the dispatcher only when the active
-/// accuracy mode is kFastUlp and the CPU has FMA.
-void snr_ratio_batch_avx2_fast(const DownlinkTxSoA& tx,
-                               std::span<const double> positions_m,
-                               std::span<double> out_ratio);
-void snr_ratio_masked_batch_avx2_fast(const DownlinkTxSoA& tx,
-                                      std::span<const double> active,
-                                      std::span<const double> positions_m,
-                                      std::span<double> out_ratio);
-void uplink_best_ratio_batch_avx2_fast(const UplinkTxSoA& tx,
-                                       std::span<const double> positions_m,
-                                       std::span<double> out_ratio);
 #endif
 ///@}
 

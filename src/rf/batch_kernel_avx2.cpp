@@ -23,7 +23,6 @@
 #include <cmath>
 
 #include "util/contracts.hpp"
-#include "util/vmath_detail.hpp"
 
 namespace railcorr::rf {
 
@@ -151,138 +150,6 @@ void uplink_best_ratio_batch_avx2(const UplinkTxSoA& tx,
                                    out_ratio.subspan(p));
   }
 }
-
-// ---- kFastUlp kernel variants ------------------------------------------
-// Same arithmetic shape as the bit-exact kernels above, with every IEEE
-// division replaced by the reciprocal-Newton form (vmath_detail.hpp,
-// <= 2 ULP per division). The dispatcher only routes here under
-// AccuracyMode::kFastUlp on an FMA-capable CPU; remainder positions run
-// through the scalar (bit-exact) kernel, which is trivially inside the
-// documented 8 ULP ratio bound.
-//
-// Operand ranges are float-safe for the Newton seed by construction:
-// d_eff^2 >= min_distance_m^2 >= 1 and <= (corridor length)^2, and the
-// noise accumulator is bounded below by the terminal floor (~1e-13 mW
-// for the paper budget) — all far inside single-precision normals. The
-// masked kernel's accumulators can reach exactly zero on fully dark
-// corridors, so its final division stays IEEE (0 must yield a 0 ratio
-// for the caller's floor handling, and rcp(0) through the float seed
-// would produce inf * 0 = NaN in the signal multiply).
-
-#if defined(__FMA__)
-
-using vmath::detail::rcp_newton;
-
-void snr_ratio_batch_avx2_fast(const DownlinkTxSoA& tx,
-                               std::span<const double> positions_m,
-                               std::span<double> out_ratio) {
-  RAILCORR_EXPECTS(out_ratio.size() == positions_m.size());
-  const std::size_t n_tx = tx.size();
-  const double* const tx_pos = tx.position_m.data();
-  const double* const sg = tx.signal_gain_lin.data();
-  const double* const ng = tx.noise_gain_lin.data();
-  const __m256d min_d = _mm256_set1_pd(tx.min_distance_m);
-  const __m256d terminal = _mm256_set1_pd(tx.terminal_noise_mw);
-
-  const std::size_t n = positions_m.size();
-  std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    const __m256d pos = _mm256_loadu_pd(positions_m.data() + p);
-    __m256d signal = _mm256_setzero_pd();
-    __m256d noise = terminal;
-    for (std::size_t i = 0; i < n_tx; ++i) {
-      const __m256d d =
-          abs4(_mm256_sub_pd(pos, _mm256_set1_pd(tx_pos[i])));
-      const __m256d d_eff = _mm256_max_pd(d, min_d);
-      const __m256d inv_d2 = rcp_newton(_mm256_mul_pd(d_eff, d_eff));
-      signal = _mm256_fmadd_pd(_mm256_set1_pd(sg[i]), inv_d2, signal);
-      noise = _mm256_fmadd_pd(_mm256_set1_pd(ng[i]), inv_d2, noise);
-    }
-    _mm256_storeu_pd(out_ratio.data() + p,
-                     _mm256_mul_pd(signal, rcp_newton(noise)));
-  }
-  if (p < n) {
-    snr_ratio_batch_scalar(tx, positions_m.subspan(p), out_ratio.subspan(p));
-  }
-}
-
-void snr_ratio_masked_batch_avx2_fast(const DownlinkTxSoA& tx,
-                                      std::span<const double> active,
-                                      std::span<const double> positions_m,
-                                      std::span<double> out_ratio) {
-  RAILCORR_EXPECTS(out_ratio.size() == positions_m.size());
-  RAILCORR_EXPECTS(active.size() == tx.size());
-  const std::size_t n_tx = tx.size();
-  const double* const tx_pos = tx.position_m.data();
-  const double* const sg = tx.signal_gain_lin.data();
-  const double* const ng = tx.noise_gain_lin.data();
-  const double* const mask = active.data();
-  const __m256d min_d = _mm256_set1_pd(tx.min_distance_m);
-  const __m256d terminal = _mm256_set1_pd(tx.terminal_noise_mw);
-
-  const std::size_t n = positions_m.size();
-  std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    const __m256d pos = _mm256_loadu_pd(positions_m.data() + p);
-    __m256d signal = _mm256_setzero_pd();
-    __m256d noise = terminal;
-    for (std::size_t i = 0; i < n_tx; ++i) {
-      const __m256d d =
-          abs4(_mm256_sub_pd(pos, _mm256_set1_pd(tx_pos[i])));
-      const __m256d d_eff = _mm256_max_pd(d, min_d);
-      const __m256d inv_d2 = rcp_newton(_mm256_mul_pd(d_eff, d_eff));
-      const __m256d m = _mm256_set1_pd(mask[i]);
-      signal = _mm256_fmadd_pd(
-          _mm256_mul_pd(m, _mm256_set1_pd(sg[i])), inv_d2, signal);
-      noise = _mm256_fmadd_pd(
-          _mm256_mul_pd(m, _mm256_set1_pd(ng[i])), inv_d2, noise);
-    }
-    // IEEE division: a fully dark position (signal == 0, noise ==
-    // terminal floor) must produce ratio 0, not NaN.
-    _mm256_storeu_pd(out_ratio.data() + p, _mm256_div_pd(signal, noise));
-  }
-  if (p < n) {
-    snr_ratio_masked_batch_scalar(tx, active, positions_m.subspan(p),
-                                  out_ratio.subspan(p));
-  }
-}
-
-void uplink_best_ratio_batch_avx2_fast(const UplinkTxSoA& tx,
-                                       std::span<const double> positions_m,
-                                       std::span<double> out_ratio) {
-  RAILCORR_EXPECTS(out_ratio.size() == positions_m.size());
-  const std::size_t n_tx = tx.size();
-  const double* const tx_pos = tx.position_m.data();
-  const double* const gain = tx.snr_gain_lin.data();
-  const double* const inv_fh = tx.inv_fronthaul_lin.data();
-  const __m256d min_d = _mm256_set1_pd(tx.min_distance_m);
-  const __m256d one = _mm256_set1_pd(1.0);
-
-  const std::size_t n = positions_m.size();
-  std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    const __m256d pos = _mm256_loadu_pd(positions_m.data() + p);
-    __m256d best = _mm256_setzero_pd();
-    for (std::size_t i = 0; i < n_tx; ++i) {
-      const __m256d d =
-          abs4(_mm256_sub_pd(pos, _mm256_set1_pd(tx_pos[i])));
-      const __m256d d_eff = _mm256_max_pd(d, min_d);
-      const __m256d x = _mm256_mul_pd(
-          _mm256_set1_pd(gain[i]),
-          rcp_newton(_mm256_mul_pd(d_eff, d_eff)));
-      const __m256d denom =
-          _mm256_fmadd_pd(x, _mm256_set1_pd(inv_fh[i]), one);
-      best = _mm256_max_pd(best, _mm256_mul_pd(x, rcp_newton(denom)));
-    }
-    _mm256_storeu_pd(out_ratio.data() + p, best);
-  }
-  if (p < n) {
-    uplink_best_ratio_batch_scalar(tx, positions_m.subspan(p),
-                                   out_ratio.subspan(p));
-  }
-}
-
-#endif  // __FMA__
 
 }  // namespace railcorr::rf
 

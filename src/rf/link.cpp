@@ -104,9 +104,8 @@ void CorridorLinkModel::snr_batch(std::span<const double> positions_m,
   RAILCORR_EXPECTS(out_snr_db.size() == positions_m.size());
   // Linear ratios land in the output slots; one batched dB pass
   // converts in place (this is why `out_snr_db` must not alias
-  // `positions_m`). Under the default accuracy mode the pass is the
-  // historical 10*log10 libm loop bit for bit; under kFastUlp it is the
-  // polynomial SIMD conversion (vmath.hpp).
+  // `positions_m`). The pass is the historical 10*log10 libm loop bit
+  // for bit (vmath.hpp).
   snr_ratio_batch(soa_, positions_m, out_snr_db);
   vmath::ratio_to_db_batch(out_snr_db, out_snr_db);
 }
@@ -235,8 +234,8 @@ Db CorridorLinkModel::mean_snr_db(double lo_m, double hi_m,
   RAILCORR_EXPECTS(hi_m >= lo_m);
   // dB-domain sum in position order: deterministic and identical to
   // the historical per-position loop. Each ratio block converts to dB
-  // through one batched vmath pass (libm loop in the default mode,
-  // polynomial SIMD under kFastUlp) before the ordered accumulation.
+  // through one batched vmath pass (the libm loop) before the ordered
+  // accumulation.
   double sum = 0.0;
   std::size_t n = 0;
   std::array<double, kBatchBlock> db;

@@ -31,10 +31,9 @@ class ThroughputModel {
 
   /// Batched spectral efficiency over many SNR samples [dB]. The two
   /// transcendental passes (dB -> linear, Shannon log2) run through the
-  /// vmath accuracy/SIMD dispatch: under the default mode the output is
-  /// bit-identical to calling spectral_efficiency per element; under
-  /// kFastUlp the passes are polynomial SIMD within the documented ULP
-  /// bounds. `out_se` must have snr_db.size() slots and must not alias
+  /// vmath batches, so the output is bit-identical to calling
+  /// spectral_efficiency per element. `out_se` must have snr_db.size()
+  /// slots and must not alias
   /// `snr_db` (the input is re-read for the SNR_MIN cutoff after the
   /// linear-domain passes).
   void spectral_efficiency_batch(std::span<const double> snr_db,

@@ -127,8 +127,7 @@ void UplinkModel::snr_batch(std::span<const double> positions_m,
                             std::span<double> out_snr_db) const {
   RAILCORR_EXPECTS(out_snr_db.size() == positions_m.size());
   uplink_best_ratio_batch(soa_, positions_m, out_snr_db);
-  // Batched dB pass: the historical 10*log10 libm loop bit for bit in
-  // the default accuracy mode, polynomial SIMD under kFastUlp.
+  // Batched dB pass: the historical 10*log10 libm loop bit for bit.
   vmath::ratio_to_db_batch(out_snr_db, out_snr_db);
 }
 

@@ -118,20 +118,19 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
+#if defined(RAILCORR_HAVE_AVX2)
 namespace {
 
-/// True when the batch fills should take the AVX2 lane — the same check
-/// the vmath fast dispatch uses (level forced/env/detected, plus FMA).
+/// True when the batch fills should take the AVX2 lane: the active SIMD
+/// level (forced/env/detected) is AVX2 and the CPU has FMA, which the
+/// polynomial cores' 4-wide forms use.
 bool use_batch_avx2() {
-#if defined(RAILCORR_HAVE_AVX2)
   return vmath::active_simd_level() == vmath::SimdLevel::kAvx2 &&
          vmath::cpu_has_fma();
-#else
-  return false;
-#endif
 }
 
 }  // namespace
+#endif
 
 void Rng::normal_batch(std::span<double> out) {
   if (out.empty()) return;

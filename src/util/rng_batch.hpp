@@ -2,7 +2,7 @@
 /// \brief Internal block kernels behind Rng::normal_batch /
 ///        Rng::uniform_batch, exposed so the lane-equivalence tests and
 ///        benches can pin the scalar and AVX2 lanes directly — the same
-///        pattern as util/vmath.hpp's fixed-path variants.
+///        pattern as rf/batch_kernel.hpp's fixed-level kernels.
 ///
 /// A batch call derives `base = next_u64() ^ salt` once and then fills
 /// `out` from the SplitMix64 side stream seeded at `base`: output

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "util/contracts.hpp"
-#include "util/vmath_detail.hpp"
 
 namespace railcorr::vmath {
 
@@ -14,8 +13,6 @@ namespace {
 
 /// -1: no override; otherwise the forced SimdLevel.
 std::atomic<int> g_forced_level{-1};
-/// -1: no override; otherwise the forced AccuracyMode.
-std::atomic<int> g_forced_mode{-1};
 
 SimdLevel detected_level() {
 #if defined(RAILCORR_HAVE_AVX2)
@@ -40,27 +37,6 @@ SimdLevel env_or_detected_level() {
     return detected_level();
   }();
   return resolved;
-}
-
-AccuracyMode env_or_default_mode() {
-  static const AccuracyMode resolved = [] {
-    const char* env = std::getenv("RAILCORR_ACCURACY");
-    if (env != nullptr && std::strcmp(env, "fast") == 0) {
-      return AccuracyMode::kFastUlp;
-    }
-    // "exact" and unknown values keep the bit-exact default.
-    return AccuracyMode::kBitExact;
-  }();
-  return resolved;
-}
-
-/// True when the fast dispatch should take the AVX2 lane.
-bool use_fast_avx2() {
-#if defined(RAILCORR_HAVE_AVX2)
-  return active_simd_level() == SimdLevel::kAvx2 && cpu_has_fma();
-#else
-  return false;
-#endif
 }
 
 }  // namespace
@@ -105,208 +81,32 @@ bool cpu_has_fma() {
 #endif
 }
 
-AccuracyMode active_accuracy_mode() {
-  const int forced = g_forced_mode.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<AccuracyMode>(forced);
-  return env_or_default_mode();
-}
+AccuracyMode active_accuracy_mode() { return AccuracyMode::kBitExact; }
 
-void force_accuracy_mode(AccuracyMode mode) {
-  g_forced_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
+void force_accuracy_mode(AccuracyMode /*mode*/) {}
 
-void reset_accuracy_mode() {
-  g_forced_mode.store(-1, std::memory_order_relaxed);
-}
+std::string_view accuracy_mode_name(AccuracyMode /*mode*/) { return "exact"; }
 
-std::string_view accuracy_mode_name(AccuracyMode mode) {
-  switch (mode) {
-    case AccuracyMode::kFastUlp:
-      return "fast-ulp";
-    case AccuracyMode::kBitExact:
-      break;
-  }
-  return "exact";
-}
-
-bool fast_avx2_active() { return use_fast_avx2(); }
-
-// ---- kBitExact lane ----------------------------------------------------
 // One libm call per element, in element order: byte-identical to the
 // historical scalar loops at every SIMD level.
 
-void log10_batch_exact(std::span<const double> x, std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::log10(x[i]);
-}
-
-void log2_batch_exact(std::span<const double> x, std::span<double> out) {
+void log2_batch(std::span<const double> x, std::span<double> out) {
   RAILCORR_EXPECTS(out.size() == x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::log2(x[i]);
 }
 
-void exp2_batch_exact(std::span<const double> x, std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::exp2(x[i]);
-}
-
-void exp10_batch_exact(std::span<const double> x, std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = std::pow(10.0, x[i]);
-  }
-}
-
-void ratio_to_db_batch_exact(std::span<const double> x,
-                             std::span<double> out) {
+void ratio_to_db_batch(std::span<const double> x, std::span<double> out) {
   RAILCORR_EXPECTS(out.size() == x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     out[i] = 10.0 * std::log10(x[i]);
   }
 }
 
-void db_to_ratio_batch_exact(std::span<const double> x,
-                             std::span<double> out) {
+void db_to_ratio_batch(std::span<const double> x, std::span<double> out) {
   RAILCORR_EXPECTS(out.size() == x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     out[i] = std::pow(10.0, x[i] / 10.0);
   }
 }
-
-void rcp_batch_exact(std::span<const double> x, std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = 1.0 / x[i];
-}
-
-// ---- kFastUlp scalar lane ----------------------------------------------
-// The same polynomial cores as the AVX2 lane, one element at a time
-// (std::fma is correctly rounded on every platform, so the documented
-// ULP bounds hold here too). Out-of-domain elements fall back to libm.
-
-void log10_batch_fast_scalar(std::span<const double> x,
-                             std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = detail::log_fast_ok(x[i]) ? detail::log10_core(x[i])
-                                       : std::log10(x[i]);
-  }
-}
-
-void log2_batch_fast_scalar(std::span<const double> x,
-                            std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = detail::log_fast_ok(x[i]) ? detail::log2_core(x[i])
-                                       : std::log2(x[i]);
-  }
-}
-
-void exp2_batch_fast_scalar(std::span<const double> x,
-                            std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double v = x[i];
-    out[i] = (v >= detail::kExp2Lo && v <= detail::kExp2Hi)
-                 ? detail::exp2_core(v)
-                 : std::exp2(v);
-  }
-}
-
-void exp10_batch_fast_scalar(std::span<const double> x,
-                             std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double v = x[i];
-    out[i] = (v >= -detail::kExp10Range && v <= detail::kExp10Range)
-                 ? detail::exp10_core(v)
-                 : std::pow(10.0, v);
-  }
-}
-
-void ratio_to_db_batch_fast_scalar(std::span<const double> x,
-                                   std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = 10.0 * (detail::log_fast_ok(x[i]) ? detail::log10_core(x[i])
-                                               : std::log10(x[i]));
-  }
-}
-
-void db_to_ratio_batch_fast_scalar(std::span<const double> x,
-                                   std::span<double> out) {
-  RAILCORR_EXPECTS(out.size() == x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double v = x[i];
-    // Dividing by 10 first shares the scalar composition's argument
-    // rounding, so the bound is against pow(10, x/10) as documented.
-    out[i] = (v >= -detail::kDbRange && v <= detail::kDbRange)
-                 ? detail::exp10_core(v / 10.0)
-                 : std::pow(10.0, v / 10.0);
-  }
-}
-
-// ---- dispatch ----------------------------------------------------------
-
-#if defined(RAILCORR_HAVE_AVX2)
-#define RAILCORR_VMATH_DISPATCH(name, x, out)           \
-  do {                                                  \
-    if (active_accuracy_mode() == AccuracyMode::kFastUlp) { \
-      if (use_fast_avx2()) {                            \
-        name##_fast_avx2((x), (out));                   \
-      } else {                                          \
-        name##_fast_scalar((x), (out));                 \
-      }                                                 \
-      return;                                           \
-    }                                                   \
-    name##_exact((x), (out));                           \
-  } while (false)
-#else
-#define RAILCORR_VMATH_DISPATCH(name, x, out)           \
-  do {                                                  \
-    if (active_accuracy_mode() == AccuracyMode::kFastUlp) { \
-      name##_fast_scalar((x), (out));                   \
-      return;                                           \
-    }                                                   \
-    name##_exact((x), (out));                           \
-  } while (false)
-#endif
-
-void log10_batch(std::span<const double> x, std::span<double> out) {
-  RAILCORR_VMATH_DISPATCH(log10_batch, x, out);
-}
-
-void log2_batch(std::span<const double> x, std::span<double> out) {
-  RAILCORR_VMATH_DISPATCH(log2_batch, x, out);
-}
-
-void exp2_batch(std::span<const double> x, std::span<double> out) {
-  RAILCORR_VMATH_DISPATCH(exp2_batch, x, out);
-}
-
-void exp10_batch(std::span<const double> x, std::span<double> out) {
-  RAILCORR_VMATH_DISPATCH(exp10_batch, x, out);
-}
-
-void ratio_to_db_batch(std::span<const double> x, std::span<double> out) {
-  RAILCORR_VMATH_DISPATCH(ratio_to_db_batch, x, out);
-}
-
-void db_to_ratio_batch(std::span<const double> x, std::span<double> out) {
-  RAILCORR_VMATH_DISPATCH(db_to_ratio_batch, x, out);
-}
-
-void rcp_batch(std::span<const double> x, std::span<double> out) {
-  // The scalar fast reciprocal IS the exact one (plain division);
-  // only the AVX2 lane has a distinct Newton form.
-#if defined(RAILCORR_HAVE_AVX2)
-  if (active_accuracy_mode() == AccuracyMode::kFastUlp && use_fast_avx2()) {
-    rcp_batch_fast_avx2(x, out);
-    return;
-  }
-#endif
-  rcp_batch_exact(x, out);
-}
-
-#undef RAILCORR_VMATH_DISPATCH
 
 }  // namespace railcorr::vmath

@@ -1,49 +1,16 @@
 /// \file vmath.hpp
-/// \brief Batched vector math with explicit accuracy modes, and the
-///        process-wide SIMD dispatch shared by every batch kernel.
+/// \brief Batched vector math and the process-wide SIMD dispatch shared
+///        by every batch kernel.
 ///
-/// Two orthogonal switches govern every batched entry point in this
-/// header and the SoA link kernels built on top of it:
+/// One numeric contract governs every batch in this header and the SoA
+/// link kernels built on top of it: each transcendental is evaluated
+/// with the exact scalar-libm call sequence of the per-element loops, so
+/// output is byte-identical at every SIMD level, on every machine with
+/// the same libm. The sweep-merge determinism contract, the golden
+/// digests and the result-cache keys are all stated in it.
 ///
-///  * **SimdLevel** — which instruction set the batch runs on. All
-///    levels of a given accuracy mode satisfy that mode's contract;
-///    `kBitExact` results are additionally bit-identical across levels.
-///  * **AccuracyMode** — which numeric contract the batch honours:
-///    - `kBitExact` (default): every transcendental is evaluated with
-///      the exact same scalar-libm call sequence as the historical
-///      per-element loops. Output is byte-identical to the seed code at
-///      every SIMD level, on every machine with the same libm — this is
-///      the mode the sweep-merge determinism contract is stated in.
-///    - `kFastUlp`: polynomial SIMD transcendentals (log10 / log2 /
-///      exp2 and the dB conversions composed from them) and a
-///      reciprocal-Newton division form, each with a documented,
-///      property-tested ULP bound against scalar libm (see the
-///      per-function bounds below and docs/ARCHITECTURE.md). Results
-///      are deterministic for a fixed (mode, SIMD level, libm) but NOT
-///      bit-identical to `kBitExact`; fast-mode shard documents are
-///      tagged so `railcorr merge` rejects mixed-mode grids.
-///
-/// Mode selection mirrors the SIMD dispatch: a `force_accuracy_mode`
-/// override (tests/benches), else the `RAILCORR_ACCURACY` environment
-/// variable (`exact` / `fast`), else `kBitExact`.
-///
-/// \par Documented kFastUlp error bounds (property-tested)
-///  - `log10_batch`, `log2_batch`, `exp2_batch`: <= 4 ULP against the
-///    correctly-rounded scalar `std::log10` / `std::log2` / `std::exp2`
-///    over the full finite input domain (non-normal inputs and
-///    out-of-range exponents fall back to scalar libm element-wise and
-///    are therefore exact).
-///  - `ratio_to_db_batch` (10*log10(x)): <= 4 ULP against the scalar
-///    composition `10.0 * std::log10(x)`.
-///  - `db_to_ratio_batch` (10^(x/10)): <= 4 ULP against the scalar
-///    composition `std::pow(10.0, x / 10.0)` (the fast path divides by
-///    10 first, sharing the composition's argument rounding).
-///  - `exp10_batch` (10^x): <= 4 ULP against scalar `std::pow(10.0, x)`
-///    for |x| <= 300; larger magnitudes fall back to libm element-wise
-///    and are therefore exact.
-///  - `rcp_batch` / the in-kernel reciprocal-Newton form: <= 2 ULP
-///    against IEEE division (seeded by `vrcpps`, three Newton steps
-///    with FMA residuals).
+/// **SimdLevel** selects the instruction set the batch kernels run on;
+/// all levels produce the same bits.
 ///
 /// \par Thread safety
 /// All batch entry points are pure over their inputs and reentrant.
@@ -80,100 +47,41 @@ void reset_simd_level();
 /// Human-readable name of a level ("scalar", "avx2").
 [[nodiscard]] std::string_view simd_level_name(SimdLevel level);
 
-/// True when the CPU supports FMA3 (cached). The fast-mode AVX2 lanes
-/// require FMA on top of AVX2; virtually every AVX2 CPU has it, but the
-/// dispatch checks rather than assumes.
+/// True when the CPU supports FMA3 (cached). The batched RNG's AVX2
+/// lane requires FMA on top of AVX2; virtually every AVX2 CPU has it,
+/// but the dispatch checks rather than assumes.
 [[nodiscard]] bool cpu_has_fma();
 
-/// Numeric contract of the batched transcendentals (see file header).
+/// \name Accuracy-mode compatibility
+/// There is one numeric contract (see file header); these names remain
+/// for callers that report or pin it.
+///@{
 enum class AccuracyMode {
   kBitExact,  ///< scalar-libm call sequence; byte-identical output
-  kFastUlp,   ///< polynomial SIMD with documented ULP bounds
 };
 
-/// The mode the dispatcher will use: a `force_accuracy_mode` override
-/// if set, else `RAILCORR_ACCURACY` (`exact` / `fast`), else kBitExact.
+/// Always kBitExact.
 [[nodiscard]] AccuracyMode active_accuracy_mode();
 
-/// Pin the accuracy mode. For tests, benchmarks, and drivers that take
-/// the mode from their own command line.
+/// No-op: kBitExact is the only mode.
 void force_accuracy_mode(AccuracyMode mode);
 
-/// Drop any `force_accuracy_mode` override.
-void reset_accuracy_mode();
-
-/// Human-readable name of a mode ("exact", "fast-ulp").
+/// "exact".
 [[nodiscard]] std::string_view accuracy_mode_name(AccuracyMode mode);
+///@}
 
-/// True when the fast AVX2 lane is runnable (build has the TU, CPU has
-/// AVX2 + FMA, and the active SIMD level is kAvx2).
-[[nodiscard]] bool fast_avx2_active();
-
-/// \name Dispatched batches
+/// \name Batches
 /// `out.size()` must equal `x.size()`; `out` may alias `x` exactly
 /// (in-place) or not at all — every slot is read once before it is
-/// written. Each call honours the active accuracy mode and SIMD level.
+/// written. One libm call per element, in element order.
 ///@{
 
-/// out[i] = log10(x[i]).
-void log10_batch(std::span<const double> x, std::span<double> out);
 /// out[i] = log2(x[i]).
 void log2_batch(std::span<const double> x, std::span<double> out);
-/// out[i] = 2^x[i].
-void exp2_batch(std::span<const double> x, std::span<double> out);
-/// out[i] = 10^x[i].
-void exp10_batch(std::span<const double> x, std::span<double> out);
 /// out[i] = 10 * log10(x[i]) — linear power ratio to dB.
 void ratio_to_db_batch(std::span<const double> x, std::span<double> out);
 /// out[i] = 10^(x[i] / 10) — dB to linear power ratio.
 void db_to_ratio_batch(std::span<const double> x, std::span<double> out);
-/// out[i] = 1 / x[i]. kBitExact: IEEE division; kFastUlp on the AVX2
-/// lane: the reciprocal-Newton form (<= 2 ULP).
-void rcp_batch(std::span<const double> x, std::span<double> out);
-///@}
-
-/// \name Fixed-path variants
-/// The concrete implementations behind the dispatcher, exposed so the
-/// property tests and benches can pin each lane directly. The `_exact`
-/// functions are the kBitExact path (identical at every SIMD level);
-/// `_fast_scalar` is the portable polynomial lane; `_fast_avx2` the
-/// 4-wide lane (present only in AVX2 builds; requires a CPU with AVX2
-/// and FMA).
-///@{
-void log10_batch_exact(std::span<const double> x, std::span<double> out);
-void log2_batch_exact(std::span<const double> x, std::span<double> out);
-void exp2_batch_exact(std::span<const double> x, std::span<double> out);
-void exp10_batch_exact(std::span<const double> x, std::span<double> out);
-void ratio_to_db_batch_exact(std::span<const double> x,
-                             std::span<double> out);
-void db_to_ratio_batch_exact(std::span<const double> x,
-                             std::span<double> out);
-void rcp_batch_exact(std::span<const double> x, std::span<double> out);
-
-void log10_batch_fast_scalar(std::span<const double> x,
-                             std::span<double> out);
-void log2_batch_fast_scalar(std::span<const double> x,
-                            std::span<double> out);
-void exp2_batch_fast_scalar(std::span<const double> x,
-                            std::span<double> out);
-void exp10_batch_fast_scalar(std::span<const double> x,
-                             std::span<double> out);
-void ratio_to_db_batch_fast_scalar(std::span<const double> x,
-                                   std::span<double> out);
-void db_to_ratio_batch_fast_scalar(std::span<const double> x,
-                                   std::span<double> out);
-
-#if defined(RAILCORR_HAVE_AVX2)
-void log10_batch_fast_avx2(std::span<const double> x, std::span<double> out);
-void log2_batch_fast_avx2(std::span<const double> x, std::span<double> out);
-void exp2_batch_fast_avx2(std::span<const double> x, std::span<double> out);
-void exp10_batch_fast_avx2(std::span<const double> x, std::span<double> out);
-void ratio_to_db_batch_fast_avx2(std::span<const double> x,
-                                 std::span<double> out);
-void db_to_ratio_batch_fast_avx2(std::span<const double> x,
-                                 std::span<double> out);
-void rcp_batch_fast_avx2(std::span<const double> x, std::span<double> out);
-#endif
 ///@}
 
 }  // namespace railcorr::vmath

@@ -116,7 +116,7 @@ TEST(BaselineGate, EveryRecordedBaselineFileParses) {
   // must carry at least one metric (a floor with nothing to enforce is
   // a recording mistake). A new baseline file must be added here.
   const char* files[] = {"cache.json", "parallel_scaling.json",
-                         "robustness_mc.json", "vmath.json"};
+                         "robustness_mc.json"};
   for (const char* name : files) {
     const std::string path = std::string(RAILCORR_BASELINE_DIR) + "/" + name;
     std::ifstream file(path);

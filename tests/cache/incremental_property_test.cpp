@@ -1,7 +1,7 @@
 /// The incremental re-sweep property: against a persistent result
-/// cache, randomized plan-edit sequences (flip an axis value, change
-/// the accuracy mode, revert) must always produce output byte-identical
-/// to a cold cache-less sweep — and the hit count of every run must
+/// cache, randomized plan-edit sequences (flip either of two axis
+/// values, revert) must always produce output byte-identical to a
+/// cold cache-less sweep — and the hit count of every run must
 /// equal the model's prediction of how many cells were already cached
 /// (the unchanged-cell overlap with everything swept before).
 #include <gtest/gtest.h>
@@ -16,18 +16,17 @@
 #include "core/sweep_runner.hpp"
 #include "corridor/sweep.hpp"
 #include "util/rng.hpp"
-#include "util/vmath.hpp"
 
 namespace railcorr::cache {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// The editable plan state: one flippable axis value + the process
-/// accuracy mode. Cheap evaluation settings keep the 8-cell grid fast.
+/// The editable plan state: two flippable axis values. Cheap evaluation
+/// settings keep the 8-cell grid fast.
 struct PlanState {
   double lp_first = 37.0;
-  bool fast_accuracy = false;
+  int trains_last = 12;
 
   [[nodiscard]] std::string spec() const {
     std::string text =
@@ -37,7 +36,8 @@ struct PlanState {
         "set isd_search.sample_step_m = 50\n";
     text += "axis radio.lp_eirp_dbm = " + std::to_string(lp_first) +
             ", 38, 39, 40\n";
-    text += "axis timetable.trains_per_hour = 6, 12\n";
+    text += "axis timetable.trains_per_hour = 6, " +
+            std::to_string(trains_last) + "\n";
     return text;
   }
 
@@ -65,8 +65,8 @@ TEST(IncrementalProperty, EditSequencesStayByteIdenticalWithPredictedHits) {
         case 0:  // Flip one axis value.
           state.lp_first = state.lp_first == 37.0 ? 37.5 : 37.0;
           break;
-        case 1:  // Change the accuracy mode.
-          state.fast_accuracy = !state.fast_accuracy;
+        case 1:  // Flip the other.
+          state.trains_last = state.trains_last == 12 ? 10 : 12;
           break;
         default:  // Revert to a random earlier state.
           state = history[rng.next() % history.size()];
@@ -75,9 +75,6 @@ TEST(IncrementalProperty, EditSequencesStayByteIdenticalWithPredictedHits) {
       history.push_back(state);
     }
 
-    vmath::force_accuracy_mode(state.fast_accuracy
-                                   ? vmath::AccuracyMode::kFastUlp
-                                   : vmath::AccuracyMode::kBitExact);
     const auto plan = corridor::SweepPlan::from_spec(state.spec());
     const corridor::ShardSpec whole_grid;
 
@@ -115,11 +112,10 @@ TEST(IncrementalProperty, EditSequencesStayByteIdenticalWithPredictedHits) {
 
   // The seeded sequence must actually have exercised both extremes:
   // a fully-reused sweep (a revert or repeat) and a cold one (a fresh
-  // plan or accuracy state).
+  // plan state).
   EXPECT_TRUE(any_full_reuse);
   EXPECT_TRUE(any_cold_start);
 
-  vmath::force_accuracy_mode(vmath::AccuracyMode::kBitExact);
   fs::remove_all(dir);
 }
 

@@ -4,10 +4,12 @@
 /// against another, these digests do not move when the optimized runner
 /// moves, so any byte change in the emitted rows fails here.
 ///
-/// The plans are the seed-0 plans of the end-to-end benchmark
-/// workloads: a 256-cell grid with 32 distinct radio inputs, a 64-cell
-/// arctic sizing sweep sharing one radio input, and a 256-cell
-/// 10-segment corridor where every cell has its own radio input.
+/// The first three plans are the seed-0 plans of the end-to-end
+/// benchmark workloads: a 256-cell grid with 32 distinct radio inputs,
+/// a 64-cell arctic sizing sweep sharing one radio input, and a
+/// 256-cell 10-segment corridor where every cell has its own radio
+/// input. Two small 2- and 3-segment corridors pin the corridor check
+/// at the segment counts next to its single-segment shortcut.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +17,6 @@
 #include "core/sweep_runner.hpp"
 #include "exec/parallel.hpp"
 #include "util/durable_io.hpp"
-#include "util/vmath.hpp"
 
 namespace railcorr::core {
 namespace {
@@ -46,10 +47,22 @@ const GoldenPlan kGoldenPlans[] = {
      "axis radio.hp_eirp_dbm = 55, 58, 61, 64\n"
      "axis link.noise.nf_repeater_db = 4, 5, 6, 7, 8, 9, 10, 11\n",
      false, "@railcorr-crc 384ef207158a99a9"},
+    {"corridor_2_segments",
+     "base = paper\n"
+     "set corridor.segments = 2\n"
+     "axis radio.lp_eirp_dbm = 30, 34, 38, 42\n"
+     "axis link.noise.nf_repeater_db = 4, 7, 10\n",
+     false, "@railcorr-crc c3e641c37f7eebaf"},
+    {"corridor_3_segments",
+     "base = long-corridor\n"
+     "set corridor.segments = 3\n"
+     "axis radio.hp_eirp_dbm = 55, 61\n"
+     "axis radio.lp_eirp_dbm = 30, 36, 42\n"
+     "axis link.noise.nf_repeater_db = 5, 9\n",
+     false, "@railcorr-crc 7c59b6c5e99820f5"},
 };
 
 TEST(SweepGolden, CanonicalPlansMatchPinnedDigests) {
-  vmath::force_accuracy_mode(vmath::AccuracyMode::kBitExact);
   for (const GoldenPlan& golden : kGoldenPlans) {
     const auto plan = corridor::SweepPlan::from_spec(golden.spec);
     SweepRunOptions options;
@@ -63,7 +76,6 @@ TEST(SweepGolden, CanonicalPlansMatchPinnedDigests) {
     }
   }
   exec::set_default_thread_count(0);
-  vmath::reset_accuracy_mode();
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 /// accounting identities that must hold for every deployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -18,8 +20,10 @@
 #include "corridor/cost.hpp"
 #include "corridor/energy.hpp"
 #include "corridor/isd_search.hpp"
+#include "corridor/multi_segment.hpp"
 #include "rf/uplink.hpp"
 #include "traffic/duty.hpp"
+#include "util/config.hpp"
 
 namespace railcorr {
 namespace {
@@ -382,6 +386,55 @@ TEST(TrainsPerHourMonotonicity, SizedSystemNeverShrinks) {
     }
     // The timetable moves the sized system within every base.
     EXPECT_GE(totals.size(), 3u);
+  }
+}
+
+// --- The corridor check against a reference it does not share ---------
+//
+// A row's corridor_min_snr_db is the worst SNR over all K segments at the
+// row's deepest deployment, every neighbour contributing. The sweep gets
+// it from MultiSegmentAnalyzer::min_snr (and skips the check at K = 1);
+// the expected value here is the minimum of per_segment's minima, which
+// the sweep never calls. With one segment it is the single-segment
+// minimum the max-ISD search already reported.
+TEST(CorridorCheck, CorridorMinimumIsTheMinimumOfPerSegmentMinima) {
+  const std::string spec =
+      "base = paper\n"
+      "axis corridor.segments = 1, 2, 3\n"
+      "axis radio.lp_eirp_dbm = 30, 36, 42\n"
+      "axis link.noise.nf_repeater_db = 5, 9\n";
+  const auto plan = corridor::SweepPlan::from_spec(spec);
+  const auto rows = sweep_rows(spec, false);
+  ASSERT_EQ(rows.size(), plan.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& row = rows[i];
+    const core::Scenario scenario = core::scenario_at(plan, i);
+    SCOPED_TRACE("cell " + std::to_string(i) + ", " +
+                 std::to_string(scenario.corridor_segments) + " segment(s)");
+    const int n = std::stoi(row.at("max_n"));
+    ASSERT_GT(n, 0);
+
+    corridor::SegmentDeployment segment;
+    segment.geometry.isd_m = std::stod(row.at("max_isd_m"));
+    segment.geometry.repeater_count = n;
+    segment.geometry.repeater_spacing_m = scenario.repeater_spacing_m;
+    segment.radio = scenario.radio;
+    const corridor::MultiSegmentAnalyzer analyzer(
+        scenario.link, scenario.isd_search.sample_step_m);
+    const auto segments = analyzer.per_segment(
+        corridor::CorridorDeployment::repeat(segment,
+                                             scenario.corridor_segments));
+    ASSERT_EQ(segments.size(),
+              static_cast<std::size_t>(scenario.corridor_segments));
+    double expected = std::numeric_limits<double>::infinity();
+    for (const auto& capacity : segments) {
+      expected = std::min(expected, capacity.min_snr.value());
+    }
+    // Shortest round-trip text: equal strings are equal bits.
+    EXPECT_EQ(row.at("corridor_min_snr_db"), util::format_double(expected));
+    if (scenario.corridor_segments == 1) {
+      EXPECT_EQ(row.at("corridor_min_snr_db"), row.at("min_snr_at_max_db"));
+    }
   }
 }
 

@@ -1,12 +1,11 @@
 /// The resumable-run manifest: header round trips, done-line append
-/// semantics, and the resume-safety checks (fingerprint, banner /
-/// accuracy, shard count, sizing flag).
+/// semantics, and the resume-safety checks (fingerprint, banner, shard
+/// count, sizing flag).
 #include "orch/manifest.hpp"
 
 #include <gtest/gtest.h>
 
 #include "util/config.hpp"
-#include "util/vmath.hpp"
 
 namespace railcorr::orch {
 namespace {
@@ -215,24 +214,22 @@ TEST(RunManifest, MismatchChecksCoverFingerprintShardsAndSizing) {
           .empty());
 }
 
-TEST(RunManifest, AccuracyModeChangesTheBannerAndIsRefused) {
-  const auto plan = tiny_plan();
-  const auto bitexact = RunManifest::plan_run(plan, 2, false);
+TEST(RunManifest, AnEditedBannerIsRefused) {
+  // A run directory whose recorded banner differs from the one this
+  // build writes (for instance one tagged ` accuracy=fast-ulp` by an
+  // older build) must not be resumed, although the plan is the same.
+  const auto wanted = RunManifest::plan_run(tiny_plan(), 2, false);
+  std::string text = wanted.header_text();
+  ASSERT_TRUE(text.ends_with("\nbanner = " + wanted.banner + "\n"));
+  text.insert(text.size() - 1, " accuracy=fast-ulp");
+  const auto recorded = RunManifest::parse(text);
+  EXPECT_EQ(recorded.banner, wanted.banner + " accuracy=fast-ulp");
 
-  vmath::force_accuracy_mode(vmath::AccuracyMode::kFastUlp);
-  const auto fast = RunManifest::plan_run(plan, 2, false);
-  vmath::reset_accuracy_mode();
-
-  ASSERT_NE(bitexact.banner, fast.banner);
-  const auto mismatches = bitexact.mismatches_against(fast);
-  ASSERT_FALSE(mismatches.empty());
-  bool banner_named = false;
-  for (const auto& mismatch : mismatches) {
-    if (mismatch.find("accuracy") != std::string::npos) banner_named = true;
-  }
-  EXPECT_TRUE(banner_named);
-  // Same fingerprint though: the plan itself did not change.
-  EXPECT_EQ(bitexact.fingerprint, fast.fingerprint);
+  const auto mismatches = recorded.mismatches_against(wanted);
+  ASSERT_EQ(mismatches.size(), 1u);
+  EXPECT_NE(mismatches[0].find("banner mismatch"), std::string::npos);
+  EXPECT_NE(mismatches[0].find(recorded.banner), std::string::npos);
+  EXPECT_EQ(recorded.fingerprint, wanted.fingerprint);
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ TEST(ProgressAggregator, FlagsDivergentWorkerBanners) {
   aggregator.on_event(0, *parse_progress_line(banner_line("# banner A")));
   aggregator.on_event(1, *parse_progress_line(banner_line("# banner A")));
   EXPECT_TRUE(aggregator.banner_errors().empty());
-  // Worker 1 restarts in the wrong accuracy mode: caught live.
+  // Worker 1 restarts on a different plan: caught live.
   aggregator.on_event(1, *parse_progress_line(banner_line("# banner B")));
   ASSERT_EQ(aggregator.banner_errors().size(), 1u);
   EXPECT_NE(aggregator.banner_errors()[0].find("# banner B"),

@@ -9,14 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "corridor/deployment.hpp"
 #include "rf/link.hpp"
 #include "rf/uplink.hpp"
-#include "ulp_distance.hpp"
 
 namespace railcorr::rf {
 namespace {
@@ -184,8 +182,10 @@ TEST_F(BatchKernelTest, MaskedScalarAndAvx2BitIdentical) {
   for (const auto& mask : probe_masks(model.soa().size())) {
     std::vector<double> scalar_out(positions.size());
     std::vector<double> avx2_out(positions.size());
-    snr_ratio_masked_batch_scalar(model.soa(), mask, positions, scalar_out);
-    snr_ratio_masked_batch_avx2(model.soa(), mask, positions, avx2_out);
+    force_simd_level(SimdLevel::kScalar);
+    snr_ratio_masked_batch(model.soa(), mask, positions, scalar_out);
+    force_simd_level(SimdLevel::kAvx2);
+    snr_ratio_masked_batch(model.soa(), mask, positions, avx2_out);
     for (std::size_t i = 0; i < positions.size(); ++i) {
       EXPECT_EQ(scalar_out[i], avx2_out[i]) << "position " << positions[i];
     }
@@ -234,95 +234,6 @@ TEST_F(BatchKernelTest, MaskedBatchAgreesWithScalarMaskedSnr) {
           << "position " << positions[i];
     }
   }
-}
-
-// ---- kFastUlp kernel variants ------------------------------------------
-
-using bench::ulp_distance;
-
-bool fast_kernels_available() {
-#if defined(RAILCORR_HAVE_AVX2)
-  return avx2_available() && vmath::cpu_has_fma();
-#else
-  return false;
-#endif
-}
-
-TEST_F(BatchKernelTest, FastKernelRatiosWithinDocumentedUlpBound) {
-  if (!fast_kernels_available()) GTEST_SKIP() << "no AVX2+FMA fast lane";
-#if defined(RAILCORR_HAVE_AVX2)
-  const auto deployment =
-      corridor::SegmentDeployment::with_repeaters(2400.0, 8);
-  LinkModelConfig config;
-  const CorridorLinkModel model(config,
-                                deployment.transmitters(config.carrier));
-  const auto positions = probe_positions(2400.0);
-  std::vector<double> exact(positions.size());
-  std::vector<double> fast(positions.size());
-
-  snr_ratio_batch_avx2(model.soa(), positions, exact);
-  snr_ratio_batch_avx2_fast(model.soa(), positions, fast);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_LE(ulp_distance(exact[i], fast[i]), 8)
-        << "downlink @ " << positions[i];
-  }
-
-  const UplinkModel uplink(config, deployment.transmitters(config.carrier));
-  uplink_best_ratio_batch_avx2(uplink.soa(), positions, exact);
-  uplink_best_ratio_batch_avx2_fast(uplink.soa(), positions, fast);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_LE(ulp_distance(exact[i], fast[i]), 8)
-        << "uplink @ " << positions[i];
-  }
-
-  // Masked fast kernel, including a fully dark mask: zero ratios must
-  // come out exactly zero (the caller's -200 dB floor keys off them).
-  const std::size_t n_tx = model.soa().size();
-  const std::vector<double> half_mask = [&] {
-    std::vector<double> mask(n_tx, 1.0);
-    for (std::size_t i = 0; i < n_tx; i += 2) mask[i] = 0.0;
-    return mask;
-  }();
-  snr_ratio_masked_batch_avx2(model.soa(), half_mask, positions, exact);
-  snr_ratio_masked_batch_avx2_fast(model.soa(), half_mask, positions, fast);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    EXPECT_LE(ulp_distance(exact[i], fast[i]), 8)
-        << "masked @ " << positions[i];
-  }
-  const std::vector<double> dark(n_tx, 0.0);
-  snr_ratio_masked_batch_avx2_fast(model.soa(), dark, positions, fast);
-  for (const double ratio : fast) EXPECT_EQ(ratio, 0.0);
-#endif
-}
-
-TEST_F(BatchKernelTest, AccuracyModeSwitchesTheDispatchedKernel) {
-  if (!fast_kernels_available()) GTEST_SKIP() << "no AVX2+FMA fast lane";
-  const auto deployment =
-      corridor::SegmentDeployment::with_repeaters(2400.0, 8);
-  LinkModelConfig config;
-  const CorridorLinkModel model(config,
-                                deployment.transmitters(config.carrier));
-  const auto positions = probe_positions(2400.0);
-  std::vector<double> exact_db(positions.size());
-  std::vector<double> fast_db(positions.size());
-
-  vmath::force_accuracy_mode(vmath::AccuracyMode::kBitExact);
-  model.snr_batch(positions, exact_db);
-  vmath::force_accuracy_mode(vmath::AccuracyMode::kFastUlp);
-  model.snr_batch(positions, fast_db);
-  vmath::reset_accuracy_mode();
-
-  bool any_difference = false;
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    // The dB error budget: <= 8 ULP on the ratio plus <= 4 ULP on the
-    // conversion is far below 1e-12 dB at corridor SNR magnitudes.
-    EXPECT_NEAR(fast_db[i], exact_db[i], 1e-12)
-        << "position " << positions[i];
-    any_difference = any_difference || fast_db[i] != exact_db[i];
-  }
-  // If nothing differs in the last place the dispatch is not actually
-  // switching kernels.
-  EXPECT_TRUE(any_difference);
 }
 
 }  // namespace

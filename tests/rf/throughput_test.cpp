@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/contracts.hpp"
-#include "util/vmath.hpp"
 
 namespace railcorr::rf {
 namespace {
@@ -99,7 +98,7 @@ TEST_P(AlphaSweepTest, SeProportionalToAlphaBelowSaturation) {
 INSTANTIATE_TEST_SUITE_P(Alphas, AlphaSweepTest,
                          ::testing::Values(0.4, 0.5, 0.6, 0.75, 0.9, 1.0));
 
-TEST(ThroughputModel, BatchMatchesScalarBitwiseInDefaultMode) {
+TEST(ThroughputModel, BatchMatchesScalarBitwise) {
   const ThroughputModel m = ThroughputModel::paper_model();
   std::vector<double> snr_db;
   for (double v = -40.0; v <= 80.0; v += 0.37) snr_db.push_back(v);
@@ -111,24 +110,6 @@ TEST(ThroughputModel, BatchMatchesScalarBitwiseInDefaultMode) {
   for (std::size_t i = 0; i < snr_db.size(); ++i) {
     EXPECT_EQ(se[i], m.spectral_efficiency(Db(snr_db[i])))
         << "at " << snr_db[i] << " dB";
-  }
-}
-
-TEST(ThroughputModel, BatchFastModeWithinTinyDbBudget) {
-  vmath::force_accuracy_mode(vmath::AccuracyMode::kFastUlp);
-  const ThroughputModel m = ThroughputModel::paper_model();
-  std::vector<double> snr_db;
-  for (double v = -40.0; v <= 80.0; v += 0.37) snr_db.push_back(v);
-  std::vector<double> se(snr_db.size());
-  m.spectral_efficiency_batch(snr_db, se);
-  vmath::reset_accuracy_mode();
-  for (std::size_t i = 0; i < snr_db.size(); ++i) {
-    const double reference = m.spectral_efficiency(Db(snr_db[i]));
-    EXPECT_NEAR(se[i], reference, 1e-12) << "at " << snr_db[i] << " dB";
-    // The clamps must be reproduced exactly even in fast mode.
-    if (reference == 0.0 || reference == m.se_max_bps_hz()) {
-      EXPECT_EQ(se[i], reference);
-    }
   }
 }
 

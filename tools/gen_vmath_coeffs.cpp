@@ -1,11 +1,11 @@
-/// Offline generator of the split constants baked into util/vmath.
+/// Offline generator of the constants baked into util/vmath_detail.hpp.
 ///
-/// The fast-mode kernels need a handful of transcendental constants at
-/// better-than-double precision (hi/lo pairs whose sum carries ~106
-/// significant bits) plus the exp2 Taylor coefficients ln2^n / n!.
-/// This program computes them in __float128 and prints the exact
-/// hexfloat doubles pasted into src/util/vmath_detail.hpp. It is not
-/// part of the build; rerun by hand when the tables change:
+/// The batched RNG's polynomial cores need ln(2) as a hi/lo pair whose
+/// sum carries ~106 significant bits, plus the Taylor coefficients of
+/// sin(2 pi f) and cos(2 pi f). This program computes them in
+/// __float128 and prints the exact hexfloat doubles pasted into
+/// src/util/vmath_detail.hpp. It is not part of the build; rerun by
+/// hand when the tables change:
 ///
 ///   g++ -std=c++20 -fext-numeric-literals -O2 \
 ///       tools/gen_vmath_coeffs.cpp -o /tmp/gen && /tmp/gen
@@ -48,35 +48,8 @@ int main() {
   // ln(2) to quad precision (first 34 digits).
   const __float128 kLn2 =
       0.69314718055994530941723212145817657Q;
-  const __float128 kLn10 =
-      2.30258509299404568401799145468436421Q;
   const __float128 kTwoPi =
       6.28318530717958647692528676655900577Q;
-  const __float128 kLog2E = 1.0Q / kLn2;          // log2(e)
-  const __float128 kLog10E = 1.0Q / kLn10;        // log10(e)
-  const __float128 kLog10_2 = kLn2 / kLn10;       // log10(2)
-  const __float128 kLog2_10 = kLn10 / kLn2;       // log2(10)
-
-  std::printf("// log2(x) = e + ln(m) * kLog2E\n");
-  emit_split("kLog2EHi", "kLog2ELo", kLog2E);
-  std::printf("// log10(x) = e * kLog10_2 + ln(m) * kLog10E\n");
-  // Low 27 bits of log10(2)'s hi part cleared: e (|e| <= 1074) times hi
-  // is exact.
-  emit_split("kLog10_2Hi", "kLog10_2Lo", kLog10_2, 27);
-  emit_split("kLog10EHi", "kLog10ELo", kLog10E);
-  std::printf("// 2^q reduction for 10^(x/10) = 2^(q * log2(10))\n");
-  emit_split("kLog2_10Hi", "kLog2_10Lo", kLog2_10);
-
-  std::printf("// exp2 core: 2^f = 1 + sum_n kExp2C[n] * f^(n+1), f in "
-              "[-0.5, 0.5]\n");
-  __float128 term = 1.0Q;
-  for (int n = 1; n <= 13; ++n) {
-    term = term * kLn2 / static_cast<__float128>(n);
-    char name[32];
-    std::snprintf(name, sizeof(name), "kExp2C%d", n);
-    emit(name, static_cast<double>(term));
-  }
-
   std::printf("// ln(x) = e * ln2 + ln(m); low 27 bits of hi cleared so\n"
               "// e * kLn2Hi is exact for |e| <= 1074\n");
   emit_split("kLn2Hi", "kLn2Lo", kLn2, 27);

@@ -35,15 +35,14 @@
 /// entry (default: paper), `--spec FILE` loads a ScenarioSpec document
 /// on top, and repeated `--set key=value` apply final overrides.
 ///
-/// `--accuracy bitexact|fast` (run / sweep / orchestrate) pins the
-/// vector-math accuracy mode from the command line; it wins over the
-/// RAILCORR_ACCURACY environment variable. Orchestrate propagates the
-/// resolved mode to every worker explicitly.
+/// `--accuracy bitexact` (run / sweep / orchestrate) names the one
+/// numeric contract every result is computed in; it is accepted so
+/// existing command lines keep working, and any other value is an
+/// error.
 ///
 /// Exit codes: 0 success; 1 usage/configuration error; 2 determinism
 /// contract violation reported by merge or orchestrate, or a refused
-/// `orchestrate --resume` (plan-fingerprint / accuracy-banner
-/// mismatch).
+/// `orchestrate --resume` (plan-fingerprint / banner mismatch).
 #include <signal.h>
 #include <unistd.h>
 
@@ -80,7 +79,6 @@
 #include "util/contracts.hpp"
 #include "util/durable_io.hpp"
 #include "util/table.hpp"
-#include "util/vmath.hpp"
 
 namespace {
 
@@ -177,8 +175,8 @@ int usage(std::ostream& os) {
         "  --spec FILE               apply a ScenarioSpec document\n"
         "  --set KEY=VALUE           apply one override (repeatable)\n"
         "\n"
-        "--accuracy MODE is 'bitexact' (default; byte-stable everywhere)\n"
-        "or 'fast' (SIMD transcendentals with tested ULP bounds).\n";
+        "--accuracy MODE accepts only 'bitexact', the one numeric\n"
+        "contract (byte-stable everywhere).\n";
   return 1;
 }
 
@@ -219,10 +217,9 @@ void write_grid_output(const std::optional<std::string>& path,
   }
 }
 
-/// Strip `--accuracy MODE` from `args` and pin the vector-math mode.
-/// Shared by run / sweep / orchestrate; the flag wins over the
-/// RAILCORR_ACCURACY environment variable (it calls
-/// force_accuracy_mode).
+/// Strip `--accuracy bitexact` from `args`. Shared by run / sweep /
+/// orchestrate; 'bitexact' is the only numeric contract, so any other
+/// value is rejected.
 void apply_accuracy_option(std::vector<std::string>& args) {
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -230,31 +227,13 @@ void apply_accuracy_option(std::vector<std::string>& args) {
       rest.push_back(args[i]);
       continue;
     }
-    if (i + 1 >= args.size()) {
-      throw ConfigError("--accuracy expects 'bitexact' or 'fast'");
-    }
-    const std::string& value = args[++i];
-    if (value == "bitexact") {
-      railcorr::vmath::force_accuracy_mode(
-          railcorr::vmath::AccuracyMode::kBitExact);
-    } else if (value == "fast") {
-      railcorr::vmath::force_accuracy_mode(
-          railcorr::vmath::AccuracyMode::kFastUlp);
-    } else {
-      throw ConfigError("--accuracy expects 'bitexact' or 'fast', got '" +
-                        value + "'");
+    const std::string value = i + 1 < args.size() ? args[++i] : "";
+    if (value != "bitexact") {
+      throw ConfigError("--accuracy accepts only 'bitexact', got '" + value +
+                        "'");
     }
   }
   args = std::move(rest);
-}
-
-/// The active accuracy mode as its CLI spelling, for propagation to
-/// orchestrated workers.
-std::string active_accuracy_spelling() {
-  return railcorr::vmath::active_accuracy_mode() ==
-                 railcorr::vmath::AccuracyMode::kFastUlp
-             ? "fast"
-             : "bitexact";
 }
 
 railcorr::util::SpecEntry parse_set_option(const std::string& text) {
@@ -891,13 +870,11 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       railcorr::corridor::SweepPlan::from_spec(read_file(plan_file));
 
   // Worker command line: re-exec this binary's sweep verb against the
-  // run directory's canonical plan. The accuracy mode is propagated
-  // explicitly so a worker under a different environment cannot
-  // diverge from the fleet; threads are split across workers so the
-  // fleet does not oversubscribe the machine (each worker's evaluator
-  // is itself parallel, and its rows are thread-count invariant).
+  // run directory's canonical plan. Threads are split across workers so
+  // the fleet does not oversubscribe the machine (each worker's
+  // evaluator is itself parallel, and its rows are thread-count
+  // invariant).
   const std::string self = railcorr::orch::self_executable_path(argv0);
-  const std::string accuracy = active_accuracy_spelling();
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   // Split cores by the fleet's real width: no more workers can run
   // concurrently than there are shards (small grids and explicit
@@ -922,7 +899,7 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
           ? std::max(0.05, options.stall_timeout_s / 4.0)
           : 0.0;
   options.command =
-      [self, worker_plan, accuracy, worker_threads, sizing, inject_kill,
+      [self, worker_plan, worker_threads, sizing, inject_kill,
        chaos_seed, retries, cache_dir, cache_max_mb, fleet_hosts, launcher,
        heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
         // Slot k gets the k-th --threads entry — or, when --hosts was
@@ -952,8 +929,6 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
             "--out",
             attempt.worker_out_path,
             "--progress",
-            "--accuracy",
-            accuracy,
             "--threads",
             std::to_string(threads),
         };
@@ -1069,7 +1044,7 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       std::cerr << "orchestrate: " << result.summary << "\n";
     }
     // Exit 2 mirrors merge: determinism-contract violations AND
-    // refused resumes (fingerprint / accuracy-banner mismatch) are
+    // refused resumes (fingerprint / banner mismatch) are
     // "the grid you asked for is not the grid on disk" conditions.
     return (result.contract_violation || result.manifest_mismatch) ? 2 : 1;
   }
