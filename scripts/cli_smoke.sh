@@ -185,6 +185,8 @@ expect_error 1 "--plan FILE and --out-dir DIR required" \
     orchestrate --workers 2
 expect_error 1 "unknown option '--no-speculate'" \
     orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/x" --no-speculate
+expect_error 1 "unknown option '--inject-kill'" \
+    orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/x" --inject-kill 2
 expect_error 1 "drop --out-dir" \
     orchestrate --resume "$TMP/run" --out-dir "$TMP/other"
 expect_error 1 "--cache-max-mb requires --cache-dir" \

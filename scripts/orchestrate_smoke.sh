@@ -3,9 +3,10 @@
 # run by CI): the acceptance contract of `railcorr orchestrate`, end to
 # end against the real binary on a 64-cell grid:
 #
-#   1. orchestrate with 4 workers and one injected worker kill
-#      (shard 2's first attempt dies on SIGKILL mid-shard) completes
-#      via retry and merges byte-identical to the single-process sweep,
+#   1. orchestrate with 4 workers merges byte-identical to the
+#      single-process sweep (a killed worker's retry is pinned by
+#      OrchestrateEndToEnd in tests/orch/orchestrator_test.cpp, and
+#      chaos_smoke.sh pins kill classification through the CLI),
 #   2. --resume re-runs only the missing shard and reproduces the same
 #      bytes,
 #   3. a resumed run whose plan fingerprint changed is refused, exit 2,
@@ -38,24 +39,10 @@ PLAN
 
 "$BIN" sweep --plan "$TMP/plan.sweep" --out "$TMP/single.csv"
 
-# --- 1: worker fleet with an injected mid-shard kill -----------------
+# --- 1: a 4-worker fleet ---------------------------------------------
 "$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/run" \
-    --workers 4 --inject-kill 2 2> "$TMP/orch.log"
+    --workers 4 2> "$TMP/orch.log"
 
-# The classified failure cause (signal-9) must appear in both the
-# retry log and the manifest's fail audit line.
-if ! grep -q "signal-9" "$TMP/orch.log"; then
-  echo "FAIL: injected kill did not register in the orchestrator log" >&2
-  exit 1
-fi
-if ! grep -q "^fail 2 0 signal-9" "$TMP/run/orchestrate.manifest"; then
-  echo "FAIL: manifest lacks the classified fail line for the killed attempt" >&2
-  exit 1
-fi
-if ! grep -q "re-queued" "$TMP/orch.log"; then
-  echo "FAIL: killed shard was not re-queued" >&2
-  exit 1
-fi
 if ! cmp "$TMP/run/merged.csv" "$TMP/single.csv"; then
   echo "FAIL: orchestrated merge differs from the single-process sweep" >&2
   exit 1

@@ -198,9 +198,8 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
 
   // Telemetry is observation only: spans and clocks wrap stages whose
   // outputs land in per-cell slots, so traced and untraced runs emit
-  // byte-identical documents. Per-cell clocks are read only when
-  // someone consumes them (a progress callback or an enabled metrics
-  // registry).
+  // byte-identical documents. Per-cell clocks are read only when an
+  // enabled metrics registry consumes them.
   auto& metrics = obs::MetricsRegistry::instance();
   static obs::Counter& cells_counter = metrics.counter("sweep.cells");
   static obs::Counter& cached_counter = metrics.counter("sweep.cells_cached");
@@ -209,7 +208,7 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   static obs::Counter& memo_hits_counter =
       metrics.counter("sweep.isd_memo_hits");
   static obs::Histogram& cell_hist = metrics.histogram("sweep.cell_usec");
-  const bool timed = static_cast<bool>(options.progress) || metrics.enabled();
+  const bool timed = metrics.enabled();
   const auto cell_usec = [timed](std::uint64_t start) -> std::uint64_t {
     if (!timed) return 0;
     const std::uint64_t now = obs::usec_now();
@@ -338,7 +337,7 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
     cells_counter.add();
     if (metrics.enabled()) cell_hist.record(usecs[i]);
     if (options.progress) {
-      options.progress(indices[i], i + 1, indices.size(), usecs[i]);
+      options.progress(indices[i], i + 1, indices.size());
     }
   }
   if (cache != nullptr) cache->flush();

@@ -46,22 +46,13 @@ struct SweepRunOptions {
   cache::ResultCache* cache = nullptr;
   /// Called by run_sweep_shard once per owned cell, on the calling
   /// thread and in ascending index order, with (grid cell index, cells
-  /// finished, cells owned by the shard, the cell's compute wall time in
-  /// usec). The CLI's `--progress` mode forwards these to the
-  /// orchestrator's line protocol. Progress emission cannot perturb the
-  /// evaluation: rows are already rendered when the callback fires.
-  /// Empty = off.
-  ///
-  /// Timing semantics: the calls arrive in a burst after the shard's
-  /// stages have run (`sweep --heartbeat` keeps a worker visibly alive
-  /// in the meantime). A computed cell reports its per-cell stage time
-  /// (energy, duty, row render); the shared radio runs and the batched
-  /// sizing are not attributed to individual cells (they appear as the
-  /// `isd_search` and `sizing_batch` spans in a trace instead), and
-  /// cache hits report their lookup time. The figure is a scheduling
-  /// signal, not an exact cost accounting.
-  std::function<void(std::size_t index, std::size_t done, std::size_t total,
-                     std::uint64_t usec)>
+  /// finished, cells owned by the shard). The CLI's `--progress` mode
+  /// forwards these to the orchestrator's line protocol. Progress
+  /// emission cannot perturb the evaluation: rows are already rendered
+  /// when the callback fires. The calls arrive in a burst after the
+  /// shard's stages have run (`sweep --heartbeat` keeps a worker
+  /// visibly alive in the meantime). Empty = off.
+  std::function<void(std::size_t index, std::size_t done, std::size_t total)>
       progress;
 };
 

@@ -91,7 +91,9 @@ FaultSpec parse_fault_spec(std::string_view text) {
 std::optional<FaultSpec> chaos_fault_for(std::uint64_t seed,
                                          std::size_t shard,
                                          std::size_t attempt,
+                                         std::size_t retries,
                                          bool with_hosts, bool with_cache) {
+  if (attempt >= retries) return std::nullopt;
   SplitMix64 rng(seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)) ^
                  (0xbf58476d1ce4e5b9ULL * (attempt + 1)));
   const std::uint64_t u = rng.next();

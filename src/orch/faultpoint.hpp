@@ -116,12 +116,17 @@ FaultSpec parse_fault_spec(std::string_view text);
 /// without a cache), 6 launch-refused (on a local worker a plain
 /// exit-255 failure, charged to the shard), 7 transfer-torn (dropped by
 /// the worker builder, so clean without a fetch step), and only with
-/// hosts 8-9 transfer-stalled and host-flap. Callers consult it only
-/// for attempts below the retry budget, so the last allowed attempt of
-/// every shard runs clean and a chaos run converges by construction.
+/// hosts 8-9 transfer-stalled and host-flap.
+///
+/// Attempts at or past the retry budget (`attempt >= retries`) are
+/// never faulted, so every chaos run converges: a shard's compute
+/// failures can reach the budget only through faulted attempts, and
+/// attempt ordinals grow at least as fast as failures, so the last
+/// allowed attempt of every shard runs clean.
 std::optional<FaultSpec> chaos_fault_for(std::uint64_t seed,
                                          std::size_t shard,
                                          std::size_t attempt,
+                                         std::size_t retries,
                                          bool with_hosts, bool with_cache);
 
 /// Process-wide fault registry. Worker code queries it at each

@@ -5,10 +5,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <filesystem>
+#include <map>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -16,8 +15,8 @@
 #include "orch/manifest.hpp"
 #include "orch/process.hpp"
 #include "orch/progress.hpp"
+#include "orch/scheduler.hpp"
 #include "util/config.hpp"
-#include "util/contracts.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::orch {
@@ -80,65 +79,20 @@ bool shard_file_intact(const fs::path& path, std::string_view banner,
   return shard_document_intact(*document, banner, shard, grid, why);
 }
 
-/// Why a worker attempt failed — drives the retry log, the manifest's
-/// `fail` audit lines, and the per-class stats. The last four are
-/// *transport* classes: they charge the host's health (orch/remote.hpp)
-/// instead of the shard's retry budget, because the shard never got a
-/// fair chance to compute — it migrates to the surviving fleet.
-enum class FailureClass {
-  kExit,
-  kSignal,
-  kTimeout,
-  kStalled,
-  kCorruptOutput,
-  kLaunchRefused,
-  kConnectionLost,
-  kCorruptTransfer,
-  kTransferStalled,
-};
-
-bool is_transport_class(FailureClass cls) {
-  return cls == FailureClass::kLaunchRefused ||
-         cls == FailureClass::kConnectionLost ||
-         cls == FailureClass::kCorruptTransfer ||
-         cls == FailureClass::kTransferStalled;
-}
-
-/// One live worker attempt tracked by the scheduler. A remote attempt
-/// with a fetch step has two phases: the worker process, then — after
-/// it exits 0 — the fetch subprocess pulling the shard file back; the
-/// attempt keeps its slot and host for both.
-struct ActiveAttempt {
-  ActiveAttempt(WorkerAttempt info_, ChildProcess proc_, Clock::time_point now)
-      : info(std::move(info_)),
-        proc(std::move(proc_)),
-        started(now),
-        last_progress(now) {}
-
+/// The driver's half of one live attempt: its paths and processes. A
+/// remote attempt with a fetch step runs the worker, then — after it
+/// exits 0 — the fetch subprocess pulling the shard file back.
+struct LiveAttempt {
   WorkerAttempt info;
   ChildProcess proc;
-  Clock::time_point started;
-  /// Last parsed protocol event (== started until the first one): the
-  /// liveness signal the stall timeout watches.
-  Clock::time_point last_progress;
-  bool timed_out = false;
-  bool stalled = false;
-  /// Any protocol event was parsed from this worker — distinguishes a
-  /// launch the transport refused outright (exit 255, silent) from a
-  /// connection lost mid-shard (exit 255 after events).
-  bool saw_event = false;
-  /// FleetHealth index of the host the attempt occupies.
-  std::size_t host = 0;
-  /// The in-flight fetch subprocess (phase two); engaged only for
-  /// remote attempts whose worker exited 0 under a fetch builder.
+  /// Engaged in the fetch phase.
   std::optional<ChildProcess> fetch;
-  Clock::time_point fetch_started{};
-  /// The fetch exceeded its wall-clock budget and was killed.
-  bool fetch_timed_out = false;
-  /// Recorder-timeline launch/fetch-start stamps backing the
-  /// orchestrator's "attempt" and "fetch" spans (0 when telemetry off).
+  /// Recorder-timeline stamps backing the "attempt" and "fetch" spans
+  /// (0 when telemetry is off).
   std::uint64_t launch_usec = 0;
   std::uint64_t fetch_usec = 0;
+
+  ChildProcess& process() { return fetch.has_value() ? *fetch : proc; }
 };
 
 double elapsed_s(Clock::time_point since, Clock::time_point now) {
@@ -166,6 +120,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
                               const OrchestrateOptions& options) {
   OrchestrateResult result;
   const auto wall_start = Clock::now();
+  // Run-relative seconds: the only clock the Scheduler sees.
+  const auto now_s = [wall_start] {
+    return elapsed_s(wall_start, Clock::now());
+  };
   const auto fail = [&result](std::string message) -> OrchestrateResult& {
     result.errors.push_back(std::move(message));
     return result;
@@ -242,9 +200,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   const RunManifest wanted =
       RunManifest::plan_run(plan, shards, options.include_sizing);
 
-  // Shards still to run; a resume leaves out the intact finished ones.
-  std::deque<std::size_t> pending;
-  std::size_t completed_count = 0;
+  // Shards a resume finds intact, which this run skips.
+  std::vector<bool> resumed(shards, false);
   ProgressAggregator aggregator(grid, shards);
 
   if (previous.has_value()) {
@@ -263,14 +220,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       // reclassified as *not done* and recomputed — resume is
       // self-healing, not a fatal contract check.
       std::string why;
-      if (!previous->is_done(shard)) {
-        pending.push_back(shard);
-      } else if (shard_file_intact(dir / shard_file_name(shard),
-                                   wanted.banner,
-                                   corridor::ShardSpec{shard, shards}, grid,
-                                   &why)) {
-        ++completed_count;
-        ++result.stats.resumed;
+      if (!previous->is_done(shard)) continue;
+      if (shard_file_intact(dir / shard_file_name(shard), wanted.banner,
+                            corridor::ShardSpec{shard, shards}, grid, &why)) {
+        resumed[shard] = true;
         for (const std::size_t index :
              corridor::ShardSpec{shard, shards}.indices(grid)) {
           ProgressEvent event;
@@ -282,19 +235,16 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       } else {
         log("resume: shard " + std::to_string(shard) +
             " marked done but its file is stale (" + why + "); re-running");
-        pending.push_back(shard);
       }
     }
-    log("resume: skipping " + std::to_string(result.stats.resumed) +
+    log("resume: skipping " +
+        std::to_string(std::count(resumed.begin(), resumed.end(), true)) +
         " finished shard(s) of " + std::to_string(shards));
   } else {
     std::string error;
     if (!util::atomic_write_file(manifest_path.string(), wanted.header_text(),
                                  &error)) {
       return fail("cannot write manifest: " + error);
-    }
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      pending.push_back(shard);
     }
   }
 
@@ -319,25 +269,20 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
   }
 
-  // --- fleet ----------------------------------------------------------
-  // Every attempt is placed through FleetHealth; a run without hosts is
-  // a fleet of one `local` host, which no transport failure can charge
-  // (the local path has no launcher and no fetch), so it never leaves
-  // the healthy state. Host health runs on run-relative seconds so
-  // FleetHealth stays a pure, time-injected state machine
-  // (unit-testable without sleeping).
-  FleetHealth fleet(options.hosts.empty()
-                        ? std::vector<std::string>{std::string(kLocalHost)}
-                        : options.hosts,
-                    options.health);
-  const auto run_epoch = Clock::now();
-  const auto now_s = [&run_epoch] {
-    return elapsed_s(run_epoch, Clock::now());
-  };
-  /// Turn pending FleetHealth transitions into manifest `host` audit
-  /// lines, log lines, and stats; called after every acquire/release.
+  // --- the driver ---------------------------------------------------
+  // Every scheduling decision is the Scheduler's; from here on this
+  // function only spawns, polls, kills, verifies and records.
+  Scheduler scheduler(options, resumed);
+  std::vector<LiveAttempt> live;
+  std::string last_summary;
+  // Trace-lane host annotations, keyed by the attempt's trace-file stem
+  // ("shard_<i>.attempt<a>"); filled at launch, consumed at merge.
+  std::map<std::string, std::string> attempt_hosts;
+
+  /// Turn pending host-health transitions into manifest `host` audit
+  /// lines and log lines; called after every launch pass and exit.
   const auto audit_fleet = [&] {
-    for (const auto& event : fleet.drain_events()) {
+    for (const auto& event : scheduler.drain_host_events()) {
       manifest_log.append_line(RunManifest::host_line(event.host,
                                                       event.event));
       if (telemetry) {
@@ -351,14 +296,12 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
         recorder.instant(name, "fleet");
       }
       if (event.event == "quarantine") {
-        ++result.stats.host_quarantines;
         log("host " + event.host + " quarantined; degrading onto " +
-            std::to_string(fleet.healthy()) + " healthy host(s)");
+            std::to_string(scheduler.fleet().healthy()) +
+            " healthy host(s)");
       } else if (event.event == "recover") {
-        ++result.stats.host_recoveries;
         log("host " + event.host + " recovered (re-probe succeeded)");
       } else if (event.event == "dead") {
-        ++result.stats.hosts_dead;
         log("host " + event.host + " declared dead for this run (" +
             std::to_string(options.health.dead_after) + " quarantines)");
       } else {
@@ -367,285 +310,139 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
   };
 
-  // --- scheduler ----------------------------------------------------
-  std::vector<std::size_t> fail_count(shards, 0);
-  std::vector<std::size_t> attempt_no(shards, 0);
-  // Earliest relaunch time per shard (exponential backoff); the epoch
-  // default means "ready now".
-  std::vector<Clock::time_point> not_before(shards, Clock::time_point{});
-  std::vector<bool> slot_used(options.workers, false);
-  std::vector<ActiveAttempt> active;
-  std::size_t attempt_serial = 0;
-  std::string last_summary;
-  // Trace-lane host annotations, keyed by the attempt's trace-file stem
-  // ("shard_<i>.attempt<a>"); filled at launch, consumed at merge.
-  std::map<std::string, std::string> attempt_hosts;
-
-  const auto launch = [&](std::size_t shard, std::size_t host) {
-    // A shard is pending or in flight, never both: no attempt of it may
-    // still be live when it is launched.
-    RAILCORR_EXPECTS(std::none_of(active.begin(), active.end(),
-                                  [shard](const ActiveAttempt& live) {
-                                    return live.info.shard == shard;
-                                  }));
+  const auto launch = [&](const Scheduler::Attempt& placed) {
+    const std::size_t shard = placed.shard;
     WorkerAttempt info;
     info.shard = shard;
     info.shard_count = shards;
-    info.attempt = attempt_no[shard]++;
-    info.host = fleet.name(host);
-    // Lowest free worker slot; launch is only called when
-    // active.size() < workers, so one must be free.
-    std::size_t slot = 0;
-    while (slot + 1 < slot_used.size() && slot_used[slot]) ++slot;
-    slot_used[slot] = true;
-    info.slot = slot;
-    info.out_path =
-        (dir / ("shard_" + std::to_string(shard) + ".attempt" +
-                std::to_string(attempt_serial++) + ".tmp"))
-            .string();
+    info.attempt = placed.attempt;
+    info.slot = placed.slot;
+    info.host = scheduler.fleet().name(placed.host);
+    info.out_path = (dir / ("shard_" + std::to_string(shard) + ".attempt" +
+                            std::to_string(placed.attempt) + ".tmp"))
+                        .string();
     // Remote workers under a fetch step write to a distinct remote-side
     // name: on a real fleet that path lives on the remote machine, and
     // on the localhost fleets tests use it keeps the fetch from
     // degenerating into copying a file onto itself.
-    const bool fetched = options.fetch && info.host != kLocalHost;
-    info.worker_out_path = fetched ? info.out_path + ".remote"
-                                   : info.out_path;
+    const std::string remote = placed.fetch_step ? ".remote" : "";
+    info.worker_out_path = info.out_path + remote;
     if (telemetry) {
       info.trace_path =
-          (trace_dir / trace_file_name(shard, info.attempt)).string();
+          (trace_dir / trace_file_name(shard, placed.attempt)).string();
       info.metrics_path =
-          (trace_dir / metrics_file_name(shard, info.attempt)).string();
-      info.worker_trace_path =
-          fetched ? info.trace_path + ".remote" : info.trace_path;
-      info.worker_metrics_path =
-          fetched ? info.metrics_path + ".remote" : info.metrics_path;
+          (trace_dir / metrics_file_name(shard, placed.attempt)).string();
+      info.worker_trace_path = info.trace_path + remote;
+      info.worker_metrics_path = info.metrics_path + remote;
       attempt_hosts[fs::path(info.trace_path).stem().string()] = info.host;
     }
-    const auto now = Clock::now();
-    ActiveAttempt attempt(info, ChildProcess::spawn(options.command(info)),
-                          now);
-    attempt.host = host;
+    LiveAttempt attempt{info, ChildProcess::spawn(options.command(info)),
+                        std::nullopt, 0, 0};
     if (telemetry) {
       attempt.launch_usec = recorder.now_usec();
       recorder.instant("launch", "orch", "shard", shard);
     }
-    ++result.stats.attempts;
     log("launch shard " + std::to_string(shard) + "/" +
         std::to_string(shards) + " attempt " + std::to_string(info.attempt) +
-        " slot " + std::to_string(slot) + " host " + info.host + " pid " +
+        " slot " + std::to_string(info.slot) + " host " + info.host + " pid " +
         std::to_string(attempt.proc.pid()));
-    active.push_back(std::move(attempt));
+    live.push_back(std::move(attempt));
   };
 
-  const auto drain_into_aggregator = [&](ActiveAttempt& attempt) {
-    if (attempt.fetch.has_value()) {
-      // Fetch tools speak no protocol; drain (and discard) their
-      // output so a chatty transfer command cannot fill the pipe and
-      // block itself.
-      std::vector<std::string> lines;
-      attempt.fetch->drain(lines);
-      return;
-    }
+  /// Read an attempt's pipe. A worker's protocol events feed the
+  /// aggregator and the scheduler's stall clock; a fetch tool speaks no
+  /// protocol, and its output is drained only so a chatty transfer
+  /// cannot fill the pipe and block itself.
+  const auto drain = [&](LiveAttempt& attempt) {
     std::vector<std::string> lines;
-    attempt.proc.drain(lines);
+    attempt.process().drain(lines);
+    if (attempt.fetch.has_value()) return;
     bool any_event = false;
     for (const auto& line : lines) {
-      const auto event = parse_progress_line(line);
-      if (event.has_value()) {
+      if (const auto event = parse_progress_line(line)) {
         aggregator.on_event(attempt.info.shard, *event);
         any_event = true;
       }
     }
-    if (any_event) {
-      attempt.last_progress = Clock::now();
-      attempt.saw_event = true;
-    }
+    if (any_event) scheduler.on_event(attempt.info.shard, now_s());
   };
 
-  /// Classify one failed attempt, bump its stats bucket, append the
-  /// manifest `fail` line, and return the classified cause label for
-  /// the retry log.
-  const auto record_failure = [&](const ActiveAttempt& attempt,
-                                  FailureClass cls, const ExitStatus& status) {
-    std::string cause;
-    switch (cls) {
-      case FailureClass::kTimeout:
-        cause = "timeout";
-        ++result.stats.timed_out;
-        break;
-      case FailureClass::kStalled:
-        cause = "stalled";
-        ++result.stats.stalled;
-        break;
-      case FailureClass::kCorruptOutput:
-        cause = "corrupt-output";
-        ++result.stats.corrupt;
-        break;
-      case FailureClass::kSignal:
-        cause = "signal-" + std::to_string(status.code - 128);
-        break;
-      case FailureClass::kExit:
-        cause = "exit-" + std::to_string(status.code);
-        break;
-      case FailureClass::kLaunchRefused:
-        cause = "launch-refused";
-        ++result.stats.launch_refused;
-        break;
-      case FailureClass::kConnectionLost:
-        cause = "connection-lost";
-        ++result.stats.connection_lost;
-        break;
-      case FailureClass::kCorruptTransfer:
-        cause = "corrupt-transfer";
-        ++result.stats.transfer_corrupt;
-        break;
-      case FailureClass::kTransferStalled:
-        cause = "transfer-stalled";
-        ++result.stats.transfer_stalled;
-        break;
+  /// Exit 0 is a claim, not proof: an attempt's local output — written
+  /// by the worker or fetched from its host — becomes the durable shard
+  /// file only once it passes the integrity checks (trailer, banner,
+  /// row count) and is renamed into place. A torn write or a corrupt
+  /// transfer becomes a classified, retryable failure here instead of
+  /// poisoning the merge or a later resume.
+  const auto publish = [&](const WorkerAttempt& info) {
+    std::string why;
+    if (shard_file_intact(info.out_path, wanted.banner,
+                          corridor::ShardSpec{info.shard, shards}, grid,
+                          &why) &&
+        util::rename_durable(info.out_path,
+                             (dir / shard_file_name(info.shard)).string(),
+                             &why)) {
+      return true;
     }
-    ++result.stats.failures_by_class[cause];
-    // Every failed attempt lands in the manifest for post-mortem;
-    // transport failures charge the host instead of the retry budget
-    // (see settle_failure).
+    log("shard " + std::to_string(info.shard) + " attempt " +
+        std::to_string(info.attempt) + " output from host " + info.host +
+        " rejected: " + why);
+    return false;
+  };
+
+  /// Record a verdict that ended an attempt (or, for pre-merge rot, a
+  /// finished shard) in the manifest and the log. False when the run
+  /// must stop.
+  const auto settle = [&](const Scheduler::Verdict& verdict,
+                          const std::string& host) {
+    const std::string shard = std::to_string(verdict.shard);
+    const std::string attempt = std::to_string(verdict.attempt);
+    if (verdict.kind == Scheduler::Verdict::Kind::kDone) {
+      manifest_log.append_line(
+          RunManifest::done_line(verdict.shard, shard_file_name(verdict.shard)));
+      aggregator.on_shard_complete(verdict.shard);
+      log("shard " + shard + " done (attempt " + attempt + "; " +
+          aggregator.summary() + ")");
+      return true;
+    }
+    // Every failed attempt lands in the manifest for post-mortem.
     manifest_log.append_line(
-        RunManifest::fail_line(attempt.info.shard, attempt.info.attempt,
-                               cause));
-    return cause;
-  };
-
-  /// Exponential, deterministic backoff before the shard's relaunch.
-  const auto apply_backoff = [&](std::size_t shard) {
-    if (options.backoff_base_s <= 0.0) return 0.0;
-    const std::size_t failures = std::max<std::size_t>(1, fail_count[shard]);
-    const double factor =
-        static_cast<double>(1ULL << std::min<std::size_t>(failures - 1, 16));
-    const double backoff =
-        std::min(options.backoff_cap_s, options.backoff_base_s * factor);
-    not_before[shard] =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(backoff));
-    return backoff;
-  };
-
-  /// Poll timeout until the next scheduled wake: the earliest pending
-  /// shard's backoff expiry and the fleet's earliest due re-probe,
-  /// clamped to [1, 50] ms. Next-wake bookkeeping instead of a
-  /// blocking backoff sleep — a shard waiting out its backoff must
-  /// never delay launching other ready shards, and an expired backoff
-  /// or due probe must not wait out a full fixed tick either.
-  const auto next_wake_ms = [&]() -> int {
-    double wake = 0.050;
-    const auto now = Clock::now();
-    for (const std::size_t shard : pending) {
-      if (not_before[shard] <= now) continue;
-      wake = std::min(wake, elapsed_s(now, not_before[shard]));
-    }
-    const auto probe = fleet.next_probe_s();
-    if (probe.has_value()) {
-      wake = std::min(wake, std::max(0.0, *probe - now_s()));
-    }
-    return std::max(1, static_cast<int>(wake * 1000.0 + 0.999));
-  };
-
-  /// Release the attempt's host back to the fleet and audit any health
-  /// transitions.
-  const auto release_host = [&](const ActiveAttempt& attempt,
-                                bool transport_failure) {
-    fleet.release(attempt.host, transport_failure, now_s());
-    audit_fleet();
-  };
-
-  /// The attempt's verified output at `out_path` becomes the durable
-  /// shard file: rename and record the done line. False when the
-  /// rename itself failed (counts as a failure).
-  const auto finalize_shard = [&](const ActiveAttempt& attempt) -> bool {
-    const std::size_t shard = attempt.info.shard;
-    const fs::path durable = dir / shard_file_name(shard);
-    std::string error;
-    if (!util::rename_durable(attempt.info.out_path, durable.string(),
-                              &error)) {
-      log("shard " + std::to_string(shard) +
-          ": cannot finalize shard file: " + error);
-      return false;
-    }
-    ++completed_count;
-    manifest_log.append_line(
-        RunManifest::done_line(shard, shard_file_name(shard)));
-    aggregator.on_shard_complete(shard);
-    log("shard " + std::to_string(shard) + " done (attempt " +
-        std::to_string(attempt.info.attempt) + "; " + aggregator.summary() +
-        ")");
-    return true;
-  };
-
-  /// Shared post-mortem of one failed attempt: record the classified
-  /// manifest `fail` line, then charge either the host (transport
-  /// classes — the shard never got a fair chance to compute) or the
-  /// shard's retry budget (compute classes), and re-queue the shard. A
-  /// transport-failed shard re-queues with no backoff: it migrates to
-  /// the surviving fleet immediately. Returns false when the retry
-  /// budget is exhausted and the run must abort.
-  const auto settle_failure = [&](const ActiveAttempt& attempt,
-                                  FailureClass cls,
-                                  const ExitStatus& status) -> bool {
-    const std::size_t shard = attempt.info.shard;
-    const std::string cause = record_failure(attempt, cls, status);
-    const bool transport = is_transport_class(cls);
-    release_host(attempt, transport);
-    if (transport) {
-      log("shard " + std::to_string(shard) + " attempt " +
-          std::to_string(attempt.info.attempt) + " " + cause + " on host " +
-          attempt.info.host +
+        RunManifest::fail_line(verdict.shard, verdict.attempt, verdict.cause));
+    if (verdict.transport) {
+      log("shard " + shard + " attempt " + attempt + " " + verdict.cause +
+          " on host " + host +
           "; charged to the host, not the shard's retry budget");
     } else {
-      ++fail_count[shard];
-      log("shard " + std::to_string(shard) + " attempt " +
-          std::to_string(attempt.info.attempt) + " " + cause + " (failure " +
-          std::to_string(fail_count[shard]) + "/" +
+      log("shard " + shard + " attempt " + attempt + " " + verdict.cause +
+          " (failure " + std::to_string(verdict.failures) + "/" +
           std::to_string(options.retries + 1) + ")");
     }
-    if (fail_count[shard] > options.retries) {
-      fail("shard " + std::to_string(shard) + " failed " +
-           std::to_string(fail_count[shard]) +
+    if (verdict.kind == Scheduler::Verdict::Kind::kAbort) {
+      fail("shard " + shard + " failed " + std::to_string(verdict.failures) +
            " time(s); retry budget exhausted");
-      return false;  // ActiveAttempt destructors kill the fleet.
+      return false;  // LiveAttempt destructors kill the fleet.
     }
-    const double backoff = transport ? 0.0 : apply_backoff(shard);
-    pending.push_back(shard);
-    ++result.stats.retried;
-    if (telemetry) recorder.instant("retry", "orch", "shard", shard);
-    log("shard " + std::to_string(shard) + " re-queued" +
-        (backoff > 0.0
-             ? " (backoff " + util::format_double(backoff) + "s)"
+    if (telemetry) recorder.instant("retry", "orch", "shard", verdict.shard);
+    log("shard " + shard + " re-queued" +
+        (verdict.backoff_s > 0.0
+             ? " (backoff " + util::format_double(verdict.backoff_s) + "s)"
              : ""));
     return true;
   };
 
   /// Build the one-line run summary, log it, append it to the manifest
-  /// as an `info` audit line, and store it in the result. Called once
-  /// on every exit path that got as far as an open manifest.
+  /// as an `info` audit line, and store it and the stats in the result.
+  /// Called once, on every exit path past the manifest's opening.
   const auto emit_summary = [&] {
+    result.stats = scheduler.stats();
     result.stats.cache_hits = aggregator.cache_hits();
     result.stats.cache_misses = aggregator.cache_misses();
-    std::string s =
-        "run summary: wall=" +
-        util::format_double(elapsed_s(wall_start, Clock::now())) +
-        "s attempts=" + std::to_string(result.stats.attempts) +
-        " retried=" + std::to_string(result.stats.retried);
-    if (!result.stats.failures_by_class.empty()) {
-      s += " [";
-      bool first = true;
-      for (const auto& [cls, n] : result.stats.failures_by_class) {
-        if (!first) s += " ";
-        first = false;
-        s += cls + "=" + std::to_string(n);
-      }
-      s += "]";
-    }
     // The third counter is retired and always 0; it stays so the
     // summary keeps the key set existing parsers read.
-    s += " speculative=0 resumed=" + std::to_string(result.stats.resumed);
+    std::string s =
+        "run summary: wall=" +
+        util::format_double(elapsed_s(wall_start, Clock::now())) + "s " +
+        scheduler.tally() +
+        " speculative=0 resumed=" + std::to_string(result.stats.resumed);
     const std::size_t cache_total =
         result.stats.cache_hits + result.stats.cache_misses;
     if (cache_total > 0) {
@@ -715,21 +512,13 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     if (!telemetry) return;
     auto& metrics = obs::MetricsRegistry::instance();
     {
-      // Fleet-level rollups mirrored into the orchestrator's registry
-      // under their own namespaces (the workers' own sweep.*/cache.*
-      // counters arrive via their metrics files and must not be
-      // double-counted here).
-      std::size_t cells = 0;
-      std::uint64_t cell_usec = 0;
-      for (const auto& timing : aggregator.shard_timings()) {
-        cells += timing.cells;
-        cell_usec += timing.usec_total;
-      }
-      metrics.counter("fleet.cells").add(cells);
-      metrics.counter("fleet.cell_usec").add(cell_usec);
-      metrics.counter("orch.attempts").add(result.stats.attempts);
-      metrics.counter("orch.retried").add(result.stats.retried);
-      metrics.counter("orch.resumed").add(result.stats.resumed);
+      // Fleet-level rollups under the orchestrator's own namespace (the
+      // workers' sweep.*/cache.* counters arrive via their metrics files
+      // and must not be double-counted here).
+      const auto& stats = scheduler.stats();
+      metrics.counter("orch.attempts").add(stats.attempts);
+      metrics.counter("orch.retried").add(stats.retried);
+      metrics.counter("orch.resumed").add(stats.resumed);
       metrics.counter("orch.cache_hits").add(aggregator.cache_hits());
       metrics.counter("orch.cache_misses").add(aggregator.cache_misses());
     }
@@ -799,400 +588,213 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
   };
 
-  while (true) {
-    while (completed_count < shards) {
-      {
-        const auto now = Clock::now();
-        for (std::size_t scan = pending.size();
-             scan > 0 && active.size() < options.workers; --scan) {
-          const std::size_t shard = pending.front();
-          pending.pop_front();
-          if (not_before[shard] > now) {
-            pending.push_back(shard);  // Still backing off.
-            continue;
-          }
-          const auto host = fleet.acquire(now_s());
-          audit_fleet();
-          if (!host.has_value()) {
-            // No host can take work right now (all quarantined or dead,
-            // probes not yet due); no other pending shard would fare
-            // better this pass.
-            pending.push_back(shard);
-            break;
-          }
-          launch(shard, *host);
-        }
+  /// One reaped process of a live attempt: fold its last output, close
+  /// its span, and act on the scheduler's verdict — start the fetch,
+  /// publish the output, finalize or fail. False when the run must stop.
+  const auto reap = [&](std::size_t i, const ExitStatus& status) {
+    LiveAttempt& attempt = live[i];
+    const std::size_t shard = attempt.info.shard;
+    drain(attempt);
+    if (telemetry) {
+      const bool fetched = attempt.fetch.has_value();
+      const std::uint64_t start =
+          fetched ? attempt.fetch_usec : attempt.launch_usec;
+      recorder.complete_at(fetched ? "fetch" : "attempt", "orch", start,
+                           recorder.now_usec() - start, "shard", shard);
+    }
+    auto verdict =
+        scheduler.on_exit(shard, status.code, status.signaled, now_s());
+    if (verdict.kind == Scheduler::Verdict::Kind::kFetch) {
+      try {
+        attempt.fetch.emplace(ChildProcess::spawn(options.fetch(attempt.info)));
+        if (telemetry) attempt.fetch_usec = recorder.now_usec();
+        log("shard " + std::to_string(shard) + " attempt " +
+            std::to_string(attempt.info.attempt) +
+            " worker done; fetching from host " + attempt.info.host);
+        return true;
+      } catch (const std::exception& error) {
+        log("shard " + std::to_string(shard) + " attempt " +
+            std::to_string(attempt.info.attempt) +
+            ": cannot spawn fetch: " + std::string(error.what()));
+        verdict = scheduler.on_exit(shard, 127, false, now_s());
       }
+    }
+    if (verdict.kind == Scheduler::Verdict::Kind::kPublish) {
+      verdict = scheduler.on_output(shard, publish(attempt.info), now_s());
+    }
+    const LiveAttempt ended = std::move(attempt);
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    // Whatever was not published is garbage now, local or remote.
+    fs::remove(ended.info.out_path, ec);
+    fs::remove(ended.info.worker_out_path, ec);
+    const bool go_on = settle(verdict, ended.info.host);
+    if (verdict.kind == Scheduler::Verdict::Kind::kDone) {
+      fetch_telemetry(ended.info);
+    }
+    audit_fleet();
+    return go_on;
+  };
 
-      if (active.empty()) {
-        if (!pending.empty()) {
-          if (fleet.all_dead()) {
+  /// The scheduling loop. True once every shard is done and passed the
+  /// pre-merge check; false when the run must stop.
+  const auto schedule = [&] {
+    while (true) {
+      while (scheduler.incomplete() > 0) {
+        // Refill every free slot before the next poll.
+        while (const auto placed = scheduler.launch(now_s())) {
+          launch(*placed);
+        }
+        audit_fleet();
+        if (live.empty()) {
+          if (scheduler.fleet_dead()) {
             // The hard stop: every host dead, shards incomplete, no
             // attempt in flight. The manifest already audits every
             // quarantine and `host <name> dead` transition, and its
             // `done` lines make the run resumable once the fleet
             // recovers.
+            const std::string hosts = std::to_string(scheduler.fleet().size());
+            const std::string left = std::to_string(scheduler.incomplete());
             result.fleet_dead = true;
-            log("fleet exhausted: all " + std::to_string(fleet.size()) +
-                " host(s) dead, " +
-                std::to_string(shards - completed_count) +
+            log("fleet exhausted: all " + hosts + " host(s) dead, " + left +
                 " shard(s) incomplete; stopping (resume with --resume "
                 "once hosts recover)");
-            fail("all " + std::to_string(fleet.size()) +
-                 " host(s) are dead with " +
-                 std::to_string(shards - completed_count) +
+            fail("all " + hosts + " host(s) are dead with " + left +
                  " shard(s) incomplete; the manifest is resumable — "
                  "re-run with --resume once the fleet recovers");
-            emit_summary();
-            return result;
+            return false;
           }
           // Every incomplete shard is backing off (or waiting on a
           // host re-probe); sleep exactly until the earliest wake.
-          ::poll(nullptr, 0, next_wake_ms());
+          ::poll(nullptr, 0, scheduler.next_wake_ms(now_s()));
           continue;
         }
-        // Unreachable by construction (incomplete shards are pending or
-        // in flight); bail rather than spin if the invariant breaks.
-        fail("internal: no workers in flight with " +
-             std::to_string(shards - completed_count) +
-             " shard(s) incomplete");
-        emit_summary();
-        return result;
-      }
 
-      std::vector<pollfd> fds;
-      fds.reserve(active.size());
-      for (const auto& attempt : active) {
-        const int fd = attempt.fetch.has_value()
-                           ? attempt.fetch->stdout_fd()
-                           : attempt.proc.stdout_fd();
-        if (fd >= 0) fds.push_back(pollfd{fd, POLLIN, 0});
-      }
-      if (!fds.empty()) {
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), next_wake_ms());
-      } else {
-        // Every live worker's pipe already hit EOF (e.g. a worker closed
-        // its stdout but keeps running): sleep the tick instead of
+        // With every pipe at EOF (a worker closed stdout but runs on)
+        // there is nothing to poll, and this sleeps the tick instead of
         // busy-spinning on try_reap.
-        ::poll(nullptr, 0, next_wake_ms());
-      }
-
-      for (auto& attempt : active) drain_into_aggregator(attempt);
-
-      if (options.log != nullptr) {
-        std::string summary = aggregator.summary();
-        if (summary != last_summary) {
-          log(summary);
-          last_summary = std::move(summary);
+        std::vector<pollfd> fds;
+        fds.reserve(live.size());
+        for (auto& attempt : live) {
+          const int fd = attempt.process().stdout_fd();
+          if (fd >= 0) fds.push_back(pollfd{fd, POLLIN, 0});
         }
-      }
+        ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+               scheduler.next_wake_ms(now_s()));
 
-      const auto now = Clock::now();
-      if (options.timeout_s > 0.0) {
-        for (auto& attempt : active) {
-          if (!attempt.fetch.has_value() && !attempt.timed_out &&
-              !attempt.stalled &&
-              elapsed_s(attempt.started, now) > options.timeout_s) {
-            attempt.timed_out = true;
-            log("shard " + std::to_string(attempt.info.shard) + " attempt " +
-                std::to_string(attempt.info.attempt) + " exceeded " +
-                util::format_double(options.timeout_s) + "s, killing");
-            attempt.proc.kill();
+        for (auto& attempt : live) drain(attempt);
+        if (options.log != nullptr) {
+          std::string summary = aggregator.summary();
+          if (summary != last_summary) {
+            log(summary);
+            last_summary = std::move(summary);
           }
         }
-      }
-      if (options.stall_timeout_s > 0.0) {
-        for (auto& attempt : active) {
-          if (!attempt.fetch.has_value() && !attempt.timed_out &&
-              !attempt.stalled &&
-              elapsed_s(attempt.last_progress, now) >
-                  options.stall_timeout_s) {
-            attempt.stalled = true;
-            log("shard " + std::to_string(attempt.info.shard) + " attempt " +
-                std::to_string(attempt.info.attempt) + " silent for " +
-                util::format_double(options.stall_timeout_s) +
-                "s, killing (stalled)");
-            attempt.proc.kill();
-          }
+
+        for (const auto& expired : scheduler.expire(now_s())) {
+          const std::string what =
+              expired.expired == Scheduler::Deadline::kTimeout
+                  ? "exceeded " + util::format_double(options.timeout_s) +
+                        "s, killing"
+              : expired.expired == Scheduler::Deadline::kStall
+                  ? "silent for " +
+                        util::format_double(options.stall_timeout_s) +
+                        "s, killing (stalled)"
+                  : "fetch exceeded its budget, killing (transfer-stalled)";
+          log("shard " + std::to_string(expired.shard) + " attempt " +
+              std::to_string(expired.attempt) + " " + what);
+          std::find_if(live.begin(), live.end(), [&](const LiveAttempt& a) {
+            return a.info.shard == expired.shard;
+          })->process().kill();
         }
-      }
-      // A fetch has its own wall-clock budget (a stuck transfer must
-      // not consume the worker timeout of the *next* attempt).
-      {
-        const double fetch_budget = options.fetch_timeout_s > 0.0
-                                        ? options.fetch_timeout_s
-                                        : options.timeout_s;
-        if (fetch_budget > 0.0) {
-          for (auto& attempt : active) {
-            if (attempt.fetch.has_value() && !attempt.fetch_timed_out &&
-                elapsed_s(attempt.fetch_started, now) > fetch_budget) {
-              attempt.fetch_timed_out = true;
-              log("shard " + std::to_string(attempt.info.shard) +
-                  " attempt " + std::to_string(attempt.info.attempt) +
-                  " fetch exceeded " + util::format_double(fetch_budget) +
-                  "s, killing (transfer-stalled)");
-              attempt.fetch->kill();
-            }
-          }
+
+        for (std::size_t i = live.size(); i-- > 0;) {
+          const auto status = live[i].process().try_reap();
+          if (status.has_value() && !reap(i, *status)) return false;
         }
       }
 
-      for (std::size_t i = active.size(); i-- > 0;) {
-        // --- phase two: an in-flight fetch subprocess ---------------
-        if (active[i].fetch.has_value()) {
-          const auto status = active[i].fetch->try_reap();
-          if (!status.has_value()) continue;
-          drain_into_aggregator(active[i]);
-          if (telemetry) {
-            const std::uint64_t now_u = recorder.now_usec();
-            recorder.complete_at("fetch", "orch", active[i].fetch_usec,
-                                 now_u - active[i].fetch_usec, "shard",
-                                 active[i].info.shard);
-          }
-          ActiveAttempt attempt = std::move(active[i]);
-          active.erase(
-              active.begin() +
-              static_cast<std::vector<ActiveAttempt>::difference_type>(i));
-          slot_used[attempt.info.slot] = false;
-
-          const std::size_t shard = attempt.info.shard;
-          // A fetched file is accepted only after the same integrity
-          // checks a local worker's output must pass (trailer, banner,
-          // row count): fetched-but-corrupt is `corrupt-transfer` and
-          // the shard is recomputed, never trusted.
-          std::string why;
-          bool finalized = false;
-          if (status->code != 0) {
-            why = attempt.fetch_timed_out
-                      ? "fetch killed after exceeding its transfer timeout"
-                      : "fetch exited " + std::to_string(status->code);
-          } else if (shard_file_intact(attempt.info.out_path, wanted.banner,
-                                       corridor::ShardSpec{shard, shards},
-                                       grid, &why)) {
-            finalized = finalize_shard(attempt);
-            if (!finalized) why = "cannot finalize the fetched file";
-          }
-          if (finalized) {
-            fetch_telemetry(attempt.info);
-            fs::remove(attempt.info.worker_out_path, ec);
-            release_host(attempt, /*transport_failure=*/false);
-            continue;
-          }
-          log("shard " + std::to_string(shard) + " attempt " +
-              std::to_string(attempt.info.attempt) + " fetch from host " +
-              attempt.info.host + " rejected: " + why);
-          fs::remove(attempt.info.out_path, ec);
-          fs::remove(attempt.info.worker_out_path, ec);
-          if (!settle_failure(attempt,
-                              attempt.fetch_timed_out
-                                  ? FailureClass::kTransferStalled
-                                  : FailureClass::kCorruptTransfer,
-                              *status)) {
-            emit_summary();
-            return result;
-          }
-          continue;
+      // --- pre-merge verification -----------------------------------
+      // Every shard file was verified when it landed, but a resume may
+      // race external tampering and a finalized file can rot between
+      // fsync and merge; re-verify, and recompute — don't abort — any
+      // bad shard before trusting its bytes.
+      std::vector<std::size_t> bad;
+      for (std::size_t shard = 0; shard < shards; ++shard) {
+        std::string why;
+        if (!shard_file_intact(dir / shard_file_name(shard), wanted.banner,
+                               corridor::ShardSpec{shard, shards}, grid,
+                               &why)) {
+          log("pre-merge: shard " + std::to_string(shard) + " is invalid (" +
+              why + "); recomputing");
+          bad.push_back(shard);
         }
-
-        // --- phase one: the worker process --------------------------
-        const auto status = active[i].proc.try_reap();
-        if (!status.has_value()) continue;
-        drain_into_aggregator(active[i]);
-        if (telemetry) {
-          const std::uint64_t now_u = recorder.now_usec();
-          recorder.complete_at("attempt", "orch", active[i].launch_usec,
-                               now_u - active[i].launch_usec, "shard",
-                               active[i].info.shard);
-        }
-
-        // A remote worker that exited 0 under a fetch builder enters
-        // phase two: the attempt keeps its slot and host while the
-        // fetch subprocess pulls the shard file back.
-        const bool wants_fetch =
-            options.fetch != nullptr && active[i].info.host != kLocalHost;
-        bool fetch_spawn_failed = false;
-        if (status->code == 0 && wants_fetch) {
-          try {
-            active[i].fetch.emplace(
-                ChildProcess::spawn(options.fetch(active[i].info)));
-            active[i].fetch_started = Clock::now();
-            if (telemetry) active[i].fetch_usec = recorder.now_usec();
-            log("shard " + std::to_string(active[i].info.shard) +
-                " attempt " + std::to_string(active[i].info.attempt) +
-                " worker done; fetching from host " + active[i].info.host);
-            continue;
-          } catch (const std::exception& error) {
-            fetch_spawn_failed = true;
-            log("shard " + std::to_string(active[i].info.shard) +
-                " attempt " + std::to_string(active[i].info.attempt) +
-                ": cannot spawn fetch: " + std::string(error.what()));
-          }
-        }
-
-        ActiveAttempt attempt = std::move(active[i]);
-        active.erase(
-            active.begin() +
-            static_cast<std::vector<ActiveAttempt>::difference_type>(i));
-        slot_used[attempt.info.slot] = false;
-
-        const std::size_t shard = attempt.info.shard;
-        bool finalized = false;
-        bool corrupt_output = false;
-        if (status->code == 0 && !wants_fetch) {
-          // Exit 0 is a claim, not proof: verify the document (trailer,
-          // banner, row count) before renaming it into the durable
-          // name. A torn write or silent corruption becomes a
-          // classified, retryable failure here instead of poisoning
-          // the merge or a later resume.
-          std::string why;
-          if (!shard_file_intact(attempt.info.out_path, wanted.banner,
-                                 corridor::ShardSpec{shard, shards}, grid,
-                                 &why)) {
-            corrupt_output = true;
-            log("shard " + std::to_string(shard) + " attempt " +
-                std::to_string(attempt.info.attempt) +
-                " exited 0 but its output is invalid: " + why);
-          } else {
-            finalized = finalize_shard(attempt);
-          }
-        }
-        if (finalized) {
-          release_host(attempt, /*transport_failure=*/false);
-          continue;
-        }
-
-        fs::remove(attempt.info.out_path, ec);
-        fs::remove(attempt.info.worker_out_path, ec);
-
-        FailureClass cls =
-            attempt.timed_out  ? FailureClass::kTimeout
-            : attempt.stalled  ? FailureClass::kStalled
-            : corrupt_output   ? FailureClass::kCorruptOutput
-            : status->signaled ? FailureClass::kSignal
-                               : FailureClass::kExit;
-        if (fetch_spawn_failed) {
-          cls = FailureClass::kCorruptTransfer;
-        } else if (cls == FailureClass::kExit && status->code == 255 &&
-                   attempt.info.host != kLocalHost) {
-          // Exit 255 is the transport's own signature (ssh reserves it
-          // for connection failures; the worker binary never uses it):
-          // before any protocol event it is a refused launch, after
-          // events it is a connection dropped mid-shard.
-          cls = attempt.saw_event ? FailureClass::kConnectionLost
-                                  : FailureClass::kLaunchRefused;
-        }
-        if (!settle_failure(attempt, cls, *status)) {
-          emit_summary();
-          return result;
-        }
+      }
+      if (bad.empty()) return true;
+      for (const std::size_t shard : bad) {
+        fs::remove(dir / shard_file_name(shard), ec);
+        if (!settle(scheduler.on_rot(shard, now_s()), "")) return false;
       }
     }
+  };
 
-    // --- pre-merge verification -------------------------------------
-    // Every shard file was verified at finalize time, but a resume may
-    // race external tampering and a finalized file can rot between
-    // fsync and merge; re-verify and reclassify any bad shard as not
-    // done — recompute, don't abort — before trusting its bytes.
-    std::vector<std::size_t> bad;
+  /// Merge the verified shard files into merged.csv.
+  const auto merge = [&] {
+    for (const auto& error : aggregator.banner_errors()) {
+      result.errors.push_back(error);
+    }
+    // The fleet's banner must be the one this invocation planned — a
+    // divergence means the workers evaluated a different plan than the
+    // manifest records (e.g. a tampered plan.sweep), and the merged
+    // output would be mislabeled.
+    if (!aggregator.banner().empty() &&
+        aggregator.banner() != wanted.banner) {
+      result.errors.push_back("worker fleet produced banner '" +
+                              aggregator.banner() +
+                              "' but this run planned '" + wanted.banner +
+                              "'");
+    }
+
+    std::vector<std::string> documents;
+    std::vector<std::string> names;
+    documents.reserve(shards);
+    names.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      std::string why;
-      if (!shard_file_intact(dir / shard_file_name(shard), wanted.banner,
-                             corridor::ShardSpec{shard, shards}, grid,
-                             &why)) {
-        log("pre-merge: shard " + std::to_string(shard) + " is invalid (" +
-            why + "); recomputing");
-        bad.push_back(shard);
+      const fs::path path = dir / shard_file_name(shard);
+      auto document = util::read_file_fully(path.string());
+      if (!document.has_value()) {
+        fail("finalized shard file vanished: '" + path.string() + "'");
+        return;
       }
+      documents.push_back(std::move(*document));
+      names.push_back(path.string());
     }
-    if (bad.empty()) break;
-    for (const std::size_t shard : bad) {
-      ++fail_count[shard];
-      ++result.stats.corrupt;
-      manifest_log.append_line(RunManifest::fail_line(
-          shard, attempt_no[shard], "corrupt-output"));
-      if (fail_count[shard] > options.retries) {
-        fail("shard " + std::to_string(shard) +
-             " repeatedly corrupt; retry budget exhausted");
-        emit_summary();
-        return result;
+    auto merged = corridor::merge_shards(documents, names);
+    if (!merged.ok) {
+      result.contract_violation = merged.contract_violation;
+      for (auto& error : merged.errors) {
+        result.errors.push_back(std::move(error));
       }
-      fs::remove(dir / shard_file_name(shard), ec);
-      --completed_count;
-      apply_backoff(shard);
-      pending.push_back(shard);
-      ++result.stats.retried;
+      return;
     }
-  }
+    if (!result.errors.empty()) return;
 
-  // --- merge --------------------------------------------------------
-  result.stats.cache_hits = aggregator.cache_hits();
-  result.stats.cache_misses = aggregator.cache_misses();
-  for (const auto& error : aggregator.banner_errors()) {
-    result.errors.push_back(error);
-  }
-  // The fleet's banner must be the one this invocation planned — a
-  // divergence means the workers evaluated a different plan than the
-  // manifest records (e.g. a tampered plan.sweep), and the merged
-  // output would be mislabeled.
-  if (!aggregator.banner().empty() && aggregator.banner() != wanted.banner) {
-    result.errors.push_back("worker fleet produced banner '" +
-                            aggregator.banner() +
-                            "' but this run planned '" + wanted.banner + "'");
-  }
-
-  std::vector<std::string> documents;
-  std::vector<std::string> names;
-  documents.reserve(shards);
-  names.reserve(shards);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const fs::path path = dir / shard_file_name(shard);
-    auto document = util::read_file_fully(path.string());
-    if (!document.has_value()) {
-      fail("finalized shard file vanished: '" + path.string() + "'");
-      return result;
-    }
-    documents.push_back(std::move(*document));
-    names.push_back(path.string());
-  }
-  auto merge = corridor::merge_shards(documents, names);
-  if (!merge.ok) {
-    result.contract_violation = merge.contract_violation;
-    for (auto& error : merge.errors) result.errors.push_back(std::move(error));
-    emit_summary();
-    return result;
-  }
-  if (!result.errors.empty()) {
-    emit_summary();
-    return result;
-  }
-
-  const fs::path merged_path = dir / "merged.csv";
-  {
+    const fs::path merged_path = dir / "merged.csv";
     std::string error;
     if (!util::atomic_write_file(merged_path.string(),
-                                 util::with_integrity_trailer(merge.merged),
+                                 util::with_integrity_trailer(merged.merged),
                                  &error)) {
-      return fail("cannot write merged output: " + error);
+      fail("cannot write merged output: " + error);
+      return;
     }
-  }
-  result.ok = true;
-  result.merged_path = merged_path.string();
-  result.merged = std::move(merge.merged);
-  write_telemetry();
-  log("merged " + std::to_string(grid) + " cells from " +
-      std::to_string(shards) + " shard(s) into " + result.merged_path + " (" +
-      std::to_string(result.stats.attempts) + " attempt(s), " +
-      std::to_string(result.stats.retried) + " retried, " +
-      std::to_string(result.stats.resumed) + " resumed, " +
-      std::to_string(result.stats.timed_out) + " timed out, " +
-      std::to_string(result.stats.stalled) + " stalled, " +
-      std::to_string(result.stats.corrupt) + " corrupt" +
-      (result.stats.cache_hits + result.stats.cache_misses > 0
-           ? ", cache " + std::to_string(result.stats.cache_hits) +
-                 " hit(s) / " + std::to_string(result.stats.cache_misses) +
-                 " miss(es)"
-           : "") +
-      ")");
+    result.ok = true;
+    result.merged_path = merged_path.string();
+    result.merged = std::move(merged.merged);
+    write_telemetry();
+    log("merged " + std::to_string(grid) + " cells from " +
+        std::to_string(shards) + " shard(s) into " + result.merged_path);
+  };
+
+  if (schedule()) merge();
   emit_summary();
   return result;
 }

@@ -20,8 +20,11 @@
 /// caught twice: live, by the aggregator comparing worker banners, and
 /// at the end, by the merge's banner and byte-identity checks.
 ///
-/// The scheduler is transport-agnostic: it launches whatever argv the
-/// `command` callback builds for an attempt, so tests drive it with
+/// Every scheduling decision — queue, slots, retry budget and backoff,
+/// placement, deadlines, failure classes, verdicts — is made by the
+/// pure, clock-free Scheduler (orch/scheduler.hpp); orchestrate() is
+/// the POSIX driver that carries them out. It launches whatever argv
+/// the `command` callback builds for an attempt, so tests drive it with
 /// toy shell workers and the CLI drives it with the real binary.
 ///
 /// Placement is one code path (orch/remote.hpp): every attempt is

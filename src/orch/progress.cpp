@@ -1,7 +1,6 @@
 #include "orch/progress.hpp"
 
 #include <chrono>
-#include <map>
 
 namespace railcorr::orch {
 
@@ -45,25 +44,15 @@ std::string start_line(std::size_t shard, std::size_t shard_count,
          std::to_string(shard_count) + " cells=" + std::to_string(cells);
 }
 
-std::string cell_line(std::size_t index, std::size_t done, std::size_t total,
-                      std::size_t usec) {
+std::string cell_line(std::size_t index, std::size_t done,
+                      std::size_t total) {
   return std::string(kMagic) + "cell index=" + std::to_string(index) +
-         " done=" + std::to_string(done) + " total=" + std::to_string(total) +
-         " usec=" + std::to_string(usec);
+         " done=" + std::to_string(done) + " total=" + std::to_string(total);
 }
 
 std::string cache_line(std::size_t hits, std::size_t misses) {
   return std::string(kMagic) + "cache hits=" + std::to_string(hits) +
          " misses=" + std::to_string(misses);
-}
-
-std::string metrics_line(
-    const std::vector<std::pair<std::string, std::size_t>>& metrics) {
-  std::string line = std::string(kMagic) + "metrics";
-  for (const auto& [key, value] : metrics) {
-    line += " " + key + "=" + std::to_string(value);
-  }
-  return line;
 }
 
 std::string heartbeat_line() { return std::string(kMagic) + "heartbeat"; }
@@ -112,12 +101,6 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
         !take_field(rest, "total", event.total, /*leading_space=*/true)) {
       return std::nullopt;
     }
-    // `usec` is optional: pre-telemetry workers end the line at
-    // `total`, and the parser stays forward-compatible with both.
-    if (!rest.empty() &&
-        !take_field(rest, "usec", event.usec, /*leading_space=*/true)) {
-      return std::nullopt;
-    }
     return rest.empty() ? std::optional<ProgressEvent>(event) : std::nullopt;
   }
   if (rest.starts_with("cache ")) {
@@ -128,40 +111,6 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
       return std::nullopt;
     }
     return rest.empty() ? std::optional<ProgressEvent>(event) : std::nullopt;
-  }
-  if (rest.starts_with("metrics ")) {
-    rest.remove_prefix(8);
-    event.kind = ProgressEvent::Kind::kMetrics;
-    for (;;) {
-      std::string key;
-      while (!rest.empty()) {
-        const char c = rest.front();
-        const bool key_char = (c >= 'a' && c <= 'z') ||
-                              (c >= 'A' && c <= 'Z') ||
-                              (c >= '0' && c <= '9') || c == '_' ||
-                              c == '.' || c == '-';
-        if (!key_char) break;
-        key.push_back(c);
-        rest.remove_prefix(1);
-      }
-      if (key.empty() || rest.empty() || rest.front() != '=') {
-        return std::nullopt;
-      }
-      rest.remove_prefix(1);
-      std::size_t value = 0;
-      bool any = false;
-      while (!rest.empty() && rest.front() >= '0' && rest.front() <= '9') {
-        value = value * 10 + static_cast<std::size_t>(rest.front() - '0');
-        rest.remove_prefix(1);
-        any = true;
-      }
-      if (!any) return std::nullopt;
-      event.metrics.emplace_back(std::move(key), value);
-      if (rest.empty()) break;
-      if (rest.front() != ' ') return std::nullopt;
-      rest.remove_prefix(1);
-    }
-    return event;
   }
   if (rest == "heartbeat") {
     event.kind = ProgressEvent::Kind::kHeartbeat;
@@ -185,9 +134,7 @@ ProgressAggregator::ProgressAggregator(std::size_t grid_cells,
       cell_seen_(grid_cells, false),
       shard_done_(shard_count, false),
       shard_cache_hits_(shard_count, 0),
-      shard_cache_misses_(shard_count, 0),
-      shard_metrics_(shard_count),
-      shard_timings_(shard_count) {}
+      shard_cache_misses_(shard_count, 0) {}
 
 void ProgressAggregator::on_event(std::size_t shard,
                                   const ProgressEvent& event) {
@@ -206,12 +153,6 @@ void ProgressAggregator::on_event(std::size_t shard,
       if (event.index < cell_seen_.size() && !cell_seen_[event.index]) {
         cell_seen_[event.index] = true;
         ++cells_done_;
-        // Timing follows the same first-seen rule: a retried attempt
-        // re-reporting a cell adds neither a cell nor its usec.
-        if (shard < shard_timings_.size()) {
-          ++shard_timings_[shard].cells;
-          shard_timings_[shard].usec_total += event.usec;
-        }
       }
       break;
     case ProgressEvent::Kind::kCache:
@@ -221,12 +162,6 @@ void ProgressAggregator::on_event(std::size_t shard,
       if (shard < shard_cache_hits_.size()) {
         shard_cache_hits_[shard] = event.hits;
         shard_cache_misses_[shard] = event.misses;
-      }
-      break;
-    case ProgressEvent::Kind::kMetrics:
-      // Latest report wins, exactly like the cache tally.
-      if (shard < shard_metrics_.size()) {
-        shard_metrics_[shard] = event.metrics;
       }
       break;
     case ProgressEvent::Kind::kStart:
@@ -248,15 +183,6 @@ std::size_t ProgressAggregator::cache_misses() const {
   std::size_t total = 0;
   for (const std::size_t misses : shard_cache_misses_) total += misses;
   return total;
-}
-
-std::vector<std::pair<std::string, std::size_t>>
-ProgressAggregator::metric_totals() const {
-  std::map<std::string, std::size_t> totals;
-  for (const auto& shard : shard_metrics_) {
-    for (const auto& [key, value] : shard) totals[key] += value;
-  }
-  return {totals.begin(), totals.end()};
 }
 
 void ProgressAggregator::on_shard_complete(std::size_t shard) {

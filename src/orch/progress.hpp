@@ -9,9 +9,8 @@
 ///
 ///     @railcorr 1 banner # railcorr-sweep-v1 fingerprint=<hex16> grid=<N>
 ///     @railcorr 1 start shard=<i>/<N> cells=<n>
-///     @railcorr 1 cell index=<grid index> done=<k> total=<n> usec=<t>
+///     @railcorr 1 cell index=<grid index> done=<k> total=<n>
 ///     @railcorr 1 cache hits=<h> misses=<m>
-///     @railcorr 1 metrics <key>=<v> [<key>=<v> ...]
 ///     @railcorr 1 heartbeat
 ///     @railcorr 1 done rows=<n>
 ///
@@ -20,14 +19,9 @@
 /// per shard the aggregator keeps the latest report, so a retried
 /// attempt replaces — never double-counts — its predecessor's.
 ///
-/// The cell event's `usec` field carries the cell's own compute wall
-/// time (microseconds; the shard's shared stages are not attributed to
-/// cells); it is optional on parse (older workers omit it) and
-/// feeds the aggregator's per-shard timing summary — the input adaptive
-/// shard sizing needs. The metrics event snapshots the worker's
-/// counter registry (obs/metrics.hpp), keys restricted to
-/// [A-Za-z0-9_.-]; like the cache tally, the aggregator keeps the
-/// latest report per shard.
+/// The protocol carries progress and liveness, not timing: a worker's
+/// per-cell and per-stage times go to its own `--trace` spans and
+/// `--metrics` counters, which the orchestrator merges after the run.
 ///
 /// The heartbeat event carries no payload and is ignored by the
 /// aggregator's tallies; its only job is liveness. A worker emits its
@@ -40,7 +34,8 @@
 /// `@railcorr 1` is the protocol magic + version; unknown lines (a
 /// worker's stray print, a future protocol extension) parse to
 /// std::nullopt and are ignored by the aggregator, so the protocol is
-/// forward-compatible by construction.
+/// forward-compatible by construction. Fields are exact: an event with
+/// a missing, malformed or extra field parses to std::nullopt too.
 ///
 /// The banner event carries the worker's shard banner *verbatim* —
 /// plan fingerprint and grid size. The aggregator compares every
@@ -57,7 +52,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace railcorr::orch {
@@ -69,7 +63,6 @@ struct ProgressEvent {
     kStart,
     kCell,
     kCache,
-    kMetrics,
     kHeartbeat,
     kDone
   };
@@ -80,17 +73,13 @@ struct ProgressEvent {
   std::size_t shard = 0;
   std::size_t shard_count = 0;
   std::size_t cells = 0;
-  /// kCell: the grid cell just finished, the shard-local tally, and
-  /// the cell's compute time (0 when the worker did not report one).
+  /// kCell: the grid cell just finished and the shard-local tally.
   std::size_t index = 0;
   std::size_t done = 0;
   std::size_t total = 0;
-  std::size_t usec = 0;
   /// kCache: the worker's result-cache lookup tallies.
   std::size_t hits = 0;
   std::size_t misses = 0;
-  /// kMetrics: the worker's counter snapshot, sorted by key.
-  std::vector<std::pair<std::string, std::size_t>> metrics;
   /// kDone: CSV rows written (excluding banner + header).
   std::size_t rows = 0;
 };
@@ -100,13 +89,8 @@ struct ProgressEvent {
 std::string banner_line(std::string_view banner);
 std::string start_line(std::size_t shard, std::size_t shard_count,
                        std::size_t cells);
-std::string cell_line(std::size_t index, std::size_t done, std::size_t total,
-                      std::size_t usec = 0);
+std::string cell_line(std::size_t index, std::size_t done, std::size_t total);
 std::string cache_line(std::size_t hits, std::size_t misses);
-/// Keys must be non-empty and drawn from [A-Za-z0-9_.-]; at least one
-/// pair is required (an empty snapshot emits no line at all).
-std::string metrics_line(
-    const std::vector<std::pair<std::string, std::size_t>>& metrics);
 std::string heartbeat_line();
 std::string done_line(std::size_t rows);
 ///@}
@@ -142,23 +126,6 @@ class ProgressAggregator {
   [[nodiscard]] std::size_t cache_hits() const;
   [[nodiscard]] std::size_t cache_misses() const;
 
-  /// Fleet-wide counter totals: the sum over shards of each shard's
-  /// latest `metrics` report, keyed by counter name (sorted). Empty
-  /// when no worker reported one (workers without --metrics).
-  [[nodiscard]] std::vector<std::pair<std::string, std::size_t>>
-  metric_totals() const;
-
-  /// Per-shard compute-time summary, fed by the cell events' `usec`
-  /// field. Only first-seen cells accumulate (like cells_done), so a
-  /// retried attempt re-reporting cells never double-counts time.
-  struct ShardTiming {
-    std::size_t cells = 0;      ///< cells this shard reported first
-    std::size_t usec_total = 0; ///< their summed compute time
-  };
-  [[nodiscard]] const std::vector<ShardTiming>& shard_timings() const {
-    return shard_timings_;
-  }
-
   /// The first banner any worker reported (empty until then).
   [[nodiscard]] const std::string& banner() const { return banner_; }
 
@@ -184,10 +151,6 @@ class ProgressAggregator {
   /// Latest cache report per shard (a retried attempt overwrites).
   std::vector<std::size_t> shard_cache_hits_;
   std::vector<std::size_t> shard_cache_misses_;
-  /// Latest metrics report per shard (a retried attempt overwrites).
-  std::vector<std::vector<std::pair<std::string, std::size_t>>>
-      shard_metrics_;
-  std::vector<ShardTiming> shard_timings_;
   std::string banner_;
   std::vector<std::string> banner_errors_;
 };

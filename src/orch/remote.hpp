@@ -3,8 +3,8 @@
 ///        launcher/fetch command templates and the host-health model
 ///        that keeps a flaky fleet from poisoning a run.
 ///
-/// The scheduler in orchestrator.cpp is argv-agnostic — it launches
-/// whatever command line the `command` callback builds. Distribution
+/// The orchestrator is argv-agnostic — it launches whatever command
+/// line the `command` callback builds. Distribution
 /// is therefore *not* a scheduler rewrite: it is (a) a command builder
 /// that wraps the worker argv in a user-supplied launcher template
 /// ("ssh {host} {cmd}"), (b) a fetch step that pulls the remote shard

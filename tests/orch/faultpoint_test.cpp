@@ -128,10 +128,17 @@ TEST(ChaosSchedule, SeedSevenWithoutHostsOrCacheIsPinned) {
   };
   for (const auto& draw : pinned) {
     const auto fault = chaos_fault_for(7, draw.shard, draw.attempt,
-                                       /*with_hosts=*/false,
+                                       /*retries=*/3, /*with_hosts=*/false,
                                        /*with_cache=*/false);
     ASSERT_TRUE(fault.has_value()) << draw.shard << "/" << draw.attempt;
     EXPECT_EQ(fault_spec_string(*fault), draw.fault)
+        << draw.shard << "/" << draw.attempt;
+    // At the retry budget the same draw runs clean: the attempt a shard
+    // falls back on when every earlier one failed is never faulted.
+    EXPECT_FALSE(chaos_fault_for(7, draw.shard, draw.attempt,
+                                 /*retries=*/draw.attempt,
+                                 /*with_hosts=*/false, /*with_cache=*/false)
+                     .has_value())
         << draw.shard << "/" << draw.attempt;
   }
 }
@@ -141,7 +148,8 @@ TEST(ChaosSchedule, CacheAndNetworkFaultsNeedTheirSubsystem) {
     for (std::size_t shard = 0; shard < 16; ++shard) {
       for (std::size_t attempt = 0; attempt < 4; ++attempt) {
         for (const bool hosts : {false, true}) {
-          const auto fault = chaos_fault_for(seed, shard, attempt, hosts,
+          const auto fault = chaos_fault_for(seed, shard, attempt,
+                                             /*retries=*/4, hosts,
                                              /*with_cache=*/false);
           if (!fault.has_value()) continue;
           EXPECT_NE(fault->kind, FaultKind::kCacheTornWrite);
@@ -150,6 +158,7 @@ TEST(ChaosSchedule, CacheAndNetworkFaultsNeedTheirSubsystem) {
         }
         for (const bool cache : {false, true}) {
           const auto fault = chaos_fault_for(seed, shard, attempt,
+                                             /*retries=*/4,
                                              /*with_hosts=*/false, cache);
           if (!fault.has_value()) continue;
           EXPECT_NE(fault->kind, FaultKind::kTransferStalled);

@@ -472,6 +472,66 @@ TEST(Orchestrate, ResumeRefusesAMismatchedPlanFingerprint) {
   EXPECT_NE(result.errors[0].find("fingerprint"), std::string::npos);
 }
 
+TEST(Orchestrate, ShardRottedBeforeMergeIsACountedCorruptOutputFailure) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const auto docs = stage_toy_docs(plan, staging.path, 2);
+
+  OrchestrateOptions options;
+  options.workers = 1;  // shard 0 is final before shard 1 launches
+  options.shards = 2;
+  options.retries = 1;
+  options.backoff_base_s = 0.0;
+  const std::string rotting = (run.path / shard_file_name(0)).string();
+  options.command = [&docs, &rotting](const WorkerAttempt& attempt) {
+    std::string script = "cat '" + docs[attempt.shard] + "' > '" +
+                         attempt.out_path + "'";
+    // Shard 1's worker also truncates the finalized shard 0 file: only
+    // the pre-merge check can catch it.
+    if (attempt.shard == 1) script += "; : > '" + rotting + "'";
+    return sh(script);
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  const auto expected =
+      corridor::merge_shards({toy_doc(plan, 0, 2), toy_doc(plan, 1, 2)});
+  ASSERT_TRUE(expected.ok);
+  EXPECT_EQ(result.merged, expected.merged);
+  EXPECT_EQ(result.stats.retried, 1u);
+  EXPECT_EQ(result.stats.corrupt, 1u);
+  ASSERT_EQ(result.stats.failures_by_class.count("corrupt-output"), 1u);
+  EXPECT_EQ(result.stats.failures_by_class.at("corrupt-output"), 1u);
+  EXPECT_NE(result.summary.find("corrupt-output=1"), std::string::npos)
+      << result.summary;
+}
+
+TEST(Orchestrate, MergeWriteFailureStillEndsWithTheRunSummary) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const auto docs = stage_toy_docs(plan, staging.path, 1);
+  // A directory where merged.csv must go: the final write fails.
+  fs::create_directory(run.path / "merged.csv");
+
+  OrchestrateOptions options;
+  options.workers = 1;
+  options.shards = 1;
+  options.command = [&docs](const WorkerAttempt& attempt) {
+    return sh("cat '" + docs[0] + "' > '" + attempt.out_path + "'");
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  EXPECT_FALSE(result.ok);
+  ASSERT_FALSE(result.errors.empty());
+  EXPECT_NE(result.errors[0].find("cannot write merged output"),
+            std::string::npos);
+  EXPECT_FALSE(result.summary.empty());
+  const std::string manifest = read_file(run.path / "orchestrate.manifest");
+  const std::size_t last = manifest.rfind('\n', manifest.size() - 2);
+  EXPECT_EQ(manifest.compare(last + 1, 18, "info run summary: "), 0)
+      << manifest;
+}
+
 // ---------------------------------------------------------------------
 // Distributed fleets: toy hosts that refuse, flap, or corrupt
 // transfers, driven through the same scheduler via options.hosts.
@@ -765,7 +825,14 @@ TEST(OrchestrateEndToEnd, KilledWorkerIsRetriedByteIdentically) {
   };
   const auto result = orchestrate(plan, run.path.string(), options);
   ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_GE(result.stats.retried, 1u);
+  EXPECT_EQ(result.stats.retried, 1u);
+  // The kill is classified and audited.
+  const auto manifest =
+      RunManifest::parse(read_file(run.path / "orchestrate.manifest"));
+  ASSERT_EQ(manifest.failures.size(), 1u);
+  EXPECT_EQ(manifest.failures[0].shard, 1u);
+  EXPECT_EQ(manifest.failures[0].attempt, 0u);
+  EXPECT_EQ(manifest.failures[0].cause, "signal-9");
 
   const std::string single =
       core::run_sweep_shard(plan, corridor::ShardSpec{0, 1});

@@ -89,6 +89,9 @@ TEST(ProgressProtocol, NonProtocolLinesAreIgnored) {
   EXPECT_FALSE(
       parse_progress_line("@railcorr 1 cell index=0 done=1 total=1 junk")
           .has_value());
+  // The retired metrics snapshot event.
+  EXPECT_FALSE(
+      parse_progress_line("@railcorr 1 metrics sweep.cells=8").has_value());
 }
 
 TEST(ProgressAggregator, CountsEachGridCellOnce) {
@@ -189,93 +192,15 @@ TEST(ProgressAggregator, CacheTalliesSumLatestReportPerShard) {
   EXPECT_EQ(aggregator.cache_misses(), 0u);
 }
 
-TEST(ProgressProtocol, CellUsecRoundTripsAndOldLinesDefaultToZero) {
-  const auto event = parse_progress_line(cell_line(42, 5, 9, 1234));
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->kind, ProgressEvent::Kind::kCell);
-  EXPECT_EQ(event->usec, 1234u);
-  // The emitter always writes usec (cell_line's default is usec=0).
-  EXPECT_EQ(cell_line(42, 5, 9),
-            "@railcorr 1 cell index=42 done=5 total=9 usec=0");
-  // An old worker's 3-field cell line still parses, usec defaulting 0.
-  const auto old_event =
-      parse_progress_line("@railcorr 1 cell index=42 done=5 total=9");
-  ASSERT_TRUE(old_event.has_value());
-  EXPECT_EQ(old_event->kind, ProgressEvent::Kind::kCell);
-  EXPECT_EQ(old_event->index, 42u);
-  EXPECT_EQ(old_event->usec, 0u);
-  // A malformed usec field rejects the whole line.
+TEST(ProgressProtocol, CellLinesCarryExactlyIndexDoneTotal) {
+  EXPECT_EQ(cell_line(42, 5, 9), "@railcorr 1 cell index=42 done=5 total=9");
+  // A cell line with any further field is not a cell event: the `usec=`
+  // field older workers appended now parses to nothing.
   EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 cell index=42 done=5 total=9 usec=x")
+      parse_progress_line("@railcorr 1 cell index=42 done=5 total=9 usec=7")
           .has_value());
-}
-
-TEST(ProgressProtocol, MetricsRoundTrips) {
-  const std::vector<std::pair<std::string, std::size_t>> metrics = {
-      {"cache.lookup_hits", 3}, {"sweep.cells", 64}};
-  const std::string line = metrics_line(metrics);
-  EXPECT_EQ(line,
-            "@railcorr 1 metrics cache.lookup_hits=3 sweep.cells=64");
-  const auto event = parse_progress_line(line);
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(event->kind, ProgressEvent::Kind::kMetrics);
-  EXPECT_EQ(event->metrics, metrics);
-}
-
-TEST(ProgressProtocol, MalformedMetricsLinesAreRejected) {
-  // No pairs at all.
-  EXPECT_FALSE(parse_progress_line("@railcorr 1 metrics").has_value());
-  EXPECT_FALSE(parse_progress_line("@railcorr 1 metrics ").has_value());
-  // Key outside [A-Za-z0-9_.-], non-numeric value, missing '='.
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics a b=1").has_value());
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics k=v").has_value());
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics k=1 =2").has_value());
-  EXPECT_FALSE(
-      parse_progress_line("@railcorr 1 metrics k\xc3\xa9=1").has_value());
-}
-
-TEST(ProgressAggregator, MetricTotalsSumLatestReportPerShard) {
-  ProgressAggregator aggregator(/*grid_cells=*/16, /*shard_count=*/2);
-  EXPECT_TRUE(aggregator.metric_totals().empty());
-  aggregator.on_event(
-      0, *parse_progress_line(metrics_line({{"sweep.cells", 8}})));
-  aggregator.on_event(
-      1, *parse_progress_line(
-             metrics_line({{"cache.hits", 2}, {"sweep.cells", 8}})));
-  auto totals = aggregator.metric_totals();
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[0].first, "cache.hits");
-  EXPECT_EQ(totals[0].second, 2u);
-  EXPECT_EQ(totals[1].first, "sweep.cells");
-  EXPECT_EQ(totals[1].second, 16u);
-  // Shard 0 retried: the fresh report replaces the dead attempt's, and
-  // an out-of-range shard id is ignored.
-  aggregator.on_event(
-      0, *parse_progress_line(metrics_line({{"sweep.cells", 6}})));
-  aggregator.on_event(
-      9, *parse_progress_line(metrics_line({{"sweep.cells", 100}})));
-  totals = aggregator.metric_totals();
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_EQ(totals[1].second, 14u);
-}
-
-TEST(ProgressAggregator, ShardTimingsAccumulateFirstSeenCellsOnly) {
-  ProgressAggregator aggregator(/*grid_cells=*/8, /*shard_count=*/2);
-  aggregator.on_event(0, *parse_progress_line(cell_line(0, 1, 4, 100)));
-  aggregator.on_event(0, *parse_progress_line(cell_line(1, 2, 4, 50)));
-  aggregator.on_event(1, *parse_progress_line(cell_line(4, 1, 4, 7)));
-  // A retried attempt re-reports cell 1 with a different time: the
-  // first-seen sample stands, mirroring the cells_done dedup.
-  aggregator.on_event(0, *parse_progress_line(cell_line(1, 1, 4, 999)));
-  const auto& timings = aggregator.shard_timings();
-  ASSERT_EQ(timings.size(), 2u);
-  EXPECT_EQ(timings[0].cells, 2u);
-  EXPECT_EQ(timings[0].usec_total, 150u);
-  EXPECT_EQ(timings[1].cells, 1u);
-  EXPECT_EQ(timings[1].usec_total, 7u);
+  EXPECT_FALSE(parse_progress_line("@railcorr 1 cell index=42 done=5")
+                   .has_value());
 }
 
 // ---------------------------------------------------------------------

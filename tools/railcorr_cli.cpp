@@ -532,10 +532,10 @@ int cmd_sweep(std::vector<std::string> args) {
     options.progress = [progress, kill_after, stall_after, flap_after,
                         protocol_mutex, heartbeat_ptr](
                            std::size_t index, std::size_t done,
-                           std::size_t total, std::uint64_t usec) {
+                           std::size_t total) {
       if (progress) {
         std::lock_guard<std::mutex> lock(*protocol_mutex);
-        std::cout << railcorr::orch::cell_line(index, done, total, usec)
+        std::cout << railcorr::orch::cell_line(index, done, total)
                   << std::endl;
       }
       if (kill_after.has_value() &&
@@ -599,19 +599,6 @@ int cmd_sweep(std::vector<std::string> args) {
     }
   }
   if (progress) {
-    if (metrics_path.has_value()) {
-      // The latest-per-shard metrics event: counter totals the
-      // aggregator sums across the fleet (like the cache tally line).
-      std::vector<std::pair<std::string, std::size_t>> pairs;
-      const auto snap = railcorr::obs::MetricsRegistry::instance().snapshot();
-      pairs.reserve(snap.counters.size());
-      for (const auto& [name, value] : snap.counters) {
-        pairs.emplace_back(name, static_cast<std::size_t>(value));
-      }
-      if (!pairs.empty()) {
-        std::cout << railcorr::orch::metrics_line(pairs) << std::endl;
-      }
-    }
     if (cache.is_open()) {
       std::cout << railcorr::orch::cache_line(cache.stats().hits,
                                               cache.stats().misses)
@@ -676,7 +663,6 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
   std::optional<std::string> cache_dir;
   std::size_t cache_max_mb = 0;
   std::vector<std::size_t> worker_threads;
-  std::optional<std::size_t> inject_kill;
   std::optional<std::uint64_t> chaos_seed;
   std::optional<std::string> launcher_text;
   std::optional<std::string> fetch_text;
@@ -756,12 +742,6 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       if (worker_threads.empty()) {
         throw ConfigError("--threads expects N or N,N,...");
       }
-    } else if (args[i] == "--inject-kill") {
-      // Testing aid: SIGKILL the *first* attempt of this shard after
-      // one cell (via the worker's kill fault point), proving the
-      // retry path reproduces byte-identical output.
-      inject_kill =
-          parse_u64_option("--inject-kill", value_of("--inject-kill"));
     } else if (args[i] == "--chaos-seed") {
       // Seeded chaos mode: derive a deterministic fault schedule over
       // (shard, attempt) and arm each worker accordingly — torn
@@ -899,9 +879,8 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
           ? std::max(0.05, options.stall_timeout_s / 4.0)
           : 0.0;
   options.command =
-      [self, worker_plan, worker_threads, sizing, inject_kill,
-       chaos_seed, retries, cache_dir, cache_max_mb, fleet_hosts, launcher,
-       heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
+      [self, worker_plan, worker_threads, sizing, chaos_seed, retries,
+       cache_dir, cache_max_mb, fleet_hosts, launcher, heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
         // Slot k gets the k-th --threads entry — or, when --hosts was
         // given, host k, where thread counts describe machines, not
         // slots; the last entry covers every higher index, so a single
@@ -959,21 +938,12 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
             argv.push_back(std::to_string(cache_max_mb));
           }
         }
-        if (inject_kill.has_value() && attempt.shard == *inject_kill &&
-            attempt.attempt == 0) {
-          argv.push_back("--fault");
-          argv.push_back("kill=1");
-        }
-        // Chaos schedule (see chaos_fault_for): attempts at or past
-        // the retry budget are never faulted — fail_count can only
-        // reach the budget through faulted earlier attempts, and
-        // attempt ordinals grow at least as fast as fail_count, so the
-        // last allowed attempt of every shard runs clean and the run
-        // converges by construction. Transfer faults belong to the
+        // Chaos schedule (see chaos_fault_for, which leaves attempts at
+        // or past the retry budget clean). Transfer faults belong to the
         // fetch builder, not the worker.
-        if (chaos_seed.has_value() && attempt.attempt < retries) {
+        if (chaos_seed.has_value()) {
           const auto fault = railcorr::orch::chaos_fault_for(
-              *chaos_seed, attempt.shard, attempt.attempt,
+              *chaos_seed, attempt.shard, attempt.attempt, retries,
               !fleet_hosts.empty(), cache_dir.has_value());
           if (fault.has_value() &&
               fault->kind != railcorr::orch::FaultKind::kTransferTorn &&
@@ -1006,9 +976,9 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
       // worker: a torn transfer delivers a prefix of the shard file
       // (the verify-after-fetch step must catch it), a stalled one
       // hangs until the fetch timeout kills it.
-      if (chaos_seed.has_value() && attempt.attempt < retries) {
+      if (chaos_seed.has_value()) {
         const auto fault = railcorr::orch::chaos_fault_for(
-            *chaos_seed, attempt.shard, attempt.attempt,
+            *chaos_seed, attempt.shard, attempt.attempt, retries,
             /*with_hosts=*/true, has_cache);
         if (fault.has_value() &&
             fault->kind == railcorr::orch::FaultKind::kTransferTorn) {
