@@ -9,8 +9,9 @@
 /// dB-domain evaluation vs the batched linear-domain kernel, and the
 /// forced-scalar kernel vs the SIMD-dispatched one. A third section
 /// times the shared-weather batched off-grid sizing (size_jobs) against
-/// the per-cell walk over an 8-cell sweep slice and checks they agree
-/// bit for bit.
+/// the per-cell walk over an 8-cell sweep slice, and size_jobs' AVX2
+/// ladder lanes against its scalar lane on that slice at four weather
+/// years, and checks each pair agrees bit for bit.
 ///
 /// Usage: bench_parallel_scaling [--json=PATH] [--min-seconds=S]
 ///          [--baseline=PATH] [--baseline-tolerance=F] [--check-abs-times]
@@ -43,6 +44,7 @@
 #include "solar/consumption.hpp"
 #include "solar/sizing.hpp"
 #include "traffic/timetable.hpp"
+#include "util/vmath.hpp"
 
 namespace {
 
@@ -402,6 +404,41 @@ int main(int argc, char** argv) {
     if (!bench::sizing_results_identical(per_cell, batched)) {
       std::cerr << "DETERMINISM VIOLATION: batched sizing differs from"
                    " the per-cell walk\n";
+      deterministic = false;
+    }
+  }
+
+  // ---- Sizing ladder lanes: AVX2 vs scalar -----------------------------
+  // The 8-cell slice through size_jobs at each forced SIMD level, on one
+  // thread: each paper site's group of 8 walks runs four cases to a
+  // register on the AVX2 lanes, or one case at a time on the scalar
+  // lane. Four weather years keep the site's sky table, which both
+  // levels build alike, from dominating the ratio.
+  {
+    solar::SizingOptions lanes_options = sizing_options;
+    lanes_options.years = 4;
+    const auto jobs =
+        bench::sizing_sweep_cells(consumption, lanes_options, 8);
+    exec::set_default_thread_count(1);
+    std::vector<std::vector<solar::SizingResult>> scalar_lane;
+    vmath::force_simd_level(vmath::SimdLevel::kScalar);
+    harness.run(
+        "pv_sizing_scalar_lane_8cells", 1,
+        [&] { scalar_lane = solar::size_jobs(jobs); }, min_seconds);
+    std::vector<std::vector<solar::SizingResult>> simd_lanes;
+    vmath::force_simd_level(vmath::SimdLevel::kAvx2);
+    auto& lanes = harness.run(
+        "pv_sizing_lanes_8cells", 1,
+        [&] { simd_lanes = solar::size_jobs(jobs); }, min_seconds);
+    vmath::reset_simd_level();
+    exec::set_default_thread_count(0);
+    if (const auto* scalar = harness.find("pv_sizing_scalar_lane_8cells", 1)) {
+      lanes.metrics.emplace_back("lanes_speedup_vs_scalar",
+                                 scalar->ns_per_op / lanes.ns_per_op);
+    }
+    if (!bench::sizing_results_identical(scalar_lane, simd_lanes)) {
+      std::cerr << "DETERMINISM VIOLATION: the AVX2 sizing lanes differ from"
+                   " the scalar lane\n";
       deterministic = false;
     }
   }

@@ -4,7 +4,9 @@
 ///        bit-identity check.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "power/earth_model.hpp"
@@ -45,26 +47,35 @@ inline std::vector<std::vector<solar::SizingResult>> sizing_per_cell(
   return results;
 }
 
-/// Bitwise equality of two per-job result sets (chosen config, ladder
-/// state, and the report fields the tables publish).
+/// Bitwise equality of two per-job result sets: chosen config, ladder
+/// state and every report field.
 inline bool sizing_results_identical(
     const std::vector<std::vector<solar::SizingResult>>& a,
     const std::vector<std::vector<solar::SizingResult>>& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
   if (a.size() != b.size()) return false;
   for (std::size_t j = 0; j < a.size(); ++j) {
     if (a[j].size() != b[j].size()) return false;
     for (std::size_t l = 0; l < a[j].size(); ++l) {
       const auto& x = a[j][l];
       const auto& y = b[j][l];
-      if (x.chosen.pv_wp != y.chosen.pv_wp ||
-          x.chosen.battery_wh != y.chosen.battery_wh ||
+      if (!same(x.chosen.pv_wp, y.chosen.pv_wp) ||
+          !same(x.chosen.battery_wh, y.chosen.battery_wh) ||
           x.ladder_exhausted != y.ladder_exhausted ||
+          !same(x.report.days_with_full_battery_pct,
+                y.report.days_with_full_battery_pct) ||
+          x.report.downtime_days != y.report.downtime_days ||
           x.report.downtime_hours != y.report.downtime_hours ||
-          x.report.unserved_energy.value() !=
-              y.report.unserved_energy.value() ||
-          x.report.min_soc_fraction != y.report.min_soc_fraction ||
-          x.report.days_with_full_battery_pct !=
-              y.report.days_with_full_battery_pct) {
+          !same(x.report.unserved_energy.value(),
+                y.report.unserved_energy.value()) ||
+          !same(x.report.annual_pv_energy.value(),
+                y.report.annual_pv_energy.value()) ||
+          !same(x.report.annual_load.value(), y.report.annual_load.value()) ||
+          !same(x.report.curtailed_energy.value(),
+                y.report.curtailed_energy.value()) ||
+          !same(x.report.min_soc_fraction, y.report.min_soc_fraction)) {
         return false;
       }
     }

@@ -4,9 +4,9 @@
 #   1. evaluate a tiny sweep grid as 2 shards and as 1 shard,
 #   2. merge both ways — the outputs must be byte-identical
 #      (the cross-shard determinism contract), also for a small grid
-#      with the off-grid sizing stage at one and at four threads; the
-#      one accepted --accuracy value and the retired RAILCORR_ACCURACY
-#      variable leave the bytes alone,
+#      with the off-grid sizing stage at one and at four threads and at
+#      both SIMD levels; the one accepted --accuracy value and the
+#      retired RAILCORR_ACCURACY variable leave the bytes alone,
 #   3. corrupt one shard row and check merge exits nonzero,
 #   4. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
@@ -118,6 +118,17 @@ if ! cmp "$TMP/sizing_single_t1.csv" "$TMP/sizing_single_t4.csv"; then
   echo "FAIL: sizing sweep differs between --threads 1 and 4" >&2
   exit 1
 fi
+# Each weather group holds two ladder walks, which run four cases to a
+# register on the AVX2 lanes, or one case at a time on the scalar lane.
+# Both must give the bytes of the automatic level.
+for level in scalar avx2; do
+  RAILCORR_SIMD=$level "$BIN" sweep --plan "$TMP/sizing.sweep" \
+      --include-sizing --out "$TMP/sizing_$level.csv"
+  if ! cmp "$TMP/sizing_$level.csv" "$TMP/sizing_full.csv"; then
+    echo "FAIL: sizing sweep differs under RAILCORR_SIMD=$level" >&2
+    exit 1
+  fi
+done
 
 # Garbage input is a usage error (1), not a determinism violation.
 echo "not a shard document" > "$TMP/garbage.csv"
@@ -172,6 +183,10 @@ sed 's/^set sizing.years = 1$/set sizing.plane.albedo = 1.5/' \
     "$TMP/sizing.sweep" > "$TMP/bad_albedo.sweep"
 expect_error 1 "invalid value for 'sizing.plane.albedo' (line 5)" \
     sweep --plan "$TMP/bad_albedo.sweep" --out "$TMP/bad_albedo.csv"
+sed 's/^set sizing.years = 1$/set sizing.ladder = inf:720/' \
+    "$TMP/sizing.sweep" > "$TMP/bad_ladder.sweep"
+expect_error 1 "malformed value for 'sizing.ladder' (line 5): non-finite size in rung 'inf:720'" \
+    sweep --plan "$TMP/bad_ladder.sweep" --out "$TMP/bad_ladder.csv"
 expect_error 1 "--cache-max-mb requires --cache-dir" \
     sweep --plan "$TMP/plan.sweep" --cache-max-mb 64
 expect_error 1 "--plan FILE required" sweep

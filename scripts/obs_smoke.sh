@@ -14,8 +14,9 @@
 #      included, as in the standalone sweep's metrics),
 #   3. the run summary is always printed (and appended to the manifest
 #      as an `info` line), traced or not,
-#   4. `railcorr trace merge|stats` consume worker `.trace` files, and
-#      a torn input fails cleanly: exit 1, no partial output file.
+#   4. `railcorr trace merge|stats` consume worker `.trace` files (the
+#      sizing trace's per-span rollup lists the sizing spans), and a
+#      torn input fails cleanly: exit 1, no partial output file.
 #
 # The disabled-path overhead itself is measured by bench_obs (and gated
 # against a recorded floor in CI); this smoke pins the byte-identity
@@ -198,6 +199,18 @@ if ! grep -q "events=" "$TMP/stats.log"; then
   cat "$TMP/stats.log" >&2
   exit 1
 fi
+# After each file's tally, one line per span name with its count and
+# total time: the sizing run's time shows in its batch span and in the
+# batch's per-weather-group tasks.
+"$BIN" trace stats "$TMP/sizing.trace" > "$TMP/sizing_stats.log"
+for span in sizing_batch weather_group; do
+  if ! grep -q "^  span name=$span count=[0-9]* total_usec=" \
+      "$TMP/sizing_stats.log"; then
+    echo "FAIL: trace stats of the sizing trace lacks span $span:" >&2
+    cat "$TMP/sizing_stats.log" >&2
+    exit 1
+  fi
+done
 first_two="$(ls "$TMP/run_traced/telemetry/"*.trace | head -n 2)"
 # shellcheck disable=SC2086
 "$BIN" trace merge --out "$TMP/merged_pair.json" $first_two

@@ -1,6 +1,7 @@
 #include "core/scenario_spec.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -145,6 +146,9 @@ std::vector<solar::SizingCandidate> parse_ladder(const SpecEntry& e) {
       rung.battery_wh = util::parse_double(half);
     } catch (const util::ConfigError&) {
       throw fail("unparsable number");
+    }
+    if (!std::isfinite(rung.pv_wp) || !std::isfinite(rung.battery_wh)) {
+      throw fail("non-finite size");
     }
     if (!(rung.pv_wp > 0.0) || !(rung.battery_wh > 0.0)) {
       throw fail("non-positive size");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <sstream>
 
 #include "util/durable_io.hpp"
@@ -518,6 +519,26 @@ ParsedTrace parse_trace(std::string_view document) {
   }
   out.ok = true;
   return out;
+}
+
+std::vector<SpanTotal> span_totals(const ParsedTrace& trace) {
+  std::map<std::string, SpanTotal> by_name;
+  for (const auto& ev : trace.events) {
+    if (ev.phase != 'X') continue;
+    SpanTotal& total = by_name[ev.name];
+    total.name = ev.name;
+    ++total.count;
+    total.total_usec += ev.dur_usec;
+  }
+  std::vector<SpanTotal> totals;
+  totals.reserve(by_name.size());
+  for (auto& [name, total] : by_name) totals.push_back(std::move(total));
+  // by_name iterates in name order, so a stable sort breaks ties by name.
+  std::stable_sort(totals.begin(), totals.end(),
+                   [](const SpanTotal& a, const SpanTotal& b) {
+                     return a.total_usec > b.total_usec;
+                   });
+  return totals;
 }
 
 std::string merge_traces(const std::vector<TraceInput>& inputs) {

@@ -207,6 +207,19 @@ struct ParsedTrace {
 /// missing one is tolerated so plain merged documents re-parse).
 [[nodiscard]] ParsedTrace parse_trace(std::string_view document);
 
+/// The spans of one name in a trace: how many, and their summed
+/// duration.
+struct SpanTotal {
+  std::string name;
+  std::uint64_t count = 0;
+  std::uint64_t total_usec = 0;
+};
+
+/// Per-name rollup of the complete ('X') spans of `trace`, largest
+/// total first (ties by name). Nested spans each count in full, so
+/// totals of a span and of the spans inside it overlap.
+[[nodiscard]] std::vector<SpanTotal> span_totals(const ParsedTrace& trace);
+
 /// One input to a merge: a parsed trace plus the lane label shown in
 /// the viewer (Perfetto renders it as the process name).
 struct TraceInput {

@@ -1,10 +1,14 @@
 #include "solar/sizing.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "exec/parallel.hpp"
+#include "obs/trace.hpp"
+#include "solar/sizing_lanes.hpp"
 #include "util/contracts.hpp"
+#include "util/vmath.hpp"
 
 namespace railcorr::solar {
 
@@ -146,6 +150,12 @@ std::vector<std::vector<SizingResult>> size_jobs(
   std::vector<WeatherGroup> groups;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     RAILCORR_EXPECTS(!jobs[j].ladder.empty());
+    // A non-finite size would turn a dark hour's pv into NaN, where
+    // the SIMD lanes' dark-hour shortcut is no longer exact.
+    for (const SizingCandidate& rung : jobs[j].ladder) {
+      RAILCORR_EXPECTS(std::isfinite(rung.pv_wp) &&
+                       std::isfinite(rung.battery_wh));
+    }
     for (std::size_t l = 0; l < jobs[j].locations.size(); ++l) {
       const Location& location = jobs[j].locations[l];
       WeatherGroup* group = nullptr;
@@ -175,21 +185,33 @@ std::vector<std::vector<SizingResult>> size_jobs(
     group.sky = static_cast<std::size_t>(it - sky_keys.begin());
     if (it == sky_keys.end()) sky_keys.push_back(&group);
   }
-  const auto skies =
-      exec::parallel_map(sky_keys.size(), [&](std::size_t s) {
-        return std::optional<SkyTable>(std::in_place, *sky_keys[s]->location,
-                                       sky_keys[s]->options->plane);
-      });
+  const auto skies = [&] {
+    const obs::ObsSpan span("sky_tables", "solar", "tables",
+                            sky_keys.size());
+    return exec::parallel_map(sky_keys.size(), [&](std::size_t s) {
+      return std::optional<SkyTable>(std::in_place, *sky_keys[s]->location,
+                                     sky_keys[s]->options->plane);
+    });
+  }();
 
   // One parallel task per weather group: synthesize the shared days
   // from the site's sky table, then walk every member cell's ladder
-  // against them.
+  // against them — on the AVX2 lanes when the group has walks enough
+  // to fill them, else one walk at a time.
   const auto group_results = exec::parallel_map(
       groups.size(), [&](std::size_t g) {
         const WeatherGroup& group = groups[g];
+        const obs::ObsSpan span("weather_group", "solar", "walks",
+                                group.members.size());
         const SizingOptions& options = *group.options;
         const auto days = skies[group.sky]->synthesize_days(
             options.weather, options.seed, options.years);
+#if defined(RAILCORR_HAVE_AVX2)
+        if (group.members.size() >= 2 &&
+            vmath::active_simd_level() == vmath::SimdLevel::kAvx2) {
+          return detail::walk_ladders_avx2(days, jobs, group.members);
+        }
+#endif
         std::vector<SizingResult> results;
         results.reserve(group.members.size());
         for (const auto& [job, location] : group.members) {

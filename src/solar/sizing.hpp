@@ -93,11 +93,15 @@ struct SizingJob {
 ///  - every cell sharing a tuple walks its own ladder against those
 ///    days, each rung but the last stopping at its first outage day
 ///    (simulate_cases' `stop_at_first_outage`; days counted in
-///    `solar.case_days`).
+///    `solar.case_days`). At SIMD level AVX2, a tuple's walks run four
+///    cases to a register when there are at least two of them
+///    (solar/sizing_lanes.hpp; lane-day slots counted in
+///    `solar.lane_days`), else one case at a time.
 /// Sweep grids whose cells vary only non-sizing axes therefore pay for
 /// each site's sun geometry once and each weather tuple once.
 /// `result[j]` equals `size_locations(jobs[j].locations, ...)`
-/// element-wise, bit for bit, at any thread count.
+/// element-wise, bit for bit, at any thread count and SIMD level.
+/// Every rung's sizes must be finite.
 std::vector<std::vector<SizingResult>> size_jobs(
     std::span<const SizingJob> jobs);
 

@@ -268,6 +268,21 @@ TEST(ScenarioSpec, SizingListErrorsNameKeyAndCatalog) {
                util::ConfigError);
   EXPECT_THROW(apply_spec(s, "sizing.ladder = 0:720\n"),
                util::ConfigError);
+  // Non-finite sizes pass a `> 0` check; `inf:720` would render an
+  // infinite sized_pv_wp_total in the row.
+  for (const char* rung : {"540:inf", "inf:720", "nan:720", "540:-inf"}) {
+    try {
+      apply_spec(s, std::string("sizing.ladder = 540:720,") + rung + "\n");
+      FAIL() << "expected ConfigError for " << rung;
+    } catch (const util::ConfigError& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("malformed value for 'sizing.ladder' (line 1): "
+                          "non-finite size in rung '" +
+                          std::string(rung) + "'"),
+                std::string::npos)
+          << error.what();
+    }
+  }
   EXPECT_THROW(apply_spec(s, "sizing.locations = ,\n"),
                util::ConfigError);
 }

@@ -190,6 +190,34 @@ TEST(TraceMerge, AlignsEpochsAndAssignsLanes) {
   EXPECT_EQ(lanes, 1u);
 }
 
+TEST(TraceStats, SpanTotalsRollUpByNameLargestFirst) {
+  ParsedTrace trace;
+  trace.ok = true;
+  const auto span = [](const char* name, std::uint64_t dur) {
+    ParsedTraceEvent ev;
+    ev.name = name;
+    ev.phase = 'X';
+    ev.dur_usec = dur;
+    return ev;
+  };
+  ParsedTraceEvent instant;
+  instant.name = "retry";
+  instant.phase = 'i';
+  trace.events = {span("weather_group", 30), span("sizing_batch", 70),
+                  span("weather_group", 40), instant,
+                  span("cell", 5),           span("b_tie", 5)};
+  const auto totals = span_totals(trace);
+  ASSERT_EQ(totals.size(), 4u);  // instants are not spans
+  EXPECT_EQ(totals[0].name, "sizing_batch");
+  EXPECT_EQ(totals[0].count, 1u);
+  EXPECT_EQ(totals[0].total_usec, 70u);
+  EXPECT_EQ(totals[1].name, "weather_group");
+  EXPECT_EQ(totals[1].count, 2u);
+  EXPECT_EQ(totals[1].total_usec, 70u);  // tie: name order
+  EXPECT_EQ(totals[2].name, "b_tie");
+  EXPECT_EQ(totals[3].name, "cell");
+}
+
 TEST(TraceParse, RejectsMalformedDocuments) {
   EXPECT_FALSE(parse_trace("").ok);
   EXPECT_FALSE(parse_trace("{}").ok);

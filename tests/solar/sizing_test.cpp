@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
+#include "util/vmath.hpp"
 
 namespace railcorr::solar {
 namespace {
@@ -180,22 +184,26 @@ TEST(Sizing, BatchedJobsBitIdenticalToPerJobRuns) {
   }
 }
 
-/// Every field of a SizingResult but the location, compared exactly.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every field of a SizingResult but the location, compared bit for bit.
 void expect_results_identical(const SizingResult& a, const SizingResult& b) {
-  EXPECT_EQ(a.chosen.pv_wp, b.chosen.pv_wp);
-  EXPECT_EQ(a.chosen.battery_wh, b.chosen.battery_wh);
+  EXPECT_EQ(bits(a.chosen.pv_wp), bits(b.chosen.pv_wp));
+  EXPECT_EQ(bits(a.chosen.battery_wh), bits(b.chosen.battery_wh));
   EXPECT_EQ(a.ladder_exhausted, b.ladder_exhausted);
-  EXPECT_EQ(a.report.days_with_full_battery_pct,
-            b.report.days_with_full_battery_pct);
+  EXPECT_EQ(bits(a.report.days_with_full_battery_pct),
+            bits(b.report.days_with_full_battery_pct));
   EXPECT_EQ(a.report.downtime_days, b.report.downtime_days);
   EXPECT_EQ(a.report.downtime_hours, b.report.downtime_hours);
-  EXPECT_EQ(a.report.unserved_energy.value(), b.report.unserved_energy.value());
-  EXPECT_EQ(a.report.annual_pv_energy.value(),
-            b.report.annual_pv_energy.value());
-  EXPECT_EQ(a.report.annual_load.value(), b.report.annual_load.value());
-  EXPECT_EQ(a.report.curtailed_energy.value(),
-            b.report.curtailed_energy.value());
-  EXPECT_EQ(a.report.min_soc_fraction, b.report.min_soc_fraction);
+  EXPECT_EQ(bits(a.report.unserved_energy.value()),
+            bits(b.report.unserved_energy.value()));
+  EXPECT_EQ(bits(a.report.annual_pv_energy.value()),
+            bits(b.report.annual_pv_energy.value()));
+  EXPECT_EQ(bits(a.report.annual_load.value()),
+            bits(b.report.annual_load.value()));
+  EXPECT_EQ(bits(a.report.curtailed_energy.value()),
+            bits(b.report.curtailed_energy.value()));
+  EXPECT_EQ(bits(a.report.min_soc_fraction), bits(b.report.min_soc_fraction));
 }
 
 /// A seeded random sizing batch: sites, loads, weather tuples (drawn
@@ -242,22 +250,116 @@ std::vector<SizingJob> random_batch(std::uint64_t seed) {
   return jobs;
 }
 
+/// The paper load with `watts` drawn at 02:00.
+ConsumptionProfile paper_load_with_hour_2_at(double watts) {
+  ConsumptionProfile load = paper_load();
+  load.hourly_watts[2] = watts;
+  return load;
+}
+
+/// A seeded batch for size_jobs' AVX2 lanes: one weather group of each
+/// size 1..9, whose one-site jobs share the site and a seed of their
+/// own, at 1 or 4 weather years. Each walk draws its load (one with a
+/// zero-load hour, which keeps the lanes off their all-dark shortcut
+/// there) and one of random_batch's four ladder shapes.
+std::vector<SizingJob> lane_batch(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto& catalog = location_catalog();
+  ConsumptionProfile heavy = paper_load();
+  for (auto& w : heavy.hourly_watts) w *= 1.75;
+  const std::vector<ConsumptionProfile> loads{
+      paper_load(), heavy, paper_load_with_hour_2_at(0.0),
+      constant_consumption(Watts(8.0))};
+  const std::vector<std::vector<SizingCandidate>> ladders{
+      {{360.0, 1440.0}},
+      {{90.0, 150.0}, {120.0, 200.0}, {150.0, 250.0}},
+      {{3000.0, 8000.0}, {4000.0, 9000.0}},
+      paper_sizing_ladder()};
+  std::vector<SizingJob> jobs;
+  for (std::size_t walks = 1; walks <= 9; ++walks) {
+    SizingOptions options;
+    options.seed = seed * 100 + walks;
+    options.years = pick(3) == 0 ? 4 : 1;
+    const Location& site = catalog[pick(catalog.size())];
+    for (std::size_t w = 0; w < walks; ++w) {
+      SizingJob job;
+      job.locations = {site};
+      job.options = options;
+      job.consumption = loads[pick(loads.size())];
+      job.ladder = ladders[pick(ladders.size())];
+      jobs.push_back(job);
+    }
+  }
+  return jobs;
+}
+
+/// size_jobs forced to one SIMD level, with the case-days and lane-day
+/// slots it counted.
+struct LevelRun {
+  std::vector<std::vector<SizingResult>> results;
+  std::uint64_t case_days = 0;
+  std::uint64_t lane_days = 0;
+};
+
+LevelRun size_jobs_at(vmath::SimdLevel level,
+                      const std::vector<SizingJob>& jobs) {
+  auto& case_days = obs::MetricsRegistry::instance().counter("solar.case_days");
+  auto& lane_days = obs::MetricsRegistry::instance().counter("solar.lane_days");
+  const std::uint64_t case_days_before = case_days.value();
+  const std::uint64_t lane_days_before = lane_days.value();
+  vmath::force_simd_level(level);
+  LevelRun run{size_jobs(jobs)};
+  vmath::reset_simd_level();
+  run.case_days = case_days.value() - case_days_before;
+  run.lane_days = lane_days.value() - lane_days_before;
+  return run;
+}
+
 TEST(Sizing, RandomBatchesMatchPerJobRunsInEveryField) {
-  int one_rung = 0, exhausted = 0, first_rung = 0, later_rung = 0;
+  // size_jobs on its scalar lane and on its AVX2 lanes (when the build
+  // and CPU have them), against per-job runs.
+  std::vector<std::pair<std::string, std::vector<SizingJob>>> batches;
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    const auto jobs = random_batch(seed);
-    const auto batched = size_jobs(jobs);
-    ASSERT_EQ(batched.size(), jobs.size());
+    batches.emplace_back("random batch " + std::to_string(seed),
+                         random_batch(seed));
+  }
+  for (const std::uint64_t seed : {3u, 4u}) {
+    batches.emplace_back("lane batch " + std::to_string(seed),
+                         lane_batch(seed));
+  }
+  int one_rung = 0, exhausted = 0, first_rung = 0, later_rung = 0,
+      four_years = 0;
+  std::uint64_t lane_days = 0;
+  for (const auto& [batch, jobs] : batches) {
+    const LevelRun scalar = size_jobs_at(vmath::SimdLevel::kScalar, jobs);
+    const LevelRun lanes = size_jobs_at(vmath::SimdLevel::kAvx2, jobs);
+    // Both levels simulate the same case-days. Only the lanes count
+    // lane-day slots, four per lockstep day, and every lockstep day
+    // steps at least one case.
+    EXPECT_EQ(lanes.case_days, scalar.case_days) << batch;
+    EXPECT_EQ(scalar.lane_days, 0u) << batch;
+    EXPECT_LE(lanes.lane_days / 4, lanes.case_days) << batch;
+    lane_days += lanes.lane_days;
+    ASSERT_EQ(scalar.results.size(), jobs.size());
+    ASSERT_EQ(lanes.results.size(), jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
       const auto reference = size_locations(jobs[j].locations,
                                             jobs[j].consumption,
                                             jobs[j].options, jobs[j].ladder);
-      ASSERT_EQ(batched[j].size(), reference.size());
+      ASSERT_EQ(scalar.results[j].size(), reference.size());
+      ASSERT_EQ(lanes.results[j].size(), reference.size());
+      if (jobs[j].options.years == 4) ++four_years;
       for (std::size_t l = 0; l < reference.size(); ++l) {
-        SCOPED_TRACE("seed " + std::to_string(seed) + " job " +
-                     std::to_string(j) + " " + reference[l].location.name);
-        EXPECT_EQ(batched[j][l].location.name, reference[l].location.name);
-        expect_results_identical(batched[j][l], reference[l]);
+        SCOPED_TRACE(batch + " job " + std::to_string(j) + " " +
+                     reference[l].location.name);
+        for (const LevelRun* run : {&scalar, &lanes}) {
+          EXPECT_EQ(run->results[j][l].location.name,
+                    reference[l].location.name);
+          expect_results_identical(run->results[j][l], reference[l]);
+        }
         const auto& ladder = jobs[j].ladder;
         if (ladder.size() == 1) {
           ++one_rung;
@@ -272,11 +374,44 @@ TEST(Sizing, RandomBatchesMatchPerJobRunsInEveryField) {
       }
     }
   }
-  // Every ladder outcome occurs in the batches.
+  // Every ladder outcome and both year counts occur in the batches.
   EXPECT_GT(one_rung, 0);
   EXPECT_GT(exhausted, 0);
   EXPECT_GT(first_rung, 0);
   EXPECT_GT(later_rung, 0);
+  EXPECT_GT(four_years, 0);
+  vmath::force_simd_level(vmath::SimdLevel::kAvx2);
+  if (vmath::active_simd_level() == vmath::SimdLevel::kAvx2) {
+    EXPECT_GT(lane_days, 0u) << "no weather group ran on the AVX2 lanes";
+  }
+  vmath::reset_simd_level();
+}
+
+TEST(Sizing, LanesKeepNonPositiveLoadHoursOffTheDarkShortcut) {
+  // Five walks of one load with one-rung ladders: every case runs the
+  // whole Oslo year, so the lanes stay on the same day and night hours
+  // are all-dark. Only the shortcut's `load > 0` guard keeps the zero-
+  // or negative-load hour off it; with a negative load, taking it would
+  // change bits.
+  for (const double watts : {0.0, -3.0}) {
+    std::vector<SizingJob> jobs;
+    for (int w = 0; w < 5; ++w) {
+      SizingJob job;
+      job.locations = {oslo()};
+      job.consumption = paper_load_with_hour_2_at(watts);
+      job.options.years = 1;
+      job.ladder = {{360.0 + 60.0 * w, 2160.0}};
+      jobs.push_back(job);
+    }
+    const LevelRun scalar = size_jobs_at(vmath::SimdLevel::kScalar, jobs);
+    const LevelRun lanes = size_jobs_at(vmath::SimdLevel::kAvx2, jobs);
+    EXPECT_EQ(lanes.case_days, scalar.case_days);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      SCOPED_TRACE("02:00 at " + std::to_string(watts) + " W, job " +
+                   std::to_string(j));
+      expect_results_identical(lanes.results[j][0], scalar.results[j][0]);
+    }
+  }
 }
 
 TEST(Sizing, BatchCountsItsWork) {

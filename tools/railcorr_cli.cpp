@@ -162,7 +162,9 @@ int usage(std::ostream& os) {
         "                            Perfetto-loadable timeline (every\n"
         "                            input parsed up front; any malformed\n"
         "                            file exits 1 with no output written)\n"
-        "  trace stats TRACE_FILE... per-file event/span/instant counts\n"
+        "  trace stats TRACE_FILE... per-file event/span/instant counts,\n"
+        "                            then each span name's count and\n"
+        "                            total usec, largest total first\n"
         "\n"
         "run telemetry: `sweep --trace FILE --metrics FILE` records span\n"
         "traces + metrics for one worker; `orchestrate --trace-dir DIR`\n"
@@ -1121,7 +1123,8 @@ int cmd_cache(std::vector<std::string> args) {
 /// grammar (src/obs/trace.hpp). `merge` is all-or-nothing: every input
 /// is parsed before a single byte is written, and any malformed file
 /// exits 1 with no output produced — a half-merged timeline is worse
-/// than none. `stats` summarizes each input without writing anything.
+/// than none. `stats` summarizes each input without writing anything:
+/// a per-file line, then one indented line per span name.
 int cmd_trace(std::vector<std::string> args) {
   if (args.empty()) {
     throw ConfigError("trace: expected a verb (merge or stats)");
@@ -1207,6 +1210,10 @@ int cmd_trace(std::vector<std::string> args) {
               << " instants=" << instants << " lanes=" << metadata
               << " span_usec=" << span_usec
               << " epoch_usec=" << input.trace.epoch_usec << "\n";
+    for (const auto& total : railcorr::obs::span_totals(input.trace)) {
+      std::cout << "  span name=" << total.name << " count=" << total.count
+                << " total_usec=" << total.total_usec << "\n";
+    }
   }
   return 0;
 }
