@@ -10,9 +10,9 @@
 /// (bench/baselines/cache.json): a warm re-sweep of an unchanged grid
 /// must stay decisively faster than recomputing it, or the cache has
 /// regressed into decoration. Each warm iteration re-opens the store
-/// from disk, so the measured figure includes segment parsing and
-/// trailer verification — the real cost a `sweep --cache-dir` re-run
-/// pays, not an in-memory best case.
+/// from disk, so the measured figure includes the open-time framing
+/// scan and the first hit's trailer hash — the real cost a `sweep
+/// --cache-dir` re-run pays, not an in-memory best case.
 ///
 /// Usage: bench_cache [--json=PATH] [--min-seconds=S]
 ///          [--baseline=PATH] [--baseline-tolerance=F] [--check-abs-times]
@@ -143,7 +143,8 @@ int main(int argc, char** argv) {
 
   // ---- Warm: every cell answered from the primed store ---------------
   // Re-opening per iteration charges the warm path its true cost:
-  // segment scan, trailer verification, index build, 64 lookups.
+  // framing scan, index build, 64 lookups, the first of which hashes
+  // the segment against its trailer.
   std::string warm_doc;
   std::size_t warm_hits = 0;
   auto& warm = harness.run(
@@ -171,7 +172,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- Store open alone ----------------------------------------------
-  // The fixed per-process tax a warm run pays before its first lookup.
+  // The fixed per-process tax a warm run pays before its first lookup
+  // (the trailer hash waits for that lookup).
   harness.run(
       "cache_open_64rows", 1,
       [&] {

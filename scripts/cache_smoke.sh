@@ -6,7 +6,8 @@
 #      are both byte-identical to a cache-less sweep,
 #   2. a warm re-sweep under `orchestrate` with 4 workers and an
 #      injected cache-corruption fault still merges byte-identical,
-#      serving what survived and recomputing the rest,
+#      serving what survived and recomputing the rest; the segment
+#      whose payload was zeroed is dropped from disk on its first hit,
 #   3. `cache stats` / `verify --strict` / `gc` manage the store:
 #      verify repairs a poisoned segment, gc enforces a byte budget.
 #
@@ -79,6 +80,12 @@ fi
 if ! grep -q "orchestrate: cache" "$TMP/orch.log"; then
   echo "FAIL: orchestrate summary reports no cache tallies:" >&2
   cat "$TMP/orch.log" >&2
+  exit 1
+fi
+# Byte 80 is inside the first entry's payload: the framing open checks
+# is intact, and only the trailer hash on the first hit rejects it.
+if [ -e "$seg" ]; then
+  echo "FAIL: the zeroed segment survived a warm orchestrate: $seg" >&2
   exit 1
 fi
 

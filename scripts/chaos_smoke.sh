@@ -100,8 +100,8 @@ if ! cmp "$TMP/run/merged.csv" "$TMP/single.csv"; then
 fi
 
 # --- 4: a poisoned shared cache never changes output bytes ------------
-# Warm a store, then flip one byte of a published segment: silent
-# on-disk corruption a worker will meet at open.
+# Warm a store, then flip one byte of a published segment's payload:
+# silent on-disk corruption a worker will meet on its first hit.
 "$BIN" sweep --plan "$TMP/plan.sweep" --out "$TMP/warmup.csv" \
     --cache-dir "$TMP/cache"
 seg="$(ls "$TMP/cache"/*.seg | head -n 1)"

@@ -11,7 +11,11 @@
 #      plain valid JSON with one process_name lane per worker plus the
 #      orchestrator's own, and run_metrics.json is the plain-JSON
 #      counter/histogram rollup (the sweep's radio-memo counters
-#      included, as in the standalone sweep's metrics),
+#      included, as in the standalone sweep's metrics); a traced warm
+#      orchestrate over a store a cold one filled explains its fixed
+#      costs: each shard's cells sit in one segment, so 8 segments are
+#      hashed on their first hit for 64 hits, and the orchestrator's own
+#      `verify` and `merge` spans are in the timeline,
 #   3. the run summary is always printed (and appended to the manifest
 #      as an `info` line), traced or not,
 #   4. `railcorr trace merge|stats` consume worker `.trace` files (the
@@ -173,6 +177,35 @@ if ! grep -q "run summary: wall=" "$TMP/orch_traced.log"; then
   echo "FAIL: traced orchestrate printed no run summary" >&2
   exit 1
 fi
+
+# --- 2b: a warm traced orchestrate explains its fixed costs -----------
+"$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/run_cold" \
+    --workers 4 --cache-dir "$TMP/cache" > /dev/null
+"$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/run_warm" \
+    --workers 4 --cache-dir "$TMP/cache" \
+    --trace-dir "$TMP/run_warm/telemetry" > /dev/null
+if ! cmp "$TMP/run_warm/merged.csv" "$TMP/run_plain/merged.csv"; then
+  echo "FAIL: warm traced orchestrate differs from the untraced merge" >&2
+  exit 1
+fi
+WARM_METRICS="$TMP/run_warm/telemetry/run_metrics.json"
+for counter in '"cache.segments_verified":8' '"cache.hits":64'; do
+  if ! grep -q "$counter" "$WARM_METRICS"; then
+    echo "FAIL: warm run_metrics.json lacks $counter:" >&2
+    cat "$WARM_METRICS" >&2
+    exit 1
+  fi
+done
+"$BIN" trace stats "$TMP/run_warm/telemetry/trace.json" \
+    > "$TMP/warm_stats.log"
+for span in verify merge; do
+  if ! grep -q "^  span name=$span count=1 total_usec=" \
+      "$TMP/warm_stats.log"; then
+    echo "FAIL: trace stats of the warm fleet trace lacks span $span:" >&2
+    cat "$TMP/warm_stats.log" >&2
+    exit 1
+  fi
+done
 
 # --- 3: inert under seeded chaos too ----------------------------------
 # The chaos schedule keys on (seed, shard, attempt) — never on argv —

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -57,15 +58,12 @@ bool parse_hex16(std::string_view text, std::uint64_t& out) {
   return true;
 }
 
+/// Digits only, and a value that fits: a segment is outside input, and
+/// a wrapped length would frame a payload past the document's end.
 bool parse_decimal(std::string_view text, std::size_t& out) {
-  if (text.empty()) return false;
-  std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = value;
-  return true;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && stop == end;
 }
 
 /// Evictors (and corrupt-segment droppers) must not race each other on
@@ -135,6 +133,95 @@ std::vector<SegmentFile> list_segments(const std::string& dir) {
   return segments;
 }
 
+/// One entry of a segment body, viewing the body's bytes.
+struct EntryView {
+  std::uint64_t key = 0;
+  std::string_view row;
+};
+
+/// The one reader of a segment body's framing (the trailer line already
+/// split off): the magic + schema line, then `entry <hex16> <len>`
+/// lines each followed by exactly `len` payload bytes and a newline.
+/// Appends every entry to `entries` in document order; on the first
+/// defect returns false with `error` naming it.
+bool scan_entries(std::string_view body, std::vector<EntryView>& entries,
+                  std::string& error) {
+  std::string_view rest = body;
+  const std::size_t magic_eol = rest.find('\n');
+  if (magic_eol == std::string_view::npos) {
+    error = "missing magic line";
+    return false;
+  }
+  const std::string_view magic = rest.substr(0, magic_eol);
+  rest.remove_prefix(magic_eol + 1);
+  if (!magic.starts_with(kMagicPrefix)) {
+    error = "bad magic line '" + std::string(magic) + "'";
+    return false;
+  }
+  std::size_t schema = 0;
+  if (!parse_decimal(magic.substr(kMagicPrefix.size()), schema) ||
+      schema != kResultSchemaVersion) {
+    // A foreign schema is not corruption, but its rows mean something
+    // else; dropping the segment is the only safe read.
+    error = "unsupported schema in '" + std::string(magic) + "'";
+    return false;
+  }
+
+  while (!rest.empty()) {
+    const std::size_t eol = rest.find('\n');
+    if (eol == std::string_view::npos) {
+      error = "truncated entry header";
+      return false;
+    }
+    const std::string_view line = rest.substr(0, eol);
+    rest.remove_prefix(eol + 1);
+    if (!line.starts_with("entry ")) {
+      error = "malformed entry line '" + std::string(line) + "'";
+      return false;
+    }
+    const std::string_view fields = line.substr(6);
+    const std::size_t space = fields.find(' ');
+    if (space == std::string_view::npos) {
+      error = "malformed entry line '" + std::string(line) + "'";
+      return false;
+    }
+    EntryView entry;
+    std::size_t length = 0;
+    if (!parse_hex16(fields.substr(0, space), entry.key) ||
+        !parse_decimal(fields.substr(space + 1), length)) {
+      error = "malformed entry key/length in '" + std::string(line) + "'";
+      return false;
+    }
+    // The payload is length-prefixed raw bytes plus one separator
+    // newline; anything shorter is truncation.
+    if (length >= rest.size() || rest[length] != '\n') {
+      error = "truncated entry payload";
+      return false;
+    }
+    entry.row = rest.substr(0, length);
+    rest.remove_prefix(length + 1);
+    entries.push_back(entry);
+  }
+  return true;
+}
+
+template <typename It>
+std::string render_entries(It first, It last) {
+  std::string body(kMagicPrefix);
+  body += std::to_string(kResultSchemaVersion);
+  body += '\n';
+  for (; first != last; ++first) {
+    body += "entry ";
+    body += hex16(first->key);
+    body += ' ';
+    body += std::to_string(first->row.size());
+    body += '\n';
+    body += first->row;
+    body += '\n';
+  }
+  return util::with_integrity_trailer(body);
+}
+
 }  // namespace
 
 std::uint64_t cell_key(std::string_view banner, std::size_t index,
@@ -154,19 +241,7 @@ std::uint64_t cell_key(std::string_view banner, std::size_t index,
 }
 
 std::string render_segment(const std::vector<SegmentEntry>& entries) {
-  std::string body(kMagicPrefix);
-  body += std::to_string(kResultSchemaVersion);
-  body += '\n';
-  for (const auto& entry : entries) {
-    body += "entry ";
-    body += hex16(entry.key);
-    body += ' ';
-    body += std::to_string(entry.row.size());
-    body += '\n';
-    body += entry.row;
-    body += '\n';
-  }
-  return util::with_integrity_trailer(body);
+  return render_entries(entries.begin(), entries.end());
 }
 
 SegmentParse parse_segment(std::string_view document) {
@@ -181,63 +256,11 @@ SegmentParse parse_segment(std::string_view document) {
                       : "integrity trailer mismatch (corrupt segment)";
     return parse;
   }
-  std::string_view rest = trailer.body;
-
-  const std::size_t magic_eol = rest.find('\n');
-  if (magic_eol == std::string_view::npos) {
-    parse.error = "missing magic line";
-    return parse;
-  }
-  const std::string_view magic = rest.substr(0, magic_eol);
-  rest.remove_prefix(magic_eol + 1);
-  if (!magic.starts_with(kMagicPrefix)) {
-    parse.error = "bad magic line '" + std::string(magic) + "'";
-    return parse;
-  }
-  std::size_t schema = 0;
-  if (!parse_decimal(magic.substr(kMagicPrefix.size()), schema) ||
-      schema != kResultSchemaVersion) {
-    // A foreign schema is not corruption, but its rows mean something
-    // else; dropping the segment is the only safe read.
-    parse.error = "unsupported schema in '" + std::string(magic) + "'";
-    return parse;
-  }
-
-  while (!rest.empty()) {
-    const std::size_t eol = rest.find('\n');
-    if (eol == std::string_view::npos) {
-      parse.error = "truncated entry header";
-      return parse;
-    }
-    const std::string_view line = rest.substr(0, eol);
-    rest.remove_prefix(eol + 1);
-    if (!line.starts_with("entry ")) {
-      parse.error = "malformed entry line '" + std::string(line) + "'";
-      return parse;
-    }
-    const std::string_view fields = line.substr(6);
-    const std::size_t space = fields.find(' ');
-    if (space == std::string_view::npos) {
-      parse.error = "malformed entry line '" + std::string(line) + "'";
-      return parse;
-    }
-    SegmentEntry entry;
-    std::size_t length = 0;
-    if (!parse_hex16(fields.substr(0, space), entry.key) ||
-        !parse_decimal(fields.substr(space + 1), length)) {
-      parse.error = "malformed entry key/length in '" + std::string(line) +
-                    "'";
-      return parse;
-    }
-    // The payload is length-prefixed raw bytes plus one separator
-    // newline; anything shorter is truncation.
-    if (rest.size() < length + 1 || rest[length] != '\n') {
-      parse.error = "truncated entry payload";
-      return parse;
-    }
-    entry.row = std::string(rest.substr(0, length));
-    rest.remove_prefix(length + 1);
-    parse.entries.push_back(std::move(entry));
+  std::vector<EntryView> entries;
+  if (!scan_entries(trailer.body, entries, parse.error)) return parse;
+  parse.entries.reserve(entries.size());
+  for (const auto& entry : entries) {
+    parse.entries.push_back(SegmentEntry{entry.key, std::string(entry.row)});
   }
   parse.ok = true;
   return parse;
@@ -287,8 +310,8 @@ bool ResultCache::open(const Options& options, std::string* error) {
   stats_ = {};
   index_.clear();
   segments_.clear();
-  segment_hit_.clear();
   staged_.clear();
+  published_ = 0;
 
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
@@ -300,29 +323,61 @@ bool ResultCache::open(const Options& options, std::string* error) {
     return false;
   }
 
-  for (const auto& segment : list_segments(options_.dir)) {
-    const auto document = util::read_file_fully(segment.path);
+  std::vector<EntryView> entries;
+  std::string defect;
+  for (auto& file : list_segments(options_.dir)) {
+    auto document = util::read_file_fully(file.path);
     if (!document.has_value()) continue;  // Evicted under us.
-    const auto parse = parse_segment(*document);
-    if (!parse.ok) {
-      // Verified-then-dropped, like a damaged shard: the segment is
-      // recomputable by definition, so the only wrong move would be
-      // trusting any part of it.
+    // Views are taken only once the bytes sit in their final place.
+    Segment& segment = segments_.emplace_back();
+    segment.path = std::move(file.path);
+    segment.document = std::move(*document);
+    const auto trailer = util::split_integrity_trailer(segment.document);
+    entries.clear();
+    if (!trailer.stated.has_value() ||
+        !scan_entries(trailer.body, entries, defect)) {
+      // A segment is recomputable by definition, so the only wrong
+      // move would be trusting any part of it.
       remove_segment(segment.path);
       ++stats_.dropped_segments;
+      segments_.pop_back();
       continue;
     }
-    const std::size_t segment_id = segments_.size();
-    segments_.push_back(segment.path);
-    for (const auto& entry : parse.entries) {
+    segment.body = trailer.body;
+    segment.stated = *trailer.stated;
+    const std::size_t segment_id = segments_.size() - 1;
+    for (const auto& entry : entries) {
       index_[entry.key] = IndexedRow{entry.row, segment_id};
     }
     ++stats_.segments;
   }
-  segment_hit_.assign(segments_.size(), false);
   stats_.entries = index_.size();
   open_ = true;
   return true;
+}
+
+bool ResultCache::verify_segment(std::size_t id) {
+  Segment& segment = segments_[id];
+  if (segment.verified) return true;
+  static obs::Counter& verified_counter =
+      obs::MetricsRegistry::instance().counter("cache.segments_verified");
+  verified_counter.add();
+  if (util::integrity_hash(segment.body) == segment.stated) {
+    segment.verified = true;
+    return true;
+  }
+  // Damaged after publish with its framing intact: the same verdict
+  // open gives bad framing, one hit later.
+  remove_segment(segment.path);
+  ++stats_.dropped_segments;
+  std::vector<EntryView> entries;
+  std::string defect;
+  scan_entries(segment.body, entries, defect);  // Checked at open.
+  for (const auto& entry : entries) {
+    const auto it = index_.find(entry.key);
+    if (it != index_.end() && it->second.segment == id) index_.erase(it);
+  }
+  return false;
 }
 
 std::optional<std::string_view> ResultCache::lookup(std::uint64_t key) {
@@ -334,7 +389,11 @@ std::optional<std::string_view> ResultCache::lookup(std::uint64_t key) {
   static obs::Histogram& miss_hist = metrics.histogram("cache.miss_usec");
   const bool timed = metrics.enabled();
   const std::uint64_t start = timed ? obs::usec_now() : 0;
-  const auto it = index_.find(key);
+  auto it = index_.find(key);
+  if (it != index_.end() && it->second.segment != npos &&
+      !verify_segment(it->second.segment)) {
+    it = index_.end();  // Dropped with the rest of its segment's keys.
+  }
   if (it == index_.end()) {
     ++stats_.misses;
     misses_counter.add();
@@ -343,9 +402,9 @@ std::optional<std::string_view> ResultCache::lookup(std::uint64_t key) {
   }
   ++stats_.hits;
   hits_counter.add();
-  if (it->second.segment != npos) segment_hit_[it->second.segment] = true;
+  if (it->second.segment != npos) segments_[it->second.segment].hit = true;
   if (timed) hit_hist.record(obs::usec_now() - start);
-  return std::string_view(it->second.row);
+  return it->second.row;
 }
 
 void ResultCache::insert(std::uint64_t key, std::string_view row) {
@@ -353,9 +412,11 @@ void ResultCache::insert(std::uint64_t key, std::string_view row) {
   // The byte-identity contract makes a duplicate's bytes identical to
   // the indexed ones, so re-staging an already-known key only bloats
   // the store.
-  if (index_.find(key) != index_.end()) return;
-  index_[key] = IndexedRow{std::string(row), npos};
-  staged_.push_back(SegmentEntry{key, std::string(row)});
+  const auto [it, fresh] = index_.try_emplace(key);
+  if (!fresh) return;
+  const SegmentEntry& staged =
+      staged_.emplace_back(SegmentEntry{key, std::string(row)});
+  it->second = IndexedRow{staged.row, npos};
   ++stats_.inserted;
   static obs::Counter& inserts_counter =
       obs::MetricsRegistry::instance().counter("cache.inserts");
@@ -364,15 +425,18 @@ void ResultCache::insert(std::uint64_t key, std::string_view row) {
 
 bool ResultCache::flush(std::string* error) {
   if (!open_) return true;
-  const obs::ObsSpan span("flush", "cache", "staged", staged_.size());
+  const obs::ObsSpan span("flush", "cache", "staged",
+                          staged_.size() - published_);
   static obs::Histogram& flush_hist =
       obs::MetricsRegistry::instance().histogram("cache.flush_usec");
   const obs::ScopedUsecTimer flush_timer(flush_hist);
   auto& faults = orch::FaultInjector::instance();
 
   std::string published_path;
-  if (!staged_.empty()) {
-    std::string document = render_segment(staged_);
+  if (published_ < staged_.size()) {
+    std::string document = render_entries(
+        staged_.begin() + static_cast<std::ptrdiff_t>(published_),
+        staged_.end());
     published_path =
         options_.dir + "/seg_" + hex16(fnv1a64(document)) + ".seg";
     if (const auto torn =
@@ -387,7 +451,7 @@ bool ResultCache::flush(std::string* error) {
         if (error != nullptr) *error = write_error;
         return false;
       }
-      staged_.clear();
+      published_ = staged_.size();
       return true;
     }
     if (faults.armed(orch::FaultKind::kCacheCorruptSegment).has_value()) {
@@ -402,16 +466,16 @@ bool ResultCache::flush(std::string* error) {
       if (error != nullptr) *error = write_error;
       return false;
     }
-    staged_.clear();
+    published_ = staged_.size();
   }
 
   // Recency: a segment that answered hits since the last flush is
   // "recently used" — bump its mtime so the eviction pass below (and
   // any concurrent process's) ranks it young.
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    if (!segment_hit_[i]) continue;
-    ::utimensat(AT_FDCWD, segments_[i].c_str(), nullptr, 0);
-    segment_hit_[i] = false;
+  for (auto& segment : segments_) {
+    if (!segment.hit) continue;
+    ::utimensat(AT_FDCWD, segment.path.c_str(), nullptr, 0);
+    segment.hit = false;
   }
 
   const bool evict_all =

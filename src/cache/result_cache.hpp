@@ -19,10 +19,20 @@
 /// **The byte-identity contract is absolute**: a cache hit must return
 /// bytes identical to what a cold evaluation would produce. A hit that
 /// would change output bytes is a bug in the key derivation, never an
-/// acceptable staleness. Corruption is therefore handled the way PR 6
-/// handles damaged shards: verified, then dropped — a torn or
-/// bit-flipped segment fails its integrity trailer and the whole
+/// acceptable staleness. Corruption is therefore handled the way the
+/// orchestrator handles damaged shards: verified, then dropped — a torn
+/// or bit-flipped segment fails its integrity trailer and the whole
 /// segment is discarded (a recompute), never partially trusted.
+///
+/// A reader checks a segment in two steps. `open` checks its framing
+/// (trailer line present and well-formed, magic, schema, entry
+/// framing) and indexes its entries as views into its bytes without
+/// hashing them; the first `lookup` that lands in the segment hashes it
+/// against its trailer, and only a match lets it serve. A warm re-sweep
+/// whose shard hits one segment therefore hashes that segment, not the
+/// whole store. The cost: a damaged segment whose framing is intact
+/// stays on disk until a hit, `cache verify` (which, like `cache stats`,
+/// hashes every segment) or eviction removes it.
 ///
 /// On-disk layout (`--cache-dir`): a flat directory of immutable
 /// segment files, each holding a batch of entries published in one
@@ -58,6 +68,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -130,10 +141,10 @@ DirReport scan_dir(const std::string& dir, bool drop_corrupt);
 /// number of segments evicted.
 std::size_t gc_dir(const std::string& dir, std::size_t max_bytes);
 
-/// The per-process view of one cache directory: loads every intact
-/// segment into an in-memory index at open, answers lookups at memory
-/// speed, stages inserts, and publishes them as one new segment per
-/// flush.
+/// The per-process view of one cache directory: indexes every
+/// well-framed segment at open, answers lookups at memory speed once a
+/// segment's trailer has matched, stages inserts, and publishes them as
+/// one new segment per flush.
 class ResultCache {
  public:
   struct Options {
@@ -145,11 +156,13 @@ class ResultCache {
 
   /// Hit/miss and maintenance counters of this process's cache view.
   struct Stats {
-    /// Intact segments loaded at open.
+    /// Segments indexed at open: their framing is intact, their
+    /// trailers are checked on the first hit.
     std::size_t segments = 0;
-    /// Entries indexed at open.
+    /// Distinct keys indexed at open.
     std::size_t entries = 0;
-    /// Corrupt segments dropped at open.
+    /// Damaged segments dropped: bad framing at open, or a trailer
+    /// mismatch on a first hit.
     std::size_t dropped_segments = 0;
     /// lookup() calls that returned a row.
     std::size_t hits = 0;
@@ -161,21 +174,30 @@ class ResultCache {
     std::size_t evicted_segments = 0;
   };
 
-  /// Scan `options.dir` (creating it if needed) and build the index.
-  /// Corrupt segments are dropped from disk, verified-then-dropped.
-  /// Returns false (with `error`) only on environment failures —
-  /// an uncreatable or unreadable directory.
+  /// Read every segment in `options.dir` (creating it if needed) and
+  /// index its entries as views into its bytes. A segment whose trailer
+  /// line is missing or malformed, or whose magic, schema or entry
+  /// framing is bad, is dropped from disk here; the trailer hash waits
+  /// for the segment's first hit. Returns false (with `error`) only on
+  /// environment failures — an uncreatable or unreadable directory.
   bool open(const Options& options, std::string* error = nullptr);
 
   [[nodiscard]] bool is_open() const { return open_; }
 
   /// The row cached under `key`, or std::nullopt. Counts a hit or a
-  /// miss. The view is valid until the cache is destroyed.
+  /// miss. The first lookup that lands in a segment hashes it against
+  /// its trailer; on a mismatch the segment is dropped from disk, its
+  /// keys leave the index, and the lookup misses. Rows come only from
+  /// matched segments or this process's own inserts. The view is valid
+  /// until the cache is destroyed or reopened, across later inserts,
+  /// lookups and flushes.
   std::optional<std::string_view> lookup(std::uint64_t key);
 
   /// Stage one row for the next flush. A key already indexed (or
   /// already staged) is skipped — the byte-identity contract makes any
-  /// duplicate's bytes identical, so re-publishing buys nothing.
+  /// duplicate's bytes identical, so re-publishing buys nothing. A key
+  /// whose segment was dropped is no longer indexed, so its recomputed
+  /// row is staged and published again.
   void insert(std::uint64_t key, std::string_view row);
 
   /// Publish staged entries as one content-addressed segment and
@@ -188,24 +210,42 @@ class ResultCache {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
+  /// One segment file read at open. Never moves once read (a deque
+  /// element), so index entries and returned rows can view its bytes.
+  struct Segment {
+    std::string path;
+    std::string document;
+    /// `document` without its trailer line, and the hash the trailer
+    /// states for it.
+    std::string_view body;
+    std::uint64_t stated = 0;
+    /// The trailer matched on a first hit; only then does it serve.
+    bool verified = false;
+    /// Served at least one hit since the last flush.
+    bool hit = false;
+  };
   struct IndexedRow {
-    std::string row;
-    /// Which loaded segment the row came from (index into segments_;
-    /// npos for rows staged by this process), so hits can bump that
-    /// segment's recency at flush.
+    std::string_view row;
+    /// Which loaded segment the row lives in (index into segments_;
+    /// npos for rows staged by this process).
     std::size_t segment = npos;
   };
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Hash segment `id` against its trailer on its first hit; on a
+  /// mismatch drop it from disk and its keys from the index.
+  bool verify_segment(std::size_t id);
 
   bool open_ = false;
   Options options_;
   Stats stats_;
   std::unordered_map<std::uint64_t, IndexedRow> index_;
-  /// Paths of the segments the index was loaded from.
-  std::vector<std::string> segments_;
-  /// segments_[i] served at least one hit since the last flush.
-  std::vector<bool> segment_hit_;
-  std::vector<SegmentEntry> staged_;
+  std::deque<Segment> segments_;
+  /// Every row this process inserted, in insert order; those from
+  /// `published_` on await the next flush. Never shrinks, so index
+  /// entries and returned rows can view them.
+  std::deque<SegmentEntry> staged_;
+  std::size_t published_ = 0;
 };
 
 }  // namespace railcorr::cache

@@ -1,7 +1,7 @@
 #include "corridor/sweep.hpp"
 
 #include <algorithm>
-#include <map>
+#include <charconv>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -36,11 +36,12 @@ std::vector<std::string> split_values(const std::string& csv,
   return values;
 }
 
-/// First line / header / indexed rows of one shard document.
+/// First line / header / indexed rows of one shard document, as views
+/// into it.
 struct ParsedShard {
-  std::string banner;
-  std::string header;
-  std::vector<std::pair<std::size_t, std::string>> rows;
+  std::string_view banner;
+  std::string_view header;
+  std::vector<std::pair<std::size_t, std::string_view>> rows;
 };
 
 std::optional<ParsedShard> parse_shard(std::string_view document,
@@ -63,11 +64,11 @@ std::optional<ParsedShard> parse_shard(std::string_view document,
         errors.push_back(label + ": missing '# railcorr-sweep-v1' banner");
         return std::nullopt;
       }
-      shard.banner = std::string(line);
+      shard.banner = line;
       continue;
     }
     if (shard.header.empty()) {
-      shard.header = std::string(line);
+      shard.header = line;
       continue;
     }
     const std::size_t comma = line.find(',');
@@ -88,7 +89,7 @@ std::optional<ParsedShard> parse_shard(std::string_view document,
                        "'");
       return std::nullopt;
     }
-    shard.rows.emplace_back(index, std::string(line));
+    shard.rows.emplace_back(index, line);
   }
   if (shard.banner.empty() || shard.header.empty()) {
     errors.push_back(label + ": truncated document (banner or header missing)");
@@ -281,14 +282,10 @@ std::optional<std::size_t> banner_grid(std::string_view banner) {
   const std::size_t at = banner.find(" grid=");
   if (at == std::string_view::npos) return std::nullopt;
   std::size_t value = 0;
-  bool any = false;
-  for (std::size_t i = at + 6; i < banner.size(); ++i) {
-    const char c = banner[i];
-    if (c < '0' || c > '9') break;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-    any = true;
+  const char* const end = banner.data() + banner.size();
+  if (std::from_chars(banner.data() + at + 6, end, value).ec != std::errc{}) {
+    return std::nullopt;  // No digits, or a value that overflows.
   }
-  if (!any) return std::nullopt;
   return value;
 }
 
@@ -323,6 +320,8 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
   };
 
   std::vector<ParsedShard> shards;
+  shards.reserve(shard_documents.size());
+  std::size_t total_rows = 0;
   for (std::size_t s = 0; s < shard_documents.size(); ++s) {
     // Integrity first: a document whose `@railcorr-crc` trailer does
     // not match its bytes was truncated or corrupted on disk — an I/O
@@ -338,6 +337,7 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
     }
     auto parsed = parse_shard(trailer.body, label(s), result.errors);
     if (!parsed.has_value()) return result;
+    total_rows += parsed->rows.size();
     shards.push_back(std::move(*parsed));
   }
 
@@ -345,8 +345,8 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
     if (shards[s].banner != shards[0].banner) {
       result.errors.push_back(label(s) +
                               ": plan fingerprint/grid differs from " +
-                              label(0) + " ('" + shards[s].banner + "' vs '" +
-                              shards[0].banner + "')");
+                              label(0) + " ('" + std::string(shards[s].banner) +
+                              "' vs '" + std::string(shards[0].banner) + "')");
     }
     if (shards[s].header != shards[0].header) {
       result.errors.push_back(label(s) + ": column header differs from " +
@@ -361,14 +361,38 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
     return result;
   }
 
+  // One slot per grid cell. The banner is outside input: one claiming
+  // more cells than the shards hold rows has a coverage gap by
+  // construction, and its slots are then the sorted distinct row
+  // indices, so memory and time follow the rows given, never the claim.
+  const bool dense = *grid <= total_rows;
+  std::vector<std::size_t> present;
+  if (!dense) {
+    for (const auto& shard : shards) {
+      for (const auto& [index, row] : shard.rows) {
+        if (index < *grid) present.push_back(index);
+      }
+    }
+    std::sort(present.begin(), present.end());
+    present.erase(std::unique(present.begin(), present.end()), present.end());
+  }
+  const auto slot_of = [&](std::size_t index) -> std::optional<std::size_t> {
+    if (dense) return index;
+    const auto it = std::lower_bound(present.begin(), present.end(), index);
+    if (it == present.end() || *it != index) return std::nullopt;
+    return static_cast<std::size_t>(it - present.begin());
+  };
+
   // Determinism contract: a cell evaluated by several shards must have
   // produced byte-identical rows. Each kept row remembers which shard
   // supplied it, so a violation names both sides of the disagreement.
+  // Rows are never empty (they start with their index), so an empty
+  // view marks a cell no shard supplied.
   struct CellRow {
-    std::string row;
-    std::size_t source;
+    std::string_view row;
+    std::size_t source = 0;
   };
-  std::map<std::size_t, CellRow> cells;
+  std::vector<CellRow> cells(dense ? *grid : present.size());
   for (std::size_t s = 0; s < shards.size(); ++s) {
     for (const auto& [index, row] : shards[s].rows) {
       if (index >= *grid) {
@@ -377,28 +401,37 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
                                 std::to_string(*grid));
         continue;
       }
-      const auto [it, inserted] = cells.emplace(index, CellRow{row, s});
-      if (!inserted && it->second.row != row) {
+      CellRow& cell = cells[*slot_of(index)];
+      if (cell.row.empty()) {
+        cell = CellRow{row, s};
+      } else if (cell.row != row) {
         result.contract_violation = true;
         result.errors.push_back(
             "determinism violation at grid cell " + std::to_string(index) +
-            ": " + label(s) + " produced '" + row + "' but " +
-            label(it->second.source) + " produced '" + it->second.row + "'");
+            ": " + label(s) + " produced '" + std::string(row) + "' but " +
+            label(cell.source) + " produced '" + std::string(cell.row) + "'");
       }
     }
   }
-  std::size_t missing = 0;
-  for (std::size_t i = 0; i < *grid; ++i) {
-    if (!cells.contains(i)) {
-      result.contract_violation = true;
+  const std::size_t filled = static_cast<std::size_t>(
+      std::count_if(cells.begin(), cells.end(),
+                    [](const CellRow& cell) { return !cell.row.empty(); }));
+  const std::size_t missing = *grid - filled;
+  if (missing > 0) {
+    result.contract_violation = true;
+    // The first few gaps by index, then one summary line naming every
+    // searched input, so a coverage gap is traceable to the shard set
+    // actually merged. Each step either lists a gap or passes a filled
+    // cell, so the walk is bounded by the rows given.
+    constexpr std::size_t kListedMissing = 16;
+    std::size_t listed = 0;
+    for (std::size_t i = 0; listed < std::min(missing, kListedMissing); ++i) {
+      const auto slot = slot_of(i);
+      if (slot.has_value() && !cells[*slot].row.empty()) continue;
       result.errors.push_back("grid cell " + std::to_string(i) +
                               " missing from every shard");
-      ++missing;
+      ++listed;
     }
-  }
-  if (missing > 0) {
-    // One summary line naming every searched input, so a coverage gap
-    // is traceable to the shard set actually merged.
     std::string searched = "coverage gap: " + std::to_string(missing) +
                            " cell(s) missing after searching ";
     for (std::size_t s = 0; s < shards.size(); ++s) {
@@ -410,10 +443,16 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
   if (!result.errors.empty()) return result;
 
   result.ok = true;
-  result.merged = shards[0].banner + "\n" + shards[0].header + "\n";
-  for (const auto& [index, cell] : cells) {
-    (void)index;
-    result.merged += cell.row + "\n";
+  std::size_t bytes = shards[0].banner.size() + shards[0].header.size() + 2;
+  for (const CellRow& cell : cells) bytes += cell.row.size() + 1;
+  result.merged.reserve(bytes);
+  result.merged += shards[0].banner;
+  result.merged += '\n';
+  result.merged += shards[0].header;
+  result.merged += '\n';
+  for (const CellRow& cell : cells) {
+    result.merged += cell.row;
+    result.merged += '\n';
   }
   return result;
 }

@@ -68,15 +68,22 @@ bool shard_document_intact(std::string_view document, std::string_view banner,
   return true;
 }
 
-bool shard_file_intact(const fs::path& path, std::string_view banner,
-                       corridor::ShardSpec shard, std::size_t grid,
-                       std::string* why) {
-  const auto document = util::read_file_fully(path.string());
+/// The bytes of the shard file at `path` when shard_document_intact
+/// holds for them; std::nullopt (with `why`) otherwise.
+std::optional<std::string> read_intact_shard(const fs::path& path,
+                                             std::string_view banner,
+                                             corridor::ShardSpec shard,
+                                             std::size_t grid,
+                                             std::string* why) {
+  auto document = util::read_file_fully(path.string());
   if (!document.has_value()) {
     *why = "file missing or unreadable";
-    return false;
+    return std::nullopt;
   }
-  return shard_document_intact(*document, banner, shard, grid, why);
+  if (!shard_document_intact(*document, banner, shard, grid, why)) {
+    return std::nullopt;
+  }
+  return document;
 }
 
 /// The driver's half of one live attempt: its paths and processes. A
@@ -221,7 +228,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       // self-healing, not a fatal contract check.
       std::string why;
       if (!previous->is_done(shard)) continue;
-      if (shard_file_intact(dir / shard_file_name(shard), wanted.banner,
+      if (read_intact_shard(dir / shard_file_name(shard), wanted.banner,
                             corridor::ShardSpec{shard, shards}, grid, &why)) {
         resumed[shard] = true;
         for (const std::size_t index :
@@ -375,7 +382,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   /// poisoning the merge or a later resume.
   const auto publish = [&](const WorkerAttempt& info) {
     std::string why;
-    if (shard_file_intact(info.out_path, wanted.banner,
+    if (read_intact_shard(info.out_path, wanted.banner,
                           corridor::ShardSpec{info.shard, shards}, grid,
                           &why) &&
         util::rename_durable(info.out_path,
@@ -635,8 +642,13 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     return go_on;
   };
 
+  /// The finalized shard files' bytes as the pre-merge check read them;
+  /// merge() consumes them without reading the files again.
+  std::vector<std::string> documents;
+
   /// The scheduling loop. True once every shard is done and passed the
-  /// pre-merge check; false when the run must stop.
+  /// pre-merge check, with `documents` filled; false when the run must
+  /// stop.
   const auto schedule = [&] {
     while (true) {
       while (scheduler.incomplete() > 0) {
@@ -719,11 +731,18 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       // fsync and merge; re-verify, and recompute — don't abort — any
       // bad shard before trusting its bytes.
       std::vector<std::size_t> bad;
-      for (std::size_t shard = 0; shard < shards; ++shard) {
-        std::string why;
-        if (!shard_file_intact(dir / shard_file_name(shard), wanted.banner,
-                               corridor::ShardSpec{shard, shards}, grid,
-                               &why)) {
+      {
+        const obs::ObsSpan span("verify", "orch", "shards", shards);
+        documents.clear();
+        for (std::size_t shard = 0; shard < shards; ++shard) {
+          std::string why;
+          auto document =
+              read_intact_shard(dir / shard_file_name(shard), wanted.banner,
+                                corridor::ShardSpec{shard, shards}, grid, &why);
+          if (document.has_value()) {
+            documents.push_back(std::move(*document));
+            continue;
+          }
           log("pre-merge: shard " + std::to_string(shard) + " is invalid (" +
               why + "); recomputing");
           bad.push_back(shard);
@@ -737,8 +756,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
   };
 
-  /// Merge the verified shard files into merged.csv.
+  /// Merge the verified shard bytes into merged.csv. True when it was
+  /// written.
   const auto merge = [&] {
+    const obs::ObsSpan span("merge", "orch", "cells", grid);
     for (const auto& error : aggregator.banner_errors()) {
       result.errors.push_back(error);
     }
@@ -754,19 +775,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
                               "'");
     }
 
-    std::vector<std::string> documents;
     std::vector<std::string> names;
-    documents.reserve(shards);
     names.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      const fs::path path = dir / shard_file_name(shard);
-      auto document = util::read_file_fully(path.string());
-      if (!document.has_value()) {
-        fail("finalized shard file vanished: '" + path.string() + "'");
-        return;
-      }
-      documents.push_back(std::move(*document));
-      names.push_back(path.string());
+      names.push_back((dir / shard_file_name(shard)).string());
     }
     auto merged = corridor::merge_shards(documents, names);
     if (!merged.ok) {
@@ -774,9 +786,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       for (auto& error : merged.errors) {
         result.errors.push_back(std::move(error));
       }
-      return;
+      return false;
     }
-    if (!result.errors.empty()) return;
+    if (!result.errors.empty()) return false;
 
     const fs::path merged_path = dir / "merged.csv";
     std::string error;
@@ -784,17 +796,21 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
                                  util::with_integrity_trailer(merged.merged),
                                  &error)) {
       fail("cannot write merged output: " + error);
-      return;
+      return false;
     }
     result.ok = true;
     result.merged_path = merged_path.string();
     result.merged = std::move(merged.merged);
+    return true;
+  };
+
+  // The merge span closes before write_telemetry serializes this
+  // process's own trace.
+  if (schedule() && merge()) {
     write_telemetry();
     log("merged " + std::to_string(grid) + " cells from " +
         std::to_string(shards) + " shard(s) into " + result.merged_path);
-  };
-
-  if (schedule()) merge();
+  }
   emit_summary();
   return result;
 }

@@ -170,36 +170,44 @@ std::string with_integrity_trailer(std::string_view body) {
   return out;
 }
 
-TrailerCheck check_integrity_trailer(std::string_view document) {
-  TrailerCheck check;
-  check.body = document;
+TrailerSplit split_integrity_trailer(std::string_view document) {
+  TrailerSplit split;
+  split.body = document;
   std::string_view rest = document;
   if (!rest.empty() && rest.back() == '\n') rest.remove_suffix(1);
   const std::size_t eol = rest.find_last_of('\n');
   const std::string_view last =
       eol == std::string_view::npos ? rest : rest.substr(eol + 1);
-  if (!last.starts_with(kTrailerTag)) {
-    check.status = TrailerStatus::kMissing;
-    return check;
-  }
+  if (!last.starts_with(kTrailerTag)) return split;
+  split.present = true;
   // The body is everything before the trailer line (keeping the body's
   // own trailing newline), which is exactly what was hashed.
-  check.body =
+  split.body =
       eol == std::string_view::npos ? std::string_view{} : document.substr(0, eol + 1);
   const std::string_view hex = last.substr(kTrailerTag.size());
+  if (hex.size() != 16) return split;
   std::uint64_t value = 0;
-  bool well_formed = hex.size() == 16;
   for (const char c : hex) {
     if (c >= '0' && c <= '9') {
       value = (value << 4) | static_cast<std::uint64_t>(c - '0');
     } else if (c >= 'a' && c <= 'f') {
       value = (value << 4) | static_cast<std::uint64_t>(10 + c - 'a');
     } else {
-      well_formed = false;
-      break;
+      return split;
     }
   }
-  check.status = well_formed && value == fnv1a64(check.body)
+  split.stated = value;
+  return split;
+}
+
+std::uint64_t integrity_hash(std::string_view body) { return fnv1a64(body); }
+
+TrailerCheck check_integrity_trailer(std::string_view document) {
+  const TrailerSplit split = split_integrity_trailer(document);
+  TrailerCheck check;
+  check.body = split.body;
+  check.status = !split.present ? TrailerStatus::kMissing
+                 : split.stated == fnv1a64(split.body)
                      ? TrailerStatus::kVerified
                      : TrailerStatus::kCorrupt;
   return check;

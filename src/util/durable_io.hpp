@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -99,6 +100,24 @@ struct TrailerCheck {
 /// Classify `document`'s final line and return the trailer-stripped
 /// body.
 TrailerCheck check_integrity_trailer(std::string_view document);
+
+/// `document` split at its final line without reading the body: the
+/// first half of check_integrity_trailer, for readers that hash later
+/// (the result cache hashes a segment on its first hit).
+struct TrailerSplit {
+  /// False when the final line is no trailer; `body` is then the whole
+  /// document.
+  bool present = false;
+  /// The hash a well-formed trailer line states; std::nullopt when the
+  /// line is malformed, so the document can never verify.
+  std::optional<std::uint64_t> stated;
+  /// As TrailerCheck::body.
+  std::string_view body;
+};
+TrailerSplit split_integrity_trailer(std::string_view document);
+
+/// The FNV-1a 64 a trailer line states for `body`: the second half.
+std::uint64_t integrity_hash(std::string_view body);
 ///@}
 
 /// Append-only line log with per-line durability: each append is a

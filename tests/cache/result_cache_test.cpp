@@ -1,7 +1,9 @@
 /// The content-addressed result cache: key derivation sensitivity,
 /// segment render/parse round trips, cross-process persistence via the
-/// on-disk store, verified-then-dropped corruption handling, LRU
-/// eviction under a byte budget, and the offline scan/gc helpers.
+/// on-disk store, verified-then-dropped corruption handling (bad
+/// framing at open, a bad trailer hash on the first hit), the lifetime
+/// of returned rows, LRU eviction under a byte budget, and the offline
+/// scan/gc helpers.
 #include "cache/result_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/durable_io.hpp"
 
@@ -187,6 +191,83 @@ TEST(ResultCache, CorruptSegmentIsDroppedAtOpenNeverServed) {
   EXPECT_FALSE(cache.lookup(9).has_value());
   // Verified-then-dropped: the damaged file is gone from disk.
   EXPECT_EQ(segment_count(dir.path()), 0u);
+}
+
+TEST(ResultCache, PayloadRotIsCaughtOnTheFirstHitAndRepublished) {
+  TempDir dir("payloadrot");
+  {
+    ResultCache cache;
+    ASSERT_TRUE(cache.open({dir.str(), 0}));
+    cache.insert(9, "good-row");
+    ASSERT_TRUE(cache.flush());
+  }
+  fs::path segment;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    if (entry.path().extension() == ".seg") segment = entry.path();
+  }
+  ASSERT_FALSE(segment.empty());
+  // Rot one payload byte: the framing stays valid, only the trailer
+  // hash can tell.
+  auto bytes = util::read_file_fully(segment.string());
+  ASSERT_TRUE(bytes.has_value());
+  const std::size_t at = bytes->find("good-row");
+  ASSERT_NE(at, std::string::npos);
+  (*bytes)[at] = 'G';
+  std::ofstream(segment, std::ios::binary) << *bytes;
+
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().dropped_segments, 0u);
+  EXPECT_FALSE(cache.lookup(9).has_value());
+  EXPECT_EQ(cache.stats().dropped_segments, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(segment_count(dir.path()), 0u);
+
+  // The recomputed row is no longer indexed, so it is published again.
+  cache.insert(9, "good-row");
+  EXPECT_EQ(cache.stats().inserted, 1u);
+  ASSERT_TRUE(cache.flush());
+  ResultCache reader;
+  ASSERT_TRUE(reader.open({dir.str(), 0}));
+  const auto hit = reader.lookup(9);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, "good-row");
+}
+
+TEST(ResultCache, LookupViewsOutliveLaterInsertsLookupsAndFlushes) {
+  TempDir dir("views");
+  {
+    ResultCache cache;
+    ASSERT_TRUE(cache.open({dir.str(), 0}));
+    for (std::uint64_t k = 0; k < 8; ++k) {
+      cache.insert(k, "stored-" + std::to_string(k));
+    }
+    ASSERT_TRUE(cache.flush());
+  }
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  // Short rows fit a string's inline buffer, so they would move with
+  // any container element that moved.
+  cache.insert(100, "s");
+  std::vector<std::pair<std::string_view, std::string>> seen;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const auto hit = cache.lookup(k);
+    ASSERT_TRUE(hit.has_value());
+    seen.emplace_back(*hit, "stored-" + std::to_string(k));
+  }
+  const auto staged = cache.lookup(100);
+  ASSERT_TRUE(staged.has_value());
+  seen.emplace_back(*staged, "s");
+
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    cache.insert(1000 + k, std::to_string(k));
+    ASSERT_TRUE(cache.lookup(1000 + k / 2).has_value());
+    if (k % 250 == 0) {
+      ASSERT_TRUE(cache.flush());
+    }
+  }
+  for (const auto& [view, expected] : seen) EXPECT_EQ(view, expected);
 }
 
 TEST(ResultCache, BudgetEvictsOldSegmentsButNotTheJustPublishedOne) {

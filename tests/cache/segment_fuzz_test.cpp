@@ -119,8 +119,13 @@ TEST(SegmentFuzz, TrailerValidStructuralDamageIsStillRejected) {
       "# railcorr-cache-v2 schema=1\n",
       "# railcorr-cache-v1 schema=999\n",
       "not a magic line\n",
-      // Entry header lies about the payload length.
+      // Entry header lies about the payload length, or states one
+      // that would wrap the bounds check or overflow the parser.
       "# railcorr-cache-v1 schema=1\nentry 0123456789abcdef 10\nab\n",
+      "# railcorr-cache-v1 schema=1\n"
+      "entry 0123456789abcdef 18446744073709551615\nab\n",
+      "# railcorr-cache-v1 schema=1\n"
+      "entry 0123456789abcdef 100000000000000000002\nab\n",
       // Malformed key digits / missing fields.
       "# railcorr-cache-v1 schema=1\nentry xyz 3\nabc\n",
       "# railcorr-cache-v1 schema=1\nentry 0123456789abcdef\nabc\n",

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 
 namespace railcorr::corridor {
@@ -147,6 +148,27 @@ TEST(MergeShards, MissingCellsAreReported) {
             std::string::npos);
 }
 
+TEST(MergeShards, AnInflatedGridClaimCostsOnlyTheRowsGiven) {
+  // A legacy (trailer-less) shard is outside input: its banner may claim
+  // any grid. Merge must stay proportional to the two rows it was given.
+  const std::string doc =
+      "# railcorr-sweep-v1 fingerprint=0123456789abcdef grid=4000000000\n"
+      "index,k,metric\n0,1,10\n1,2,20\n";
+  const auto start = std::chrono::steady_clock::now();
+  const auto merged = merge_shards({doc});
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_FALSE(merged.ok);
+  EXPECT_TRUE(merged.contract_violation);
+  // The first 16 gaps, then the summary with the full count.
+  ASSERT_LE(merged.errors.size(), 18u);
+  EXPECT_NE(merged.errors.front().find("grid cell 2 "), std::string::npos);
+  EXPECT_NE(merged.errors.back().find("coverage gap: 3999999998 cell(s)"),
+            std::string::npos);
+  EXPECT_LT(seconds, 0.25);
+}
+
 TEST(MergeShards, DiagnosticsNameBothShardFilesOnDivergence) {
   const auto merged = merge_shards(
       {
@@ -182,6 +204,9 @@ TEST(BannerHelpers, RoundTripFingerprintAndGrid) {
   EXPECT_EQ(fingerprint_hex(plan.fingerprint()).size(), 16u);
   EXPECT_FALSE(banner_fingerprint("# no tokens here").has_value());
   EXPECT_FALSE(banner_grid("# no tokens here").has_value());
+  // A grid that does not fit is refused, not wrapped.
+  EXPECT_FALSE(banner_grid("# x grid=18446744073709551616").has_value());
+  EXPECT_FALSE(banner_grid("# x grid=100000000000000000000000").has_value());
 }
 
 TEST(MergeShards, FingerprintMismatchIsRejected) {
