@@ -10,8 +10,9 @@
 #   3. corrupt one shard row and check merge exits nonzero,
 #   4. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
-#      combinations, refused resumes) so orchestrating scripts can rely
-#      on them.
+#      combinations, non-finite seconds, refused resumes) so
+#      orchestrating scripts can rely on them, and the usage text that
+#      `railcorr help` prints from the flag table.
 #
 # usage: cli_smoke.sh <railcorr-binary>
 set -eu
@@ -166,11 +167,35 @@ expect_error() {
   esac
 }
 
+# The usage text is printed from the flag table: `help` exits 0 and
+# names all 11 verbs.
+if ! "$BIN" help > "$TMP/help.txt"; then
+  echo "FAIL: 'railcorr help' exited nonzero" >&2
+  exit 1
+fi
+for verb in list show run sweep merge orchestrate "cache stats" \
+    "cache verify" "cache gc" "trace merge" "trace stats"; do
+  if ! grep -Eq "^  $verb( |\$)" "$TMP/help.txt"; then
+    echo "FAIL: 'railcorr help' does not name verb '$verb'" >&2
+    exit 1
+  fi
+done
+expect_error 1 "unknown option 'extra'" list extra
+expect_error 1 "unknown option '--bogus'" merge --bogus "$TMP/full.csv"
+
 # sweep flag misuse.
 expect_error 1 "--progress requires --out" \
     sweep --plan "$TMP/plan.sweep" --progress
 expect_error 1 "--accuracy accepts only 'bitexact', got 'fast'" \
     sweep --plan "$TMP/plan.sweep" --accuracy fast
+expect_error 1 "--accuracy expects an argument" \
+    sweep --plan "$TMP/plan.sweep" --accuracy
+# Seconds are finite and >= 0: NaN would slip past every range check.
+expect_error 1 "--heartbeat must be >= 0 seconds and finite" \
+    sweep --plan "$TMP/plan.sweep" --heartbeat nan
+# A 20-digit shard count is refused, not wrapped to 2.
+expect_error 1 "shard count out of range" \
+    sweep --plan "$TMP/plan.sweep" --shard 1/18446744073709551618
 # A study shape the max-ISD search cannot run is a spec error naming
 # the key and line, not a contract abort inside the search.
 sed 's/^set max_repeaters = 2$/set max_repeaters = 0/' "$TMP/plan.sweep" \
@@ -206,12 +231,19 @@ expect_error 1 "drop --out-dir" \
     orchestrate --resume "$TMP/run" --out-dir "$TMP/other"
 expect_error 1 "--cache-max-mb requires --cache-dir" \
     orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/x" --cache-max-mb 8
+expect_error 1 "--timeout must be >= 0 seconds and finite" \
+    orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/n1" --timeout nan
+# The worker heartbeat is a quarter of the stall budget, so an infinite
+# one would make every worker heartbeat without pause.
+expect_error 1 "--stall-timeout must be >= 0 seconds and finite" \
+    orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/n2" \
+    --stall-timeout inf
 
 # orchestrate resume error paths.
 expect_error 1 "cannot read" orchestrate --resume "$TMP/no_such_run"
 mkdir -p "$TMP/freshrun"
 "$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/freshrun" \
-    --workers 2 2>/dev/null >/dev/null
+    --workers 2 --threads 1,1 2>/dev/null >/dev/null
 expect_error 1 "already holds an orchestrate.manifest" \
     orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/freshrun"
 # A resume whose --plan disagrees with the recorded run: refused, and

@@ -19,8 +19,9 @@
 #   3. the run summary is always printed (and appended to the manifest
 #      as an `info` line), traced or not,
 #   4. `railcorr trace merge|stats` consume worker `.trace` files (the
-#      sizing trace's per-span rollup lists the sizing spans), and a
-#      torn input fails cleanly: exit 1, no partial output file.
+#      per-span rollups list the shard stages, the sizing spans and,
+#      for a 2-segment corridor, the corridor check), and a torn input
+#      fails cleanly: exit 1, no partial output file.
 #
 # The disabled-path overhead itself is measured by bench_obs (and gated
 # against a recorded floor in CI); this smoke pins the byte-identity
@@ -233,8 +234,18 @@ if ! grep -q "events=" "$TMP/stats.log"; then
   exit 1
 fi
 # After each file's tally, one line per span name with its count and
-# total time: the sizing run's time shows in its batch span and in the
-# batch's per-weather-group tasks.
+# total time. The shard's first and last stages run once per shard.
+for span in scenarios emit; do
+  if ! grep -q "^  span name=$span count=1 total_usec=" "$TMP/stats.log"
+  then
+    echo "FAIL: trace stats of the sweep trace lacks span $span:" >&2
+    cat "$TMP/stats.log" >&2
+    exit 1
+  fi
+done
+# The sizing run's time shows in its batch span, in the batch's
+# per-weather-group tasks, and in each group's day synthesis (one per
+# solar.weather_syntheses).
 "$BIN" trace stats "$TMP/sizing.trace" > "$TMP/sizing_stats.log"
 for span in sizing_batch weather_group; do
   if ! grep -q "^  span name=$span count=[0-9]* total_usec=" \
@@ -244,6 +255,30 @@ for span in sizing_batch weather_group; do
     exit 1
   fi
 done
+if ! grep -q "^  span name=synthesis count=6 total_usec=" \
+    "$TMP/sizing_stats.log"; then
+  echo "FAIL: trace stats of the sizing trace lacks 6 synthesis spans:" >&2
+  cat "$TMP/sizing_stats.log" >&2
+  exit 1
+fi
+# A 2-segment corridor runs the whole-corridor check inside the radio
+# stage, under its own span; tracing it leaves the rows alone.
+{ cat "$TMP/plan.sweep"; echo "set corridor.segments = 2"; } \
+    > "$TMP/segments.sweep"
+"$BIN" sweep --plan "$TMP/segments.sweep" --out "$TMP/segments_plain.csv"
+"$BIN" sweep --plan "$TMP/segments.sweep" --out "$TMP/segments_traced.csv" \
+    --trace "$TMP/segments.trace"
+if ! cmp "$TMP/segments_traced.csv" "$TMP/segments_plain.csv"; then
+  echo "FAIL: traced 2-segment sweep differs from the untraced sweep" >&2
+  exit 1
+fi
+"$BIN" trace stats "$TMP/segments.trace" > "$TMP/segments_stats.log"
+if ! grep -q "^  span name=corridor_check count=[0-9]* total_usec=" \
+    "$TMP/segments_stats.log"; then
+  echo "FAIL: trace stats of the 2-segment trace lacks corridor_check:" >&2
+  cat "$TMP/segments_stats.log" >&2
+  exit 1
+fi
 first_two="$(ls "$TMP/run_traced/telemetry/"*.trace | head -n 2)"
 # shellcheck disable=SC2086
 "$BIN" trace merge --out "$TMP/merged_pair.json" $first_two

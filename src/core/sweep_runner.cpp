@@ -50,6 +50,9 @@ RadioColumns radio_columns(
   // when corridor.segments == 1.
   r.corridor_min_snr_db = r.min_snr_at_max_db;
   if (scenario.corridor_segments > 1) {
+    const obs::ObsSpan span("corridor_check", "sweep", "segments",
+                            static_cast<std::uint64_t>(
+                                scenario.corridor_segments));
     corridor::SegmentDeployment segment;
     segment.geometry.isd_m = r.max_isd_m;
     segment.geometry.repeater_count = r.max_n;
@@ -228,35 +231,41 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   };
 
   // Stage 1: cache hits keep their stored rows; only missed cells
-  // (positions into `indices`) go through the stages below.
+  // (positions into `indices`) go through the stages below, and build
+  // their scenarios here.
   std::vector<std::string> rows(indices.size());
   std::vector<std::uint64_t> usecs(indices.size(), 0);
   std::vector<std::size_t> missed;
-  missed.reserve(indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (cache != nullptr) {
-      const std::uint64_t start = timed ? obs::usec_now() : 0;
-      if (const auto hit = cache->lookup(key_of(indices[i]))) {
-        rows[i] = std::string(*hit);
-        usecs[i] = cell_usec(start);
-        continue;
+  std::vector<Scenario> scenarios;
+  std::vector<std::string> radio_inputs;
+  {
+    const obs::ObsSpan span("scenarios", "sweep", "cells", indices.size());
+    missed.reserve(indices.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      if (cache != nullptr) {
+        const std::uint64_t start = timed ? obs::usec_now() : 0;
+        if (const auto hit = cache->lookup(key_of(indices[i]))) {
+          rows[i] = std::string(*hit);
+          usecs[i] = cell_usec(start);
+          continue;
+        }
       }
+      missed.push_back(i);
     }
-    missed.push_back(i);
-  }
-  cached_counter.add(indices.size() - missed.size());
+    cached_counter.add(indices.size() - missed.size());
 
-  std::vector<Scenario> scenarios(missed.size());
-  std::vector<std::string> radio_inputs(missed.size());
-  try {
-    exec::parallel_for(missed.size(), [&](std::size_t j) {
-      scenarios[j] = scenario_at(plan, indices[missed[j]]);
-      radio_inputs[j] = to_spec(scenarios[j], kRadioStageKeys);
-    });
-  } catch (const util::ConfigError&) {
-    // Report the lowest-index bad cell at any thread count.
-    for (const std::size_t i : missed) scenario_at(plan, indices[i]);
-    throw;
+    scenarios.resize(missed.size());
+    radio_inputs.resize(missed.size());
+    try {
+      exec::parallel_for(missed.size(), [&](std::size_t j) {
+        scenarios[j] = scenario_at(plan, indices[missed[j]]);
+        radio_inputs[j] = to_spec(scenarios[j], kRadioStageKeys);
+      });
+    } catch (const util::ConfigError&) {
+      // Report the lowest-index bad cell at any thread count.
+      for (const std::size_t i : missed) scenario_at(plan, indices[i]);
+      throw;
+    }
   }
 
   // Stage 2: each distinct radio input runs its sequential top-down
@@ -325,6 +334,7 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   // Stage 5: emission on the calling thread in ascending index order.
   // The progress callback carries the kill/stall/host-flap fault
   // points, so it must never run on a pool worker.
+  const obs::ObsSpan emit_span("emit", "sweep", "cells", indices.size());
   if (cache != nullptr) {
     for (const std::size_t i : missed) {
       cache->insert(key_of(indices[i]), rows[i]);

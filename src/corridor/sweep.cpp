@@ -71,19 +71,14 @@ std::optional<ParsedShard> parse_shard(std::string_view document,
       shard.header = line;
       continue;
     }
-    const std::size_t comma = line.find(',');
+    // from_chars refuses an index that does not fit, instead of
+    // wrapping it onto another cell.
+    const std::size_t comma = std::min(line.find(','), line.size());
     std::size_t index = 0;
-    bool numeric = comma != std::string_view::npos && comma > 0;
-    if (numeric) {
-      for (const char c : line.substr(0, comma)) {
-        if (c < '0' || c > '9') {
-          numeric = false;
-          break;
-        }
-        index = index * 10 + static_cast<std::size_t>(c - '0');
-      }
-    }
-    if (!numeric) {
+    const auto parsed =
+        std::from_chars(line.data(), line.data() + comma, index);
+    if (comma == line.size() || parsed.ec != std::errc{} ||
+        parsed.ptr != line.data() + comma) {
       errors.push_back(label + " line " + std::to_string(line_no) +
                        ": expected '<index>,...', got '" + std::string(line) +
                        "'");
@@ -217,12 +212,15 @@ ShardSpec ShardSpec::parse(std::string_view text) {
       throw ConfigError("shard spec '" + std::string(text) + "': missing " +
                         what);
     }
-    for (const char c : part) {
-      if (c < '0' || c > '9') {
-        throw ConfigError("shard spec '" + std::string(text) +
-                          "': expected '<i>/<N>' with decimal numbers");
-      }
-      value = value * 10 + static_cast<std::size_t>(c - '0');
+    const char* const end = part.data() + part.size();
+    const auto parsed = std::from_chars(part.data(), end, value);
+    if (parsed.ec == std::errc::result_out_of_range) {
+      throw ConfigError("shard spec '" + std::string(text) + "': " + what +
+                        " out of range");
+    }
+    if (parsed.ec != std::errc{} || parsed.ptr != end) {
+      throw ConfigError("shard spec '" + std::string(text) +
+                        "': expected '<i>/<N>' with decimal numbers");
     }
     return value;
   };

@@ -1,5 +1,6 @@
 #include "orch/progress.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 namespace railcorr::orch {
@@ -7,6 +8,9 @@ namespace railcorr::orch {
 namespace {
 
 constexpr std::string_view kMagic = "@railcorr 1 ";
+
+/// The longest heartbeat period HeartbeatThread waits.
+constexpr double kMaxHeartbeatPeriodS = 3600.0;
 
 /// Consume "<name>=<decimal>" from the front of `rest` (preceded by a
 /// single space when `leading_space`); false on any mismatch.
@@ -202,9 +206,13 @@ HeartbeatThread::HeartbeatThread(double period_s,
                                  std::function<void(const std::string&)> emit)
     : thread_([this, period_s, emit = std::move(emit)] {
         std::unique_lock<std::mutex> lock(mutex_);
+        // Cap the period where the cast below cannot overflow (it is
+        // undefined above ~9.2e9 s, and the wait then returns at once).
+        // An early heartbeat only refreshes liveness.
         const auto period = std::chrono::duration_cast<
             std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(period_s));
+            std::chrono::duration<double>(
+                std::min(period_s, kMaxHeartbeatPeriodS)));
         while (!stopped_) {
           if (cv_.wait_for(lock, period, [this] { return stopped_; })) break;
           lock.unlock();

@@ -156,10 +156,11 @@ class ProgressAggregator {
 };
 
 /// A worker-side heartbeat timer: calls `emit` with heartbeat_line()
-/// every `period_s` seconds until stopped (or destroyed). `emit` runs
-/// on the timer thread, so it must be synchronized with the worker's
-/// other protocol writes — in practice both go through one mutex-
-/// guarded "write a line to stdout and flush" lambda.
+/// every `period_s` seconds, at most an hour apart, until stopped (or
+/// destroyed). `emit` runs on the timer thread, so it must be
+/// synchronized with the worker's other protocol writes — in practice
+/// both go through one mutex-guarded "write a line to stdout and
+/// flush" lambda.
 ///
 /// stop() is idempotent and joins the thread; a worker that is about
 /// to simulate a hang (the `stall` fault point) must stop its

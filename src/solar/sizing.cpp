@@ -204,8 +204,13 @@ std::vector<std::vector<SizingResult>> size_jobs(
         const obs::ObsSpan span("weather_group", "solar", "walks",
                                 group.members.size());
         const SizingOptions& options = *group.options;
-        const auto days = skies[group.sky]->synthesize_days(
-            options.weather, options.seed, options.years);
+        const auto days = [&] {
+          const obs::ObsSpan synthesis("synthesis", "solar", "years",
+                                       static_cast<std::uint64_t>(
+                                           options.years));
+          return skies[group.sky]->synthesize_days(
+              options.weather, options.seed, options.years);
+        }();
 #if defined(RAILCORR_HAVE_AVX2)
         if (group.members.size() >= 2 &&
             vmath::active_simd_level() == vmath::SimdLevel::kAvx2) {

@@ -75,6 +75,10 @@ TEST(ShardSpec, ParseAndPartition) {
   EXPECT_THROW(ShardSpec::parse("0/0"), util::ConfigError);
   EXPECT_THROW(ShardSpec::parse("1-3"), util::ConfigError);
   EXPECT_THROW(ShardSpec::parse("a/3"), util::ConfigError);
+  // 20-digit decimals that do not fit are refused, not wrapped (2^64 + 2
+  // would otherwise read as 2, and 2^64 + 1 as 1).
+  EXPECT_THROW(ShardSpec::parse("1/18446744073709551618"), util::ConfigError);
+  EXPECT_THROW(ShardSpec::parse("18446744073709551617/2"), util::ConfigError);
 
   // Shards partition the grid: disjoint and covering.
   std::set<std::size_t> seen;
@@ -224,6 +228,13 @@ TEST(MergeShards, MalformedDocumentsAreRejected) {
   EXPECT_FALSE(merge_shards({}).ok);
   EXPECT_FALSE(merge_shards({"not a shard at all\n"}).ok);
   EXPECT_FALSE(merge_shards({tiny_banner() + "\nheader\nnot-a-row\n"}).ok);
+  // A row index that does not fit is malformed input, not cell 1
+  // (2^64 + 1 wrapped), and not a contract violation.
+  const auto overflow = merge_shards({make_shard({{0, "1,10"}}) +
+                                      "18446744073709551617,2,20\n" +
+                                      "2,3,30\n3,4,40\n"});
+  EXPECT_FALSE(overflow.ok);
+  EXPECT_FALSE(overflow.contract_violation);
 }
 
 }  // namespace

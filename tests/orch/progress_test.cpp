@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <set>
@@ -174,6 +175,17 @@ TEST(HeartbeatThreadTest, StopBeforeFirstBeatEmitsNothing) {
     heartbeat.stop();
   }
   EXPECT_TRUE(lines.empty());
+}
+
+TEST(HeartbeatThreadTest, HugePeriodNeverSpins) {
+  // A period whose duration cast would overflow must wait, not fire at
+  // once: an orchestrator derives worker periods from --stall-timeout.
+  std::atomic<int> beats{0};
+  {
+    HeartbeatThread heartbeat(1e12, [&](const std::string&) { ++beats; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(beats.load(), 0);
 }
 
 TEST(ProgressAggregator, CacheTalliesSumLatestReportPerShard) {

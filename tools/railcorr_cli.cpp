@@ -1,44 +1,20 @@
 /// \file railcorr_cli.cpp
 /// \brief The `railcorr` command-line tool: declarative scenario runs,
-///        sharded corridor sweeps, and the multi-process orchestrator.
+///        sharded corridor sweeps, the multi-process orchestrator, and
+///        offline result-store and trace tooling.
 ///
-/// Subcommands:
-///   list                           registry catalog
-///   show   [scenario selection]    resolved ScenarioSpec of a scenario
-///   run    [scenario selection]    full paper evaluation of a scenario
-///   sweep  --plan FILE [--shard i/N] [--out FILE]
-///                                  evaluate (a shard of) a sweep grid
-///   merge  [--out FILE] SHARD...   merge shard files, enforcing the
-///                                  cross-shard determinism contract
-///   orchestrate --plan FILE --out-dir DIR | --resume DIR
-///                                  shard a grid across a local worker
-///                                  fleet with retry + resume
-///   cache  stats|verify|gc --dir DIR
-///                                  inspect / repair / bound the
-///                                  content-addressed result cache
-///   trace  merge|stats FILE...     merge per-worker .trace files into
-///                                  one Perfetto timeline / summarize
-///                                  them
+/// The table `kVerbs` (after the handlers) is the one place where verbs
+/// and flags are declared. A verb is one row: its name, its operands,
+/// one help line, its handler and its flags. A flag is one row: its
+/// spelling, a metavariable (none for a switch) and one help line.
+/// `Args` reads every command line against that table, and `railcorr
+/// help` prints it, so the usage text cannot drift from the parser.
 ///
 /// `--trace FILE` / `--metrics FILE` (sweep) and `--trace-dir DIR`
-/// (orchestrate) turn on run telemetry (src/obs): span traces in
-/// Chrome trace-event JSON and a counters/histograms rollup. Telemetry
-/// is inert by contract — every result artifact is byte-identical with
-/// or without it.
-///
-/// `--cache-dir DIR` (sweep / orchestrate) attaches a content-addressed
-/// result store (src/cache): cells whose rows are already cached skip
-/// evaluation, evaluated cells are published for the next run, and the
-/// output stays byte-identical either way.
-///
-/// Scenario selection (show / run): `--scenario NAME` picks a registry
-/// entry (default: paper), `--spec FILE` loads a ScenarioSpec document
-/// on top, and repeated `--set key=value` apply final overrides.
-///
-/// `--accuracy bitexact` (run / sweep / orchestrate) names the one
-/// numeric contract every result is computed in; it is accepted so
-/// existing command lines keep working, and any other value is an
-/// error.
+/// (orchestrate) turn on run telemetry (src/obs), and `--cache-dir DIR`
+/// (sweep / orchestrate) attaches a content-addressed result store
+/// (src/cache). Both are inert by contract: every result artifact is
+/// byte-identical with or without them.
 ///
 /// Exit codes: 0 success; 1 usage/configuration error; 2 determinism
 /// contract violation reported by merge or orchestrate, or a refused
@@ -47,6 +23,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -55,7 +32,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/result_cache.hpp"
@@ -84,208 +63,247 @@ namespace {
 
 using railcorr::util::ConfigError;
 
-int usage(std::ostream& os) {
-  os << "usage: railcorr <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                      scenario registry catalog\n"
-        "  show [selection]          print the resolved ScenarioSpec\n"
-        "  run  [selection] [--isd-source model|paper] [--accuracy MODE]\n"
-        "                            run the full paper evaluation\n"
-        "  sweep --plan FILE [--shard i/N] [--out FILE]\n"
-        "        [--include-sizing] [--threads N] [--accuracy MODE]\n"
-        "        [--progress] [--heartbeat SECONDS] [--fault SPEC]\n"
-        "        [--cache-dir DIR] [--cache-max-mb N]\n"
-        "        [--trace FILE] [--metrics FILE]\n"
-        "                            evaluate (a shard of) a sweep grid;\n"
-        "                            --progress streams the worker line\n"
-        "                            protocol on stdout (requires --out);\n"
-        "                            --heartbeat emits a liveness line\n"
-        "                            this often while the shard computes;\n"
-        "                            --out files carry a crash-safe\n"
-        "                            @railcorr-crc integrity trailer;\n"
-        "                            --cache-dir serves already-computed\n"
-        "                            cells from a content-addressed store\n"
-        "                            (byte-identical by contract);\n"
-        "                            --fault arms a named fault point\n"
-        "                            (torn-write=N, corrupt-trailer,\n"
-        "                            stall=N, kill=N, cache-torn-write=N,\n"
-        "                            cache-corrupt-segment, cache-evict,\n"
-        "                            launch-refused, host-flap=N,\n"
-        "                            transfer-torn=N, transfer-stalled;\n"
-        "                            also RAILCORR_FAULT)\n"
-        "  merge [--out FILE] SHARD_FILE...\n"
-        "                            merge shards (integrity trailers\n"
-        "                            verified+stripped); exit 2 on\n"
-        "                            determinism contract violations\n"
-        "  orchestrate --plan FILE --out-dir DIR [--workers N] [--shards N]\n"
-        "              [--retries N] [--timeout SECONDS]\n"
-        "              [--stall-timeout SECONDS] [--backoff SECONDS]\n"
-        "              [--include-sizing]\n"
-        "              [--threads N[,N...]] [--accuracy MODE]\n"
-        "              [--chaos-seed N] [--out FILE]\n"
-        "              [--cache-dir DIR] [--cache-max-mb N]\n"
-        "              [--hosts H1,H2,...] [--launcher TEMPLATE]\n"
-        "              [--fetch TEMPLATE] [--fetch-timeout SECONDS]\n"
-        "              [--trace-dir DIR]\n"
-        "  orchestrate --resume DIR [same options]\n"
-        "                            evaluate a grid with a worker fleet:\n"
-        "                            shard queue, failure retry, live\n"
-        "                            progress, resumable manifest;\n"
-        "                            --threads N,N,... assigns per-slot\n"
-        "                            (per-host with --hosts) thread\n"
-        "                            counts; --stall-timeout kills\n"
-        "                            progress-silent workers; --chaos-seed\n"
-        "                            runs a deterministic fault storm;\n"
-        "                            --cache-dir shares one result store\n"
-        "                            across the fleet (hit/miss tallies\n"
-        "                            in the summary);\n"
-        "                            --hosts places attempts on a fleet\n"
-        "                            (the name 'local' means plain\n"
-        "                            fork/exec), --launcher wraps worker\n"
-        "                            command lines (placeholders {host}\n"
-        "                            {cmd}, e.g. 'ssh {host} {cmd}'),\n"
-        "                            --fetch pulls each remote shard back\n"
-        "                            ({host} {remote} {local}, e.g.\n"
-        "                            'scp {host}:{remote} {local}') and\n"
-        "                            verifies it before acceptance\n"
-        "  cache stats  --dir DIR    segment/entry/byte counts + corrupt\n"
-        "  cache verify --dir DIR [--strict]\n"
-        "                            verify every segment, dropping any\n"
-        "                            corrupt one; --strict exits 1 if a\n"
-        "                            corrupt segment was found\n"
-        "  cache gc     --dir DIR --max-mb N\n"
-        "                            evict least-recently-used segments\n"
-        "                            until the store fits N MiB\n"
-        "  trace merge [--out FILE] TRACE_FILE...\n"
-        "                            merge worker .trace files into one\n"
-        "                            Perfetto-loadable timeline (every\n"
-        "                            input parsed up front; any malformed\n"
-        "                            file exits 1 with no output written)\n"
-        "  trace stats TRACE_FILE... per-file event/span/instant counts,\n"
-        "                            then each span name's count and\n"
-        "                            total usec, largest total first\n"
-        "\n"
-        "run telemetry: `sweep --trace FILE --metrics FILE` records span\n"
-        "traces + metrics for one worker; `orchestrate --trace-dir DIR`\n"
-        "collects per-attempt telemetry for the whole fleet and merges\n"
-        "it into DIR/trace.json + DIR/run_metrics.json on success.\n"
-        "Telemetry never changes result bytes.\n"
-        "\n"
-        "scenario selection (show/run):\n"
-        "  --scenario NAME           registry entry (default: paper)\n"
-        "  --spec FILE               apply a ScenarioSpec document\n"
-        "  --set KEY=VALUE           apply one override (repeatable)\n"
-        "\n"
-        "--accuracy MODE accepts only 'bitexact', the one numeric\n"
-        "contract (byte-stable everywhere).\n";
-  return 1;
+class Args;
+
+/// One flag of a verb.
+struct Flag {
+  const char* name;
+  /// The value's metavariable; nullptr for a switch, which takes none.
+  const char* meta;
+  const char* help;
+};
+
+/// One verb. `name` is what follows `railcorr`: two words for the
+/// `cache` and `trace` groups.
+struct Verb {
+  const char* name;
+  /// The positional operands; nullptr when the verb takes none.
+  const char* operands;
+  const char* help;
+  int (*run)(const Args&);
+  std::vector<Flag> flags;
+};
+
+std::uint64_t parse_count(std::string_view flag, std::string_view value) {
+  return railcorr::util::parse_u64(
+      railcorr::util::SpecEntry{std::string(flag), std::string(value), 0});
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ConfigError("cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-void write_output(const std::optional<std::string>& path,
-                  const std::string& content) {
-  if (!path.has_value()) {
-    std::cout << content;
-    return;
+/// A verb's command line, read against its table row. A flag takes the
+/// next word as its value unless it is a switch. A word that no flag
+/// spells is an operand if the verb takes operands and the word does
+/// not start with "--"; otherwise it is an unknown option. The getters
+/// return the last value given, and `count` and `seconds` check every
+/// value given.
+class Args {
+ public:
+  Args(const Verb& verb, const char* program,
+       const std::vector<std::string>& words)
+      : verb_(verb), program_(program) {
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      const std::string& word = words[i];
+      const auto flag =
+          std::find_if(verb.flags.begin(), verb.flags.end(),
+                       [&](const Flag& row) { return word == row.name; });
+      if (flag != verb.flags.end()) {
+        if (flag->meta != nullptr && i + 1 >= words.size()) {
+          throw ConfigError(word + " expects an argument");
+        }
+        given_.emplace_back(flag->name,
+                            flag->meta != nullptr ? words[++i] : "");
+      } else if (verb.operands != nullptr && !word.starts_with("--")) {
+        operands_.push_back(word);
+      } else {
+        throw ConfigError(std::string(verb.name) + ": unknown option '" +
+                          word + "'");
+      }
+    }
   }
-  std::ofstream out(*path, std::ios::binary);
-  if (!out) throw ConfigError("cannot write '" + *path + "'");
-  out << content;
+
+  const Verb& verb() const { return verb_; }
+  const char* program() const { return program_; }
+  const std::vector<std::string>& operands() const { return operands_; }
+
+  /// Every value given for `flag`, in command-line order.
+  std::vector<std::string> all(std::string_view flag) const {
+    declared(flag);
+    std::vector<std::string> values;
+    for (const auto& [name, value] : given_) {
+      if (name == flag) values.push_back(value);
+    }
+    return values;
+  }
+
+  /// Whether `flag` was given; this reads a switch.
+  bool has(std::string_view flag) const { return !all(flag).empty(); }
+
+  std::optional<std::string> text(std::string_view flag) const {
+    auto values = all(flag);
+    if (values.empty()) return std::nullopt;
+    return std::move(values.back());
+  }
+
+  /// The value of a required flag, or "<verb>: <flag> <META> required".
+  std::string need(std::string_view flag) const {
+    if (auto value = text(flag)) return std::move(*value);
+    const Flag& row = declared(flag);
+    RAILCORR_EXPECTS(row.meta != nullptr);
+    throw ConfigError(std::string(verb_.name) + ": " + row.name + " " +
+                      row.meta + " required");
+  }
+
+  /// An unsigned decimal.
+  std::optional<std::uint64_t> count(std::string_view flag) const {
+    std::optional<std::uint64_t> last;
+    for (const auto& value : all(flag)) last = parse_count(flag, value);
+    return last;
+  }
+
+  /// A finite number of seconds >= 0. NaN would slip past every range
+  /// check, and a value that overflows a timer's duration cast makes
+  /// the timer fire at once.
+  std::optional<double> seconds(std::string_view flag) const {
+    std::optional<double> last;
+    for (const auto& value : all(flag)) {
+      last = railcorr::util::parse_double(
+          railcorr::util::SpecEntry{std::string(flag), value, 0});
+      if (!std::isfinite(*last) || *last < 0) {
+        throw ConfigError(std::string(flag) +
+                          " must be >= 0 seconds and finite");
+      }
+    }
+    return last;
+  }
+
+  /// The cross-flag rule "`flag` requires `needed`"; `why` is the
+  /// reason the error gives.
+  void require(std::string_view flag, std::string_view needed,
+               std::string_view why = {}) const {
+    if (!has(flag) || has(needed)) return;
+    std::string message = std::string(verb_.name) + ": " + std::string(flag) +
+                          " requires " + std::string(needed);
+    if (!why.empty()) message += " (" + std::string(why) + ")";
+    throw ConfigError(message);
+  }
+
+ private:
+  /// The row of `flag`: a handler reads only the flags its verb
+  /// declares.
+  const Flag& declared(std::string_view flag) const {
+    const auto row =
+        std::find_if(verb_.flags.begin(), verb_.flags.end(),
+                     [&](const Flag& entry) { return flag == entry.name; });
+    RAILCORR_EXPECTS(row != verb_.flags.end());
+    return *row;
+  }
+
+  const Verb& verb_;
+  const char* program_;
+  /// (flag, value) in command-line order; a switch's value is empty.
+  std::vector<std::pair<std::string_view, std::string>> given_;
+  std::vector<std::string> operands_;
+};
+
+/// The whole file at `path`, or a ConfigError naming it.
+std::string read_input(const std::string& path) {
+  auto content = railcorr::util::read_file_fully(path);
+  if (!content.has_value()) throw ConfigError("cannot read '" + path + "'");
+  return std::move(*content);
 }
 
-/// Write a grid document (shard or merged CSV) durably: crash-safe
-/// atomic rename plus the `@railcorr-crc` integrity trailer, so a torn
-/// write or later bit rot is detected instead of merged. Stdout stays
-/// trailer-free — trailers are a property of files at rest, and piped
-/// consumers should not need to strip them.
+/// Durably replace `path` with `content` and its `@railcorr-crc`
+/// integrity trailer: a crash-safe atomic rename, so a torn write or
+/// later bit rot is detected instead of merged. Returns the error, if
+/// any.
+std::optional<std::string> write_trailered(const std::string& path,
+                                           const std::string& content) {
+  std::string error;
+  if (railcorr::util::atomic_write_file(
+          path, railcorr::util::with_integrity_trailer(content), &error)) {
+    return std::nullopt;
+  }
+  return error;
+}
+
+/// Write a grid document (shard or merged CSV) through write_trailered.
+/// Stdout stays trailer-free: trailers are a property of files at
+/// rest, and piped consumers should not need to strip them.
 void write_grid_output(const std::optional<std::string>& path,
                        const std::string& content) {
   if (!path.has_value()) {
     std::cout << content;
     return;
   }
-  std::string error;
-  if (!railcorr::util::atomic_write_file(
-          *path, railcorr::util::with_integrity_trailer(content), &error)) {
-    throw ConfigError("cannot write '" + *path + "': " + error);
+  if (const auto error = write_trailered(*path, content)) {
+    throw ConfigError("cannot write '" + *path + "': " + *error);
   }
 }
 
-/// Strip `--accuracy bitexact` from `args`. Shared by run / sweep /
-/// orchestrate; 'bitexact' is the only numeric contract, so any other
-/// value is rejected.
-void apply_accuracy_option(std::vector<std::string>& args) {
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] != "--accuracy") {
-      rest.push_back(args[i]);
-      continue;
-    }
-    const std::string value = i + 1 < args.size() ? args[++i] : "";
+/// Write one sweep shard document, honoring any armed write-side fault
+/// points. The faults simulate exactly the failure the durability layer
+/// must survive: a torn write leaves a prefix of the document claiming
+/// success (exit 0), a corrupted trailer leaves a full-length file whose
+/// checksum lies. Both bypass atomic_write_file on purpose — a
+/// fault-free write must be atomic, a faulty one must be visible to the
+/// orchestrator's verification, not hidden by rename. Only a faulty
+/// write builds its own trailered bytes, so every shard is hashed once.
+void write_shard_output(const std::optional<std::string>& out_path,
+                        const std::string& document) {
+  auto& faults = railcorr::orch::FaultInjector::instance();
+  const auto torn = faults.armed(railcorr::orch::FaultKind::kTornWrite);
+  const bool corrupt =
+      faults.armed(railcorr::orch::FaultKind::kCorruptTrailer).has_value();
+  if (!out_path.has_value() || (!torn.has_value() && !corrupt)) {
+    write_grid_output(out_path, document);
+    return;
+  }
+  std::string trailered = railcorr::util::with_integrity_trailer(document);
+  if (torn.has_value()) {
+    trailered.resize(
+        std::min(trailered.size(), std::max<std::size_t>(1, *torn)));
+  } else {
+    // Flip one hex digit of the trailer: the document body stays
+    // structurally perfect (banner, rows, row count all check out), so
+    // only the checksum verification can catch it.
+    const std::size_t digit = trailered.size() - 2;  // last digit, pre-'\n'
+    trailered[digit] = trailered[digit] == '0' ? '1' : '0';
+  }
+  std::ofstream out(*out_path, std::ios::binary);
+  if (!out) throw ConfigError("cannot write '" + *out_path + "'");
+  out << trailered;
+}
+
+/// `--accuracy` names the one numeric contract, 'bitexact'; it is
+/// accepted so existing command lines keep working.
+void check_accuracy(const Args& args) {
+  for (const auto& value : args.all("--accuracy")) {
     if (value != "bitexact") {
       throw ConfigError("--accuracy accepts only 'bitexact', got '" + value +
                         "'");
     }
   }
-  args = std::move(rest);
 }
 
-railcorr::util::SpecEntry parse_set_option(const std::string& text) {
-  const std::size_t eq = text.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= text.size()) {
-    throw ConfigError("--set expects KEY=VALUE, got '" + text + "'");
+/// Scenario selection (show / run): the `--scenario` registry entry,
+/// then the `--spec` document, then each `--set` override.
+railcorr::core::Scenario select_scenario(const Args& args) {
+  railcorr::core::Scenario scenario =
+      railcorr::core::make_scenario(args.text("--scenario").value_or("paper"));
+  if (const auto spec_path = args.text("--spec")) {
+    railcorr::core::apply_spec(scenario, read_input(*spec_path));
   }
-  railcorr::util::SpecEntry entry;
-  entry.key = text.substr(0, eq);
-  entry.value = text.substr(eq + 1);
-  return entry;
-}
-
-/// Common `--scenario / --spec / --set` handling; consumed args are
-/// removed from `args`.
-railcorr::core::Scenario select_scenario(std::vector<std::string>& args) {
-  std::string name = "paper";
-  std::optional<std::string> spec_path;
-  std::vector<railcorr::util::SpecEntry> overrides;
-  std::vector<std::string> rest;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--scenario") {
-      name = value_of("--scenario");
-    } else if (args[i] == "--spec") {
-      spec_path = value_of("--spec");
-    } else if (args[i] == "--set") {
-      overrides.push_back(parse_set_option(value_of("--set")));
-    } else {
-      rest.push_back(args[i]);
+  for (const auto& text : args.all("--set")) {
+    const std::size_t eq = text.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= text.size()) {
+      throw ConfigError("--set expects KEY=VALUE, got '" + text + "'");
     }
-  }
-  args = std::move(rest);
-
-  railcorr::core::Scenario scenario = railcorr::core::make_scenario(name);
-  if (spec_path.has_value()) {
-    railcorr::core::apply_spec(scenario, read_file(*spec_path));
-  }
-  for (const auto& entry : overrides) {
-    railcorr::core::apply_override(scenario, entry);
+    railcorr::core::apply_override(
+        scenario, {text.substr(0, eq), text.substr(eq + 1), 0});
   }
   return scenario;
 }
 
-int cmd_list() {
+int cmd_list(const Args&) {
   railcorr::TextTable table("Scenario registry");
   table.set_header({"name", "summary"});
   for (const auto& variant : railcorr::core::scenario_registry()) {
@@ -295,33 +313,21 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_show(std::vector<std::string> args) {
-  const auto scenario = select_scenario(args);
-  if (!args.empty()) throw ConfigError("show: unknown option '" + args[0] + "'");
-  std::cout << railcorr::core::to_spec(scenario);
+int cmd_show(const Args& args) {
+  std::cout << railcorr::core::to_spec(select_scenario(args));
   return 0;
 }
 
-int cmd_run(std::vector<std::string> args) {
-  apply_accuracy_option(args);
-  auto scenario = select_scenario(args);
+int cmd_run(const Args& args) {
+  check_accuracy(args);
+  const auto scenario = select_scenario(args);
   auto source = railcorr::corridor::IsdSource::kModelSearch;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--isd-source") {
-      if (i + 1 >= args.size()) {
-        throw ConfigError("--isd-source expects 'model' or 'paper'");
-      }
-      const std::string& value = args[++i];
-      if (value == "model") {
-        source = railcorr::corridor::IsdSource::kModelSearch;
-      } else if (value == "paper") {
-        source = railcorr::corridor::IsdSource::kPaperPublished;
-      } else {
-        throw ConfigError("--isd-source expects 'model' or 'paper'");
-      }
-    } else {
-      throw ConfigError("run: unknown option '" + args[i] + "'");
+  for (const auto& value : args.all("--isd-source")) {
+    if (value != "model" && value != "paper") {
+      throw ConfigError("--isd-source expects 'model' or 'paper'");
     }
+    source = value == "paper" ? railcorr::corridor::IsdSource::kPaperPublished
+                              : railcorr::corridor::IsdSource::kModelSearch;
   }
 
   const railcorr::core::PaperEvaluator evaluator(scenario);
@@ -357,111 +363,38 @@ int cmd_run(std::vector<std::string> args) {
   return 0;
 }
 
-/// Parse a decimal size_t CLI value via the spec machinery (uniform
-/// error messages).
-std::size_t parse_u64_option(const char* option, const std::string& value) {
-  railcorr::util::SpecEntry entry;
-  entry.key = option;
-  entry.value = value;
-  return static_cast<std::size_t>(railcorr::util::parse_u64(entry));
-}
-
-/// Write one sweep shard document to `out_path`, honoring any armed
-/// write-side fault points. The faults simulate exactly the failure the
-/// durability layer must survive: a torn write leaves a prefix of the
-/// document claiming success (exit 0), a corrupted trailer leaves a
-/// full-length file whose checksum lies. Both bypass atomic_write_file
-/// on purpose — a fault-free write must be atomic, a faulty one must be
-/// visible to the orchestrator's verification, not hidden by rename.
-void write_shard_output(const std::string& out_path,
-                        const std::string& document) {
-  auto& faults = railcorr::orch::FaultInjector::instance();
-  std::string trailered = railcorr::util::with_integrity_trailer(document);
-  if (const auto torn = faults.armed(railcorr::orch::FaultKind::kTornWrite)) {
-    trailered.resize(std::min(trailered.size(), std::max<std::size_t>(1,
-                                                                      *torn)));
-    write_output(out_path, trailered);
-    return;
-  }
-  if (faults.armed(railcorr::orch::FaultKind::kCorruptTrailer).has_value()) {
-    // Flip one hex digit of the trailer: the document body stays
-    // structurally perfect (banner, rows, row count all check out), so
-    // only the checksum verification can catch it.
-    const std::size_t digit = trailered.size() - 2;  // last digit, pre-'\n'
-    trailered[digit] = trailered[digit] == '0' ? '1' : '0';
-    write_output(out_path, trailered);
-    return;
-  }
-  std::string error;
-  if (!railcorr::util::atomic_write_file(out_path, trailered, &error)) {
-    throw ConfigError("cannot write '" + out_path + "': " + error);
-  }
-}
-
-int cmd_sweep(std::vector<std::string> args) {
-  apply_accuracy_option(args);
-  std::optional<std::string> plan_path;
-  std::optional<std::string> out_path;
-  std::optional<std::string> cache_dir;
-  std::optional<std::string> trace_path;
-  std::optional<std::string> metrics_path;
-  std::size_t cache_max_mb = 0;
-  railcorr::corridor::ShardSpec shard;
-  railcorr::core::SweepRunOptions options;
-  bool progress = false;
-  double heartbeat_s = 0.0;
+int cmd_sweep(const Args& args) {
+  check_accuracy(args);
+  // Seeded fault injection (chaos testing): RAILCORR_FAULT arms the
+  // workers the orchestrator launches, `--fault` arms by hand.
   auto& faults = railcorr::orch::FaultInjector::instance();
   faults.arm_from_env();
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--plan") {
-      plan_path = value_of("--plan");
-    } else if (args[i] == "--shard") {
-      shard = railcorr::corridor::ShardSpec::parse(value_of("--shard"));
-    } else if (args[i] == "--out") {
-      out_path = value_of("--out");
-    } else if (args[i] == "--include-sizing") {
-      options.include_sizing = true;
-    } else if (args[i] == "--progress") {
-      progress = true;
-    } else if (args[i] == "--heartbeat") {
-      // Periodic liveness lines on the progress stream: a supervisor's
-      // --stall-timeout can then tell a slow shard (heartbeats keep
-      // flowing while its cell lines wait for the stages) from a dead
-      // transport (silence).
-      railcorr::util::SpecEntry entry;
-      entry.key = "--heartbeat";
-      entry.value = value_of("--heartbeat");
-      heartbeat_s = railcorr::util::parse_double(entry);
-      if (heartbeat_s <= 0) {
-        throw ConfigError("--heartbeat must be > 0 seconds");
-      }
-    } else if (args[i] == "--fault") {
-      // Seeded fault injection (chaos testing): arm a named failure —
-      // torn-write=N, corrupt-trailer, stall=N, kill=N. Also armable
-      // via RAILCORR_FAULT for workers the orchestrator launches.
-      faults.arm(railcorr::orch::parse_fault_spec(value_of("--fault")));
-    } else if (args[i] == "--threads") {
-      railcorr::exec::set_default_thread_count(
-          parse_u64_option("--threads", value_of("--threads")));
-    } else if (args[i] == "--cache-dir") {
-      cache_dir = value_of("--cache-dir");
-    } else if (args[i] == "--cache-max-mb") {
-      cache_max_mb =
-          parse_u64_option("--cache-max-mb", value_of("--cache-max-mb"));
-    } else if (args[i] == "--trace") {
-      trace_path = value_of("--trace");
-    } else if (args[i] == "--metrics") {
-      metrics_path = value_of("--metrics");
-    } else {
-      throw ConfigError("sweep: unknown option '" + args[i] + "'");
-    }
+  for (const auto& spec : args.all("--fault")) {
+    faults.arm(railcorr::orch::parse_fault_spec(spec));
   }
+  railcorr::corridor::ShardSpec shard;
+  for (const auto& text : args.all("--shard")) {
+    shard = railcorr::corridor::ShardSpec::parse(text);
+  }
+  if (const auto threads = args.count("--threads")) {
+    railcorr::exec::set_default_thread_count(*threads);
+  }
+  // Periodic liveness lines on the progress stream: a supervisor's
+  // --stall-timeout can then tell a slow shard (heartbeats keep
+  // flowing while its cell lines wait for the stages) from a dead
+  // transport (silence).
+  const double heartbeat_s = args.seconds("--heartbeat").value_or(0.0);
+  if (args.has("--heartbeat") && heartbeat_s == 0.0) {
+    throw ConfigError("--heartbeat must be > 0 seconds");
+  }
+  const std::size_t cache_max_mb = args.count("--cache-max-mb").value_or(0);
+  const auto out_path = args.text("--out");
+  const auto cache_dir = args.text("--cache-dir");
+  const auto trace_path = args.text("--trace");
+  const auto metrics_path = args.text("--metrics");
+  const bool progress = args.has("--progress");
+  railcorr::core::SweepRunOptions options;
+  options.include_sizing = args.has("--include-sizing");
   // Telemetry turns on before any instrumented work (cache open, cell
   // evaluation). It is inert by contract: the recorder/registry write
   // only to their own files, after the shard document is out.
@@ -469,19 +402,11 @@ int cmd_sweep(std::vector<std::string> args) {
   if (metrics_path.has_value()) {
     railcorr::obs::MetricsRegistry::instance().enable();
   }
-  if (!plan_path.has_value()) throw ConfigError("sweep: --plan FILE required");
-  if (progress && !out_path.has_value()) {
-    throw ConfigError(
-        "sweep: --progress requires --out (stdout carries the protocol)");
-  }
-  if (heartbeat_s > 0 && !progress) {
-    throw ConfigError(
-        "sweep: --heartbeat requires --progress (heartbeats ride the "
-        "protocol stream)");
-  }
-  if (cache_max_mb != 0 && !cache_dir.has_value()) {
-    throw ConfigError("sweep: --cache-max-mb requires --cache-dir");
-  }
+  const std::string plan_path = args.need("--plan");
+  args.require("--progress", "--out", "stdout carries the protocol");
+  args.require("--heartbeat", "--progress",
+               "heartbeats ride the protocol stream");
+  if (cache_max_mb != 0) args.require("--cache-max-mb", "--cache-dir");
 
   if (faults.armed(railcorr::orch::FaultKind::kLaunchRefused).has_value()) {
     // ssh's connect-refused signature: exit 255 before any protocol
@@ -491,7 +416,7 @@ int cmd_sweep(std::vector<std::string> args) {
   }
 
   const auto plan =
-      railcorr::corridor::SweepPlan::from_spec(read_file(*plan_path));
+      railcorr::corridor::SweepPlan::from_spec(read_input(plan_path));
 
   railcorr::cache::ResultCache cache;
   if (cache_dir.has_value()) {
@@ -570,34 +495,24 @@ int cmd_sweep(std::vector<std::string> args) {
   const std::string document =
       railcorr::core::run_sweep_shard(plan, shard, options);
   if (heartbeat.has_value()) heartbeat->stop();
-  if (out_path.has_value()) {
-    write_shard_output(*out_path, document);
-  } else {
-    std::cout << document;
-  }
+  write_shard_output(out_path, document);
   // Telemetry files land strictly after the shard document: a crash
   // while writing them can tear a trace, never a result, and the
   // orchestrator treats a torn trace as a lost lane, not a retry.
   if (trace_path.has_value()) {
-    std::string error;
-    if (!railcorr::util::atomic_write_file(
+    if (const auto error = write_trailered(
             *trace_path,
-            railcorr::util::with_integrity_trailer(
-                railcorr::obs::TraceRecorder::instance().serialize()),
-            &error)) {
+            railcorr::obs::TraceRecorder::instance().serialize())) {
       std::cerr << "sweep: cannot write trace '" << *trace_path
-                << "': " << error << "\n";
+                << "': " << *error << "\n";
     }
   }
   if (metrics_path.has_value()) {
-    std::string error;
-    if (!railcorr::util::atomic_write_file(
+    if (const auto error = write_trailered(
             *metrics_path,
-            railcorr::util::with_integrity_trailer(
-                railcorr::obs::MetricsRegistry::instance().snapshot_json()),
-            &error)) {
+            railcorr::obs::MetricsRegistry::instance().snapshot_json())) {
       std::cerr << "sweep: cannot write metrics '" << *metrics_path
-                << "': " << error << "\n";
+                << "': " << *error << "\n";
     }
   }
   if (progress) {
@@ -616,24 +531,15 @@ int cmd_sweep(std::vector<std::string> args) {
   return 0;
 }
 
-int cmd_merge(std::vector<std::string> args) {
-  std::optional<std::string> out_path;
-  std::vector<std::string> shard_paths;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out") {
-      if (i + 1 >= args.size()) throw ConfigError("--out expects an argument");
-      out_path = args[++i];
-    } else {
-      shard_paths.push_back(args[i]);
-    }
-  }
+int cmd_merge(const Args& args) {
+  const auto& shard_paths = args.operands();
   if (shard_paths.empty()) {
     throw ConfigError("merge: at least one shard file required");
   }
 
   std::vector<std::string> documents;
   documents.reserve(shard_paths.size());
-  for (const auto& path : shard_paths) documents.push_back(read_file(path));
+  for (const auto& path : shard_paths) documents.push_back(read_input(path));
 
   const auto result = railcorr::corridor::merge_shards(documents, shard_paths);
   if (!result.ok) {
@@ -652,160 +558,79 @@ int cmd_merge(std::vector<std::string> args) {
     std::cerr << "merge: malformed or mismatched shard input\n";
     return 1;
   }
-  write_grid_output(out_path, result.merged);
+  write_grid_output(args.text("--out"), result.merged);
   return 0;
 }
 
-int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
-  apply_accuracy_option(args);
-  std::optional<std::string> plan_path;
-  std::optional<std::string> out_dir;
-  std::optional<std::string> resume_dir;
-  std::optional<std::string> out_path;
-  std::optional<std::string> cache_dir;
-  std::size_t cache_max_mb = 0;
-  std::vector<std::size_t> worker_threads;
-  std::optional<std::uint64_t> chaos_seed;
-  std::optional<std::string> launcher_text;
-  std::optional<std::string> fetch_text;
-  bool fetch_timeout_given = false;
+int cmd_orchestrate(const Args& args) {
+  check_accuracy(args);
   railcorr::orch::OrchestrateOptions options;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--plan") {
-      plan_path = value_of("--plan");
-    } else if (args[i] == "--out-dir") {
-      out_dir = value_of("--out-dir");
-    } else if (args[i] == "--resume") {
-      resume_dir = value_of("--resume");
-    } else if (args[i] == "--out") {
-      out_path = value_of("--out");
-    } else if (args[i] == "--workers") {
-      options.workers = parse_u64_option("--workers", value_of("--workers"));
-      if (options.workers == 0) {
-        throw ConfigError("--workers must be at least 1");
-      }
-    } else if (args[i] == "--shards") {
-      options.shards = parse_u64_option("--shards", value_of("--shards"));
-    } else if (args[i] == "--retries") {
-      options.retries = parse_u64_option("--retries", value_of("--retries"));
-    } else if (args[i] == "--timeout") {
-      railcorr::util::SpecEntry entry;
-      entry.key = "--timeout";
-      entry.value = value_of("--timeout");
-      options.timeout_s = railcorr::util::parse_double(entry);
-      if (options.timeout_s < 0) {
-        throw ConfigError("--timeout must be >= 0 seconds");
-      }
-    } else if (args[i] == "--stall-timeout") {
-      // Liveness, not wall-clock: kill a worker whose progress stream
-      // has been silent this long (deadlock, fault-injected stall),
-      // independently of --timeout.
-      railcorr::util::SpecEntry entry;
-      entry.key = "--stall-timeout";
-      entry.value = value_of("--stall-timeout");
-      options.stall_timeout_s = railcorr::util::parse_double(entry);
-      if (options.stall_timeout_s < 0) {
-        throw ConfigError("--stall-timeout must be >= 0 seconds");
-      }
-    } else if (args[i] == "--backoff") {
-      // Base of the deterministic exponential backoff between a
-      // shard's attempts (base * 2^(fails-1), capped); 0 disables.
-      railcorr::util::SpecEntry entry;
-      entry.key = "--backoff";
-      entry.value = value_of("--backoff");
-      options.backoff_base_s = railcorr::util::parse_double(entry);
-      if (options.backoff_base_s < 0) {
-        throw ConfigError("--backoff must be >= 0 seconds");
-      }
-    } else if (args[i] == "--include-sizing") {
-      options.include_sizing = true;
-    } else if (args[i] == "--threads") {
-      // One value for a homogeneous fleet, or a comma-separated list
-      // assigning worker slot k the k-th entry (the last entry repeats
-      // for higher slots) — heterogeneous machines give their big
-      // cores more threads than their little ones.
-      const std::string list = value_of("--threads");
-      std::string_view rest = list;
-      worker_threads.clear();
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        const std::string token(
-            comma == std::string_view::npos ? rest : rest.substr(0, comma));
-        rest.remove_prefix(comma == std::string_view::npos ? rest.size()
-                                                           : comma + 1);
-        worker_threads.push_back(parse_u64_option("--threads", token));
-      }
-      if (worker_threads.empty()) {
-        throw ConfigError("--threads expects N or N,N,...");
-      }
-    } else if (args[i] == "--chaos-seed") {
-      // Seeded chaos mode: derive a deterministic fault schedule over
-      // (shard, attempt) and arm each worker accordingly — torn
-      // writes, corrupted trailers, stalls, kills. Attempts at or past
-      // the retry budget stay clean, so a chaos run always converges,
-      // and the merged grid must still be byte-identical to a clean
-      // single-process sweep.
-      chaos_seed = railcorr::util::parse_u64(railcorr::util::SpecEntry{
-          "--chaos-seed", value_of("--chaos-seed"), 0});
-    } else if (args[i] == "--cache-dir") {
-      cache_dir = value_of("--cache-dir");
-    } else if (args[i] == "--cache-max-mb") {
-      cache_max_mb =
-          parse_u64_option("--cache-max-mb", value_of("--cache-max-mb"));
-    } else if (args[i] == "--hosts") {
-      options.hosts = railcorr::orch::parse_host_list(value_of("--hosts"));
-    } else if (args[i] == "--launcher") {
-      launcher_text = value_of("--launcher");
-    } else if (args[i] == "--fetch") {
-      fetch_text = value_of("--fetch");
-    } else if (args[i] == "--fetch-timeout") {
-      railcorr::util::SpecEntry entry;
-      entry.key = "--fetch-timeout";
-      entry.value = value_of("--fetch-timeout");
-      options.fetch_timeout_s = railcorr::util::parse_double(entry);
-      if (options.fetch_timeout_s < 0) {
-        throw ConfigError("--fetch-timeout must be >= 0 seconds");
-      }
-      fetch_timeout_given = true;
-    } else if (args[i] == "--trace-dir") {
-      options.trace_dir = value_of("--trace-dir");
-    } else {
-      throw ConfigError("orchestrate: unknown option '" + args[i] + "'");
+  options.workers = args.count("--workers").value_or(options.workers);
+  if (options.workers == 0) {
+    throw ConfigError("--workers must be at least 1");
+  }
+  options.shards = args.count("--shards").value_or(options.shards);
+  options.retries = args.count("--retries").value_or(options.retries);
+  options.timeout_s = args.seconds("--timeout").value_or(options.timeout_s);
+  // Liveness, not wall-clock: kill a worker whose progress stream has
+  // been silent this long (deadlock, fault-injected stall),
+  // independently of --timeout.
+  options.stall_timeout_s =
+      args.seconds("--stall-timeout").value_or(options.stall_timeout_s);
+  // Base of the deterministic exponential backoff between a shard's
+  // attempts (base * 2^(fails-1), capped); 0 disables.
+  options.backoff_base_s =
+      args.seconds("--backoff").value_or(options.backoff_base_s);
+  options.fetch_timeout_s =
+      args.seconds("--fetch-timeout").value_or(options.fetch_timeout_s);
+  options.include_sizing = args.has("--include-sizing");
+  options.trace_dir = args.text("--trace-dir").value_or(options.trace_dir);
+  for (const auto& list : args.all("--hosts")) {
+    options.hosts = railcorr::orch::parse_host_list(list);
+  }
+  // One thread count for a homogeneous fleet, or a list assigning
+  // worker slot k the k-th entry (the last entry repeats for higher
+  // slots) — heterogeneous machines give their big cores more threads
+  // than their little ones. Entries may repeat: equal machines get
+  // equal counts.
+  std::vector<std::size_t> worker_threads;
+  for (const auto& list : args.all("--threads")) {
+    std::istringstream in(list);
+    worker_threads.clear();
+    for (std::string token; std::getline(in, token, ',');) {
+      worker_threads.push_back(parse_count("--threads", token));
+    }
+    if (worker_threads.empty()) {
+      throw ConfigError("--threads expects N or N,N,...");
     }
   }
-  if (cache_max_mb != 0 && !cache_dir.has_value()) {
-    throw ConfigError("orchestrate: --cache-max-mb requires --cache-dir");
-  }
+  // Seeded chaos mode: derive a deterministic fault schedule over
+  // (shard, attempt) and arm each worker accordingly — torn writes,
+  // corrupted trailers, stalls, kills. Attempts at or past the retry
+  // budget stay clean, so a chaos run always converges, and the merged
+  // grid must still be byte-identical to a clean single-process sweep.
+  const std::optional<std::uint64_t> chaos_seed = args.count("--chaos-seed");
+  const auto cache_dir = args.text("--cache-dir");
+  const std::size_t cache_max_mb = args.count("--cache-max-mb").value_or(0);
+  const auto out_path = args.text("--out");
+  if (cache_max_mb != 0) args.require("--cache-max-mb", "--cache-dir");
 
   // The distributed-flag matrix is validated before any filesystem
   // work, so a misconfigured fleet fails fast with a usage error, not
   // halfway into a run directory.
-  if (launcher_text.has_value() && options.hosts.empty()) {
-    throw ConfigError(
-        "orchestrate: --launcher requires --hosts (a launcher template "
-        "without a fleet has nothing to launch onto)");
-  }
-  if (fetch_text.has_value() && options.hosts.empty()) {
-    throw ConfigError(
-        "orchestrate: --fetch requires --hosts (fetching only applies to "
-        "remote workers)");
-  }
-  if (fetch_timeout_given && !fetch_text.has_value()) {
-    throw ConfigError("orchestrate: --fetch-timeout requires --fetch");
-  }
+  args.require("--launcher", "--hosts",
+               "a launcher template without a fleet has nothing to launch "
+               "onto");
+  args.require("--fetch", "--hosts",
+               "fetching only applies to remote workers");
+  args.require("--fetch-timeout", "--fetch");
   std::optional<railcorr::orch::LaunchTemplate> launcher;
-  if (launcher_text.has_value()) {
-    launcher = railcorr::orch::LaunchTemplate::parse(*launcher_text);
+  if (const auto text = args.text("--launcher")) {
+    launcher = railcorr::orch::LaunchTemplate::parse(*text);
   }
   std::optional<railcorr::orch::FetchTemplate> fetch_template;
-  if (fetch_text.has_value()) {
-    fetch_template = railcorr::orch::FetchTemplate::parse(*fetch_text);
+  if (const auto text = args.text("--fetch")) {
+    fetch_template = railcorr::orch::FetchTemplate::parse(*text);
   }
   for (const auto& host : options.hosts) {
     if (host != railcorr::orch::kLocalHost && !launcher.has_value()) {
@@ -825,9 +650,11 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
         "slot");
   }
 
+  const auto plan_path = args.text("--plan");
+  const auto out_dir = args.text("--out-dir");
   std::string dir;
   std::string plan_file;
-  if (resume_dir.has_value()) {
+  if (const auto resume_dir = args.text("--resume")) {
     if (out_dir.has_value()) {
       throw ConfigError("orchestrate: --resume DIR already names the run "
                         "directory; drop --out-dir");
@@ -849,14 +676,14 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
   }
 
   const auto plan =
-      railcorr::corridor::SweepPlan::from_spec(read_file(plan_file));
+      railcorr::corridor::SweepPlan::from_spec(read_input(plan_file));
 
   // Worker command line: re-exec this binary's sweep verb against the
   // run directory's canonical plan. Threads are split across workers so
   // the fleet does not oversubscribe the machine (each worker's
   // evaluator is itself parallel, and its rows are thread-count
   // invariant).
-  const std::string self = railcorr::orch::self_executable_path(argv0);
+  const std::string self = railcorr::orch::self_executable_path(args.program());
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   // Split cores by the fleet's real width: no more workers can run
   // concurrently than there are shards (small grids and explicit
@@ -1051,49 +878,14 @@ int cmd_orchestrate(std::vector<std::string> args, const char* argv0) {
 /// `railcorr cache stats|verify|gc`: offline inspection and maintenance
 /// of a content-addressed result store. Exit 0 on success, 1 on usage
 /// errors and on `verify --strict` finding corruption.
-int cmd_cache(std::vector<std::string> args) {
-  if (args.empty()) {
-    throw ConfigError("cache: expected a verb (stats, verify, or gc)");
-  }
-  const std::string verb = args.front();
-  args.erase(args.begin());
-  if (verb != "stats" && verb != "verify" && verb != "gc") {
-    throw ConfigError("cache: unknown verb '" + verb +
-                      "' (expected stats, verify, or gc)");
-  }
-
-  std::optional<std::string> dir;
-  std::optional<std::size_t> max_mb;
-  bool strict = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    auto value_of = [&](const char* option) {
-      if (i + 1 >= args.size()) {
-        throw ConfigError(std::string(option) + " expects an argument");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--dir") {
-      dir = value_of("--dir");
-    } else if (args[i] == "--max-mb" && verb == "gc") {
-      max_mb = parse_u64_option("--max-mb", value_of("--max-mb"));
-    } else if (args[i] == "--strict" && verb == "verify") {
-      strict = true;
-    } else {
-      throw ConfigError("cache " + verb + ": unknown option '" + args[i] +
-                        "'");
-    }
-  }
-  if (!dir.has_value()) {
-    throw ConfigError("cache " + verb + ": --dir DIR required");
-  }
-
-  if (verb == "gc") {
-    if (!max_mb.has_value()) {
-      throw ConfigError("cache gc: --max-mb N required");
-    }
+int cmd_cache(const Args& args) {
+  const std::string verb = args.verb().name;
+  const std::string dir = args.need("--dir");
+  if (verb == "cache gc") {
+    const std::uint64_t max_mb = parse_count("--max-mb", args.need("--max-mb"));
     const std::size_t evicted =
-        railcorr::cache::gc_dir(*dir, *max_mb * std::size_t{1024} * 1024);
-    const auto after = railcorr::cache::scan_dir(*dir, /*drop_corrupt=*/false);
+        railcorr::cache::gc_dir(dir, max_mb * std::size_t{1024} * 1024);
+    const auto after = railcorr::cache::scan_dir(dir, /*drop_corrupt=*/false);
     std::cout << "cache gc: evicted " << evicted << " segment(s); "
               << after.segments << " segment(s), " << after.bytes
               << " byte(s) remain\n";
@@ -1103,19 +895,19 @@ int cmd_cache(std::vector<std::string> args) {
   // stats reports corruption without touching it; verify repairs by
   // dropping every corrupt segment (they are recomputable by
   // definition) and --strict turns their existence into a failure.
-  const auto report =
-      railcorr::cache::scan_dir(*dir, /*drop_corrupt=*/verb == "verify");
-  std::cout << "cache " << verb << ": " << report.segments << " segment(s), "
+  const bool verify = verb == "cache verify";
+  const auto report = railcorr::cache::scan_dir(dir, /*drop_corrupt=*/verify);
+  std::cout << verb << ": " << report.segments << " segment(s), "
             << report.entries << " entrie(s), " << report.bytes
             << " byte(s), " << report.corrupt_files.size() << " corrupt"
-            << (verb == "verify" && !report.corrupt_files.empty()
-                    ? " (dropped)"
-                    : "")
+            << (verify && !report.corrupt_files.empty() ? " (dropped)" : "")
             << "\n";
   for (const auto& path : report.corrupt_files) {
-    std::cerr << "cache " << verb << ": corrupt segment " << path << "\n";
+    std::cerr << verb << ": corrupt segment " << path << "\n";
   }
-  if (strict && !report.corrupt_files.empty()) return 1;
+  if (verify && args.has("--strict") && !report.corrupt_files.empty()) {
+    return 1;
+  }
   return 0;
 }
 
@@ -1125,50 +917,26 @@ int cmd_cache(std::vector<std::string> args) {
 /// exits 1 with no output produced — a half-merged timeline is worse
 /// than none. `stats` summarizes each input without writing anything:
 /// a per-file line, then one indented line per span name.
-int cmd_trace(std::vector<std::string> args) {
-  if (args.empty()) {
-    throw ConfigError("trace: expected a verb (merge or stats)");
-  }
-  const std::string verb = args.front();
-  args.erase(args.begin());
-  if (verb != "merge" && verb != "stats") {
-    throw ConfigError("trace: unknown verb '" + verb +
-                      "' (expected merge or stats)");
-  }
-
-  std::optional<std::string> out_path;
-  std::vector<std::string> inputs;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--out" && verb == "merge") {
-      if (i + 1 >= args.size()) throw ConfigError("--out expects an argument");
-      out_path = args[++i];
-    } else if (args[i].starts_with("--")) {
-      throw ConfigError("trace " + verb + ": unknown option '" + args[i] +
-                        "'");
-    } else {
-      inputs.push_back(args[i]);
-    }
-  }
+int cmd_trace(const Args& args) {
+  const std::string verb = args.verb().name;
+  const auto& inputs = args.operands();
   if (inputs.empty()) {
-    throw ConfigError("trace " + verb + ": at least one trace file required");
+    throw ConfigError(verb + ": at least one trace file required");
   }
 
   std::vector<railcorr::obs::TraceInput> parsed;
   parsed.reserve(inputs.size());
   bool bad = false;
   for (const auto& path : inputs) {
-    std::string text;
-    try {
-      text = read_file(path);
-    } catch (const ConfigError& error) {
-      std::cerr << "trace " << verb << ": " << error.what() << "\n";
+    const auto text = railcorr::util::read_file_fully(path);
+    if (!text.has_value()) {
+      std::cerr << verb << ": cannot read '" << path << "'\n";
       bad = true;
       continue;
     }
-    auto trace = railcorr::obs::parse_trace(text);
+    auto trace = railcorr::obs::parse_trace(*text);
     if (!trace.ok) {
-      std::cerr << "trace " << verb << ": " << path << ": " << trace.error
-                << "\n";
+      std::cerr << verb << ": " << path << ": " << trace.error << "\n";
       bad = true;
       continue;
     }
@@ -1177,9 +945,9 @@ int cmd_trace(std::vector<std::string> args) {
   }
   if (bad) return 1;
 
-  if (verb == "merge") {
+  if (verb == "trace merge") {
     const std::string merged = railcorr::obs::merge_traces(parsed);
-    if (out_path.has_value()) {
+    if (const auto out_path = args.text("--out")) {
       // Plain JSON on purpose — Perfetto and `python3 -m json.tool`
       // must load it directly, so no integrity trailer.
       std::string error;
@@ -1218,28 +986,154 @@ int cmd_trace(std::vector<std::string> args) {
   return 0;
 }
 
+// Flags that several verbs share.
+const Flag kScenario{"--scenario", "NAME", "registry entry (default: paper)"};
+const Flag kSpec{"--spec", "FILE", "apply a ScenarioSpec document"};
+const Flag kSet{"--set", "KEY=VALUE", "apply one override (repeatable)"};
+const Flag kAccuracy{"--accuracy", "MODE",
+                     "only 'bitexact', the one numeric contract"};
+const Flag kIncludeSizing{"--include-sizing", nullptr,
+                          "add the off-grid PV sizing columns"};
+const Flag kCacheDir{"--cache-dir", "DIR",
+                     "reuse and store rows in a result store"};
+const Flag kCacheMaxMb{"--cache-max-mb", "N",
+                       "bound the store to N MiB (LRU eviction)"};
+const Flag kDir{"--dir", "DIR", "the result store (required)"};
+
+const std::vector<Verb> kVerbs = {
+    {"list", nullptr, "scenario registry catalog", cmd_list, {}},
+    {"show", nullptr, "print the resolved ScenarioSpec", cmd_show,
+     {kScenario, kSpec, kSet}},
+    {"run", nullptr, "run the full paper evaluation", cmd_run,
+     {kScenario, kSpec, kSet,
+      {"--isd-source", "model|paper",
+       "max ISD from the model search (default) or paper"},
+      kAccuracy}},
+    {"sweep", nullptr, "evaluate (a shard of) a sweep grid", cmd_sweep,
+     {{"--plan", "FILE", "the sweep plan (required)"},
+      {"--shard", "i/N", "only the cells whose index % N == i"},
+      {"--out", "FILE", "write the shard with an integrity trailer"},
+      kIncludeSizing,
+      {"--threads", "N", "evaluation threads"},
+      kAccuracy,
+      {"--progress", nullptr, "stream the worker protocol on stdout"},
+      {"--heartbeat", "SECONDS", "emit a liveness line this often"},
+      {"--fault", "SPEC", "arm a fault, e.g. kill=3 (also RAILCORR_FAULT)"},
+      kCacheDir,
+      kCacheMaxMb,
+      {"--trace", "FILE", "write this run's span trace"},
+      {"--metrics", "FILE", "write this run's counters and histograms"}}},
+    {"merge", "SHARD_FILE...", "merge shards; exit 2 on a contract violation",
+     cmd_merge,
+     {{"--out", "FILE", "write the grid with an integrity trailer"}}},
+    {"orchestrate", nullptr, "run a grid on a worker fleet", cmd_orchestrate,
+     {{"--plan", "FILE", "the sweep plan (required unless --resume)"},
+      {"--out-dir", "DIR", "new run directory (required unless --resume)"},
+      {"--resume", "DIR", "finish the run in DIR"},
+      {"--out", "FILE", "also write the merged grid here"},
+      {"--workers", "N", "concurrent workers (default: 4)"},
+      {"--shards", "N", "shards (default: 2 x workers, at most the grid)"},
+      {"--retries", "N", "retries per shard (default: 2)"},
+      {"--timeout", "SECONDS", "kill an attempt after this long (0: off)"},
+      {"--stall-timeout", "SECONDS", "kill a worker silent this long (0: off)"},
+      {"--backoff", "SECONDS", "retry backoff base (default: 0.05; 0: none)"},
+      kIncludeSizing,
+      {"--threads", "N[,N...]", "threads per slot (per host with --hosts)"},
+      kAccuracy,
+      {"--chaos-seed", "N", "run a deterministic fault storm"},
+      kCacheDir,
+      kCacheMaxMb,
+      {"--hosts", "H1,H2,...", "attempt hosts ('local': fork/exec)"},
+      {"--launcher", "TEMPLATE", "wrap remote workers: 'ssh {host} {cmd}'"},
+      {"--fetch", "TEMPLATE", "copy shards back ({host} {remote} {local})"},
+      {"--fetch-timeout", "SECONDS", "kill a fetch after this (0: --timeout)"},
+      {"--trace-dir", "DIR", "collect the fleet's telemetry into DIR"}}},
+    {"cache stats", nullptr, "segment, entry, byte and corrupt counts",
+     cmd_cache, {kDir}},
+    {"cache verify", nullptr, "verify every segment, dropping corrupt ones",
+     cmd_cache,
+     {kDir, {"--strict", nullptr, "exit 1 if a segment was corrupt"}}},
+    {"cache gc", nullptr, "evict least-recently-used segments", cmd_cache,
+     {kDir, {"--max-mb", "N", "until the store fits N MiB (required)"}}},
+    {"trace merge", "TRACE_FILE...", "merge worker traces into one timeline",
+     cmd_trace,
+     {{"--out", "FILE", "write the timeline here (default: stdout)"}}},
+    {"trace stats", "TRACE_FILE...", "event counts, then each span's total",
+     cmd_trace, {}},
+};
+
+/// Print the usage text, every row of the table; returns the exit code
+/// of a usage error.
+int usage(std::ostream& os) {
+  os << "usage: railcorr <command> [options]\n\ncommands:\n";
+  const auto line = [&os](std::string left, const char* meta,
+                          const char* help) {
+    if (meta != nullptr) left += std::string(" ") + meta;
+    left.resize(std::max<std::size_t>(left.size() + 2, 32), ' ');
+    os << left << help << "\n";
+  };
+  for (const Verb& verb : kVerbs) {
+    line("  " + std::string(verb.name), verb.operands, verb.help);
+    for (const Flag& flag : verb.flags) {
+      line("      " + std::string(flag.name), flag.meta, flag.help);
+    }
+  }
+  os << "\nexit codes: 0 success; 1 usage or configuration error; 2 a\n"
+        "determinism contract violation (merge, orchestrate) or a refused\n"
+        "orchestrate --resume\n";
+  return 1;
+}
+
+/// The row that `command` names, or nullptr. The `cache` and `trace`
+/// groups take their sub-verb from the front of `words`.
+const Verb* find_verb(const std::string& command,
+                      std::vector<std::string>& words) {
+  // A two-word row is spelled as two words, never as one.
+  if (command.find(' ') != std::string::npos) return nullptr;
+  std::vector<std::string_view> subverbs;
+  for (const Verb& verb : kVerbs) {
+    const std::string_view name = verb.name;
+    if (name == command) return &verb;
+    if (name.starts_with(command + " ")) {
+      subverbs.push_back(name.substr(command.size() + 1));
+    }
+  }
+  if (subverbs.empty()) return nullptr;
+  std::string expected;  // "stats, verify, or gc" / "merge or stats"
+  for (std::size_t i = 0; i < subverbs.size(); ++i) {
+    if (i > 0) expected += subverbs.size() > 2 ? ", " : " ";
+    if (i > 0 && i + 1 == subverbs.size()) expected += "or ";
+    expected += subverbs[i];
+  }
+  if (words.empty()) {
+    throw ConfigError(command + ": expected a verb (" + expected + ")");
+  }
+  const std::string subverb = words.front();
+  words.erase(words.begin());
+  for (const Verb& verb : kVerbs) {
+    if (command + " " + subverb == verb.name) return &verb;
+  }
+  throw ConfigError(command + ": unknown verb '" + subverb + "' (expected " +
+                    expected + ")");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage(std::cerr);
   const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
+  if (command == "--help" || command == "-h" || command == "help") {
+    usage(std::cout);
+    return 0;
+  }
+  std::vector<std::string> words(argv + 2, argv + argc);
   try {
-    if (command == "list") return cmd_list();
-    if (command == "show") return cmd_show(std::move(args));
-    if (command == "run") return cmd_run(std::move(args));
-    if (command == "sweep") return cmd_sweep(std::move(args));
-    if (command == "merge") return cmd_merge(std::move(args));
-    if (command == "orchestrate") {
-      return cmd_orchestrate(std::move(args), argv[0]);
+    const Verb* verb = find_verb(command, words);
+    if (verb == nullptr) {
+      std::cerr << "railcorr: unknown command '" << command << "'\n";
+      return usage(std::cerr);
     }
-    if (command == "cache") return cmd_cache(std::move(args));
-    if (command == "trace") return cmd_trace(std::move(args));
-    if (command == "--help" || command == "-h" || command == "help") {
-      return usage(std::cout) * 0;
-    }
-    std::cerr << "railcorr: unknown command '" << command << "'\n";
-    return usage(std::cerr);
+    return verb->run(Args(*verb, argv[0], words));
   } catch (const ConfigError& error) {
     std::cerr << "railcorr " << command << ": " << error.what() << "\n";
     return 1;
