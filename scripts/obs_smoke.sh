@@ -20,8 +20,9 @@
 #      as an `info` line), traced or not,
 #   4. `railcorr trace merge|stats` consume worker `.trace` files (the
 #      per-span rollups list the shard stages, the sizing spans and,
-#      for a 2-segment corridor, the corridor check), and a torn input
-#      fails cleanly: exit 1, no partial output file.
+#      for a 2-segment corridor, the corridor check with its self
+#      time, whose metrics count the probe's and the check's samples),
+#      and a torn input fails cleanly: exit 1, no partial output file.
 #
 # The disabled-path overhead itself is measured by bench_obs (and gated
 # against a recorded floor in CI); this smoke pins the byte-identity
@@ -262,18 +263,29 @@ if ! grep -q "^  span name=synthesis count=6 total_usec=" \
   exit 1
 fi
 # A 2-segment corridor runs the whole-corridor check inside the radio
-# stage, under its own span; tracing it leaves the rows alone.
+# stage, under its own span; tracing it leaves the rows alone. Its
+# metrics count the samples the search's reject probe and the check
+# evaluated, and each span line reports its self time.
 { cat "$TMP/plan.sweep"; echo "set corridor.segments = 2"; } \
     > "$TMP/segments.sweep"
 "$BIN" sweep --plan "$TMP/segments.sweep" --out "$TMP/segments_plain.csv"
 "$BIN" sweep --plan "$TMP/segments.sweep" --out "$TMP/segments_traced.csv" \
-    --trace "$TMP/segments.trace"
+    --trace "$TMP/segments.trace" --metrics "$TMP/segments.metrics.json"
 if ! cmp "$TMP/segments_traced.csv" "$TMP/segments_plain.csv"; then
   echo "FAIL: traced 2-segment sweep differs from the untraced sweep" >&2
   exit 1
 fi
+for counter in '"corridor.isd_probe_samples":[1-9]' \
+    '"corridor.check_samples":[1-9]'; do
+  if ! grep -q "$counter" "$TMP/segments.metrics.json"; then
+    echo "FAIL: segments.metrics.json lacks $counter:" >&2
+    cat "$TMP/segments.metrics.json" >&2
+    exit 1
+  fi
+done
 "$BIN" trace stats "$TMP/segments.trace" > "$TMP/segments_stats.log"
-if ! grep -q "^  span name=corridor_check count=[0-9]* total_usec=" \
+if ! grep -q \
+    "^  span name=corridor_check count=[0-9]* total_usec=[0-9]* self_usec=" \
     "$TMP/segments_stats.log"; then
   echo "FAIL: trace stats of the 2-segment trace lacks corridor_check:" >&2
   cat "$TMP/segments_stats.log" >&2

@@ -1,6 +1,7 @@
 #include "corridor/isd_search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -21,8 +22,16 @@ struct GridPoint {
   double isd_m = 0.0;
 };
 
-/// Samples per block of deepest_feasible's early-reject probe.
+/// Samples per block of the reject probe's ordered scan.
 constexpr std::size_t kProbeBlock = 16;
+
+/// Samples the reject probe tests first: from two before to one after
+/// the sample where the last rejected point first fell below the floor
+/// (walking down the grid, that sample moves toward the first mast).
+/// On `radio_distinct_fleet`'s 256 searches they decide 38,752 of the
+/// 40,968 rejections, and the probe evaluates 255,648 samples where the
+/// ordered scan alone evaluates 868,352.
+constexpr std::size_t kHintSamples = 4;
 
 /// How far below the threshold [dB] a probed sample must fall to reject
 /// its point outright. log10's rounding is ~1e-14 dB, so every rejected
@@ -32,28 +41,13 @@ constexpr double kRejectMarginDb = 1e-6;
 
 /// One segment's transmitters at any (N, ISD), in the order of
 /// SegmentDeployment::transmitters (the two masts, then the cluster),
-/// refilled into one reused SoA table. The mast and repeater gains are
-/// computed once; only positions and fronthaul factors change per
-/// layout.
+/// refilled into one reused table whose gains and noise-gain memo live
+/// for the whole search.
 class SegmentLayout {
  public:
   SegmentLayout(const rf::LinkModelConfig& link, const RadioParameters& radio,
                 double spacing_m)
-      : link_(link), spacing_m_(spacing_m) {
-    rf::TrackTransmitter mast;
-    mast.kind = rf::NodeKind::kHighPowerRrh;
-    mast.rstp = link.carrier.rstp_from_eirp(radio.hp_eirp);
-    mast.calibration = radio.hp_calibration;
-    mast_ = rf::tx_gains(link, mast);
-    rf::TrackTransmitter repeater;
-    repeater.kind = rf::NodeKind::kLowPowerRepeater;
-    repeater.rstp = link.carrier.rstp_from_eirp(radio.lp_eirp);
-    repeater.calibration = radio.lp_calibration;
-    repeater_ = rf::tx_gains(link, repeater);
-    soa_.terminal_noise_mw =
-        link.noise.terminal_noise().to_milliwatts().value();
-    soa_.min_distance_m = link.min_distance_m;
-  }
+      : table_(link, radio), spacing_m_(spacing_m) {}
 
   /// The transmitters of `repeater_count` nodes at `isd_m` (a valid
   /// geometry), valid until the next call.
@@ -62,53 +56,93 @@ class SegmentLayout {
     geometry.isd_m = isd_m;
     geometry.repeater_count = repeater_count;
     geometry.repeater_spacing_m = spacing_m_;
-    const std::size_t count = static_cast<std::size_t>(repeater_count) + 2;
-    soa_.position_m.resize(count);
-    soa_.signal_gain_lin.resize(count);
-    soa_.noise_gain_lin.resize(count);
-    set(0, rf::place_tx(link_, mast_, 0.0, 0.0));
-    set(1, rf::place_tx(link_, mast_, isd_m, 0.0));
+    table_.clear();
+    table_.add_mast(0.0);
+    table_.add_mast(isd_m);
     for (int i = 0; i < repeater_count; ++i) {
       const double p = geometry.repeater_position_m(i);
-      set(static_cast<std::size_t>(i) + 2,
-          rf::place_tx(link_, repeater_, p, geometry.donor_distance_m(p)));
+      table_.add_repeater(p, geometry.donor_distance_m(p));
     }
-    return soa_;
+    return table_.soa();
   }
 
  private:
-  void set(std::size_t i, const rf::TxKernel& k) {
-    soa_.position_m[i] = k.position_m;
-    soa_.signal_gain_lin[i] = k.signal_gain_lin;
-    soa_.noise_gain_lin[i] = rf::soa_noise_gain(link_, k);
-  }
-
-  const rf::LinkModelConfig& link_;
+  TxTable table_;
   double spacing_m_;
-  rf::TxKernel mast_;
-  rf::TxKernel repeater_;
-  rf::DownlinkTxSoA soa_;
 };
 
-/// True when a sample of min_snr's sequence over [0, isd_m] has an SNR
-/// ratio below `floor_ratio`. Scans kProbeBlock samples at a time and
-/// stops after the first block holding one.
-bool has_ratio_below(const rf::DownlinkTxSoA& soa, double isd_m,
-                     double step_m, double floor_ratio) {
-  bool below = false;
-  rf::blocked_range_ratio_blocks<kProbeBlock>(
-      0.0, isd_m, step_m,
-      [&soa](std::span<const double> positions, std::span<double> out) {
-        rf::snr_ratio_batch(soa, positions, out);
-      },
-      [&](std::span<const double> ratios) {
-        below = std::any_of(ratios.begin(), ratios.end(), [&](double r) {
-          return r < floor_ratio;
-        });
-        return !below;
-      });
-  return below;
-}
+/// deepest_feasible's exact reject probe: whether a sample of min_snr's
+/// sequence over [0, isd_m] has an SNR ratio below `floor_ratio`.
+///
+/// The sequence is the accumulated steps d += step from 0, clamped to
+/// the ISD and kept while d <= ISD + step/2. Its unclamped prefix does
+/// not depend on the ISD, so it is accumulated once per search and
+/// read clamped; sample k is never recomputed as k * step, which rounds
+/// differently. The probe first tests the kHintSamples samples around
+/// where the last rejected point first failed, then, only when none is
+/// below the floor, scans the whole sequence in order kProbeBlock
+/// samples at a time. Either way it answers whether *some* sample is
+/// below the floor, so the hint changes only the work.
+class RejectProbe {
+ public:
+  RejectProbe(double step_m, double floor_ratio)
+      : step_m_(step_m), floor_ratio_(floor_ratio), steps_{0.0} {}
+
+  /// True when `soa`'s sequence over [0, isd_m] holds a ratio below the
+  /// floor.
+  bool rejects(const rf::DownlinkTxSoA& soa, double isd_m) {
+    const double end = isd_m + 0.5 * step_m_;
+    while (steps_.back() <= end) steps_.push_back(steps_.back() + step_m_);
+    const auto count = static_cast<std::size_t>(
+        std::upper_bound(steps_.begin(), steps_.end(), end) - steps_.begin());
+    if (has_hint_) {
+      const std::size_t n = std::min(kHintSamples, count);
+      const std::size_t first =
+          std::min(hint_ - std::min<std::size_t>(hint_, 2), count - n);
+      if (any_below(soa, isd_m, first, n)) return true;
+    }
+    for (std::size_t first = 0; first < count; first += kProbeBlock) {
+      if (any_below(soa, isd_m, first, std::min(kProbeBlock, count - first))) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Samples evaluated so far, hint samples included.
+  [[nodiscard]] std::uint64_t samples() const { return samples_; }
+
+ private:
+  /// Tests samples [first, first + n) of the sequence over [0, isd_m];
+  /// on a hit, the first sample below the floor becomes the hint.
+  bool any_below(const rf::DownlinkTxSoA& soa, double isd_m,
+                 std::size_t first, std::size_t n) {
+    std::array<double, kProbeBlock> positions;
+    std::array<double, kProbeBlock> ratios;
+    for (std::size_t k = 0; k < n; ++k) {
+      positions[k] = std::min(steps_[first + k], isd_m);
+    }
+    rf::snr_ratio_batch(soa, std::span<const double>(positions.data(), n),
+                        std::span<double>(ratios.data(), n));
+    samples_ += n;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (ratios[k] < floor_ratio_) {
+        has_hint_ = true;
+        hint_ = first + k;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  double step_m_;
+  double floor_ratio_;
+  /// The accumulated, unclamped sample positions 0, step, ... .
+  std::vector<double> steps_;
+  bool has_hint_ = false;
+  std::size_t hint_ = 0;
+  std::uint64_t samples_ = 0;
+};
 
 }  // namespace
 
@@ -207,11 +241,14 @@ std::optional<MaxIsdResult> IsdSearch::deepest_feasible(int from,
   static obs::Counter& points_counter = metrics.counter("corridor.isd_points");
   static obs::Counter& scans_counter =
       metrics.counter("corridor.isd_full_scans");
+  static obs::Counter& probe_samples_counter =
+      metrics.counter("corridor.isd_probe_samples");
 
   SegmentLayout layout(analyzer_.link_config(), radio_,
                        config_.repeater_spacing_m);
-  const double reject_below =
-      Db(config_.snr_threshold.value() - kRejectMarginDb).linear();
+  RejectProbe probe(
+      config_.sample_step_m,
+      Db(config_.snr_threshold.value() - kRejectMarginDb).linear());
   std::uint64_t points = 0;
   std::uint64_t full_scans = 0;
   std::optional<MaxIsdResult> found;
@@ -221,9 +258,7 @@ std::optional<MaxIsdResult> IsdSearch::deepest_feasible(int from,
     for (auto it = isds.rbegin(); it != isds.rend(); ++it) {
       ++points;
       const rf::DownlinkTxSoA& soa = layout.at(n, *it);
-      if (has_ratio_below(soa, *it, config_.sample_step_m, reject_below)) {
-        continue;
-      }
+      if (probe.rejects(soa, *it)) continue;
       ++full_scans;
       const Db min_snr = rf::min_snr(soa, 0.0, *it, config_.sample_step_m);
       if (min_snr >= config_.snr_threshold) {
@@ -234,6 +269,7 @@ std::optional<MaxIsdResult> IsdSearch::deepest_feasible(int from,
   }
   points_counter.add(points);
   scans_counter.add(full_scans);
+  probe_samples_counter.add(probe.samples());
   return found;
 }
 

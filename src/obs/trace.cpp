@@ -522,13 +522,64 @@ ParsedTrace parse_trace(std::string_view document) {
 }
 
 std::vector<SpanTotal> span_totals(const ParsedTrace& trace) {
+  const auto& events = trace.events;
+  // Spans in lane order, then by start, outer before inner: longer
+  // first, and of equal spans the later-recorded (the one that closed
+  // last) first.
+  std::vector<std::size_t> spans;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].phase == 'X') spans.push_back(i);
+  }
+  std::sort(spans.begin(), spans.end(), [&](std::size_t a, std::size_t b) {
+    const auto& x = events[a];
+    const auto& y = events[b];
+    if (x.pid != y.pid) return x.pid < y.pid;
+    if (x.tid != y.tid) return x.tid < y.tid;
+    if (x.ts_usec != y.ts_usec) return x.ts_usec < y.ts_usec;
+    if (x.dur_usec != y.dur_usec) return x.dur_usec > y.dur_usec;
+    return a > b;
+  });
+  // One walk per lane with the stack of open ancestors: a span's parent
+  // is the innermost open span containing it, and each parent tracks
+  // how far its children already cover it.
+  struct Open {
+    std::size_t event;
+    std::uint64_t end;
+    std::uint64_t covered_until;
+  };
+  std::vector<std::uint64_t> covered(events.size(), 0);
+  std::vector<Open> open;
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    const auto& ev = events[spans[k]];
+    if (k > 0 && (events[spans[k - 1]].pid != ev.pid ||
+                  events[spans[k - 1]].tid != ev.tid)) {
+      open.clear();
+    }
+    // Saturating, so a parsed document's huge values cannot wrap; a
+    // child then never covers more than its parent's duration.
+    const std::uint64_t end = ev.dur_usec > UINT64_MAX - ev.ts_usec
+                                  ? UINT64_MAX
+                                  : ev.ts_usec + ev.dur_usec;
+    while (!open.empty() && open.back().end < end) open.pop_back();
+    if (!open.empty()) {
+      Open& parent = open.back();
+      const std::uint64_t from = std::max(ev.ts_usec, parent.covered_until);
+      if (end > from) {
+        covered[parent.event] += end - from;
+        parent.covered_until = end;
+      }
+    }
+    open.push_back(Open{spans[k], end, ev.ts_usec});
+  }
+
   std::map<std::string, SpanTotal> by_name;
-  for (const auto& ev : trace.events) {
-    if (ev.phase != 'X') continue;
+  for (const std::size_t i : spans) {
+    const auto& ev = events[i];
     SpanTotal& total = by_name[ev.name];
     total.name = ev.name;
     ++total.count;
     total.total_usec += ev.dur_usec;
+    total.self_usec += ev.dur_usec - covered[i];
   }
   std::vector<SpanTotal> totals;
   totals.reserve(by_name.size());

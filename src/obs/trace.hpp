@@ -207,17 +207,23 @@ struct ParsedTrace {
 /// missing one is tolerated so plain merged documents re-parse).
 [[nodiscard]] ParsedTrace parse_trace(std::string_view document);
 
-/// The spans of one name in a trace: how many, and their summed
-/// duration.
+/// The spans of one name in a trace: how many, their summed duration,
+/// and their summed self time.
 struct SpanTotal {
   std::string name;
   std::uint64_t count = 0;
   std::uint64_t total_usec = 0;
+  /// Durations less the time each span's direct children cover.
+  std::uint64_t self_usec = 0;
 };
 
 /// Per-name rollup of the complete ('X') spans of `trace`, largest
-/// total first (ties by name). Nested spans each count in full, so
-/// totals of a span and of the spans inside it overlap.
+/// total first (ties by name). Nested spans each count in full in
+/// `total_usec`, so totals of a span and of the spans inside it
+/// overlap; `self_usec` does not. A span's direct children are the
+/// spans on its lane (pid, tid) that it is the innermost span to
+/// contain; a span and a child with equal bounds are told apart by
+/// record order, since a span is recorded when it closes.
 [[nodiscard]] std::vector<SpanTotal> span_totals(const ParsedTrace& trace);
 
 /// One input to a merge: a parsed trace plus the lane label shown in

@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -115,6 +116,30 @@ void snr_ratio_masked_batch(const DownlinkTxSoA& tx,
 void uplink_best_ratio_batch(const UplinkTxSoA& tx,
                              std::span<const double> positions_m,
                              std::span<double> out_ratio);
+
+/// Relative slack δ of the block bound: a block clears a floor M only
+/// when its bound clears M·(1+δ). δ dwarfs the exact kernel's rounding
+/// (~(2n+4)·2⁻⁵³ relative for n transmitters).
+inline constexpr double kBlockBoundSlack = 1e-6;
+
+/// Relative margin of the block bound's own rounding: the bound's sum
+/// must exceed this share of the sum of its terms' magnitudes. Covers
+/// ~(n+4)·2⁻⁵³ for tables of up to ~4·10⁵ transmitters.
+inline constexpr double kBlockBoundMargin = 1e-10;
+
+/// Block bound of snr_ratio_batch: `out_clears[j]` is 1 when every ratio
+/// snr_ratio_batch computes at a position in [first_m[j], last_m[j]]
+/// provably exceeds `floor_ratio` (>= 0; a floor of +inf or NaN clears
+/// nothing), and 0 when that is not proven. `first_m[j] <= last_m[j]`;
+/// all three spans have one slot per block. Both lanes run the same
+/// operations in the same order, so a block's decision does not depend
+/// on the SIMD level or the CPU. The argument is spelled out in
+/// batch_kernel.cpp.
+void snr_ratio_block_clears_batch(const DownlinkTxSoA& tx,
+                                  std::span<const double> first_m,
+                                  std::span<const double> last_m,
+                                  double floor_ratio,
+                                  std::span<std::uint8_t> out_clears);
 ///@}
 
 /// \name Fixed-level kernels
@@ -131,6 +156,11 @@ void snr_ratio_masked_batch_scalar(const DownlinkTxSoA& tx,
 void uplink_best_ratio_batch_scalar(const UplinkTxSoA& tx,
                                     std::span<const double> positions_m,
                                     std::span<double> out_ratio);
+void snr_ratio_block_clears_batch_scalar(const DownlinkTxSoA& tx,
+                                         std::span<const double> first_m,
+                                         std::span<const double> last_m,
+                                         double floor_ratio,
+                                         std::span<std::uint8_t> out_clears);
 #if defined(RAILCORR_HAVE_AVX2)
 void snr_ratio_batch_avx2(const DownlinkTxSoA& tx,
                           std::span<const double> positions_m,
@@ -142,6 +172,11 @@ void snr_ratio_masked_batch_avx2(const DownlinkTxSoA& tx,
 void uplink_best_ratio_batch_avx2(const UplinkTxSoA& tx,
                                   std::span<const double> positions_m,
                                   std::span<double> out_ratio);
+void snr_ratio_block_clears_batch_avx2(const DownlinkTxSoA& tx,
+                                       std::span<const double> first_m,
+                                       std::span<const double> last_m,
+                                       double floor_ratio,
+                                       std::span<std::uint8_t> out_clears);
 #endif
 ///@}
 

@@ -4,11 +4,12 @@
 /// Bit-identity with the scalar kernels is load-bearing (the determinism
 /// contract extends across SIMD levels), so this TU restricts itself to
 /// IEEE-exact operations that match the scalar code one-to-one:
-/// vandpd (abs), vmaxpd, vmulpd, vdivpd, vaddpd. No FMA — the library
-/// is compiled with -ffp-contract=off (see CMakeLists.txt) so the
-/// scalar kernels cannot be contracted either — and no reassociation:
+/// vandpd (abs), vmaxpd, vmulpd, vdivpd, vaddpd, and for the block
+/// bound vsubpd, vxorpd (negation) and an ordered vcmppd. No FMA — the
+/// library is compiled with -ffp-contract=off (see CMakeLists.txt) so
+/// the scalar kernels cannot be contracted either — and no reassociation:
 /// the accumulation order over transmitters is the scalar order, only
-/// the position dimension is widened.
+/// the position (for the bound: the block) dimension is widened.
 ///
 /// This file is compiled with -mavx2 only when CMake detects an x86-64
 /// target (RAILCORR_ENABLE_AVX2); callers reach it exclusively through
@@ -148,6 +149,59 @@ void uplink_best_ratio_batch_avx2(const UplinkTxSoA& tx,
   if (p < n) {
     uplink_best_ratio_batch_scalar(tx, positions_m.subspan(p),
                                    out_ratio.subspan(p));
+  }
+}
+
+void snr_ratio_block_clears_batch_avx2(const DownlinkTxSoA& tx,
+                                       std::span<const double> first_m,
+                                       std::span<const double> last_m,
+                                       double floor_ratio,
+                                       std::span<std::uint8_t> out_clears) {
+  RAILCORR_EXPECTS(last_m.size() == first_m.size());
+  RAILCORR_EXPECTS(out_clears.size() == first_m.size());
+  const std::size_t n_tx = tx.size();
+  const double* const tx_pos = tx.position_m.data();
+  const double* const sg = tx.signal_gain_lin.data();
+  const double* const ng = tx.noise_gain_lin.data();
+  const __m256d sign_mask = _mm256_set1_pd(-0.0);
+  const __m256d min_d = _mm256_set1_pd(tx.min_distance_m);
+  const __m256d margin = _mm256_set1_pd(kBlockBoundMargin);
+  const double floor_hi = floor_ratio * (1.0 + kBlockBoundSlack);
+  const double terminal_term = floor_hi * tx.terminal_noise_mw;
+
+  // One block per lane; the scalar lane's per-block order otherwise.
+  const std::size_t n = first_m.size();
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const __m256d a = _mm256_loadu_pd(first_m.data() + j);
+    const __m256d b = _mm256_loadu_pd(last_m.data() + j);
+    __m256d bound = _mm256_set1_pd(-terminal_term);
+    __m256d mass = _mm256_set1_pd(terminal_term);
+    for (std::size_t i = 0; i < n_tx; ++i) {
+      const double c = sg[i] - floor_hi * ng[i];
+      const __m256d x = _mm256_set1_pd(tx_pos[i]);
+      const __m256d u = _mm256_sub_pd(a, x);
+      const __m256d v = _mm256_sub_pd(b, x);
+      // Negation flips the sign bit, exactly as the scalar `-u`.
+      const __m256d d =
+          c >= 0.0 ? _mm256_max_pd(_mm256_xor_pd(u, sign_mask), v)
+                   : _mm256_max_pd(u, _mm256_xor_pd(v, sign_mask));
+      const __m256d d_eff = _mm256_max_pd(d, min_d);
+      const __m256d term =
+          _mm256_div_pd(_mm256_set1_pd(c), _mm256_mul_pd(d_eff, d_eff));
+      bound = _mm256_add_pd(bound, term);
+      mass = _mm256_add_pd(mass, abs4(term));
+    }
+    const int clears = _mm256_movemask_pd(
+        _mm256_cmp_pd(bound, _mm256_mul_pd(margin, mass), _CMP_GT_OQ));
+    for (std::size_t k = 0; k < 4; ++k) {
+      out_clears[j + k] = static_cast<std::uint8_t>((clears >> k) & 1);
+    }
+  }
+  if (j < n) {
+    snr_ratio_block_clears_batch_scalar(tx, first_m.subspan(j),
+                                        last_m.subspan(j), floor_ratio,
+                                        out_clears.subspan(j));
   }
 }
 

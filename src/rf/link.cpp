@@ -77,6 +77,70 @@ Db min_snr(const DownlinkTxSoA& soa, double lo_m, double hi_m,
   return Db(10.0 * std::log10(worst_ratio));
 }
 
+double min_ratio_pruned(const DownlinkTxSoA& soa,
+                        std::span<const TrackSpan> spans, double step_m,
+                        PrunedScanCounts& counts) {
+  RAILCORR_EXPECTS(!spans.empty());
+  RAILCORR_EXPECTS(step_m > 0.0);
+  // One bound call covers one block per AVX2 lane; the running minimum
+  // it tests against moves between calls.
+  constexpr std::size_t kBlocks = 4;
+  constexpr std::size_t kSamples = kBlocks * kPruneBlock;
+  double worst = std::numeric_limits<double>::infinity();
+  std::uint64_t exact = 0;
+  std::uint64_t cleared = 0;
+  const auto keep_min = [&worst](std::span<const double> ratios) {
+    for (const double r : ratios) worst = std::min(worst, r);
+  };
+  const TrackSpan& head = spans.front();
+  RAILCORR_EXPECTS(head.hi_m >= head.lo_m);
+  blocked_range_ratio_blocks(head.lo_m, head.hi_m, step_m, bound_kernel(soa),
+                             [&](std::span<const double> ratios) {
+                               exact += ratios.size();
+                               keep_min(ratios);
+                             });
+  // A cleared block's slots read +inf: every ratio it holds lies above
+  // `worst`, so the minimum is the one of the full scan.
+  const auto evaluate_unproven = [&](std::span<const double> positions,
+                                     std::span<double> out) {
+    const std::size_t blocks =
+        (positions.size() + kPruneBlock - 1) / kPruneBlock;
+    std::array<double, kBlocks> first;
+    std::array<double, kBlocks> last;
+    std::array<std::uint8_t, kBlocks> clears;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      first[b] = positions[b * kPruneBlock];
+      last[b] = positions[std::min((b + 1) * kPruneBlock, positions.size()) -
+                          1];
+    }
+    snr_ratio_block_clears_batch(
+        soa, std::span<const double>(first.data(), blocks),
+        std::span<const double>(last.data(), blocks), worst,
+        std::span<std::uint8_t>(clears.data(), blocks));
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t begin = b * kPruneBlock;
+      const std::size_t count = std::min(kPruneBlock, positions.size() - begin);
+      const std::span<double> block_out = out.subspan(begin, count);
+      if (clears[b] != 0) {
+        std::fill(block_out.begin(), block_out.end(),
+                  std::numeric_limits<double>::infinity());
+        ++cleared;
+      } else {
+        snr_ratio_batch(soa, positions.subspan(begin, count), block_out);
+        exact += count;
+      }
+    }
+  };
+  for (const TrackSpan& span : spans.subspan(1)) {
+    RAILCORR_EXPECTS(span.hi_m >= span.lo_m);
+    blocked_range_ratio_blocks<kSamples>(span.lo_m, span.hi_m, step_m,
+                                         evaluate_unproven, keep_min);
+  }
+  counts.exact_samples += exact;
+  counts.cleared_blocks += cleared;
+  return worst;
+}
+
 CorridorLinkModel::CorridorLinkModel(LinkModelConfig config,
                                      std::vector<TrackTransmitter> transmitters)
     : config_(std::move(config)), transmitters_(std::move(transmitters)) {

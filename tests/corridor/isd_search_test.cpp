@@ -227,6 +227,30 @@ TEST(IsdSearch, DeepestFeasibleIsTheLastFeasibleSweepEntry) {
     EXPECT_GE(*deepest->max_isd_m, isd);
     EXPECT_GE(deepest->min_snr_at_max, exact);
   }
+
+  // The reject probe's hint reads its samples from the point's own
+  // accumulated sequence, whose last sample is clamped to the ISD: a
+  // step that does not divide any ISD on the grid.
+  core::Scenario ragged = paper;
+  ragged.isd_search.sample_step_m = 7.3;
+  expect_deepest_is_last_feasible(ragged, 1, "sample step 7.3 m");
+
+  // Sequences shorter than the hint's 4 samples: with 1 km steps up to
+  // a 2.4 km ISD every point has 2 or 3 samples, and a 36 dB threshold
+  // rejects the 47 points above N = 8's answer.
+  core::Scenario sparse = paper;
+  sparse.isd_search.sample_step_m = 1000.0;
+  sparse.isd_search.max_isd_m = 2400.0;
+  sparse.isd_search.snr_threshold = Db(36.0);
+  expect_deepest_is_last_feasible(sparse, 1, "2-3 samples per point");
+
+  // Donor distances on no common grid, so the noise-gain memo's keys
+  // rarely repeat between layouts.
+  core::Scenario offgrid = paper;
+  offgrid.repeater_spacing_m = 173.3;
+  offgrid.isd_search.isd_step_m = 37.7;
+  expect_deepest_is_last_feasible(offgrid, 1,
+                                  "spacing 173.3 m, ISD step 37.7 m");
 }
 
 TEST(IsdSearch, DeepestFeasibleCountsItsWork) {
@@ -244,6 +268,9 @@ TEST(IsdSearch, DeepestFeasibleCountsItsWork) {
       1);
   EXPECT_EQ(metrics.counter("corridor.isd_points").value(), visited);
   EXPECT_EQ(metrics.counter("corridor.isd_full_scans").value(), 1u);
+  // The reject probe's samples over the 21 rejected points and the
+  // winner, hint samples included. Without the hint it takes 1,936.
+  EXPECT_EQ(metrics.counter("corridor.isd_probe_samples").value(), 708u);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 #include <bit>
 #include <cstdint>
 
+#include "core/evaluator.hpp"
+#include "core/scenario_registry.hpp"
 #include "exec/parallel.hpp"
+#include "obs/metrics.hpp"
 #include "rf/batch_kernel.hpp"
 #include "util/contracts.hpp"
 
@@ -159,6 +162,42 @@ TEST(MultiSegment, MinOnlyCheckIsThePerSegmentMinimum) {
   }
 }
 
+TEST(MultiSegment, MinOnlyCheckSkipsMostSamples) {
+  // long-corridor's deepest layout: the end segments hold the minimum,
+  // and the interior blocks' bounds clear it.
+  const core::Scenario scenario = core::make_scenario("long-corridor");
+  const auto deepest = core::PaperEvaluator(scenario).deepest_feasible();
+  ASSERT_TRUE(deepest.has_value());
+  ASSERT_EQ(deepest->repeater_count, 10);
+  ASSERT_EQ(*deepest->max_isd_m, 2550.0);
+  SegmentDeployment segment =
+      SegmentDeployment::with_repeaters(*deepest->max_isd_m, 10);
+  segment.geometry.repeater_spacing_m = scenario.repeater_spacing_m;
+  segment.radio = scenario.radio;
+  const auto corridor =
+      CorridorDeployment::repeat(segment, scenario.corridor_segments);
+  const double step = scenario.isd_search.sample_step_m;
+  const MultiSegmentAnalyzer analyzer(scenario.link, step);
+
+  auto& metrics = obs::MetricsRegistry::instance();
+  metrics.reset_values();
+  (void)analyzer.min_snr(corridor);
+  const std::uint64_t evaluated =
+      metrics.counter("corridor.check_samples").value();
+  EXPECT_EQ(evaluated, 273u);
+  // The samples per_segment scans, per segment as min_snr samples it.
+  std::uint64_t samples = 0;
+  const double isd = *deepest->max_isd_m;
+  for (int s = 0; s < scenario.corridor_segments; ++s) {
+    const double lo = isd * s;
+    for (double d = lo; d <= lo + isd + 0.5 * step; d += step) ++samples;
+  }
+  EXPECT_EQ(samples, 1290u);
+  // A change that silently stops pruning leaves the bytes alone; this
+  // catches it.
+  EXPECT_LT(evaluated * 10, samples * 3);
+}
+
 TEST(MultiSegment, Contracts) {
   EXPECT_THROW(CorridorDeployment::repeat(
                    SegmentDeployment::with_repeaters(1800.0, 4), 0),
@@ -168,6 +207,13 @@ TEST(MultiSegment, Contracts) {
                    SegmentDeployment::with_repeaters(1800.0, 4), 2),
                ContractViolation);
   EXPECT_THROW(MultiSegmentAnalyzer(rf::LinkModelConfig{}, 0.0),
+               ContractViolation);
+  // The min-only check refuses a clamp per_segment refuses.
+  rf::LinkModelConfig no_clamp;
+  no_clamp.min_distance_m = 0.0;
+  const MultiSegmentAnalyzer unclamped(no_clamp);
+  EXPECT_THROW((void)unclamped.min_snr(five_segments()), ContractViolation);
+  EXPECT_THROW((void)unclamped.per_segment(five_segments()),
                ContractViolation);
 }
 

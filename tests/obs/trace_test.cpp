@@ -218,6 +218,95 @@ TEST(TraceStats, SpanTotalsRollUpByNameLargestFirst) {
   EXPECT_EQ(totals[3].name, "cell");
 }
 
+TEST(TraceStats, SelfTimeSubtractsDirectChildrenOnTheSameLane) {
+  ParsedTrace trace;
+  trace.ok = true;
+  const auto span = [](const char* name, std::uint64_t ts, std::uint64_t dur,
+                       std::uint64_t tid) {
+    ParsedTraceEvent ev;
+    ev.name = name;
+    ev.phase = 'X';
+    ev.ts_usec = ts;
+    ev.dur_usec = dur;
+    ev.pid = 1;
+    ev.tid = tid;
+    return ev;
+  };
+  // Lane 1, in record order (a span is recorded when it closes):
+  //   shard [0, 100)
+  //     isd_search [10, 50)
+  //       corridor_check [20, 30), corridor_check [35, 45)
+  //     isd_search [50, 90)            (starts where its sibling ends)
+  //       corridor_check [50, 90)      (equal bounds: recorded first)
+  // Lane 2 overlaps lane 1 in time but is nobody's child:
+  //   isd_search [0, 40)
+  //     corridor_check [5, 15)
+  ParsedTraceEvent instant;
+  instant.name = "retry";
+  instant.phase = 'i';
+  instant.ts_usec = 25;
+  instant.pid = 1;
+  instant.tid = 1;
+  trace.events = {span("corridor_check", 20, 10, 1),
+                  span("corridor_check", 35, 10, 1),
+                  span("isd_search", 10, 40, 1),
+                  instant,
+                  span("corridor_check", 5, 10, 2),
+                  span("corridor_check", 50, 40, 1),
+                  span("isd_search", 50, 40, 1),
+                  span("isd_search", 0, 40, 2),
+                  span("shard", 0, 100, 1)};
+  const auto totals = span_totals(trace);
+  ASSERT_EQ(totals.size(), 3u);
+  EXPECT_EQ(totals[0].name, "isd_search");
+  EXPECT_EQ(totals[0].total_usec, 120u);
+  // Lane 1: 40 - 20 and 40 - 40; lane 2: 40 - 10.
+  EXPECT_EQ(totals[0].self_usec, 50u);
+  EXPECT_EQ(totals[1].name, "shard");
+  EXPECT_EQ(totals[1].total_usec, 100u);
+  // Only the two isd_search spans are direct children; the lane-2
+  // spans are not.
+  EXPECT_EQ(totals[1].self_usec, 20u);
+  EXPECT_EQ(totals[2].name, "corridor_check");
+  EXPECT_EQ(totals[2].count, 4u);
+  EXPECT_EQ(totals[2].total_usec, 70u);
+  EXPECT_EQ(totals[2].self_usec, 70u);
+}
+
+TEST(TraceStats, SelfTimeCountsOverlappingChildrenOnce) {
+  // Children on one lane never overlap when recorded by ObsSpan, but a
+  // hand-merged or clock-stepped document may hold such; the parent's
+  // self time subtracts the time they cover, not their summed lengths.
+  ParsedTrace trace;
+  trace.ok = true;
+  const auto span = [](const char* name, std::uint64_t ts,
+                       std::uint64_t dur) {
+    ParsedTraceEvent ev;
+    ev.name = name;
+    ev.phase = 'X';
+    ev.ts_usec = ts;
+    ev.dur_usec = dur;
+    ev.pid = 1;
+    ev.tid = 7;
+    return ev;
+  };
+  trace.events = {span("outer", 0, 50), span("a", 10, 20), span("b", 20, 20)};
+  const auto totals = span_totals(trace);
+  ASSERT_EQ(totals.size(), 3u);
+  EXPECT_EQ(totals[0].name, "outer");
+  EXPECT_EQ(totals[0].self_usec, 20u);  // [10, 40) is covered
+
+  // A parsed document may end spans past 2^64 µs; their ends saturate
+  // instead of wrapping, so self time never exceeds the duration.
+  trace.events = {span("outer", UINT64_MAX - 5, 100),
+                  span("inner", UINT64_MAX - 3, 50)};
+  const auto huge = span_totals(trace);
+  ASSERT_EQ(huge.size(), 2u);
+  EXPECT_EQ(huge[0].name, "outer");
+  EXPECT_EQ(huge[0].self_usec, 97u);
+  EXPECT_EQ(huge[1].self_usec, 50u);
+}
+
 TEST(TraceParse, RejectsMalformedDocuments) {
   EXPECT_FALSE(parse_trace("").ok);
   EXPECT_FALSE(parse_trace("{}").ok);

@@ -980,7 +980,8 @@ int cmd_trace(const Args& args) {
               << " epoch_usec=" << input.trace.epoch_usec << "\n";
     for (const auto& total : railcorr::obs::span_totals(input.trace)) {
       std::cout << "  span name=" << total.name << " count=" << total.count
-                << " total_usec=" << total.total_usec << "\n";
+                << " total_usec=" << total.total_usec
+                << " self_usec=" << total.self_usec << "\n";
     }
   }
   return 0;
