@@ -15,7 +15,8 @@
 #      orchestrate over a store a cold one filled explains its fixed
 #      costs: each shard's cells sit in one segment, so 8 segments are
 #      hashed on their first hit for 64 hits, and the orchestrator's own
-#      `verify` and `merge` spans are in the timeline,
+#      `verify` and `merge` spans are in the timeline, with one
+#      `publish` span per landed shard,
 #   3. the run summary is always printed (and appended to the manifest
 #      as an `info` line), traced or not,
 #   4. `railcorr trace merge|stats` consume worker `.trace` files (the
@@ -200,10 +201,11 @@ for counter in '"cache.segments_verified":8' '"cache.hits":64'; do
 done
 "$BIN" trace stats "$TMP/run_warm/telemetry/trace.json" \
     > "$TMP/warm_stats.log"
-for span in verify merge; do
-  if ! grep -q "^  span name=$span count=1 total_usec=" \
+for span in verify=1 merge=1 publish=8; do
+  if ! grep -q "^  span name=${span%=*} count=${span#*=} total_usec=" \
       "$TMP/warm_stats.log"; then
-    echo "FAIL: trace stats of the warm fleet trace lacks span $span:" >&2
+    echo "FAIL: trace stats of the warm fleet trace lacks ${span#*=}" \
+         "${span%=*} span(s):" >&2
     cat "$TMP/warm_stats.log" >&2
     exit 1
   fi

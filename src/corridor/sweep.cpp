@@ -443,7 +443,8 @@ MergeResult merge_shards(const std::vector<std::string>& shard_documents,
   result.ok = true;
   std::size_t bytes = shards[0].banner.size() + shards[0].header.size() + 2;
   for (const CellRow& cell : cells) bytes += cell.row.size() + 1;
-  result.merged.reserve(bytes);
+  // Room for the trailer a caller writing the document appends in place.
+  result.merged.reserve(bytes + util::kIntegrityTrailerBytes);
   result.merged += shards[0].banner;
   result.merged += '\n';
   result.merged += shards[0].header;

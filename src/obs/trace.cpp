@@ -351,16 +351,30 @@ TraceRecorder::ThreadBuffer* TraceRecorder::buffer_for_this_thread() {
   thread_local Tls tls;
   const std::uint64_t generation =
       generation_.load(std::memory_order_acquire);
-  if (tls.buffer == nullptr || tls.generation != generation) {
-    std::lock_guard<std::mutex> lock(mutex_);
+  if (tls.buffer != nullptr && tls.generation == generation) {
+    return tls.buffer;
+  }
+  // The ring (1 MB at the default capacity) is built outside the lock,
+  // so threads registering together do not wait on each other's
+  // allocation. An enable or reset in between starts over.
+  while (true) {
+    std::size_t capacity;
+    std::uint64_t epoch;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      capacity = capacity_;
+      epoch = generation_.load(std::memory_order_relaxed);
+    }
     auto buffer = std::make_unique<ThreadBuffer>();
-    buffer->ring.resize(capacity_);
+    buffer->ring.resize(capacity);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (generation_.load(std::memory_order_relaxed) != epoch) continue;
     buffer->tid = static_cast<std::uint32_t>(buffers_.size() + 1);
     tls.buffer = buffer.get();
-    tls.generation = generation;
+    tls.generation = epoch;
     buffers_.push_back(std::move(buffer));
+    return tls.buffer;
   }
-  return tls.buffer;
 }
 
 void TraceRecorder::complete(const char* name, const char* cat,

@@ -69,17 +69,21 @@ bool shard_document_intact(std::string_view document, std::string_view banner,
 }
 
 /// The bytes of the shard file at `path` when shard_document_intact
-/// holds for them; std::nullopt (with `why`) otherwise.
+/// holds for them; std::nullopt (with `why`) otherwise. Bytes equal to
+/// `verified`, a copy this run already checked, pass without hashing
+/// them again.
 std::optional<std::string> read_intact_shard(const fs::path& path,
                                              std::string_view banner,
                                              corridor::ShardSpec shard,
                                              std::size_t grid,
-                                             std::string* why) {
+                                             std::string* why,
+                                             std::string_view verified = {}) {
   auto document = util::read_file_fully(path.string());
   if (!document.has_value()) {
     *why = "file missing or unreadable";
     return std::nullopt;
   }
+  if (!verified.empty() && *document == verified) return document;
   if (!shard_document_intact(*document, banner, shard, grid, why)) {
     return std::nullopt;
   }
@@ -281,6 +285,11 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   // function only spawns, polls, kills, verifies and records.
   Scheduler scheduler(options, resumed);
   std::vector<LiveAttempt> live;
+  /// Each shard's bytes as this run last verified them, empty until
+  /// then: publish keeps what it checked, and the pre-merge check
+  /// passes a file still equal to them without a second hash. They are
+  /// merge()'s input.
+  std::vector<std::string> documents(shards);
   std::string last_summary;
   // Trace-lane host annotations, keyed by the attempt's trace-file stem
   // ("shard_<i>.attempt<a>"); filled at launch, consumed at merge.
@@ -381,13 +390,16 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   /// transfer becomes a classified, retryable failure here instead of
   /// poisoning the merge or a later resume.
   const auto publish = [&](const WorkerAttempt& info) {
+    const obs::ObsSpan span("publish", "orch", "shard", info.shard);
     std::string why;
-    if (read_intact_shard(info.out_path, wanted.banner,
-                          corridor::ShardSpec{info.shard, shards}, grid,
-                          &why) &&
+    auto document =
+        read_intact_shard(info.out_path, wanted.banner,
+                          corridor::ShardSpec{info.shard, shards}, grid, &why);
+    if (document.has_value() &&
         util::rename_durable(info.out_path,
                              (dir / shard_file_name(info.shard)).string(),
                              &why)) {
+      documents[info.shard] = std::move(*document);
       return true;
     }
     log("shard " + std::to_string(info.shard) + " attempt " +
@@ -642,10 +654,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     return go_on;
   };
 
-  /// The finalized shard files' bytes as the pre-merge check read them;
-  /// merge() consumes them without reading the files again.
-  std::vector<std::string> documents;
-
   /// The scheduling loop. True once every shard is done and passed the
   /// pre-merge check, with `documents` filled; false when the run must
   /// stop.
@@ -729,20 +737,23 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       // Every shard file was verified when it landed, but a resume may
       // race external tampering and a finalized file can rot between
       // fsync and merge; re-verify, and recompute — don't abort — any
-      // bad shard before trusting its bytes.
+      // bad shard before trusting its bytes. A file still equal to the
+      // bytes publish verified needs no second hash; a changed one, or
+      // one an earlier run finished, takes the full check.
       std::vector<std::size_t> bad;
       {
         const obs::ObsSpan span("verify", "orch", "shards", shards);
-        documents.clear();
         for (std::size_t shard = 0; shard < shards; ++shard) {
           std::string why;
-          auto document =
-              read_intact_shard(dir / shard_file_name(shard), wanted.banner,
-                                corridor::ShardSpec{shard, shards}, grid, &why);
+          auto document = read_intact_shard(
+              dir / shard_file_name(shard), wanted.banner,
+              corridor::ShardSpec{shard, shards}, grid, &why,
+              documents[shard]);
           if (document.has_value()) {
-            documents.push_back(std::move(*document));
+            documents[shard] = std::move(*document);
             continue;
           }
+          documents[shard].clear();
           log("pre-merge: shard " + std::to_string(shard) + " is invalid (" +
               why + "); recomputing");
           bad.push_back(shard);
@@ -779,6 +790,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     names.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
       names.push_back((dir / shard_file_name(shard)).string());
+      // Verified bytes: cut the trailer line off, so merge_shards' own
+      // trailer check has nothing left to hash.
+      std::string& document = documents[shard];
+      document.resize(util::split_integrity_trailer(document).body.size());
     }
     auto merged = corridor::merge_shards(documents, names);
     if (!merged.ok) {
@@ -792,9 +807,12 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
 
     const fs::path merged_path = dir / "merged.csv";
     std::string error;
-    if (!util::atomic_write_file(merged_path.string(),
-                                 util::with_integrity_trailer(merged.merged),
-                                 &error)) {
+    const std::size_t body = merged.merged.size();
+    util::append_integrity_trailer(merged.merged);
+    const bool written =
+        util::atomic_write_file(merged_path.string(), merged.merged, &error);
+    merged.merged.resize(body);
+    if (!written) {
       fail("cannot write merged output: " + error);
       return false;
     }

@@ -4,8 +4,10 @@
 ///
 /// A sweep worker running with `--progress` writes its shard CSV to
 /// `--out` and speaks this protocol on stdout, one event per line,
-/// flushed per line so the orchestrator streams it live through the
-/// worker's pipe:
+/// so the orchestrator streams it live through the worker's pipe. Each
+/// line is flushed as written, except the `cell` lines: they arrive in
+/// one burst after the shard's stages, and one flush follows the last
+/// (a kill, stall or flap fault flushes before it fires):
 ///
 ///     @railcorr 1 banner # railcorr-sweep-v1 fingerprint=<hex16> grid=<N>
 ///     @railcorr 1 start shard=<i>/<N> cells=<n>

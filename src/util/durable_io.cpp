@@ -70,6 +70,7 @@ std::string hex16(std::uint64_t value) {
 }
 
 constexpr std::string_view kTrailerTag = "@railcorr-crc ";
+static_assert(kTrailerTag.size() + 16 + 1 == kIntegrityTrailerBytes);
 
 }  // namespace
 
@@ -162,11 +163,17 @@ std::string integrity_trailer_line(std::string_view body) {
   return std::string(kTrailerTag) + hex16(fnv1a64(body));
 }
 
+void append_integrity_trailer(std::string& body) {
+  if (!body.empty() && body.back() != '\n') body += '\n';
+  body += integrity_trailer_line(body);
+  body += '\n';
+}
+
 std::string with_integrity_trailer(std::string_view body) {
-  std::string out(body);
-  if (!out.empty() && out.back() != '\n') out += '\n';
-  out += integrity_trailer_line(out);
-  out += '\n';
+  std::string out;
+  out.reserve(body.size() + 1 + kIntegrityTrailerBytes);
+  out += body;
+  append_integrity_trailer(out);
   return out;
 }
 

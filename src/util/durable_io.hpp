@@ -79,6 +79,13 @@ std::string integrity_trailer_line(std::string_view body);
 /// first, so the trailer is always a line of its own.
 std::string with_integrity_trailer(std::string_view body);
 
+/// with_integrity_trailer in place: appends to `body` without copying
+/// it (given kIntegrityTrailerBytes of spare capacity).
+void append_integrity_trailer(std::string& body);
+
+/// Bytes a trailer line adds, its newline included.
+inline constexpr std::size_t kIntegrityTrailerBytes = 31;
+
 enum class TrailerStatus {
   /// Trailer present and the body hash matches.
   kVerified,

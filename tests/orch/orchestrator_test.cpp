@@ -506,6 +506,58 @@ TEST(Orchestrate, ShardRottedBeforeMergeIsACountedCorruptOutputFailure) {
       << result.summary;
 }
 
+TEST(Orchestrate, ShardFlippedBeforeMergeFailsTheCompareAndTheFullCheck) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  // Trailered documents: a same-length byte flip is then the trailer's
+  // to catch, once the pre-merge check finds the file no longer equals
+  // the bytes publish verified.
+  std::vector<std::string> docs;
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    const fs::path path = staging.path / ("doc_" + std::to_string(shard));
+    write_file(path, util::with_integrity_trailer(toy_doc(plan, shard, 2)));
+    docs.push_back(path.string());
+  }
+  // The '1' of shard 0's last metric "10" becomes a '2'.
+  const std::string shard0 = read_file(docs[0]);
+  const std::size_t flip = shard0.rfind(",10\n") + 1;
+
+  OrchestrateOptions options;
+  options.workers = 1;  // shard 0 is final before shard 1 launches
+  options.shards = 2;
+  options.retries = 1;
+  options.backoff_base_s = 0.0;
+  std::ostringstream log;
+  options.log = &log;
+  const std::string rotting = (run.path / shard_file_name(0)).string();
+  options.command = [&docs, &rotting, flip](const WorkerAttempt& attempt) {
+    std::string script = "cat '" + docs[attempt.shard] + "' > '" +
+                         attempt.out_path + "'";
+    if (attempt.shard == 1) {
+      script += "; printf 2 | dd of='" + rotting + "' bs=1 seek=" +
+                std::to_string(flip) + " conv=notrunc 2>/dev/null";
+    }
+    return sh(script);
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  const auto expected =
+      corridor::merge_shards({toy_doc(plan, 0, 2), toy_doc(plan, 1, 2)});
+  ASSERT_TRUE(expected.ok);
+  EXPECT_EQ(result.merged, expected.merged);
+  EXPECT_EQ(read_file(run.path / "merged.csv"),
+            util::with_integrity_trailer(expected.merged));
+  EXPECT_EQ(result.stats.retried, 1u);
+  EXPECT_EQ(result.stats.corrupt, 1u);
+  ASSERT_EQ(result.stats.failures_by_class.count("corrupt-output"), 1u);
+  EXPECT_EQ(result.stats.failures_by_class.at("corrupt-output"), 1u);
+  EXPECT_NE(log.str().find("pre-merge: shard 0 is invalid (integrity "
+                           "trailer mismatch (truncated or corrupted))"),
+            std::string::npos)
+      << log.str();
+}
+
 TEST(Orchestrate, MergeWriteFailureStillEndsWithTheRunSummary) {
   const auto plan = toy_plan();
   TempDir staging;

@@ -461,9 +461,12 @@ int cmd_sweep(const Args& args) {
                            std::size_t index, std::size_t done,
                            std::size_t total) {
       if (progress) {
+        // The cell lines come in one burst after the shard's stages,
+        // so one flush after the last carries them all; every fault
+        // below flushes before it fires.
         std::lock_guard<std::mutex> lock(*protocol_mutex);
-        std::cout << railcorr::orch::cell_line(index, done, total)
-                  << std::endl;
+        std::cout << railcorr::orch::cell_line(index, done, total) << '\n';
+        if (done == total) std::cout.flush();
       }
       if (kill_after.has_value() &&
           done >= std::max<std::size_t>(1, *kill_after)) {
