@@ -20,7 +20,11 @@
 #      resuming recomputes exactly the lost shards, nothing else,
 #   6. a one-host fleet whose first three launches are refused audits
 #      quarantine, probe and recover in that order and merges the same
-#      bytes.
+#      bytes,
+#   7. the clean fleet with `--trace-dir` fetches every finished
+#      attempt's trace and metrics back over `--fetch`: the timeline
+#      holds one host-labelled lane per attempt, and no `.remote` copy
+#      is left behind.
 #
 # usage: distributed_smoke.sh <railcorr-binary>
 set -eu
@@ -204,6 +208,53 @@ fi
 audit="$(grep "^host h1 " "$TMP/flaky/orchestrate.manifest" | tr '\n' ';')"
 if [ "$audit" != "host h1 quarantine;host h1 probe;host h1 recover;" ]; then
   echo "FAIL: expected quarantine, probe, recover audits; got '$audit'" >&2
+  exit 1
+fi
+
+# --- 7: a traced fleet fetches every remote lane back -----------------
+"$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/traced" \
+    --hosts h1,h2,h3 --launcher "$LAUNCH" --fetch "$FETCH" \
+    --workers 3 --timeout 120 --trace-dir "$TMP/traced/telemetry" \
+    2> "$TMP/traced.log"
+if ! cmp "$TMP/traced/merged.csv" "$TMP/single.csv"; then
+  echo "FAIL: traced-fleet merge differs from the single-process sweep" >&2
+  exit 1
+fi
+TRACE="$TMP/traced/telemetry/trace.json"
+METRICS="$TMP/traced/telemetry/run_metrics.json"
+for f in "$TRACE" "$METRICS"; do
+  if [ ! -s "$f" ]; then
+    echo "FAIL: traced fleet did not write $f" >&2
+    exit 1
+  fi
+done
+attempts="$(sed -n 's/^info run summary: .* attempts=\([0-9]*\) .*/\1/p' \
+    "$TMP/traced/orchestrate.manifest")"
+if [ -z "$attempts" ] || [ "$attempts" -eq 0 ]; then
+  echo "FAIL: traced fleet recorded no attempts in its run summary" >&2
+  exit 1
+fi
+# Lanes are process_name metadata rows: the orchestrator's, then one
+# per finished attempt, named after its trace file and its host.
+lanes="$(grep -o '"name":"process_name"' "$TRACE" | wc -l)"
+host_lanes="$(grep -o '"name":"shard_[0-9]*\.attempt[0-9]* (h[123])"' \
+    "$TRACE" | wc -l)"
+if ! grep -q '"args":{"name":"orchestrator"}' "$TRACE" ||
+    [ "$lanes" -ne $((attempts + 1)) ] || [ "$host_lanes" -ne "$attempts" ]
+then
+  echo "FAIL: expected the orchestrator lane plus $attempts host-labelled" \
+       "lane(s); got $lanes lane(s), $host_lanes host-labelled" >&2
+  exit 1
+fi
+# Every worker's metrics came back too: one source each, plus the
+# orchestrator's own registry.
+if ! grep -q "\"sources\":$((attempts + 1))," "$METRICS"; then
+  echo "FAIL: run_metrics.json does not roll up $((attempts + 1)) sources" >&2
+  exit 1
+fi
+leftover="$(find "$TMP/traced" -name '*.remote')"
+if [ -n "$leftover" ]; then
+  echo "FAIL: remote telemetry copies left behind: $leftover" >&2
   exit 1
 fi
 

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "orch/faultpoint.hpp"
+#include "util/config.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::cache {
@@ -22,49 +22,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::string_view kMagicPrefix = "# railcorr-cache-v1 schema=";
-
-std::uint64_t fnv1a64(std::string_view data,
-                      std::uint64_t hash = 0xCBF29CE484222325ULL) {
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
-    value >>= 4;
-  }
-  return out;
-}
-
-bool parse_hex16(std::string_view text, std::uint64_t& out) {
-  if (text.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c >= '0' && c <= '9') {
-      value = (value << 4) | static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value = (value << 4) | static_cast<std::uint64_t>(10 + c - 'a');
-    } else {
-      return false;
-    }
-  }
-  out = value;
-  return true;
-}
-
-/// Digits only, and a value that fits: a segment is outside input, and
-/// a wrapped length would frame a payload past the document's end.
-bool parse_decimal(std::string_view text, std::size_t& out) {
-  const char* const end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && stop == end;
-}
 
 /// Evictors (and corrupt-segment droppers) must not race each other on
 /// the same file: the first to create `<path>.lock` owns the unlink.
@@ -159,7 +116,7 @@ bool scan_entries(std::string_view body, std::vector<EntryView>& entries,
     return false;
   }
   std::size_t schema = 0;
-  if (!parse_decimal(magic.substr(kMagicPrefix.size()), schema) ||
+  if (!util::parse_whole(magic.substr(kMagicPrefix.size()), schema) ||
       schema != kResultSchemaVersion) {
     // A foreign schema is not corruption, but its rows mean something
     // else; dropping the segment is the only safe read.
@@ -187,8 +144,11 @@ bool scan_entries(std::string_view body, std::vector<EntryView>& entries,
     }
     EntryView entry;
     std::size_t length = 0;
-    if (!parse_hex16(fields.substr(0, space), entry.key) ||
-        !parse_decimal(fields.substr(space + 1), length)) {
+    // A length that does not fit is refused, never wrapped: a segment
+    // is outside input, and a wrapped length would frame a payload past
+    // the document's end.
+    if (!util::parse_hex16(fields.substr(0, space), entry.key) ||
+        !util::parse_whole(fields.substr(space + 1), length)) {
       error = "malformed entry key/length in '" + std::string(line) + "'";
       return false;
     }
@@ -212,7 +172,7 @@ std::string render_entries(It first, It last) {
   body += '\n';
   for (; first != last; ++first) {
     body += "entry ";
-    body += hex16(first->key);
+    body += util::hex16(first->key);
     body += ' ';
     body += std::to_string(first->row.size());
     body += '\n';
@@ -230,13 +190,13 @@ std::uint64_t cell_key(std::string_view banner, std::size_t index,
   // Hash the tuple as length-unambiguous framed fields: each component
   // ends with '\n' (none of them can contain one), so no two distinct
   // tuples serialize to the same byte stream.
-  std::uint64_t hash = fnv1a64(banner);
-  hash = fnv1a64("\n", hash);
-  hash = fnv1a64(std::to_string(index), hash);
-  hash = fnv1a64("\n", hash);
-  hash = fnv1a64(header, hash);
-  hash = fnv1a64("\n", hash);
-  hash = fnv1a64(std::to_string(schema_version), hash);
+  std::uint64_t hash = util::fnv1a64(banner);
+  hash = util::fnv1a64("\n", hash);
+  hash = util::fnv1a64(std::to_string(index), hash);
+  hash = util::fnv1a64("\n", hash);
+  hash = util::fnv1a64(header, hash);
+  hash = util::fnv1a64("\n", hash);
+  hash = util::fnv1a64(std::to_string(schema_version), hash);
   return hash;
 }
 
@@ -362,7 +322,7 @@ bool ResultCache::verify_segment(std::size_t id) {
   static obs::Counter& verified_counter =
       obs::MetricsRegistry::instance().counter("cache.segments_verified");
   verified_counter.add();
-  if (util::integrity_hash(segment.body) == segment.stated) {
+  if (util::fnv1a64(segment.body) == segment.stated) {
     segment.verified = true;
     return true;
   }
@@ -438,7 +398,7 @@ bool ResultCache::flush(std::string* error) {
         staged_.begin() + static_cast<std::ptrdiff_t>(published_),
         staged_.end());
     published_path =
-        options_.dir + "/seg_" + hex16(fnv1a64(document)) + ".seg";
+        options_.dir + "/seg_" + util::hex16(util::fnv1a64(document)) + ".seg";
     if (const auto torn =
             faults.armed(orch::FaultKind::kCacheTornWrite)) {
       // A torn publish: only a prefix of the document lands under the

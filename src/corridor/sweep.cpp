@@ -71,14 +71,12 @@ std::optional<ParsedShard> parse_shard(std::string_view document,
       shard.header = line;
       continue;
     }
-    // from_chars refuses an index that does not fit, instead of
-    // wrapping it onto another cell.
-    const std::size_t comma = std::min(line.find(','), line.size());
+    // An index that does not fit is refused instead of wrapping onto
+    // another cell.
+    const std::size_t comma = line.find(',');
     std::size_t index = 0;
-    const auto parsed =
-        std::from_chars(line.data(), line.data() + comma, index);
-    if (comma == line.size() || parsed.ec != std::errc{} ||
-        parsed.ptr != line.data() + comma) {
+    if (comma == std::string_view::npos ||
+        !util::parse_whole(line.substr(0, comma), index)) {
       errors.push_back(label + " line " + std::to_string(line_no) +
                        ": expected '<index>,...', got '" + std::string(line) +
                        "'");
@@ -195,13 +193,7 @@ std::string SweepPlan::canonical_spec() const {
 }
 
 std::uint64_t SweepPlan::fingerprint() const {
-  // FNV-1a 64.
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : canonical_spec()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
+  return util::fnv1a64(canonical_spec());
 }
 
 ShardSpec ShardSpec::parse(std::string_view text) {
@@ -244,35 +236,15 @@ std::vector<std::size_t> ShardSpec::indices(std::size_t grid_size) const {
   return out;
 }
 
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[fingerprint & 0xF];
-    fingerprint >>= 4;
-  }
-  return out;
-}
-
 std::optional<std::uint64_t> banner_fingerprint(std::string_view banner) {
   const std::size_t at = banner.find(" fingerprint=");
   if (at == std::string_view::npos) return std::nullopt;
+  // The token runs to the next blank, so a 17th digit is refused.
+  const std::string_view token = banner.substr(at + 13);
   std::uint64_t value = 0;
-  std::size_t digits = 0;
-  for (std::size_t i = at + 13; i < banner.size(); ++i) {
-    const char c = banner[i];
-    int nibble;
-    if (c >= '0' && c <= '9') {
-      nibble = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      nibble = 10 + (c - 'a');
-    } else {
-      break;
-    }
-    value = (value << 4) | static_cast<std::uint64_t>(nibble);
-    ++digits;
+  if (!util::parse_hex16(token.substr(0, token.find(' ')), value)) {
+    return std::nullopt;
   }
-  if (digits != 16) return std::nullopt;
   return value;
 }
 
@@ -289,7 +261,7 @@ std::optional<std::size_t> banner_grid(std::string_view banner) {
 
 std::string shard_banner(const SweepPlan& plan) {
   return "# railcorr-sweep-v1 fingerprint=" +
-         fingerprint_hex(plan.fingerprint()) +
+         util::hex16(plan.fingerprint()) +
          " grid=" + std::to_string(plan.size());
 }
 

@@ -107,12 +107,9 @@ struct ShardSpec {
 /// The `# railcorr-sweep-v1 ...` line (no trailing newline).
 std::string shard_banner(const SweepPlan& plan);
 
-/// A fingerprint rendered as the banner's fixed-width lowercase hex.
-std::string fingerprint_hex(std::uint64_t fingerprint);
-
-/// The `fingerprint=<hex16>` token parsed back out of a banner line;
-/// std::nullopt when absent or malformed. Orchestrator manifests and
-/// resume validation key on this.
+/// The `fingerprint=<hex16>` token parsed back out of a banner line
+/// (util::parse_hex16 up to the next blank); std::nullopt when absent
+/// or malformed.
 std::optional<std::uint64_t> banner_fingerprint(std::string_view banner);
 
 /// The `grid=<N>` token parsed back out of a banner line.

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <system_error>
 
 #include "util/durable_io.hpp"
 
@@ -45,34 +47,15 @@ class Scanner {
     return false;
   }
 
-  bool parse_u64(std::uint64_t& out) {
+  /// A decimal T: a '-' only where T is signed, and a value that does
+  /// not fit is refused, not wrapped.
+  template <typename T>
+  bool parse_int(T& out) {
     skip_ws();
-    const std::size_t start = i_;
-    std::uint64_t value = 0;
-    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') {
-      const std::uint64_t digit = static_cast<std::uint64_t>(s_[i_] - '0');
-      if (value > (UINT64_MAX - digit) / 10) return false;
-      value = value * 10 + digit;
-      ++i_;
-    }
-    if (i_ == start) return false;
-    out = value;
-    return true;
-  }
-
-  bool parse_i64(std::int64_t& out) {
-    skip_ws();
-    const bool negative = i_ < s_.size() && s_[i_] == '-';
-    if (negative) ++i_;
-    std::uint64_t magnitude = 0;
-    if (!parse_u64(magnitude)) return false;
-    if (negative) {
-      if (magnitude > static_cast<std::uint64_t>(INT64_MAX) + 1) return false;
-      out = static_cast<std::int64_t>(0 - magnitude);
-    } else {
-      if (magnitude > static_cast<std::uint64_t>(INT64_MAX)) return false;
-      out = static_cast<std::int64_t>(magnitude);
-    }
+    const auto [stop, ec] =
+        std::from_chars(s_.data() + i_, s_.data() + s_.size(), out);
+    if (ec != std::errc{}) return false;
+    i_ = static_cast<std::size_t>(stop - s_.data());
     return true;
   }
 
@@ -294,7 +277,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     out.error = "malformed metrics header";
     return out;
   }
-  if (!sc.eat_lit("\"sources\":") || !sc.parse_u64(out.sources) ||
+  if (!sc.eat_lit("\"sources\":") || !sc.parse_int(out.sources) ||
       !sc.eat(',')) {
     out.error = "malformed \"sources\" entry";
     return out;
@@ -307,7 +290,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       std::uint64_t value = 0;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_u64(value)) {
+      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_int(value)) {
         out.error = "malformed counter entry";
         return out;
       }
@@ -326,7 +309,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       std::int64_t value = 0;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_i64(value)) {
+      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_int(value)) {
         out.error = "malformed gauge entry";
         return out;
       }
@@ -346,10 +329,10 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
       std::string name;
       MetricsSnapshot::Hist h;
       if (!sc.parse_name(name) || !sc.eat(':') || !sc.eat('{') ||
-          !sc.eat_lit("\"count\":") || !sc.parse_u64(h.count) ||
-          !sc.eat(',') || !sc.eat_lit("\"sum\":") || !sc.parse_u64(h.sum) ||
-          !sc.eat(',') || !sc.eat_lit("\"min\":") || !sc.parse_u64(h.min) ||
-          !sc.eat(',') || !sc.eat_lit("\"max\":") || !sc.parse_u64(h.max) ||
+          !sc.eat_lit("\"count\":") || !sc.parse_int(h.count) ||
+          !sc.eat(',') || !sc.eat_lit("\"sum\":") || !sc.parse_int(h.sum) ||
+          !sc.eat(',') || !sc.eat_lit("\"min\":") || !sc.parse_int(h.min) ||
+          !sc.eat(',') || !sc.eat_lit("\"max\":") || !sc.parse_int(h.max) ||
           !sc.eat(',') || !sc.eat_lit("\"buckets\":") || !sc.eat('[')) {
         out.error = "malformed histogram entry";
         return out;
@@ -358,8 +341,8 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
         do {
           std::uint64_t bucket = 0;
           std::uint64_t count = 0;
-          if (!sc.eat('[') || !sc.parse_u64(bucket) || !sc.eat(',') ||
-              !sc.parse_u64(count) || !sc.eat(']') ||
+          if (!sc.eat('[') || !sc.parse_int(bucket) || !sc.eat(',') ||
+              !sc.parse_int(count) || !sc.eat(']') ||
               bucket >= Histogram::kBuckets) {
             out.error = "malformed histogram bucket";
             return out;

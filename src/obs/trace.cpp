@@ -1,9 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <map>
 #include <sstream>
+#include <system_error>
 
 #include "util/durable_io.hpp"
 
@@ -126,16 +128,10 @@ class Scanner {
 
   /// Decimal u64, at least one digit, no sign, no leading '+'.
   bool parse_u64(std::uint64_t& out) {
-    std::size_t start = i_;
-    std::uint64_t value = 0;
-    while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') {
-      const std::uint64_t digit = static_cast<std::uint64_t>(s_[i_] - '0');
-      if (value > (UINT64_MAX - digit) / 10) return false;
-      value = value * 10 + digit;
-      ++i_;
-    }
-    if (i_ == start) return false;
-    out = value;
+    const auto [stop, ec] =
+        std::from_chars(s_.data() + i_, s_.data() + s_.size(), out);
+    if (ec != std::errc{}) return false;
+    i_ = static_cast<std::size_t>(stop - s_.data());
     return true;
   }
 

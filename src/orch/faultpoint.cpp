@@ -36,12 +36,9 @@ std::size_t parse_param(std::string_view text, std::string_view spec) {
     throw ConfigError("fault spec '" + std::string(spec) + "': empty value");
   }
   std::size_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw ConfigError("fault spec '" + std::string(spec) +
-                        "': expected a decimal value");
-    }
-    value = value * 10 + static_cast<std::size_t>(c - '0');
+  if (!util::parse_whole(text, value)) {
+    throw ConfigError("fault spec '" + std::string(spec) +
+                      "': expected a decimal value");
   }
   return value;
 }

@@ -1,6 +1,7 @@
 #include "orch/manifest.hpp"
 
 #include "util/config.hpp"
+#include "util/durable_io.hpp"
 
 namespace railcorr::orch {
 
@@ -21,33 +22,15 @@ bool key_value(std::string_view line, std::string_view key,
 }
 
 std::size_t parse_size(std::string_view text, const char* what) {
-  std::size_t value = 0;
   if (text.empty()) {
     throw ConfigError(std::string("manifest: empty ") + what);
   }
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw ConfigError(std::string("manifest: malformed ") + what + " '" +
-                        std::string(text) + "'");
-    }
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
-  return value;
-}
-
-std::uint64_t parse_hex16(std::string_view text) {
-  // Delegate to the banner-token parser so the manifest and the shard
-  // banners can never disagree about the fingerprint format; the size
-  // guard keeps trailing junk after 16 valid digits an error here.
-  const auto value = text.size() == 16
-                         ? corridor::banner_fingerprint(" fingerprint=" +
-                                                        std::string(text))
-                         : std::nullopt;
-  if (!value.has_value()) {
-    throw ConfigError("manifest: fingerprint must be 16 hex digits, got '" +
+  std::size_t value = 0;
+  if (!util::parse_whole(text, value)) {
+    throw ConfigError(std::string("manifest: malformed ") + what + " '" +
                       std::string(text) + "'");
   }
-  return *value;
+  return value;
 }
 
 }  // namespace
@@ -79,7 +62,11 @@ RunManifest RunManifest::parse(std::string_view text) {
   const auto apply_line = [&](std::string_view line) {
     std::string_view value;
     if (key_value(line, "fingerprint", value)) {
-      manifest.fingerprint = parse_hex16(value);
+      if (!util::parse_hex16(value, manifest.fingerprint)) {
+        throw ConfigError(
+            "manifest: fingerprint must be 16 hex digits, got '" +
+            std::string(value) + "'");
+      }
       fingerprint_seen = true;
     } else if (key_value(line, "grid", value)) {
       manifest.grid = parse_size(value, "grid");
@@ -207,7 +194,7 @@ RunManifest RunManifest::parse(std::string_view text) {
 
 std::string RunManifest::header_text() const {
   return std::string(kMagic) + "\n" +
-         "fingerprint = " + corridor::fingerprint_hex(fingerprint) + "\n" +
+         "fingerprint = " + util::hex16(fingerprint) + "\n" +
          "grid = " + std::to_string(grid) + "\n" +
          "shards = " + std::to_string(shards) + "\n" +
          "sizing = " + (include_sizing ? "1" : "0") + "\n" +
@@ -247,9 +234,9 @@ std::vector<std::string> RunManifest::mismatches_against(
   std::vector<std::string> errors;
   if (fingerprint != wanted.fingerprint) {
     errors.push_back("plan fingerprint mismatch: manifest has " +
-                     corridor::fingerprint_hex(fingerprint) +
+                     util::hex16(fingerprint) +
                      ", this invocation's plan is " +
-                     corridor::fingerprint_hex(wanted.fingerprint));
+                     util::hex16(wanted.fingerprint));
   }
   if (banner != wanted.banner) {
     errors.push_back("banner mismatch: manifest has '" +

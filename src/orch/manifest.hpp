@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "corridor/sweep.hpp"
+#include "orch/remote.hpp"
 
 namespace railcorr::orch {
 
@@ -87,13 +88,8 @@ struct RunManifest {
   /// Every `fail` line, in append order (possibly across resumes).
   std::vector<Failure> failures;
 
-  /// One audited host-health transition of a distributed run.
-  struct HostEvent {
-    std::string host;
-    /// quarantine, probe, recover, or dead (future events tolerated).
-    std::string event;
-  };
-  /// Every `host` line, in append order (possibly across resumes).
+  /// Every `host` line, in append order (possibly across resumes);
+  /// events other than FleetHealth's four are kept as written.
   std::vector<HostEvent> host_events;
 
   /// Every `info` line's free text, in append order. Pure audit trail

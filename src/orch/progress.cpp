@@ -1,7 +1,9 @@
 #include "orch/progress.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <system_error>
 
 namespace railcorr::orch {
 
@@ -12,28 +14,29 @@ constexpr std::string_view kMagic = "@railcorr 1 ";
 /// The longest heartbeat period HeartbeatThread waits.
 constexpr double kMaxHeartbeatPeriodS = 3600.0;
 
+/// Consume one decimal from the front of `rest`; false when none is
+/// there or it does not fit.
+bool take_decimal(std::string_view& rest, std::size_t& out) {
+  const auto [stop, ec] =
+      std::from_chars(rest.data(), rest.data() + rest.size(), out);
+  if (ec != std::errc{}) return false;
+  rest.remove_prefix(static_cast<std::size_t>(stop - rest.data()));
+  return true;
+}
+
 /// Consume "<name>=<decimal>" from the front of `rest` (preceded by a
 /// single space when `leading_space`); false on any mismatch.
 bool take_field(std::string_view& rest, std::string_view name,
                 std::size_t& out, bool leading_space) {
   if (leading_space) {
-    if (rest.empty() || rest.front() != ' ') return false;
+    if (!rest.starts_with(' ')) return false;
     rest.remove_prefix(1);
   }
   if (!rest.starts_with(name)) return false;
   rest.remove_prefix(name.size());
-  if (rest.empty() || rest.front() != '=') return false;
+  if (!rest.starts_with('=')) return false;
   rest.remove_prefix(1);
-  std::size_t value = 0;
-  bool any = false;
-  while (!rest.empty() && rest.front() >= '0' && rest.front() <= '9') {
-    value = value * 10 + static_cast<std::size_t>(rest.front() - '0');
-    rest.remove_prefix(1);
-    any = true;
-  }
-  if (!any) return false;
-  out = value;
-  return true;
+  return take_decimal(rest, out);
 }
 
 }  // namespace
@@ -78,21 +81,13 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
   if (rest.starts_with("start ")) {
     rest.remove_prefix(6);
     event.kind = ProgressEvent::Kind::kStart;
-    if (!take_field(rest, "shard", event.shard, /*leading_space=*/false)) {
+    if (!take_field(rest, "shard", event.shard, /*leading_space=*/false) ||
+        !rest.starts_with('/')) {
       return std::nullopt;
     }
-    if (rest.empty() || rest.front() != '/') return std::nullopt;
     rest.remove_prefix(1);
-    std::size_t count = 0;
-    bool any = false;
-    while (!rest.empty() && rest.front() >= '0' && rest.front() <= '9') {
-      count = count * 10 + static_cast<std::size_t>(rest.front() - '0');
-      rest.remove_prefix(1);
-      any = true;
-    }
-    if (!any) return std::nullopt;
-    event.shard_count = count;
-    if (!take_field(rest, "cells", event.cells, /*leading_space=*/true)) {
+    if (!take_decimal(rest, event.shard_count) ||
+        !take_field(rest, "cells", event.cells, /*leading_space=*/true)) {
       return std::nullopt;
     }
     return rest.empty() ? std::optional<ProgressEvent>(event) : std::nullopt;

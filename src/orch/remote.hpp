@@ -111,7 +111,8 @@ struct FleetHealthOptions {
 };
 
 /// One host-health transition, in occurrence order — the orchestrator
-/// turns these into manifest `host <name> <event>` audit lines.
+/// turns these into manifest `host <name> <event>` audit lines, and
+/// RunManifest::parse reads them back as these.
 struct HostEvent {
   std::string host;
   /// "quarantine", "probe", "recover", or "dead".

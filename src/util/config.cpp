@@ -1,7 +1,6 @@
 #include "util/config.hpp"
 
 #include <charconv>
-#include <system_error>
 
 namespace railcorr::util {
 
@@ -24,15 +23,6 @@ std::string_view trim(std::string_view s) {
   if (entry.line > 0) msg += " (line " + std::to_string(entry.line) + ")";
   msg += ": expected " + std::string(expected) + ", got '" + entry.value + "'";
   throw ConfigError(msg);
-}
-
-/// from_chars wrapper requiring the whole token to be consumed.
-template <typename T>
-bool parse_whole(std::string_view token, T& out) {
-  const char* const begin = token.data();
-  const char* const end = begin + token.size();
-  const auto result = std::from_chars(begin, end, out);
-  return result.ec == std::errc{} && result.ptr == end;
 }
 
 }  // namespace

@@ -23,10 +23,12 @@
 /// compare byte-for-byte.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace railcorr::util {
@@ -50,6 +52,19 @@ struct SpecEntry {
 /// Parse a spec document into ordered entries. Throws ConfigError on
 /// lines that are neither blank, comment, nor `key = value`.
 std::vector<SpecEntry> parse_spec(std::string_view text);
+
+/// std::from_chars over the whole of `token`: true only when the token
+/// is one value of T that fits, with no blank, no trailing byte, no
+/// '+', and no '-' on an unsigned T. The decimal fields of the
+/// program's files, worker progress lines, fault specs and flags are
+/// read by this, or by std::from_chars itself where a cursor moves past
+/// the number.
+template <typename T>
+bool parse_whole(std::string_view token, T& out) {
+  const char* const end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, out);
+  return ec == std::errc{} && stop == end;
+}
 
 /// \name Typed value parsing
 /// Each throws ConfigError naming the entry's key and line when the

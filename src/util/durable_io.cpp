@@ -50,29 +50,34 @@ bool fsync_dir(const std::string& dir, std::string* error) {
   return true;
 }
 
-std::uint64_t fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ULL;
-  }
-  return hash;
-}
+constexpr std::string_view kTrailerTag = "@railcorr-crc ";
+static_assert(kTrailerTag.size() + 16 + 1 == kIntegrityTrailerBytes);
+
+}  // namespace
 
 std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
+  constexpr std::string_view kDigits = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xF];
+    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
     value >>= 4;
   }
   return out;
 }
 
-constexpr std::string_view kTrailerTag = "@railcorr-crc ";
-static_assert(kTrailerTag.size() + 16 + 1 == kIntegrityTrailerBytes);
-
-}  // namespace
+bool parse_hex16(std::string_view text, std::uint64_t& out) {
+  if (text.size() != 16) return false;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    const int nibble = c >= '0' && c <= '9'   ? c - '0'
+                       : c >= 'a' && c <= 'f' ? 10 + c - 'a'
+                                              : -1;
+    if (nibble < 0) return false;
+    value = (value << 4) | static_cast<std::uint64_t>(nibble);
+  }
+  out = value;
+  return true;
+}
 
 bool write_fully(int fd, const char* data, std::size_t size) noexcept {
   while (size > 0) {
@@ -191,23 +196,12 @@ TrailerSplit split_integrity_trailer(std::string_view document) {
   // own trailing newline), which is exactly what was hashed.
   split.body =
       eol == std::string_view::npos ? std::string_view{} : document.substr(0, eol + 1);
-  const std::string_view hex = last.substr(kTrailerTag.size());
-  if (hex.size() != 16) return split;
-  std::uint64_t value = 0;
-  for (const char c : hex) {
-    if (c >= '0' && c <= '9') {
-      value = (value << 4) | static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      value = (value << 4) | static_cast<std::uint64_t>(10 + c - 'a');
-    } else {
-      return split;
-    }
+  std::uint64_t stated = 0;
+  if (parse_hex16(last.substr(kTrailerTag.size()), stated)) {
+    split.stated = stated;
   }
-  split.stated = value;
   return split;
 }
-
-std::uint64_t integrity_hash(std::string_view body) { return fnv1a64(body); }
 
 TrailerCheck check_integrity_trailer(std::string_view document) {
   const TrailerSplit split = split_integrity_trailer(document);

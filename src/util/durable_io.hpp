@@ -63,10 +63,37 @@ bool atomic_write_file(const std::string& path, std::string_view content,
 bool rename_durable(const std::string& from, const std::string& to,
                     std::string* error = nullptr);
 
+/// \name FNV-1a 64 and hex16
+/// The program's one hash and its one written form: plan fingerprints,
+/// cache keys, cache segment names and integrity trailers are all
+/// FNV-1a 64, written as 16 lowercase hex digits. Every value already
+/// on disk was made by this code, so it must never change.
+///@{
+
+/// FNV-1a 64 of `data`, continuing from `hash` (the offset basis for a
+/// fresh hash), so that chained calls hash several fields as one
+/// stream. Inline: the result cache keys each cell with seven calls.
+inline std::uint64_t fnv1a64(std::string_view data,
+                             std::uint64_t hash = 0xCBF29CE484222325ULL) {
+  for (const char c : data) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+/// `value` as exactly 16 lowercase hex digits, zero-padded.
+std::string hex16(std::uint64_t value);
+
+/// The value of exactly 16 lowercase hex digits; false (and `out`
+/// untouched) for any other length or character.
+bool parse_hex16(std::string_view text, std::uint64_t& out);
+///@}
+
 /// \name Integrity trailers
 /// A trailered document is `<body>` (newline-terminated) followed by
 /// one final line `@railcorr-crc <hex16>`, where the 16 hex digits are
-/// FNV-1a 64 over every body byte (including the body's trailing
+/// fnv1a64 over every body byte (including the body's trailing
 /// newline). The trailer detects truncation and bit corruption of the
 /// body; its own corruption is equally detected (hash mismatch or
 /// malformed hex), and readers then discard the whole artifact.
@@ -110,7 +137,8 @@ TrailerCheck check_integrity_trailer(std::string_view document);
 
 /// `document` split at its final line without reading the body: the
 /// first half of check_integrity_trailer, for readers that hash later
-/// (the result cache hashes a segment on its first hit).
+/// (the result cache compares fnv1a64(body) with `stated` on a
+/// segment's first hit).
 struct TrailerSplit {
   /// False when the final line is no trailer; `body` is then the whole
   /// document.
@@ -122,9 +150,6 @@ struct TrailerSplit {
   std::string_view body;
 };
 TrailerSplit split_integrity_trailer(std::string_view document);
-
-/// The FNV-1a 64 a trailer line states for `body`: the second half.
-std::uint64_t integrity_hash(std::string_view body);
 ///@}
 
 /// Append-only line log with per-line durability: each append is a

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "corridor/sweep.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::cache {
@@ -67,6 +68,28 @@ TEST(CellKey, FieldFramingIsUnambiguous) {
   // the components are newline-framed inside the hash input.
   EXPECT_NE(cell_key("banner", 12, "h"), cell_key("banner1", 2, "h"));
   EXPECT_NE(cell_key("b", 1, "23,h"), cell_key("b", 12, "3,h"));
+}
+
+TEST(CacheFormat, KeysNamesAndTrailersAreStableAcrossVersions) {
+  // A store or run directory written by an older binary stays readable
+  // only while these pinned values hold.
+  EXPECT_EQ(cell_key("# railcorr-sweep-v1 fingerprint=0123456789abcdef "
+                     "grid=64",
+                     7, "index,radio.lp_eirp_dbm,max_n"),
+            0x48c671647bfa670cULL);
+  EXPECT_EQ(corridor::shard_banner(
+                corridor::SweepPlan::from_spec("axis k = 1, 2, 3\n")),
+            "# railcorr-sweep-v1 fingerprint=89dec1b113f2a2d8 grid=3");
+  EXPECT_EQ(util::integrity_trailer_line("abc\n"),
+            "@railcorr-crc fc17b183ee074373");
+
+  TempDir dir("pinned");
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  cache.insert(0x48c671647bfa670cULL, "7,37,8");
+  ASSERT_TRUE(cache.flush());
+  EXPECT_EQ(segment_count(dir.path()), 1u);
+  EXPECT_TRUE(fs::exists(dir.path() / "seg_ce7ec793a11c1241.seg"));
 }
 
 TEST(Segment, RenderParseRoundTripsArbitraryRowBytes) {

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <set>
 
+#include "util/durable_io.hpp"
+
 namespace railcorr::corridor {
 namespace {
 
@@ -205,8 +207,16 @@ TEST(BannerHelpers, RoundTripFingerprintAndGrid) {
   EXPECT_EQ(*banner_fingerprint(banner), plan.fingerprint());
   ASSERT_TRUE(banner_grid(banner).has_value());
   EXPECT_EQ(*banner_grid(banner), 3u);
-  EXPECT_EQ(fingerprint_hex(plan.fingerprint()).size(), 16u);
+  EXPECT_EQ(banner, "# railcorr-sweep-v1 fingerprint=" +
+                        util::hex16(plan.fingerprint()) + " grid=3");
   EXPECT_FALSE(banner_fingerprint("# no tokens here").has_value());
+  // The token is exactly 16 digits: a 15th-digit cut or a 17th digit
+  // is refused.
+  EXPECT_FALSE(banner_fingerprint("# x fingerprint=0123456789abcde grid=1")
+                   .has_value());
+  EXPECT_FALSE(
+      banner_fingerprint("# x fingerprint=0123456789abcdef0 grid=1")
+          .has_value());
   EXPECT_FALSE(banner_grid("# no tokens here").has_value());
   // A grid that does not fit is refused, not wrapped.
   EXPECT_FALSE(banner_grid("# x grid=18446744073709551616").has_value());

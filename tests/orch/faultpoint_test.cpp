@@ -28,6 +28,11 @@ class FaultpointTest : public ::testing::Test {
   }
 };
 
+/// Specs whose value is 2^64 + 1, which a wrapping parser reads as 1.
+constexpr const char* kWrappingSpecs[] = {"kill=18446744073709551617",
+                                          "stall=18446744073709551617",
+                                          "torn-write=18446744073709551617"};
+
 TEST_F(FaultpointTest, SpecsParseAndRoundTripTheirCanonicalSpelling) {
   const auto torn = parse_fault_spec("torn-write=64");
   EXPECT_EQ(torn.kind, FaultKind::kTornWrite);
@@ -84,6 +89,10 @@ TEST_F(FaultpointTest, MalformedSpecsAreRejected) {
   // Malformed digits.
   EXPECT_THROW(parse_fault_spec("stall=abc"), util::ConfigError);
   EXPECT_THROW(parse_fault_spec("stall="), util::ConfigError);
+  // 2^64 + 1 does not fit: refused, not wrapped to 1.
+  for (const char* spec : kWrappingSpecs) {
+    EXPECT_THROW(parse_fault_spec(spec), util::ConfigError) << spec;
+  }
 }
 
 TEST_F(FaultpointTest, InjectorArmsQueriesAndClears) {
@@ -176,6 +185,10 @@ TEST_F(FaultpointTest, EnvArmingIsANoOpWhenUnsetAndThrowsOnGarbage) {
 
   ::setenv("RAILCORR_FAULT", "bogus-fault", 1);
   EXPECT_THROW(injector.arm_from_env(), util::ConfigError);
+  for (const char* spec : kWrappingSpecs) {
+    ::setenv("RAILCORR_FAULT", spec, 1);
+    EXPECT_THROW(injector.arm_from_env(), util::ConfigError) << spec;
+  }
 }
 
 }  // namespace

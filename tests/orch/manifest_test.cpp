@@ -59,6 +59,22 @@ TEST(RunManifest, ParseRejectsMalformedDocuments) {
   EXPECT_THROW(
       RunManifest::parse("# railcorr-orchestrate-v1\nfingerprint = zzz\n"),
       util::ConfigError);
+  // 2^64 + 1 does not fit: refused, not wrapped to 1. The done line is
+  // followed by another, so it is not the torn final line.
+  const std::string header = manifest.header_text();
+  const auto with_line = [&](const std::string& key, const std::string& to) {
+    const std::size_t at = header.find(key + " = ");
+    const std::size_t eol = header.find('\n', at);
+    return header.substr(0, at) + key + " = " + to + header.substr(eol);
+  };
+  const std::string huge = "18446744073709551617";
+  EXPECT_THROW(RunManifest::parse(with_line("grid", huge)), util::ConfigError);
+  EXPECT_THROW(RunManifest::parse(with_line("shards", huge)),
+               util::ConfigError);
+  EXPECT_THROW(RunManifest::parse(header + "done " + huge + " shard_1.csv\n" +
+                                  RunManifest::done_line(0, "shard_0.csv") +
+                                  "\n"),
+               util::ConfigError);
 }
 
 TEST(RunManifest, FailLinesRoundTripWithClassifiedCauses) {

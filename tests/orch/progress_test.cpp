@@ -62,6 +62,10 @@ TEST(ProgressProtocol, MalformedCacheLinesAreRejected) {
   EXPECT_FALSE(
       parse_progress_line("@railcorr 1 cache hits=1 misses=2 junk")
           .has_value());
+  // 2^64 + 1 does not fit: refused, not wrapped to 1.
+  EXPECT_FALSE(parse_progress_line(
+                   "@railcorr 1 cache hits=18446744073709551617 misses=1")
+                   .has_value());
 }
 
 TEST(ProgressProtocol, HeartbeatRoundTrips) {
@@ -251,6 +255,14 @@ TEST(ProgressFuzz, TruncatedProtocolLinesNeverCrashTheParser) {
 }
 
 TEST(ProgressFuzz, GarbageLinesNeverParse) {
+  // Every numeric field refuses 2^64 + 1 instead of wrapping it to 1.
+  for (const char* line :
+       {"@railcorr 1 cell index=18446744073709551617 done=1 total=1",
+        "@railcorr 1 start shard=18446744073709551617/2 cells=1",
+        "@railcorr 1 start shard=0/18446744073709551617 cells=1",
+        "@railcorr 1 done rows=18446744073709551617"}) {
+    EXPECT_FALSE(parse_progress_line(line).has_value()) << line;
+  }
   SplitMix64 rng(0x5eed0002);
   for (int round = 0; round < 500; ++round) {
     std::string garbage;

@@ -49,12 +49,18 @@ TEST(ParseValues, TypedParsersAndErrors) {
   EXPECT_DOUBLE_EQ(parse_double({"k", "-132", 1}), -132.0);
   EXPECT_EQ(parse_int({"k", "10", 1}), 10);
   EXPECT_EQ(parse_u64({"k", "1592639710", 1}), 1592639710ULL);
+  EXPECT_EQ(parse_u64({"k", "18446744073709551615", 1}),
+            18446744073709551615ULL);
   EXPECT_TRUE(parse_bool({"k", "true", 1}));
   EXPECT_FALSE(parse_bool({"k", "false", 1}));
 
   EXPECT_THROW(parse_double({"k", "fast", 2}), ConfigError);
   EXPECT_THROW(parse_double({"k", "1.5x", 2}), ConfigError);
   EXPECT_THROW(parse_int({"k", "1.5", 2}), ConfigError);
+  // Whole token only, and a value that fits (2^64 + 1 is not 1).
+  for (const char* bad : {"18446744073709551617", "-1", "+1", " 1", "1x"}) {
+    EXPECT_THROW(parse_u64({"k", bad, 2}), ConfigError) << bad;
+  }
   EXPECT_THROW(parse_bool({"k", "yes", 2}), ConfigError);
   try {
     parse_double({"radio.hp_eirp_dbm", "sixty-four", 7});

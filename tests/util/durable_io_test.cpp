@@ -99,6 +99,24 @@ TEST(DurableIo, RenameDurableMovesAFileAcrossNames) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(Hex16, RoundTripsAndParsesExactlySixteenLowercaseDigits) {
+  EXPECT_EQ(hex16(0), "0000000000000000");
+  EXPECT_EQ(hex16(0x0123456789abcdefULL), "0123456789abcdef");
+  const std::uint64_t values[] = {0, 1, 0xfedcba9876543210ULL,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t value : values) {
+    std::uint64_t parsed = 0;
+    ASSERT_TRUE(parse_hex16(hex16(value), parsed));
+    EXPECT_EQ(parsed, value);
+  }
+  std::uint64_t out = 42;
+  for (const char* bad : {"0123456789abcde", "0123456789abcdef0",
+                          "0123456789ABCDEF", "0123456789abcdeg", ""}) {
+    EXPECT_FALSE(parse_hex16(bad, out)) << bad;
+  }
+  EXPECT_EQ(out, 42u);
+}
+
 TEST(IntegrityTrailer, RoundTripVerifiesAndStrips) {
   const std::string body = "banner\nheader\n0,1,2\n";
   const std::string document = with_integrity_trailer(body);
