@@ -8,6 +8,7 @@
 
 #include "corridor/energy.hpp"
 #include "corridor/isd_search.hpp"
+#include "traffic/timetable.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -18,6 +19,7 @@ using corridor::EnergyConfig;
 using corridor::RepeaterOperationMode;
 using corridor::SegmentGeometry;
 using railcorr::TextTable;
+using traffic::TimetableConfig;
 
 SegmentGeometry n10_geometry() {
   SegmentGeometry g;
@@ -30,9 +32,9 @@ void print_traffic_sweep() {
   TextTable t("Sleep/solar savings (N = 10, ISD 2650 m) vs trains per hour");
   t.set_header({"trains/h", "baseline [W/km]", "sleep sav", "solar sav"});
   for (const double tph : {2.0, 4.0, 8.0, 12.0, 16.0, 24.0}) {
-    EnergyConfig config = EnergyConfig::paper_config();
-    config.timetable.trains_per_hour = tph;
-    const CorridorEnergyModel model(config);
+    TimetableConfig timetable = TimetableConfig::paper_timetable();
+    timetable.trains_per_hour = tph;
+    const CorridorEnergyModel model(EnergyConfig::paper_config(), timetable);
     const auto baseline = model.conventional_baseline();
     const auto sleep =
         model.evaluate(n10_geometry(), RepeaterOperationMode::kSleepMode);
@@ -48,9 +50,9 @@ void print_traffic_sweep() {
   TextTable v("Savings vs train speed (N = 10, sleep mode)");
   v.set_header({"speed [km/h]", "HP duty [%]", "sleep sav"});
   for (const double kmh : {80.0, 120.0, 160.0, 200.0, 250.0, 300.0}) {
-    EnergyConfig config = EnergyConfig::paper_config();
-    config.timetable.train.speed_mps = kmh / 3.6;
-    const CorridorEnergyModel model(config);
+    TimetableConfig timetable = TimetableConfig::paper_timetable();
+    timetable.train.speed_mps = kmh / 3.6;
+    const CorridorEnergyModel model(EnergyConfig::paper_config(), timetable);
     const auto baseline = model.conventional_baseline();
     const auto sleep =
         model.evaluate(n10_geometry(), RepeaterOperationMode::kSleepMode);
@@ -63,22 +65,22 @@ void print_traffic_sweep() {
   TextTable n("Savings vs night-pause length (N = 10, sleep mode)");
   n.set_header({"night [h]", "trains/day", "sleep sav"});
   for (const double night : {0.0, 3.0, 5.0, 8.0}) {
-    EnergyConfig config = EnergyConfig::paper_config();
-    config.timetable.night_hours = night;
-    const CorridorEnergyModel model(config);
+    TimetableConfig timetable = TimetableConfig::paper_timetable();
+    timetable.night_hours = night;
+    const CorridorEnergyModel model(EnergyConfig::paper_config(), timetable);
     const auto baseline = model.conventional_baseline();
     const auto sleep =
         model.evaluate(n10_geometry(), RepeaterOperationMode::kSleepMode);
     n.add_row({TextTable::num(night, 0),
-               TextTable::num(config.timetable.trains_per_day(), 0),
+               TextTable::num(timetable.trains_per_day(), 0),
                TextTable::num(100.0 * sleep.savings_vs(baseline), 1) + " %"});
   }
   std::cout << n << '\n';
 }
 
 void BM_EnergySweep(benchmark::State& state) {
-  EnergyConfig config = EnergyConfig::paper_config();
-  const CorridorEnergyModel model(config);
+  const CorridorEnergyModel model(EnergyConfig::paper_config(),
+                                  TimetableConfig::paper_timetable());
   const auto g = n10_geometry();
   for (auto _ : state) {
     benchmark::DoNotOptimize(

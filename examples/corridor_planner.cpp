@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
 
   core::Scenario scenario = core::Scenario::paper();
   scenario.timetable.trains_per_hour = trains_per_hour;
-  scenario.energy.timetable = scenario.timetable;
 
   const corridor::CorridorPlanner planner(
       scenario.make_analyzer(), scenario.make_energy_model(),

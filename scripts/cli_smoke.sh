@@ -255,6 +255,16 @@ expect_error 1 "malformed value for 'sizing.ladder' (line 5): non-finite size in
     sweep --plan "$TMP/bad_ladder.sweep" --out "$TMP/bad_ladder.csv"
 expect_error 1 "--cache-max-mb requires --cache-dir" \
     sweep --plan "$TMP/plan.sweep" --cache-max-mb 64
+# Thread counts are whole decimals up to 1024: a trailing byte is not
+# dropped, and a typo cannot ask the OS for a hundred thousand threads.
+printf 'base = paper\nset max_repeaters = 1\n' > "$TMP/one_cell.sweep"
+for threads in 4x -3 1025 18446744073709551617; do
+  expect_error 1 "--threads expects a thread count in [0, 1024], got '$threads'" \
+      sweep --plan "$TMP/one_cell.sweep" --threads "$threads"
+done
+expect_error 1 "--threads expects a thread count in [0, 1024], got '1025'" \
+    orchestrate --plan "$TMP/one_cell.sweep" --out-dir "$TMP/threads_run" \
+    --threads 1,1025
 expect_error 1 "--plan FILE required" sweep
 expect_error 1 "cannot read" sweep --plan "$TMP/no_such_plan.sweep"
 # The legacy kill alias is gone; `--fault kill=N` is the one spelling.

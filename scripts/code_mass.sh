@@ -6,9 +6,10 @@
 #
 # Given a git revision, it also counts that revision's files, read
 # with `git ls-tree` / `git show` (no checkout), and prints the
-# difference: the net lines a change quotes. Without one it reads only
-# the working tree, so it runs in a shallow checkout too (the CI `docs`
-# job logs it that way). Informational: it never fails on the counts.
+# difference: the net lines a change quotes (the CI `docs` job fetches
+# the parent commit and logs `code_mass.sh HEAD^`). Without one it
+# reads only the working tree. Informational: it never fails on the
+# counts.
 #
 # usage: code_mass.sh [REV]
 set -eu

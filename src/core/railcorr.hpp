@@ -23,7 +23,6 @@
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/grid.hpp"
-#include "util/interp.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -10,7 +10,7 @@ corridor::CapacityAnalyzer Scenario::make_analyzer() const {
 }
 
 corridor::CorridorEnergyModel Scenario::make_energy_model() const {
-  return corridor::CorridorEnergyModel(energy);
+  return corridor::CorridorEnergyModel(energy, timetable);
 }
 
 solar::ConsumptionProfile Scenario::repeater_consumption_profile() const {

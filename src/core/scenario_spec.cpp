@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <cstdint>
+#include <tuple>
+#include <type_traits>
 
 #include "util/contracts.hpp"
 
@@ -12,71 +14,139 @@ namespace {
 
 using util::SpecEntry;
 
-/// One registry row: key + doc + typed accessors. Stateless lambdas
-/// decay to these pointers, so the table is plain static data.
+/// One registry row: key + doc + typed accessors. The row builders
+/// below instantiate both from stateless lambdas, so the table is plain
+/// static data.
 struct Field {
   ScenarioFieldInfo info;
   std::string (*get)(const Scenario&);
   void (*set)(Scenario&, const SpecEntry&);
 };
 
-/// Rebuild helpers for the immutable config classes (their constructors
-/// validate; ContractViolation is translated to ConfigError by
-/// apply_override).
-rf::NrCarrier carrier_with(double freq, double bw, int subcarriers) {
-  return rf::NrCarrier(freq, bw, subcarriers);
+/// The one text form of each value type: doubles and the unit types
+/// (Db, Dbm, Watts) as round-trip-exact decimals, integers in base 10,
+/// bools as true/false.
+template <typename T>
+std::string format(T v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return util::format_double(v);
+  } else if constexpr (std::is_same_v<T, int>) {
+    return util::format_int(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return util::format_u64(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return util::format_bool(v);
+  } else {
+    return util::format_double(v.value());
+  }
 }
 
-rf::FronthaulModel fronthaul_with(double snr_ref_db, double ref_m,
-                                  double atm_db_km) {
-  return rf::FronthaulModel(Db(snr_ref_db), ref_m, atm_db_km);
-}
-
-rf::ThroughputModel throughput_with(double alpha, double se_max,
-                                    double snr_min_db) {
-  return rf::ThroughputModel(alpha, se_max, Db(snr_min_db));
-}
-
-power::EarthPowerModel earth_with(double p_max, double p0, double dp,
-                                  double p_sleep) {
-  return power::EarthPowerModel(Watts(p_max), Watts(p0), dp, Watts(p_sleep));
+template <typename T>
+T parse(const SpecEntry& e) {
+  if constexpr (std::is_same_v<T, double>) {
+    return util::parse_double(e);
+  } else if constexpr (std::is_same_v<T, int>) {
+    return util::parse_int(e);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    return util::parse_u64(e);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return util::parse_bool(e);
+  } else {
+    return T(util::parse_double(e));
+  }
 }
 
 /// Study-shape values the max-ISD search cannot run with are rejected
 /// when the spec is applied: apply_override reports the violation as
 /// "invalid value for '<key>' (line N)".
-double positive(double v) {
+void positive(double v) {
   if (!(v > 0.0)) throw ContractViolation("must be positive");
-  return v;
 }
 
-int at_least_one(int v) {
+void at_least_one(int v) {
   if (v < 1) throw ContractViolation("must be at least 1");
-  return v;
 }
 
 /// Sizing values the weather synthesis and the transposition cannot run
 /// with are rejected the same way. Every test is written so that NaN
 /// fails it. (kt_min < kt_max spans two keys, so the synthesis checks
 /// it.)
-double in_range(double v, double lo, double hi) {
-  if (!(v >= lo && v <= hi)) {
-    throw ContractViolation("must be in [" + util::format_double(lo) + ", " +
-                            util::format_double(hi) + "]");
+template <int Lo, int Hi>
+void in_range(double v) {
+  if (!(v >= Lo && v <= Hi)) {
+    throw ContractViolation("must be in [" + util::format_double(Lo) + ", " +
+                            util::format_double(Hi) + "]");
   }
-  return v;
 }
 
-double non_negative(double v) {
+void non_negative(double v) {
   if (!(v >= 0.0)) throw ContractViolation("must be non-negative");
-  return v;
 }
 
-/// The spec layer keeps the two timetable copies coherent (see header).
-template <typename Mutate>
-void set_timetable(Scenario& s, Mutate&& mutate) {
-  mutate(s.timetable);
-  s.energy.timetable = s.timetable;
+/// [0, 1), half-open.
+void in_unit_interval(double v) {
+  if (!(v >= 0.0 && v < 1.0)) throw ContractViolation("must be in [0, 1)");
+}
+
+/// The Erbs diffuse fraction is defined for clearness <= 1.
+void at_most_one(double v) {
+  if (!(v <= 1.0)) throw ContractViolation("must be at most 1");
+}
+
+/// The type of the member a row's `[](auto& s) -> auto& { ... }` binds.
+template <typename At>
+using MemberOf = std::remove_cvref_t<std::invoke_result_t<At, Scenario&>>;
+
+/// A row binding `key` to the one Scenario member `at` returns. `Check`
+/// (a rule above) vets a parsed value before it is stored.
+template <auto Check = nullptr, typename At>
+Field member(std::string_view key, std::string_view doc, At /*at*/) {
+  return {{key, doc},
+          [](const Scenario& s) { return format(At{}(s)); },
+          [](Scenario& s, const SpecEntry& e) {
+            const auto v = parse<MemberOf<At>>(e);
+            if constexpr (!std::is_null_pointer_v<decltype(Check)>) Check(v);
+            At{}(s) = v;
+          }};
+}
+
+/// The constructor arguments of each validating model class, read back
+/// through its getters in constructor order.
+auto params(const rf::NrCarrier& c) {
+  return std::tuple(c.center_frequency_hz(), c.bandwidth_hz(), c.subcarriers());
+}
+
+auto params(const rf::FronthaulModel& f) {
+  return std::tuple(f.snr_at_ref(), f.ref_distance_m(),
+                    f.atmospheric_db_per_km());
+}
+
+auto params(const rf::ThroughputModel& t) {
+  return std::tuple(t.alpha(), t.se_max_bps_hz(), t.snr_min());
+}
+
+auto params(const power::EarthPowerModel& m) {
+  return std::tuple(m.max_rf_power(), m.no_load_power(), m.delta_p(),
+                    m.sleep_power());
+}
+
+/// A row binding `key` to constructor parameter K of the model `at`
+/// returns. Setting it rebuilds the model with parameter K replaced, so
+/// the model's constructor vets the value (a ContractViolation, which
+/// apply_override reports like a rule's).
+template <std::size_t K, typename At>
+Field param(std::string_view key, std::string_view doc, At /*at*/) {
+  return {{key, doc},
+          [](const Scenario& s) {
+            return format(std::get<K>(params(At{}(s))));
+          },
+          [](Scenario& s, const SpecEntry& e) {
+            auto& model = At{}(s);
+            auto args = params(model);
+            std::get<K>(args) =
+                parse<std::tuple_element_t<K, decltype(args)>>(e);
+            model = std::make_from_tuple<MemberOf<At>>(args);
+          }};
 }
 
 /// Split a list value into trimmed, non-empty items; a malformed list
@@ -159,65 +229,31 @@ std::vector<solar::SizingCandidate> parse_ladder(const SpecEntry& e) {
 }
 
 const std::vector<Field>& registry() {
+  const auto carrier = [](auto& s) -> auto& { return s.link.carrier; };
+  const auto fronthaul = [](auto& s) -> auto& { return s.link.fronthaul; };
+  const auto throughput = [](auto& s) -> auto& { return s.throughput; };
+  const auto hp_rrh = [](auto& s) -> auto& { return s.energy.hp_rrh; };
+  const auto lp_node = [](auto& s) -> auto& { return s.energy.lp_node; };
   static const std::vector<Field> fields = {
       // ---- link / carrier --------------------------------------------
-      {{"link.carrier.center_frequency_hz",
-        "carrier centre frequency [Hz] (paper: 3.5e9)"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.carrier.center_frequency_hz());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.carrier =
-             carrier_with(util::parse_double(e),
-                          s.link.carrier.bandwidth_hz(),
-                          s.link.carrier.subcarriers());
-       }},
-      {{"link.carrier.bandwidth_hz",
-        "occupied bandwidth [Hz] (paper: 100e6)"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.carrier.bandwidth_hz());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.carrier = carrier_with(
-             s.link.carrier.center_frequency_hz(),
-             util::parse_double(e), s.link.carrier.subcarriers());
-       }},
-      {{"link.carrier.subcarriers",
-        "active subcarriers (paper: 3300)"},
-       [](const Scenario& s) {
-         return util::format_int(s.link.carrier.subcarriers());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.carrier = carrier_with(
-             s.link.carrier.center_frequency_hz(),
-             s.link.carrier.bandwidth_hz(), util::parse_int(e));
-       }},
+      param<0>("link.carrier.center_frequency_hz",
+               "carrier centre frequency [Hz] (paper: 3.5e9)", carrier),
+      param<1>("link.carrier.bandwidth_hz",
+               "occupied bandwidth [Hz] (paper: 100e6)", carrier),
+      param<2>("link.carrier.subcarriers", "active subcarriers (paper: 3300)",
+               carrier),
       // ---- link / noise ----------------------------------------------
-      {{"link.noise.thermal_per_subcarrier_dbm",
-        "thermal floor per subcarrier N_RSRP [dBm] (paper: -132)"},
-       [](const Scenario& s) {
-         return util::format_double(
-             s.link.noise.thermal_per_subcarrier.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.noise.thermal_per_subcarrier = Dbm(util::parse_double(e));
-       }},
-      {{"link.noise.nf_mobile_terminal_db",
-        "mobile-terminal noise figure NF_MT [dB] (paper: 5)"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.noise.nf_mobile_terminal.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.noise.nf_mobile_terminal = Db(util::parse_double(e));
-       }},
-      {{"link.noise.nf_repeater_db",
-        "repeater noise figure NF_LP [dB] (paper: 8)"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.noise.nf_repeater.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.noise.nf_repeater = Db(util::parse_double(e));
-       }},
+      member("link.noise.thermal_per_subcarrier_dbm",
+             "thermal floor per subcarrier N_RSRP [dBm] (paper: -132)",
+             [](auto& s) -> auto& {
+               return s.link.noise.thermal_per_subcarrier;
+             }),
+      member("link.noise.nf_mobile_terminal_db",
+             "mobile-terminal noise figure NF_MT [dB] (paper: 5)",
+             [](auto& s) -> auto& { return s.link.noise.nf_mobile_terminal; }),
+      member("link.noise.nf_repeater_db",
+             "repeater noise figure NF_LP [dB] (paper: 8)",
+             [](auto& s) -> auto& { return s.link.noise.nf_repeater; }),
       {{"link.noise_model",
         "repeater-noise reading of Eq. (2): literal_eq2 | fronthaul_aware"},
        [](const Scenario& s) {
@@ -240,382 +276,131 @@ const std::vector<Field>& registry() {
          }
        }},
       // ---- link / fronthaul ------------------------------------------
-      {{"link.fronthaul.snr_at_ref_db",
-        "fronthaul SNR at the reference distance [dB]"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.fronthaul.snr_at_ref().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.fronthaul = fronthaul_with(
-             util::parse_double(e), s.link.fronthaul.ref_distance_m(),
-             s.link.fronthaul.atmospheric_db_per_km());
-       }},
-      {{"link.fronthaul.ref_distance_m",
-        "fronthaul reference distance [m]"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.fronthaul.ref_distance_m());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.fronthaul = fronthaul_with(
-             s.link.fronthaul.snr_at_ref().value(), util::parse_double(e),
-             s.link.fronthaul.atmospheric_db_per_km());
-       }},
-      {{"link.fronthaul.atmospheric_db_per_km",
-        "distance-proportional fronthaul loss [dB/km]"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.fronthaul.atmospheric_db_per_km());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.fronthaul = fronthaul_with(
-             s.link.fronthaul.snr_at_ref().value(),
-             s.link.fronthaul.ref_distance_m(), util::parse_double(e));
-       }},
-      {{"link.min_distance_m",
-        "near-field clamp of the Friis model [m] (paper: 1)"},
-       [](const Scenario& s) {
-         return util::format_double(s.link.min_distance_m);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.link.min_distance_m = util::parse_double(e);
-       }},
+      param<0>("link.fronthaul.snr_at_ref_db",
+               "fronthaul SNR at the reference distance [dB]", fronthaul),
+      param<1>("link.fronthaul.ref_distance_m",
+               "fronthaul reference distance [m]", fronthaul),
+      param<2>("link.fronthaul.atmospheric_db_per_km",
+               "distance-proportional fronthaul loss [dB/km]", fronthaul),
+      member("link.min_distance_m",
+             "near-field clamp of the Friis model [m] (paper: 1)",
+             [](auto& s) -> auto& { return s.link.min_distance_m; }),
       // ---- radio ------------------------------------------------------
-      {{"radio.hp_eirp_dbm", "high-power RRH EIRP [dBm] (paper: 64)"},
-       [](const Scenario& s) {
-         return util::format_double(s.radio.hp_eirp.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.radio.hp_eirp = Dbm(util::parse_double(e));
-       }},
-      {{"radio.lp_eirp_dbm", "low-power repeater EIRP [dBm] (paper: 40)"},
-       [](const Scenario& s) {
-         return util::format_double(s.radio.lp_eirp.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.radio.lp_eirp = Dbm(util::parse_double(e));
-       }},
-      {{"radio.hp_calibration_db",
-        "HP port-to-port calibration loss [dB] (paper: 33)"},
-       [](const Scenario& s) {
-         return util::format_double(s.radio.hp_calibration.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.radio.hp_calibration = Db(util::parse_double(e));
-       }},
-      {{"radio.lp_calibration_db",
-        "LP port-to-port calibration loss [dB] (paper: 20)"},
-       [](const Scenario& s) {
-         return util::format_double(s.radio.lp_calibration.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.radio.lp_calibration = Db(util::parse_double(e));
-       }},
+      member("radio.hp_eirp_dbm", "high-power RRH EIRP [dBm] (paper: 64)",
+             [](auto& s) -> auto& { return s.radio.hp_eirp; }),
+      member("radio.lp_eirp_dbm", "low-power repeater EIRP [dBm] (paper: 40)",
+             [](auto& s) -> auto& { return s.radio.lp_eirp; }),
+      member("radio.hp_calibration_db",
+             "HP port-to-port calibration loss [dB] (paper: 33)",
+             [](auto& s) -> auto& { return s.radio.hp_calibration; }),
+      member("radio.lp_calibration_db",
+             "LP port-to-port calibration loss [dB] (paper: 20)",
+             [](auto& s) -> auto& { return s.radio.lp_calibration; }),
       // ---- throughput -------------------------------------------------
-      {{"throughput.alpha",
-        "Shannon attenuation factor (paper: 0.6)"},
-       [](const Scenario& s) {
-         return util::format_double(s.throughput.alpha());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.throughput =
-             throughput_with(util::parse_double(e), s.throughput.se_max_bps_hz(),
-                             s.throughput.snr_min().value());
-       }},
-      {{"throughput.se_max_bps_hz",
-        "peak spectral efficiency [bps/Hz] (paper: 5.84)"},
-       [](const Scenario& s) {
-         return util::format_double(s.throughput.se_max_bps_hz());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.throughput = throughput_with(s.throughput.alpha(),
-                                        util::parse_double(e),
-                                        s.throughput.snr_min().value());
-       }},
-      {{"throughput.snr_min_db",
-        "SNR below which throughput is zero [dB] (paper: -10)"},
-       [](const Scenario& s) {
-         return util::format_double(s.throughput.snr_min().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.throughput = throughput_with(s.throughput.alpha(),
-                                        s.throughput.se_max_bps_hz(),
-                                        util::parse_double(e));
-       }},
+      param<0>("throughput.alpha", "Shannon attenuation factor (paper: 0.6)",
+               throughput),
+      param<1>("throughput.se_max_bps_hz",
+               "peak spectral efficiency [bps/Hz] (paper: 5.84)", throughput),
+      param<2>("throughput.snr_min_db",
+               "SNR below which throughput is zero [dB] (paper: -10)",
+               throughput),
       // ---- isd search -------------------------------------------------
-      {{"isd_search.isd_step_m", "ISD grid step [m] (paper: 50)"},
-       [](const Scenario& s) {
-         return util::format_double(s.isd_search.isd_step_m);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.isd_search.isd_step_m = positive(util::parse_double(e));
-       }},
-      {{"isd_search.max_isd_m", "sweep upper bound [m] (default: 3600)"},
-       [](const Scenario& s) {
-         return util::format_double(s.isd_search.max_isd_m);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.isd_search.max_isd_m = positive(util::parse_double(e));
-       }},
-      {{"isd_search.snr_threshold_db",
-        "peak-throughput SNR criterion [dB] (paper: 29)"},
-       [](const Scenario& s) {
-         return util::format_double(s.isd_search.snr_threshold.value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.isd_search.snr_threshold = Db(util::parse_double(e));
-       }},
-      {{"isd_search.sample_step_m",
-        "track sampling step for the min-SNR check [m] (default: 10)"},
-       [](const Scenario& s) {
-         return util::format_double(s.isd_search.sample_step_m);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.isd_search.sample_step_m = positive(util::parse_double(e));
-       }},
-      // ---- timetable (kept coherent across both copies) ---------------
-      {{"timetable.trains_per_hour",
-        "trains per operating hour (paper: 8)"},
-       [](const Scenario& s) {
-         return util::format_double(s.timetable.trains_per_hour);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         const double v = util::parse_double(e);
-         set_timetable(s, [v](traffic::TimetableConfig& t) {
-           t.trains_per_hour = v;
-         });
-       }},
-      {{"timetable.night_hours",
-        "nightly pause without traffic [h] (paper: 5)"},
-       [](const Scenario& s) {
-         return util::format_double(s.timetable.night_hours);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         const double v = util::parse_double(e);
-         set_timetable(s, [v](traffic::TimetableConfig& t) {
-           t.night_hours = v;
-         });
-       }},
-      {{"timetable.night_start_hour",
-        "start of the nightly pause [h since midnight] (default: 0.5)"},
-       [](const Scenario& s) {
-         return util::format_double(s.timetable.night_start_hour);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         const double v = util::parse_double(e);
-         set_timetable(s, [v](traffic::TimetableConfig& t) {
-           t.night_start_hour = v;
-         });
-       }},
-      {{"timetable.train.length_m", "train length [m] (paper: 400)"},
-       [](const Scenario& s) {
-         return util::format_double(s.timetable.train.length_m);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         const double v = util::parse_double(e);
-         set_timetable(s, [v](traffic::TimetableConfig& t) {
-           t.train.length_m = v;
-         });
-       }},
-      {{"timetable.train.speed_mps",
-        "train speed [m/s] (paper: 200 km/h = 55.55...)"},
-       [](const Scenario& s) {
-         return util::format_double(s.timetable.train.speed_mps);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         const double v = util::parse_double(e);
-         set_timetable(s, [v](traffic::TimetableConfig& t) {
-           t.train.speed_mps = v;
-         });
-       }},
+      member<positive>(
+          "isd_search.isd_step_m", "ISD grid step [m] (paper: 50)",
+          [](auto& s) -> auto& { return s.isd_search.isd_step_m; }),
+      member<positive>("isd_search.max_isd_m",
+                       "sweep upper bound [m] (default: 3600)",
+                       [](auto& s) -> auto& { return s.isd_search.max_isd_m; }),
+      member("isd_search.snr_threshold_db",
+             "peak-throughput SNR criterion [dB] (paper: 29)",
+             [](auto& s) -> auto& { return s.isd_search.snr_threshold; }),
+      member<positive>(
+          "isd_search.sample_step_m",
+          "track sampling step for the min-SNR check [m] (default: 10)",
+          [](auto& s) -> auto& { return s.isd_search.sample_step_m; }),
+      // ---- timetable --------------------------------------------------
+      member("timetable.trains_per_hour",
+             "trains per operating hour (paper: 8)",
+             [](auto& s) -> auto& { return s.timetable.trains_per_hour; }),
+      member("timetable.night_hours",
+             "nightly pause without traffic [h] (paper: 5)",
+             [](auto& s) -> auto& { return s.timetable.night_hours; }),
+      member("timetable.night_start_hour",
+             "start of the nightly pause [h since midnight] (default: 0.5)",
+             [](auto& s) -> auto& { return s.timetable.night_start_hour; }),
+      member("timetable.train.length_m", "train length [m] (paper: 400)",
+             [](auto& s) -> auto& { return s.timetable.train.length_m; }),
+      member("timetable.train.speed_mps",
+             "train speed [m/s] (paper: 200 km/h = 55.55...)",
+             [](auto& s) -> auto& { return s.timetable.train.speed_mps; }),
       // ---- energy -----------------------------------------------------
-      {{"energy.hp_rrh.p_max_w", "HP RRH max RF power [W] (paper: 40)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.hp_rrh.max_rf_power().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.hp_rrh = earth_with(util::parse_double(e),
-                                      s.energy.hp_rrh.no_load_power().value(),
-                                      s.energy.hp_rrh.delta_p(),
-                                      s.energy.hp_rrh.sleep_power().value());
-       }},
-      {{"energy.hp_rrh.p0_w", "HP RRH no-load power [W] (paper: 168)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.hp_rrh.no_load_power().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.hp_rrh = earth_with(s.energy.hp_rrh.max_rf_power().value(),
-                                      util::parse_double(e),
-                                      s.energy.hp_rrh.delta_p(),
-                                      s.energy.hp_rrh.sleep_power().value());
-       }},
-      {{"energy.hp_rrh.delta_p", "HP RRH load slope (paper: 2.8)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.hp_rrh.delta_p());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.hp_rrh = earth_with(s.energy.hp_rrh.max_rf_power().value(),
-                                      s.energy.hp_rrh.no_load_power().value(),
-                                      util::parse_double(e),
-                                      s.energy.hp_rrh.sleep_power().value());
-       }},
-      {{"energy.hp_rrh.p_sleep_w", "HP RRH sleep power [W] (paper: 112)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.hp_rrh.sleep_power().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.hp_rrh = earth_with(s.energy.hp_rrh.max_rf_power().value(),
-                                      s.energy.hp_rrh.no_load_power().value(),
-                                      s.energy.hp_rrh.delta_p(),
-                                      util::parse_double(e));
-       }},
-      {{"energy.lp_node.p_max_w", "LP node max RF power [W] (paper: 1)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.lp_node.max_rf_power().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.lp_node = earth_with(util::parse_double(e),
-                                       s.energy.lp_node.no_load_power().value(),
-                                       s.energy.lp_node.delta_p(),
-                                       s.energy.lp_node.sleep_power().value());
-       }},
-      {{"energy.lp_node.p0_w", "LP node no-load power [W] (paper: 24.26)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.lp_node.no_load_power().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.lp_node = earth_with(s.energy.lp_node.max_rf_power().value(),
-                                       util::parse_double(e),
-                                       s.energy.lp_node.delta_p(),
-                                       s.energy.lp_node.sleep_power().value());
-       }},
-      {{"energy.lp_node.delta_p", "LP node load slope (paper: 4.0)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.lp_node.delta_p());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.lp_node = earth_with(s.energy.lp_node.max_rf_power().value(),
-                                       s.energy.lp_node.no_load_power().value(),
-                                       util::parse_double(e),
-                                       s.energy.lp_node.sleep_power().value());
-       }},
-      {{"energy.lp_node.p_sleep_w", "LP node sleep power [W] (paper: 4.72)"},
-       [](const Scenario& s) {
-         return util::format_double(s.energy.lp_node.sleep_power().value());
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.lp_node = earth_with(s.energy.lp_node.max_rf_power().value(),
-                                       s.energy.lp_node.no_load_power().value(),
-                                       s.energy.lp_node.delta_p(),
-                                       util::parse_double(e));
-       }},
-      {{"energy.rrhs_per_mast", "RRH sectors per HP mast (paper: 2)"},
-       [](const Scenario& s) {
-         return util::format_int(s.energy.rrhs_per_mast);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.rrhs_per_mast = util::parse_int(e);
-       }},
-      {{"energy.hp_sleep_when_idle",
-        "baseline HP masts sleep between trains (paper: true)"},
-       [](const Scenario& s) {
-         return util::format_bool(s.energy.hp_sleep_when_idle);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.energy.hp_sleep_when_idle = util::parse_bool(e);
-       }},
+      param<0>("energy.hp_rrh.p_max_w", "HP RRH max RF power [W] (paper: 40)",
+               hp_rrh),
+      param<1>("energy.hp_rrh.p0_w", "HP RRH no-load power [W] (paper: 168)",
+               hp_rrh),
+      param<2>("energy.hp_rrh.delta_p", "HP RRH load slope (paper: 2.8)",
+               hp_rrh),
+      param<3>("energy.hp_rrh.p_sleep_w", "HP RRH sleep power [W] (paper: 112)",
+               hp_rrh),
+      param<0>("energy.lp_node.p_max_w", "LP node max RF power [W] (paper: 1)",
+               lp_node),
+      param<1>("energy.lp_node.p0_w",
+               "LP node no-load power [W] (paper: 24.26)", lp_node),
+      param<2>("energy.lp_node.delta_p", "LP node load slope (paper: 4.0)",
+               lp_node),
+      param<3>("energy.lp_node.p_sleep_w",
+               "LP node sleep power [W] (paper: 4.72)", lp_node),
+      member("energy.rrhs_per_mast", "RRH sectors per HP mast (paper: 2)",
+             [](auto& s) -> auto& { return s.energy.rrhs_per_mast; }),
+      member("energy.hp_sleep_when_idle",
+             "baseline HP masts sleep between trains (paper: true)",
+             [](auto& s) -> auto& { return s.energy.hp_sleep_when_idle; }),
       // ---- study shape ------------------------------------------------
-      {{"max_repeaters",
-        "largest repeater count in the sweep / Fig. 4 (paper: 10)"},
-       [](const Scenario& s) { return util::format_int(s.max_repeaters); },
-       [](Scenario& s, const SpecEntry& e) {
-         s.max_repeaters = at_least_one(util::parse_int(e));
-       }},
-      {{"corridor.segments",
-        "identical segments chained for multi-segment analyses (default: 1)"},
-       [](const Scenario& s) { return util::format_int(s.corridor_segments); },
-       [](Scenario& s, const SpecEntry& e) {
-         s.corridor_segments = at_least_one(util::parse_int(e));
-       }},
-      {{"corridor.repeater_spacing_m",
-        "node-to-node spacing of the repeater cluster [m] (paper: 200)"},
-       [](const Scenario& s) {
-         return util::format_double(s.repeater_spacing_m);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.repeater_spacing_m = positive(util::parse_double(e));
-       }},
+      member<at_least_one>(
+          "max_repeaters",
+          "largest repeater count in the sweep / Fig. 4 (paper: 10)",
+          [](auto& s) -> auto& { return s.max_repeaters; }),
+      member<at_least_one>(
+          "corridor.segments",
+          "identical segments chained for multi-segment analyses (default: 1)",
+          [](auto& s) -> auto& { return s.corridor_segments; }),
+      member<positive>(
+          "corridor.repeater_spacing_m",
+          "node-to-node spacing of the repeater cluster [m] (paper: 200)",
+          [](auto& s) -> auto& { return s.repeater_spacing_m; }),
       // ---- sizing -----------------------------------------------------
-      {{"sizing.years",
-        "weather years per sizing candidate (default: 3)"},
-       [](const Scenario& s) { return util::format_int(s.sizing.years); },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.years = at_least_one(util::parse_int(e));
-       }},
-      {{"sizing.seed", "sizing RNG seed (default: 1592639491)"},
-       [](const Scenario& s) { return util::format_u64(s.sizing.seed); },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.seed = util::parse_u64(e);
-       }},
-      {{"sizing.weather.kt_sigma",
-        "daily clearness-index deviation (default: 0.13)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.weather.kt_sigma);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.weather.kt_sigma = non_negative(util::parse_double(e));
-       }},
-      {{"sizing.weather.kt_autocorrelation",
-        "day-to-day clearness autocorrelation (default: 0.75)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.weather.kt_autocorrelation);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         const double rho = util::parse_double(e);
-         if (!(rho >= 0.0 && rho < 1.0)) {
-           throw ContractViolation("must be in [0, 1)");
-         }
-         s.sizing.weather.kt_autocorrelation = rho;
-       }},
-      {{"sizing.weather.kt_min", "clearness clamp, lower (default: 0.05)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.weather.kt_min);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.weather.kt_min = positive(util::parse_double(e));
-       }},
-      {{"sizing.weather.kt_max", "clearness clamp, upper (default: 0.75)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.weather.kt_max);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         // The Erbs diffuse fraction is defined for clearness <= 1.
-         const double kt_max = util::parse_double(e);
-         if (!(kt_max <= 1.0)) throw ContractViolation("must be at most 1");
-         s.sizing.weather.kt_max = kt_max;
-       }},
-      {{"sizing.weather.winter_sigma_boost",
-        "extra winter clearness variability (default: 1.0)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.weather.winter_sigma_boost);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.weather.winter_sigma_boost = util::parse_double(e);
-       }},
-      {{"sizing.plane.tilt_deg",
-        "PV tilt from horizontal [deg], equator-facing (paper: 90, "
-        "catenary mast)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.plane.tilt_deg);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.plane.tilt_deg = in_range(util::parse_double(e), 0.0, 90.0);
-       }},
-      {{"sizing.plane.albedo", "ground albedo (default: 0.2)"},
-       [](const Scenario& s) {
-         return util::format_double(s.sizing.plane.albedo);
-       },
-       [](Scenario& s, const SpecEntry& e) {
-         s.sizing.plane.albedo = in_range(util::parse_double(e), 0.0, 1.0);
-       }},
+      member<at_least_one>("sizing.years",
+                           "weather years per sizing candidate (default: 3)",
+                           [](auto& s) -> auto& { return s.sizing.years; }),
+      member("sizing.seed", "sizing RNG seed (default: 1592639491)",
+             [](auto& s) -> auto& { return s.sizing.seed; }),
+      member<non_negative>(
+          "sizing.weather.kt_sigma",
+          "daily clearness-index deviation (default: 0.13)",
+          [](auto& s) -> auto& { return s.sizing.weather.kt_sigma; }),
+      member<in_unit_interval>(
+          "sizing.weather.kt_autocorrelation",
+          "day-to-day clearness autocorrelation (default: 0.75)",
+          [](auto& s) -> auto& { return s.sizing.weather.kt_autocorrelation; }),
+      member<positive>(
+          "sizing.weather.kt_min", "clearness clamp, lower (default: 0.05)",
+          [](auto& s) -> auto& { return s.sizing.weather.kt_min; }),
+      member<at_most_one>(
+          "sizing.weather.kt_max", "clearness clamp, upper (default: 0.75)",
+          [](auto& s) -> auto& { return s.sizing.weather.kt_max; }),
+      member("sizing.weather.winter_sigma_boost",
+             "extra winter clearness variability (default: 1.0)",
+             [](auto& s) -> auto& {
+               return s.sizing.weather.winter_sigma_boost;
+             }),
+      member<in_range<0, 90>>(
+          "sizing.plane.tilt_deg",
+          "PV tilt from horizontal [deg], equator-facing (paper: 90, "
+          "catenary mast)",
+          [](auto& s) -> auto& { return s.sizing.plane.tilt_deg; }),
+      member<in_range<0, 1>>(
+          "sizing.plane.albedo", "ground albedo (default: 0.2)",
+          [](auto& s) -> auto& { return s.sizing.plane.albedo; }),
       {{"sizing.locations",
         "comma-separated sizing sites from the named catalog "
         "(paper: madrid,lyon,vienna,berlin); use ';' separators inside "

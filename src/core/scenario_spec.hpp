@@ -4,20 +4,24 @@
 ///        scenarios round-trip through the ScenarioSpec text format
 ///        (util/config.hpp) and sweeps override fields as data, not code.
 ///
-/// The binding is a field registry: each entry couples a key path
-/// (`radio.lp_eirp_dbm`, `timetable.trains_per_hour`, ...) with a typed
-/// getter/setter over Scenario. `to_spec` emits every field in registry
-/// order with round-trip-exact formatting; `apply_spec` / `apply_override`
-/// set any subset. Parsing starts from the paper defaults, so an empty
-/// spec is exactly `Scenario::paper()` and a spec file only needs the
-/// deltas.
+/// The binding is a field registry. A numeric row declares its key path
+/// (`radio.lp_eirp_dbm`, `timetable.trains_per_hour`, ...), its doc, the
+/// one Scenario member it binds and, where the evaluation needs one, a
+/// range rule (`positive`, `at_least_one`, `in_range<lo, hi>`, ...).
+/// Getter and setter both come from that one binding and the member
+/// type's format/parse pair (double, int, uint64, bool and the unit
+/// types), so a row cannot read one member and write another. The
+/// parameters of the validating model classes (NrCarrier,
+/// FronthaulModel, ThroughputModel, EarthPowerModel) bind as (model,
+/// constructor parameter): setting one rebuilds the model through its
+/// constructor with that parameter replaced. The `link.noise_model`
+/// enum and the `sizing.locations` / `sizing.ladder` lists keep
+/// hand-written accessors.
 ///
-/// Coherence rule: the paper's timetable appears twice in the aggregate
-/// (`Scenario::timetable` and `Scenario::energy.timetable`); the spec
-/// layer treats it as one logical object — `timetable.*` setters write
-/// both copies and getters read `Scenario::timetable`. A Scenario whose
-/// two copies disagree (possible programmatically) therefore does not
-/// round-trip; specs cannot express that state.
+/// `to_spec` emits every field in registry order with round-trip-exact
+/// formatting; `apply_spec` / `apply_override` set any subset. Parsing
+/// starts from the paper defaults, so an empty spec is exactly
+/// `Scenario::paper()` and a spec file only needs the deltas.
 #pragma once
 
 #include <span>

@@ -24,20 +24,21 @@ int donor_count_for(int service_nodes) {
   return service_nodes == 1 ? 1 : 2;
 }
 
-CorridorEnergyModel::CorridorEnergyModel(EnergyConfig config)
-    : config_(config) {
+CorridorEnergyModel::CorridorEnergyModel(EnergyConfig config,
+                                         traffic::TimetableConfig timetable)
+    : config_(config), timetable_(timetable) {
   RAILCORR_EXPECTS(config_.rrhs_per_mast >= 1);
 }
 
 Watts CorridorEnergyModel::hp_mast_average_power(double isd_m) const {
-  const double f = traffic::full_load_fraction(config_.timetable, isd_m);
+  const double f = traffic::full_load_fraction(timetable_, isd_m);
   return config_.hp_rrh.average_power(f, config_.hp_sleep_when_idle) *
          static_cast<double>(config_.rrhs_per_mast);
 }
 
 Watts CorridorEnergyModel::lp_service_average_power(
     double spacing_m, RepeaterOperationMode mode) const {
-  const double f = traffic::full_load_fraction(config_.timetable, spacing_m);
+  const double f = traffic::full_load_fraction(timetable_, spacing_m);
   const bool sleeps = mode != RepeaterOperationMode::kContinuous;
   return config_.lp_node.average_power(f, sleeps);
 }
@@ -48,7 +49,7 @@ Watts CorridorEnergyModel::lp_donor_average_power(
   // The donor's active window spans the union of its served nodes'
   // sections: nodes_served x spacing metres of track.
   const double window_m = spacing_m * static_cast<double>(nodes_served);
-  const double f = traffic::full_load_fraction(config_.timetable, window_m);
+  const double f = traffic::full_load_fraction(timetable_, window_m);
   const bool sleeps = mode != RepeaterOperationMode::kContinuous;
   return config_.lp_node.average_power(f, sleeps);
 }
@@ -61,7 +62,7 @@ SegmentEnergyBreakdown CorridorEnergyModel::evaluate(
   b.repeater_count = geometry.repeater_count;
   b.mode = mode;
   b.hp_full_load_fraction =
-      traffic::full_load_fraction(config_.timetable, geometry.isd_m);
+      traffic::full_load_fraction(timetable_, geometry.isd_m);
 
   const double masts_per_km = 1000.0 / geometry.isd_m;
   b.hp_mains_per_km = hp_mast_average_power(geometry.isd_m) * masts_per_km;

@@ -36,9 +36,10 @@ const char* to_string(RepeaterOperationMode mode);
 /// Donor-node count rule from §V-A.
 int donor_count_for(int service_nodes);
 
-/// Everything the energy model needs.
+/// The power models and accounting rules of the energy model. The
+/// timetable that drives every duty cycle is the model's other
+/// constructor argument.
 struct EnergyConfig {
-  traffic::TimetableConfig timetable = traffic::TimetableConfig::paper_timetable();
   power::EarthPowerModel hp_rrh = power::EarthPowerModel::paper_high_power_rrh();
   int rrhs_per_mast = 2;
   power::EarthPowerModel lp_node = power::EarthPowerModel::paper_low_power_repeater();
@@ -82,10 +83,14 @@ struct SegmentEnergyBreakdown {
   [[nodiscard]] double savings_vs(const SegmentEnergyBreakdown& baseline) const;
 };
 
-/// Computes Fig. 4's bars.
+/// Computes Fig. 4's bars: the power models of `config` at the duty
+/// cycles `timetable` sets.
 class CorridorEnergyModel {
  public:
-  explicit CorridorEnergyModel(EnergyConfig config = EnergyConfig::paper_config());
+  explicit CorridorEnergyModel(
+      EnergyConfig config = EnergyConfig::paper_config(),
+      traffic::TimetableConfig timetable =
+          traffic::TimetableConfig::paper_timetable());
 
   /// Average power of one HP mast covering an ISD-long section.
   [[nodiscard]] Watts hp_mast_average_power(double isd_m) const;
@@ -111,6 +116,7 @@ class CorridorEnergyModel {
 
  private:
   EnergyConfig config_;
+  traffic::TimetableConfig timetable_;
 };
 
 }  // namespace railcorr::corridor

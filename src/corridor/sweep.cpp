@@ -236,18 +236,6 @@ std::vector<std::size_t> ShardSpec::indices(std::size_t grid_size) const {
   return out;
 }
 
-std::optional<std::uint64_t> banner_fingerprint(std::string_view banner) {
-  const std::size_t at = banner.find(" fingerprint=");
-  if (at == std::string_view::npos) return std::nullopt;
-  // The token runs to the next blank, so a 17th digit is refused.
-  const std::string_view token = banner.substr(at + 13);
-  std::uint64_t value = 0;
-  if (!util::parse_hex16(token.substr(0, token.find(' ')), value)) {
-    return std::nullopt;
-  }
-  return value;
-}
-
 std::optional<std::size_t> banner_grid(std::string_view banner) {
   const std::size_t at = banner.find(" grid=");
   if (at == std::string_view::npos) return std::nullopt;

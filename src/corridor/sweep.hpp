@@ -107,11 +107,6 @@ struct ShardSpec {
 /// The `# railcorr-sweep-v1 ...` line (no trailing newline).
 std::string shard_banner(const SweepPlan& plan);
 
-/// The `fingerprint=<hex16>` token parsed back out of a banner line
-/// (util::parse_hex16 up to the next blank); std::nullopt when absent
-/// or malformed.
-std::optional<std::uint64_t> banner_fingerprint(std::string_view banner);
-
 /// The `grid=<N>` token parsed back out of a banner line.
 std::optional<std::size_t> banner_grid(std::string_view banner);
 

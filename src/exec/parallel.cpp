@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "exec/thread_pool.hpp"
+#include "util/config.hpp"
 
 namespace railcorr::exec {
 
@@ -23,10 +24,10 @@ thread_local bool t_caller_in_region = false;
 
 std::size_t env_thread_count() {
   static const std::size_t cached = [] {
+    // Unset, garbage and out-of-range values all mean automatic.
     const char* env = std::getenv("RAILCORR_THREADS");
     if (env == nullptr) return std::size_t{0};
-    const long parsed = std::strtol(env, nullptr, 10);
-    return parsed > 0 ? static_cast<std::size_t>(parsed) : std::size_t{0};
+    return parse_thread_count(env).value_or(0);
   }();
   return cached;
 }
@@ -68,6 +69,12 @@ struct Batch {
 };
 
 }  // namespace
+
+std::optional<std::size_t> parse_thread_count(std::string_view text) {
+  std::size_t n = 0;
+  if (!util::parse_whole(text, n) || n > kMaxThreadCount) return std::nullopt;
+  return n;
+}
 
 std::size_t hardware_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();

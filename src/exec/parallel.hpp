@@ -33,10 +33,24 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
 namespace railcorr::exec {
+
+/// The largest thread count read from outside the program (`sweep
+/// --threads`, each `orchestrate --threads` entry, RAILCORR_THREADS).
+/// The first multi-chunk region starts `default_thread_count() - 1`
+/// pool threads, so an unbounded count is an unbounded thread request.
+inline constexpr std::size_t kMaxThreadCount = 1024;
+
+/// `text` as a thread count: a whole decimal in [0, kMaxThreadCount],
+/// 0 meaning automatic. std::nullopt for anything else, such as a
+/// sign, a trailing byte or a value past the ceiling.
+[[nodiscard]] std::optional<std::size_t> parse_thread_count(
+    std::string_view text);
 
 /// Threads the hardware offers (>= 1; hardware_concurrency() of 0 maps
 /// to 1).

@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "util/vmath.hpp"
@@ -224,8 +223,7 @@ void blocked_ratios(std::span<const double> positions_m, Kernel&& kernel,
 /// `hi + step/2`, with every sample clamped to `hi` (the historical
 /// scalar sampling sequence of the range-based min/mean overloads:
 /// accumulated steps, end clamp), in blocks of `Block` positions. The
-/// positions do not depend on `Block`. When `consume_block` returns a
-/// bool, `false` ends the scan after that block.
+/// positions do not depend on `Block`.
 template <std::size_t Block = kBatchBlock, typename Kernel,
           typename ConsumeBlock>
 void blocked_range_ratio_blocks(double lo_m, double hi_m, double step_m,
@@ -242,12 +240,7 @@ void blocked_range_ratio_blocks(double lo_m, double hi_m, double step_m,
     }
     kernel(std::span<const double>(positions.data(), count),
            std::span<double>(ratios.data(), count));
-    const std::span<const double> block(ratios.data(), count);
-    if constexpr (std::is_void_v<decltype(consume_block(block))>) {
-      consume_block(block);
-    } else if (!consume_block(block)) {
-      return;
-    }
+    consume_block(std::span<const double>(ratios.data(), count));
   }
 }
 

@@ -6,17 +6,6 @@
 
 namespace railcorr {
 
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  RAILCORR_EXPECTS(n >= 2);
-  std::vector<double> out(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = lo + step * static_cast<double>(i);
-  }
-  out.back() = hi;  // avoid accumulated rounding on the last sample
-  return out;
-}
-
 std::vector<double> arange_inclusive(double lo, double hi, double step) {
   RAILCORR_EXPECTS(step > 0.0);
   RAILCORR_EXPECTS(hi >= lo);
@@ -29,17 +18,6 @@ std::vector<double> arange_inclusive(double lo, double hi, double step) {
     out.push_back(v);
   }
   return out;
-}
-
-double trapezoid(const std::vector<double>& x, const std::vector<double>& y) {
-  RAILCORR_EXPECTS(x.size() == y.size());
-  RAILCORR_EXPECTS(x.size() >= 2);
-  double sum = 0.0;
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    RAILCORR_EXPECTS(x[i] > x[i - 1]);
-    sum += 0.5 * (y[i] + y[i - 1]) * (x[i] - x[i - 1]);
-  }
-  return sum;
 }
 
 }  // namespace railcorr

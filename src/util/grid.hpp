@@ -1,20 +1,13 @@
 /// \file grid.hpp
-/// \brief Sampling-grid helpers (linspace/arange) used by the sweep code.
+/// \brief The inclusive sampling grid (arange) used by the sweep code.
 #pragma once
 
 #include <vector>
 
 namespace railcorr {
 
-/// `n` evenly spaced samples covering [lo, hi] inclusive. Requires n >= 2.
-std::vector<double> linspace(double lo, double hi, std::size_t n);
-
 /// Samples lo, lo+step, ... up to and including hi (within half a step).
 /// Requires step > 0 and hi >= lo.
 std::vector<double> arange_inclusive(double lo, double hi, double step);
-
-/// Trapezoidal integral of samples y over abscissae x (sizes equal, >= 2,
-/// x strictly increasing).
-double trapezoid(const std::vector<double>& x, const std::vector<double>& y);
 
 }  // namespace railcorr

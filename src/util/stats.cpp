@@ -94,52 +94,4 @@ double TimeWeightedAverage::observed_span() const {
   return t_last_ - t_start_;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  RAILCORR_EXPECTS(hi > lo);
-  RAILCORR_EXPECTS(bins >= 1);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto bin = static_cast<std::size_t>((x - lo_) / width_);
-    bin = std::min(bin, counts_.size() - 1);  // guards the x == hi_-eps edge
-    ++counts_[bin];
-  }
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  RAILCORR_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_center(std::size_t bin) const {
-  RAILCORR_EXPECTS(bin < counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * width_;
-}
-
-double Histogram::fraction(std::size_t bin) const {
-  RAILCORR_EXPECTS(total_ > 0);
-  return static_cast<double>(count(bin)) / static_cast<double>(total_);
-}
-
-double Histogram::quantile(double q) const {
-  RAILCORR_EXPECTS(q >= 0.0 && q <= 1.0);
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  RAILCORR_EXPECTS(in_range > 0);
-  const auto target = static_cast<std::size_t>(q * static_cast<double>(in_range));
-  std::size_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum > target) return bin_center(i);
-  }
-  return bin_center(counts_.size() - 1);
-}
-
 }  // namespace railcorr

@@ -1,11 +1,10 @@
 /// \file stats.hpp
 /// \brief Streaming statistics accumulators used by the simulator and the
-///        benchmark harnesses: Welford running moments, time-weighted
-///        averages for piecewise-constant signals, and fixed-bin histograms.
+///        benchmark harnesses: Welford running moments and time-weighted
+///        averages for piecewise-constant signals.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace railcorr {
 
@@ -63,39 +62,6 @@ class TimeWeightedAverage {
   double t_last_ = 0.0;
   double value_last_ = 0.0;
   double integral_ = 0.0;
-};
-
-/// Fixed-width binned histogram over [lo, hi); out-of-range samples are
-/// counted in saturating under-/overflow bins.
-class Histogram {
- public:
-  /// \param lo    lower edge of the first bin
-  /// \param hi    upper edge of the last bin (exclusive); must be > lo
-  /// \param bins  number of bins; must be >= 1
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  /// Center of bin `bin`.
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-  /// Fraction of all samples (including under/overflow) in bin `bin`.
-  [[nodiscard]] double fraction(std::size_t bin) const;
-  /// Empirical quantile (in-range samples only), q in [0,1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace railcorr

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string_view>
+#include <vector>
+
 #include "core/evaluator.hpp"
 #include "core/scenario_registry.hpp"
 
@@ -42,6 +47,90 @@ TEST(ScenarioSpec, RoundTripIsByteStable) {
   EXPECT_EQ(to_spec(scenario_from_spec(text)), text);
 }
 
+TEST(ScenarioSpec, EveryKeyBindsOneField) {
+  // One valid non-default value per registry key, in its canonical
+  // text. Applying a key's value must change exactly that key's line of
+  // to_spec, to that text: a row whose setter writes another member
+  // than its getter reads, or two rows bound to one member, fails here.
+  const std::map<std::string_view, std::string_view> values = {
+      {"link.carrier.center_frequency_hz", "2.6e+09"},
+      {"link.carrier.bandwidth_hz", "5e+07"},
+      {"link.carrier.subcarriers", "1650"},
+      {"link.noise.thermal_per_subcarrier_dbm", "-130.5"},
+      {"link.noise.nf_mobile_terminal_db", "7"},
+      {"link.noise.nf_repeater_db", "9.5"},
+      {"link.noise_model", "literal_eq2"},
+      {"link.fronthaul.snr_at_ref_db", "50"},
+      {"link.fronthaul.ref_distance_m", "150"},
+      {"link.fronthaul.atmospheric_db_per_km", "1.25"},
+      {"link.min_distance_m", "2"},
+      {"radio.hp_eirp_dbm", "60"},
+      {"radio.lp_eirp_dbm", "37.5"},
+      {"radio.hp_calibration_db", "30"},
+      {"radio.lp_calibration_db", "18"},
+      {"throughput.alpha", "0.75"},
+      {"throughput.se_max_bps_hz", "4.4"},
+      {"throughput.snr_min_db", "-8"},
+      {"isd_search.isd_step_m", "25"},
+      {"isd_search.max_isd_m", "4000"},
+      {"isd_search.snr_threshold_db", "29.28"},
+      {"isd_search.sample_step_m", "5"},
+      {"timetable.trains_per_hour", "12.5"},
+      {"timetable.night_hours", "6"},
+      {"timetable.night_start_hour", "1"},
+      {"timetable.train.length_m", "200"},
+      {"timetable.train.speed_mps", "44.5"},
+      {"energy.hp_rrh.p_max_w", "20"},
+      {"energy.hp_rrh.p0_w", "150"},
+      {"energy.hp_rrh.delta_p", "3"},
+      {"energy.hp_rrh.p_sleep_w", "100"},
+      {"energy.lp_node.p_max_w", "2"},
+      {"energy.lp_node.p0_w", "20"},
+      {"energy.lp_node.delta_p", "3.5"},
+      {"energy.lp_node.p_sleep_w", "3.3"},
+      {"energy.rrhs_per_mast", "3"},
+      {"energy.hp_sleep_when_idle", "false"},
+      {"max_repeaters", "7"},
+      {"corridor.segments", "4"},
+      {"corridor.repeater_spacing_m", "150"},
+      {"sizing.years", "2"},
+      {"sizing.seed", "42"},
+      {"sizing.weather.kt_sigma", "0.2"},
+      {"sizing.weather.kt_autocorrelation", "0.5"},
+      {"sizing.weather.kt_min", "0.1"},
+      {"sizing.weather.kt_max", "0.8"},
+      {"sizing.weather.winter_sigma_boost", "1.5"},
+      {"sizing.plane.tilt_deg", "35"},
+      {"sizing.plane.albedo", "0.3"},
+      {"sizing.locations", "oslo,madrid"},
+      {"sizing.ladder", "360:720,720:2880"},
+  };
+  const auto lines = [](const std::string& spec) {
+    std::vector<std::string> out;
+    std::istringstream in(spec);
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
+  };
+  const auto& fields = scenario_fields();
+  const std::vector<std::string> paper = lines(to_spec(Scenario::paper()));
+  ASSERT_EQ(paper.size(), fields.size());
+  EXPECT_EQ(values.size(), fields.size()) << "a test value names no key";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    const std::string key(fields[i].key);
+    const auto value = values.find(key);
+    if (value == values.end()) {
+      ADD_FAILURE() << "no test value for '" << key << "'";
+      continue;
+    }
+    Scenario s = Scenario::paper();
+    apply_override(s, util::SpecEntry{key, std::string(value->second), 1});
+    std::vector<std::string> expected = paper;
+    expected[i] = key + " = " + std::string(value->second);
+    EXPECT_NE(expected[i], paper[i]) << "the test value is the default";
+    EXPECT_EQ(lines(to_spec(s)), expected) << "applying '" << key << "'";
+  }
+}
+
 TEST(ScenarioSpec, OverridesReachTheModelLayers) {
   const Scenario s = scenario_from_spec(
       "radio.hp_eirp_dbm = 60\n"
@@ -49,9 +138,18 @@ TEST(ScenarioSpec, OverridesReachTheModelLayers) {
       "link.carrier.subcarriers = 1650\n");
   EXPECT_DOUBLE_EQ(s.radio.hp_eirp.value(), 60.0);
   EXPECT_EQ(s.link.carrier.subcarriers(), 1650);
-  // The coherence rule: both timetable copies move together.
   EXPECT_DOUBLE_EQ(s.timetable.trains_per_hour, 16.0);
-  EXPECT_DOUBLE_EQ(s.energy.timetable.trains_per_hour, 16.0);
+  // The energy model runs on the scenario's one timetable: twice the
+  // traffic raises the baseline's mains power.
+  EXPECT_GT(s.make_energy_model()
+                .conventional_baseline()
+                .total_mains_per_km()
+                .value(),
+            Scenario::paper()
+                .make_energy_model()
+                .conventional_baseline()
+                .total_mains_per_km()
+                .value());
 }
 
 TEST(ScenarioSpec, UnknownKeyNamesKeyAndLine) {

@@ -37,7 +37,7 @@ TEST(Scenario, RepeaterConsumptionProfile) {
 
 TEST(Scenario, OverridesPropagate) {
   Scenario s = Scenario::paper();
-  s.energy.timetable.trains_per_hour = 16.0;
+  s.timetable.trains_per_hour = 16.0;
   const auto model = s.make_energy_model();
   // Twice the traffic raises the baseline average power.
   EXPECT_GT(model.conventional_baseline().total_mains_per_km().value(), 467.2);

@@ -203,20 +203,10 @@ TEST(MergeShards, DiagnosticsNameSearchedFilesOnCoverageGap) {
 TEST(BannerHelpers, RoundTripFingerprintAndGrid) {
   const auto plan = SweepPlan::from_spec("axis k = 1, 2, 3\n");
   const std::string banner = shard_banner(plan);
-  ASSERT_TRUE(banner_fingerprint(banner).has_value());
-  EXPECT_EQ(*banner_fingerprint(banner), plan.fingerprint());
   ASSERT_TRUE(banner_grid(banner).has_value());
   EXPECT_EQ(*banner_grid(banner), 3u);
   EXPECT_EQ(banner, "# railcorr-sweep-v1 fingerprint=" +
                         util::hex16(plan.fingerprint()) + " grid=3");
-  EXPECT_FALSE(banner_fingerprint("# no tokens here").has_value());
-  // The token is exactly 16 digits: a 15th-digit cut or a 17th digit
-  // is refused.
-  EXPECT_FALSE(banner_fingerprint("# x fingerprint=0123456789abcde grid=1")
-                   .has_value());
-  EXPECT_FALSE(
-      banner_fingerprint("# x fingerprint=0123456789abcdef0 grid=1")
-          .has_value());
   EXPECT_FALSE(banner_grid("# no tokens here").has_value());
   // A grid that does not fit is refused, not wrapped.
   EXPECT_FALSE(banner_grid("# x grid=18446744073709551616").has_value());

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -25,6 +26,18 @@ TEST_F(ParallelTest, ThreadCountResolution) {
   EXPECT_EQ(default_thread_count(), 3u);
   set_default_thread_count(0);
   EXPECT_GE(default_thread_count(), 1u);
+}
+
+TEST(ThreadCountParse, WholeDecimalsUpToTheCeiling) {
+  // Parse only: no count here is ever handed to a pool.
+  EXPECT_EQ(parse_thread_count("8"), std::optional<std::size_t>(8));
+  EXPECT_EQ(parse_thread_count("0"), std::optional<std::size_t>(0));
+  EXPECT_EQ(parse_thread_count("1024"),
+            std::optional<std::size_t>(kMaxThreadCount));
+  for (const char* bad :
+       {"4x", "-3", "1025", "18446744073709551617", "", " 8", "+8"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << bad;
+  }
 }
 
 TEST_F(ParallelTest, EveryIndexRunsExactlyOnce) {

@@ -7,17 +7,6 @@
 namespace railcorr {
 namespace {
 
-TEST(Linspace, EndpointsAndSpacing) {
-  const auto v = linspace(0.0, 10.0, 11);
-  ASSERT_EQ(v.size(), 11u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 10.0);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_NEAR(v[i], static_cast<double>(i), 1e-12);
-  }
-  EXPECT_THROW(linspace(0.0, 1.0, 1), ContractViolation);
-}
-
 TEST(ArangeInclusive, PaperIsdGrid) {
   // The paper sweeps ISD in 50 m steps.
   const auto v = arange_inclusive(500.0, 2650.0, 50.0);
@@ -42,26 +31,6 @@ TEST(ArangeInclusive, NonDivisibleSpanStopsBeforeHi) {
 TEST(ArangeInclusive, Contracts) {
   EXPECT_THROW(arange_inclusive(0.0, 1.0, 0.0), ContractViolation);
   EXPECT_THROW(arange_inclusive(1.0, 0.0, 0.5), ContractViolation);
-}
-
-TEST(Trapezoid, IntegratesLinearExactly) {
-  const auto x = linspace(0.0, 2.0, 21);
-  std::vector<double> y;
-  for (const double xi : x) y.push_back(3.0 * xi);  // integral = 6
-  EXPECT_NEAR(trapezoid(x, y), 6.0, 1e-12);
-}
-
-TEST(Trapezoid, QuadraticConverges) {
-  const auto x = linspace(0.0, 1.0, 1001);
-  std::vector<double> y;
-  for (const double xi : x) y.push_back(xi * xi);  // integral = 1/3
-  EXPECT_NEAR(trapezoid(x, y), 1.0 / 3.0, 1e-6);
-}
-
-TEST(Trapezoid, Contracts) {
-  EXPECT_THROW(trapezoid({0.0}, {1.0}), ContractViolation);
-  EXPECT_THROW(trapezoid({0.0, 1.0}, {1.0}), ContractViolation);
-  EXPECT_THROW(trapezoid({0.0, 0.0}, {1.0, 1.0}), ContractViolation);
 }
 
 }  // namespace

@@ -90,34 +90,6 @@ TEST(TimeWeightedAverage, ContractViolations) {
   EXPECT_THROW(zero.average(), ContractViolation);  // zero span
 }
 
-TEST(Histogram, BinningAndBounds) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i) + 0.5);
-  h.add(-1.0);
-  h.add(100.0);
-  EXPECT_EQ(h.total(), 12u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  for (std::size_t b = 0; b < 10; ++b) {
-    EXPECT_EQ(h.count(b), 1u) << "bin " << b;
-    EXPECT_DOUBLE_EQ(h.bin_center(b), static_cast<double>(b) + 0.5);
-  }
-  EXPECT_NEAR(h.fraction(0), 1.0 / 12.0, 1e-12);
-}
-
-TEST(Histogram, Quantile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(static_cast<double>(i % 100) + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.5, 1e-9);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
 // Property: Welford matches two-pass computation for random streams.
 class StatsPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -89,6 +89,17 @@ std::uint64_t parse_count(std::string_view flag, std::string_view value) {
       railcorr::util::SpecEntry{std::string(flag), std::string(value), 0});
 }
 
+/// A `--threads` value (one entry of a list for `orchestrate`).
+std::size_t parse_threads(std::string_view value) {
+  const auto threads = railcorr::exec::parse_thread_count(value);
+  if (!threads) {
+    throw ConfigError("--threads expects a thread count in [0, " +
+                      std::to_string(railcorr::exec::kMaxThreadCount) +
+                      "], got '" + std::string(value) + "'");
+  }
+  return *threads;
+}
+
 /// A verb's command line, read against its table row. A flag takes the
 /// next word as its value unless it is a switch. A word that no flag
 /// spells is an operand if the verb takes operands and the word does
@@ -376,8 +387,8 @@ int cmd_sweep(const Args& args) {
   for (const auto& text : args.all("--shard")) {
     shard = railcorr::corridor::ShardSpec::parse(text);
   }
-  if (const auto threads = args.count("--threads")) {
-    railcorr::exec::set_default_thread_count(*threads);
+  for (const auto& threads : args.all("--threads")) {
+    railcorr::exec::set_default_thread_count(parse_threads(threads));
   }
   // Periodic liveness lines on the progress stream: a supervisor's
   // --stall-timeout can then tell a slow shard (heartbeats keep
@@ -601,7 +612,7 @@ int cmd_orchestrate(const Args& args) {
     std::istringstream in(list);
     worker_threads.clear();
     for (std::string token; std::getline(in, token, ',');) {
-      worker_threads.push_back(parse_count("--threads", token));
+      worker_threads.push_back(parse_threads(token));
     }
     if (worker_threads.empty()) {
       throw ConfigError("--threads expects N or N,N,...");
@@ -697,7 +708,8 @@ int cmd_orchestrate(const Args& args) {
   if (options.shards != 0) fleet_width = std::min(fleet_width, options.shards);
   fleet_width = std::max<std::size_t>(1, std::min(fleet_width, grid));
   if (worker_threads.empty()) {
-    worker_threads.push_back(std::max<std::size_t>(1, hw / fleet_width));
+    worker_threads.push_back(std::clamp<std::size_t>(
+        hw / fleet_width, 1, railcorr::exec::kMaxThreadCount));
   }
   const std::string worker_plan = dir + "/plan.sweep";
   const bool sizing = options.include_sizing;
