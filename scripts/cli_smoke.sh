@@ -339,5 +339,26 @@ expect_error 1 "unknown verb" cache prune --dir "$TMP/cache"
 expect_error 1 "--dir DIR required" cache stats
 expect_error 1 "--max-mb N required" cache gc --dir "$TMP/cache"
 expect_error 1 "unknown option '--strict'" cache stats --dir x --strict
+# A MiB count whose bytes overflow std::size_t (2^44 MiB = 2^64 bytes)
+# is refused before any store is opened or worker launched; unchecked,
+# it wrapped to a bound of zero bytes (or 1 MiB for 2^44 + 1).
+"$BIN" sweep --plan "$TMP/one_cell.sweep" --out "$TMP/one_cell.csv" \
+    --cache-dir "$TMP/cache"
+TOO_MANY_MIB=17592186044416
+expect_error 1 "--cache-max-mb $TOO_MANY_MIB MiB does not fit in a byte count" \
+    sweep --plan "$TMP/one_cell.sweep" --out "$TMP/one_cell.csv" \
+    --cache-dir "$TMP/cache" --cache-max-mb "$TOO_MANY_MIB"
+expect_error 1 "--cache-max-mb $TOO_MANY_MIB MiB does not fit in a byte count" \
+    orchestrate --plan "$TMP/one_cell.sweep" --out-dir "$TMP/big_cache" \
+    --cache-dir "$TMP/cache" --cache-max-mb "$TOO_MANY_MIB"
+expect_error 1 "--max-mb $TOO_MANY_MIB MiB does not fit in a byte count" \
+    cache gc --dir "$TMP/cache" --max-mb "$TOO_MANY_MIB"
+# 2^44 - 1 MiB still fits, and bounds nothing.
+"$BIN" cache gc --dir "$TMP/cache" --max-mb 17592186044415 > /dev/null
+if [ -e "$TMP/big_cache" ] ||
+    ! "$BIN" cache stats --dir "$TMP/cache" | grep -q ": 1 segment(s)"; then
+  echo "FAIL: a refused cache size touched the store or the run dir" >&2
+  exit 1
+fi
 
 echo "cli shard+merge smoke OK"

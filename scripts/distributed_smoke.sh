@@ -24,7 +24,12 @@
 #   7. the clean fleet with `--trace-dir` fetches every finished
 #      attempt's trace and metrics back over `--fetch`: the timeline
 #      holds one host-labelled lane per attempt, and no `.remote` copy
-#      is left behind.
+#      is left behind; it logs its run-summary wall next to section 1's
+#      (informational, not a gate),
+#   8. section 2's storm with `--trace-dir` merges the same bytes,
+#      reaches the same pinned tally, writes the timeline and the
+#      metrics rollup, and leaves no `.remote` copy of a rejected
+#      attempt's files behind.
 #
 # usage: distributed_smoke.sh <railcorr-binary>
 set -eu
@@ -255,6 +260,39 @@ fi
 leftover="$(find "$TMP/traced" -name '*.remote')"
 if [ -n "$leftover" ]; then
   echo "FAIL: remote telemetry copies left behind: $leftover" >&2
+  exit 1
+fi
+wall() { sed -n 's/^info run summary: wall=\([^ ]*\) .*/\1/p' "$1"; }
+echo "traced fleet wall $(wall "$TMP/traced/orchestrate.manifest")," \
+     "clean fleet wall $(wall "$TMP/clean/orchestrate.manifest")" \
+     "(run summaries; informational)"
+
+# --- 8: a traced storm: same bytes, same tally, no remote copy --------
+"$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/traced_run" \
+    --hosts h1,h2,h3 --launcher "$LAUNCH" --fetch "$FETCH" \
+    --fetch-timeout 2 --workers 3 --retries 3 --timeout 120 \
+    --stall-timeout 2 --chaos-seed 7 \
+    --trace-dir "$TMP/traced_run/telemetry" 2> "$TMP/traced_chaos.log"
+if ! cmp "$TMP/traced_run/merged.csv" "$TMP/single.csv"; then
+  echo "FAIL: traced chaos-fleet merge differs from the single-process" \
+       "sweep" >&2
+  exit 1
+fi
+if ! grep -qF "$TALLY" "$TMP/traced_run/orchestrate.manifest"; then
+  echo "FAIL: traced seed-7 fleet tally differs from the pinned" \
+       "'$TALLY':" >&2
+  grep "^info run summary" "$TMP/traced_run/orchestrate.manifest" >&2
+  exit 1
+fi
+for f in trace.json run_metrics.json; do
+  if [ ! -s "$TMP/traced_run/telemetry/$f" ]; then
+    echo "FAIL: traced chaos fleet did not write $f" >&2
+    exit 1
+  fi
+done
+leftover="$(find "$TMP/traced_run" -name '*.remote')"
+if [ -n "$leftover" ]; then
+  echo "FAIL: traced chaos fleet left remote copies behind: $leftover" >&2
   exit 1
 fi
 

@@ -56,9 +56,10 @@ T parse(const SpecEntry& e) {
   }
 }
 
-/// Study-shape values the max-ISD search cannot run with are rejected
-/// when the spec is applied: apply_override reports the violation as
-/// "invalid value for '<key>' (line N)".
+/// Study-shape and traffic values the max-ISD search or the models'
+/// contracts cannot run with are rejected when the spec is applied:
+/// apply_override reports the violation as "invalid value for '<key>'
+/// (line N)".
 void positive(double v) {
   if (!(v > 0.0)) throw ContractViolation("must be positive");
 }
@@ -83,9 +84,12 @@ void non_negative(double v) {
   if (!(v >= 0.0)) throw ContractViolation("must be non-negative");
 }
 
-/// [0, 1), half-open.
-void in_unit_interval(double v) {
-  if (!(v >= 0.0 && v < 1.0)) throw ContractViolation("must be in [0, 1)");
+/// [0, Hi), half-open.
+template <int Hi>
+void below(double v) {
+  if (!(v >= 0.0 && v < Hi)) {
+    throw ContractViolation("must be in [0, " + util::format_double(Hi) + ")");
+  }
 }
 
 /// The Erbs diffuse fraction is defined for clearness <= 1.
@@ -319,20 +323,23 @@ const std::vector<Field>& registry() {
           "track sampling step for the min-SNR check [m] (default: 10)",
           [](auto& s) -> auto& { return s.isd_search.sample_step_m; }),
       // ---- timetable --------------------------------------------------
-      member("timetable.trains_per_hour",
-             "trains per operating hour (paper: 8)",
-             [](auto& s) -> auto& { return s.timetable.trains_per_hour; }),
-      member("timetable.night_hours",
-             "nightly pause without traffic [h] (paper: 5)",
-             [](auto& s) -> auto& { return s.timetable.night_hours; }),
+      member<positive>(
+          "timetable.trains_per_hour", "trains per operating hour (paper: 8)",
+          [](auto& s) -> auto& { return s.timetable.trains_per_hour; }),
+      member<below<24>>(
+          "timetable.night_hours",
+          "nightly pause without traffic [h] (paper: 5)",
+          [](auto& s) -> auto& { return s.timetable.night_hours; }),
       member("timetable.night_start_hour",
              "start of the nightly pause [h since midnight] (default: 0.5)",
              [](auto& s) -> auto& { return s.timetable.night_start_hour; }),
-      member("timetable.train.length_m", "train length [m] (paper: 400)",
-             [](auto& s) -> auto& { return s.timetable.train.length_m; }),
-      member("timetable.train.speed_mps",
-             "train speed [m/s] (paper: 200 km/h = 55.55...)",
-             [](auto& s) -> auto& { return s.timetable.train.speed_mps; }),
+      member<positive>(
+          "timetable.train.length_m", "train length [m] (paper: 400)",
+          [](auto& s) -> auto& { return s.timetable.train.length_m; }),
+      member<positive>(
+          "timetable.train.speed_mps",
+          "train speed [m/s] (paper: 200 km/h = 55.55...)",
+          [](auto& s) -> auto& { return s.timetable.train.speed_mps; }),
       // ---- energy -----------------------------------------------------
       param<0>("energy.hp_rrh.p_max_w", "HP RRH max RF power [W] (paper: 40)",
                hp_rrh),
@@ -350,8 +357,9 @@ const std::vector<Field>& registry() {
                lp_node),
       param<3>("energy.lp_node.p_sleep_w",
                "LP node sleep power [W] (paper: 4.72)", lp_node),
-      member("energy.rrhs_per_mast", "RRH sectors per HP mast (paper: 2)",
-             [](auto& s) -> auto& { return s.energy.rrhs_per_mast; }),
+      member<at_least_one>(
+          "energy.rrhs_per_mast", "RRH sectors per HP mast (paper: 2)",
+          [](auto& s) -> auto& { return s.energy.rrhs_per_mast; }),
       member("energy.hp_sleep_when_idle",
              "baseline HP masts sleep between trains (paper: true)",
              [](auto& s) -> auto& { return s.energy.hp_sleep_when_idle; }),
@@ -378,7 +386,7 @@ const std::vector<Field>& registry() {
           "sizing.weather.kt_sigma",
           "daily clearness-index deviation (default: 0.13)",
           [](auto& s) -> auto& { return s.sizing.weather.kt_sigma; }),
-      member<in_unit_interval>(
+      member<below<1>>(
           "sizing.weather.kt_autocorrelation",
           "day-to-day clearness autocorrelation (default: 0.75)",
           [](auto& s) -> auto& { return s.sizing.weather.kt_autocorrelation; }),

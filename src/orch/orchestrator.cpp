@@ -92,12 +92,16 @@ std::optional<std::string> read_intact_shard(const fs::path& path,
 
 /// The driver's half of one live attempt: its paths and processes. A
 /// remote attempt with a fetch step runs the worker, then — after it
-/// exits 0 — the fetch subprocess pulling the shard file back.
+/// exits 0 — its fetch phase: one pull of the shard file and, once a
+/// traced run published it, one pull per telemetry file.
 struct LiveAttempt {
   WorkerAttempt info;
   ChildProcess proc;
-  /// Engaged in the fetch phase.
+  /// Engaged in the fetch phase: the current pull.
   std::optional<ChildProcess> fetch;
+  /// The local telemetry file the current pull writes; empty until the
+  /// shard is published.
+  std::string pulling;
   /// Recorder-timeline stamps backing the "attempt" and "fetch" spans
   /// (0 when telemetry is off).
   std::uint64_t launch_usec = 0;
@@ -337,23 +341,16 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     info.out_path = (dir / ("shard_" + std::to_string(shard) + ".attempt" +
                             std::to_string(placed.attempt) + ".tmp"))
                         .string();
-    // Remote workers under a fetch step write to a distinct remote-side
-    // name: on a real fleet that path lives on the remote machine, and
-    // on the localhost fleets tests use it keeps the fetch from
-    // degenerating into copying a file onto itself.
-    const std::string remote = placed.fetch_step ? ".remote" : "";
-    info.worker_out_path = info.out_path + remote;
+    info.fetch_step = placed.fetch_step;
     if (telemetry) {
       info.trace_path =
           (trace_dir / trace_file_name(shard, placed.attempt)).string();
       info.metrics_path =
           (trace_dir / metrics_file_name(shard, placed.attempt)).string();
-      info.worker_trace_path = info.trace_path + remote;
-      info.worker_metrics_path = info.metrics_path + remote;
       attempt_hosts[fs::path(info.trace_path).stem().string()] = info.host;
     }
     LiveAttempt attempt{info, ChildProcess::spawn(options.command(info)),
-                        std::nullopt, 0, 0};
+                        std::nullopt, "", 0, 0};
     if (telemetry) {
       attempt.launch_usec = recorder.now_usec();
       recorder.instant("launch", "orch", "shard", shard);
@@ -473,50 +470,50 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     log(s);
   };
 
-  /// Pull a finished remote attempt's telemetry files back over the
-  /// same transport that fetched its shard file. Strictly best-effort
-  /// and synchronous with a bounded wait: a failed or slow telemetry
-  /// fetch costs one trace lane, never a retry, never the run.
-  const auto fetch_telemetry = [&](const WorkerAttempt& worker) {
-    if (!telemetry || !options.fetch) return;
-    if (worker.trace_path.empty() ||
-        worker.worker_trace_path == worker.trace_path) {
-      return;  // The worker wrote its telemetry locally already.
+  /// Start the fetch-phase pull that copies the worker-side copy of
+  /// `local` (the shard file or a telemetry file) to `local`. Throws
+  /// when the child cannot spawn.
+  const auto pull = [&](LiveAttempt& attempt, const std::string& local) {
+    WorkerAttempt file = attempt.info;
+    file.out_path = local;
+    attempt.fetch.emplace(ChildProcess::spawn(options.fetch(file)));
+    if (telemetry) attempt.fetch_usec = recorder.now_usec();
+  };
+
+  /// A telemetry pull failed, could not spawn, or was killed at the
+  /// fetch deadline: it costs its file and the pulls after it, never a
+  /// retry.
+  const auto pull_failed = [&](const LiveAttempt& attempt) {
+    log("telemetry fetch of '" + attempt.pulling + "' from host " +
+        attempt.info.host +
+        " failed (best-effort; that trace lane will be missing)");
+    fs::remove(attempt.pulling, ec);
+  };
+
+  /// Start the next telemetry pull of a remote attempt whose shard is
+  /// published — the metrics file, then the trace file — unless the run
+  /// is untraced, both are pulled, or the fetch deadline passed (an
+  /// expired attempt is killed once, so a pull started after it would
+  /// run unbounded). False when none started.
+  const auto next_pull = [&](LiveAttempt& attempt) {
+    const WorkerAttempt& info = attempt.info;
+    const auto& placed = scheduler.live();
+    if (!telemetry || !info.fetch_step || attempt.pulling == info.trace_path ||
+        std::any_of(placed.begin(), placed.end(),
+                    [&](const Scheduler::Attempt& a) {
+                      return a.shard == info.shard &&
+                             a.expired != Scheduler::Deadline::kNone;
+                    })) {
+      return false;
     }
-    const double budget = options.fetch_timeout_s > 0.0
-                              ? options.fetch_timeout_s
-                          : options.timeout_s > 0.0 ? options.timeout_s
-                                                    : 10.0;
-    const std::pair<const std::string*, const std::string*> files[] = {
-        {&worker.worker_trace_path, &worker.trace_path},
-        {&worker.worker_metrics_path, &worker.metrics_path}};
-    for (const auto& [remote, local] : files) {
-      WorkerAttempt synthetic = worker;
-      synthetic.worker_out_path = *remote;
-      synthetic.out_path = *local;
-      try {
-        ChildProcess proc = ChildProcess::spawn(options.fetch(synthetic));
-        const auto started = Clock::now();
-        std::optional<ExitStatus> status;
-        while (!(status = proc.try_reap()).has_value()) {
-          std::vector<std::string> lines;
-          proc.drain(lines);
-          if (elapsed_s(started, Clock::now()) > budget) {
-            proc.kill();
-            proc.wait();
-            break;
-          }
-          ::poll(nullptr, 0, 5);
-        }
-        if (!status.has_value() || status->code != 0) {
-          log("telemetry fetch of '" + *local + "' from host " + worker.host +
-              " failed (best-effort; that trace lane will be missing)");
-          fs::remove(*local, ec);
-        }
-      } catch (const std::exception& error) {
-        log("telemetry fetch: cannot spawn: " + std::string(error.what()));
-      }
-      fs::remove(*remote, ec);
+    attempt.pulling =
+        attempt.pulling.empty() ? info.metrics_path : info.trace_path;
+    try {
+      pull(attempt, attempt.pulling);
+      return true;
+    } catch (const std::exception&) {
+      pull_failed(attempt);
+      return false;
     }
   };
 
@@ -608,8 +605,10 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   };
 
   /// One reaped process of a live attempt: fold its last output, close
-  /// its span, and act on the scheduler's verdict — start the fetch,
-  /// publish the output, finalize or fail. False when the run must stop.
+  /// its span, and act on the scheduler's verdict — start the fetch
+  /// phase's next pull, publish the output, finalize or fail. A
+  /// telemetry pull never changes the verdict: the shard is done once
+  /// the last one ends. False when the run must stop.
   const auto reap = [&](std::size_t i, const ExitStatus& status) {
     LiveAttempt& attempt = live[i];
     const std::size_t shard = attempt.info.shard;
@@ -621,12 +620,16 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       recorder.complete_at(fetched ? "fetch" : "attempt", "orch", start,
                            recorder.now_usec() - start, "shard", shard);
     }
+    const bool telemetry_pull = !attempt.pulling.empty();
+    if (telemetry_pull && status.code != 0) pull_failed(attempt);
+    if (telemetry_pull && status.code == 0 && next_pull(attempt)) return true;
     auto verdict =
-        scheduler.on_exit(shard, status.code, status.signaled, now_s());
+        telemetry_pull
+            ? scheduler.on_output(shard, true, now_s())
+            : scheduler.on_exit(shard, status.code, status.signaled, now_s());
     if (verdict.kind == Scheduler::Verdict::Kind::kFetch) {
       try {
-        attempt.fetch.emplace(ChildProcess::spawn(options.fetch(attempt.info)));
-        if (telemetry) attempt.fetch_usec = recorder.now_usec();
+        pull(attempt, attempt.info.out_path);
         log("shard " + std::to_string(shard) + " attempt " +
             std::to_string(attempt.info.attempt) +
             " worker done; fetching from host " + attempt.info.host);
@@ -639,17 +642,22 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       }
     }
     if (verdict.kind == Scheduler::Verdict::Kind::kPublish) {
-      verdict = scheduler.on_output(shard, publish(attempt.info), now_s());
+      const bool published = publish(attempt.info);
+      if (published && next_pull(attempt)) return true;
+      verdict = scheduler.on_output(shard, published, now_s());
     }
     const LiveAttempt ended = std::move(attempt);
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-    // Whatever was not published is garbage now, local or remote.
+    // Whatever was not published is garbage now, and so is every
+    // worker-side copy, whatever the verdict.
     fs::remove(ended.info.out_path, ec);
-    fs::remove(ended.info.worker_out_path, ec);
-    const bool go_on = settle(verdict, ended.info.host);
-    if (verdict.kind == Scheduler::Verdict::Kind::kDone) {
-      fetch_telemetry(ended.info);
+    for (const std::string& local : {ended.info.out_path, ended.info.trace_path,
+                                     ended.info.metrics_path}) {
+      if (ended.info.fetch_step && !local.empty()) {
+        fs::remove(ended.info.worker_path(local), ec);
+      }
     }
+    const bool go_on = settle(verdict, ended.info.host);
     audit_fleet();
     return go_on;
   };
@@ -689,9 +697,11 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           continue;
         }
 
-        // With every pipe at EOF (a worker closed stdout but runs on)
-        // there is nothing to poll, and this sleeps the tick instead of
-        // busy-spinning on try_reap.
+        // A child's pipe can reach EOF (and close) before waitpid can
+        // reap it, leaving nothing of it to poll: while any live child
+        // has no open pipe, recheck after 1 ms rather than sleep the
+        // tick. A worker that closed stdout but runs on costs one
+        // wake-up per millisecond until it exits or a deadline kills it.
         std::vector<pollfd> fds;
         fds.reserve(live.size());
         for (auto& attempt : live) {
@@ -699,7 +709,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
           if (fd >= 0) fds.push_back(pollfd{fd, POLLIN, 0});
         }
         ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-               scheduler.next_wake_ms(now_s()));
+               fds.size() < live.size() ? 1
+                                        : scheduler.next_wake_ms(now_s()));
 
         for (auto& attempt : live) drain(attempt);
         if (options.log != nullptr) {
@@ -719,7 +730,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
                   ? "silent for " +
                         util::format_double(options.stall_timeout_s) +
                         "s, killing (stalled)"
-                  : "fetch exceeded its budget, killing (transfer-stalled)";
+                  : "fetch exceeded its budget, killing";
           log("shard " + std::to_string(expired.shard) + " attempt " +
               std::to_string(expired.attempt) + " " + what);
           std::find_if(live.begin(), live.end(), [&](const LiveAttempt& a) {

@@ -84,27 +84,30 @@ struct WorkerAttempt {
   /// Where the finished shard document must land *locally*; the
   /// orchestrator renames it to the durable `shard_<i>.csv` on success.
   std::string out_path;
-  /// Where the worker itself writes. Equal to `out_path` except for
-  /// remote attempts with a fetch step, where it is the remote-side
-  /// path the fetch command copies from ({remote} in the template).
-  std::string worker_out_path;
   /// Host this attempt is placed on: a `--hosts` name, or
   /// orch::kLocalHost — always so when `OrchestrateOptions::hosts` is
   /// empty, which means one `local` host.
   std::string host;
-  /// Run-telemetry file paths (empty unless the run sets `trace_dir`).
-  /// `trace_path`/`metrics_path` are where the attempt's telemetry must
-  /// land locally; the `worker_*` variants are where the worker itself
-  /// writes — equal to the local paths except for remote attempts with
-  /// a fetch step, mirroring `out_path`/`worker_out_path`. Command
-  /// builders pass the worker paths as `--trace`/`--metrics` flags.
-  /// Telemetry files are best-effort: they are never verified the way
-  /// shard files are, and a missing or torn one costs a trace lane,
-  /// never a recompute.
+  /// A remote attempt under a `fetch` builder: its worker writes every
+  /// file to worker_path(), and the fetch phase pulls each back.
+  bool fetch_step = false;
+  /// Where the attempt's telemetry must land locally; empty unless the
+  /// run sets `trace_dir`. Command builders pass worker_path() of each
+  /// as the `--trace`/`--metrics` flags. Telemetry files are
+  /// best-effort: they are never verified the way shard files are, and
+  /// a missing or torn one costs a trace lane, never a recompute.
   std::string trace_path;
   std::string metrics_path;
-  std::string worker_trace_path;
-  std::string worker_metrics_path;
+
+  /// Where the worker itself writes the file that must land at `local`
+  /// (`out_path`, `trace_path` or `metrics_path`): `local` itself, or
+  /// `<local>.remote` under a fetch step ({remote} in the fetch
+  /// template). On a real fleet that path lives on the remote machine;
+  /// on the localhost fleets tests use, it keeps a pull from copying a
+  /// file onto itself.
+  [[nodiscard]] std::string worker_path(const std::string& local) const {
+    return fetch_step ? local + ".remote" : local;
+  }
 };
 
 /// Knobs of one orchestrated run.
@@ -150,14 +153,19 @@ struct OrchestrateOptions {
   /// reserved name `local` runs plain fork/exec). Empty means one
   /// `local` host — the single-machine run, where no fetch applies.
   std::vector<std::string> hosts;
-  /// Builds the argv that copies `worker_out_path` on `host` to the
-  /// local `out_path` after a remote worker exits 0; the fetched file
-  /// is verified before finalization. Unset = workers write locally
-  /// (shared filesystem, or the localhost fleets tests use).
+  /// Builds the argv that copies `worker_path(out_path)` on `host` to
+  /// the local `out_path`. The fetch phase, which follows a remote
+  /// worker's exit 0, calls it for the shard file, which is verified
+  /// before finalization, and then, on a traced run whose shard was
+  /// published, once per telemetry file (metrics, then trace) with
+  /// `out_path` naming that file. Unset = workers write locally (shared
+  /// filesystem, or the localhost fleets tests use).
   std::function<std::vector<std::string>(const WorkerAttempt&)> fetch;
-  /// Wall-clock budget for one fetch subprocess; a fetch running
-  /// longer is killed and classified `transfer-stalled`. 0 falls back
-  /// to `timeout_s`.
+  /// Wall-clock budget for an attempt's whole fetch phase, telemetry
+  /// pulls included. A shard pull running past it is killed and
+  /// classified `transfer-stalled`; a telemetry pull running past it
+  /// is killed and costs its file and the pulls after it, never the
+  /// shard's verdict. 0 falls back to `timeout_s`; both 0 = unbounded.
   double fetch_timeout_s = 0.0;
   /// Host-health knobs (quarantine threshold, re-probe backoff, dead
   /// threshold).
@@ -167,11 +175,13 @@ struct OrchestrateOptions {
   /// Non-empty: the orchestrator enables its own span recorder and
   /// metrics registry, gives every attempt per-attempt
   /// `shard_<i>.attempt<a>.trace` / `.metrics.json` paths under this
-  /// directory (fetched back over the `fetch` transport for remote
-  /// hosts, best-effort), and on success merges every intact `.trace`
-  /// lane into `<trace_dir>/trace.json` plus a `run_metrics.json`
-  /// rollup. Telemetry is provably inert: every result artifact
-  /// (shards, manifest modulo the `info` summary line, merged.csv) is
+  /// directory (pulled back in the fetch phase of a remote attempt
+  /// whose shard was published, best-effort; a rejected remote attempt
+  /// leaves no lane, and an ended attempt no worker-side copy), and on
+  /// success merges every intact `.trace` lane into
+  /// `<trace_dir>/trace.json` plus a `run_metrics.json` rollup.
+  /// Telemetry is provably inert: every result artifact (shards,
+  /// manifest modulo the `info` summary line, merged.csv) is
   /// byte-identical with or without it.
   std::string trace_dir;
 };

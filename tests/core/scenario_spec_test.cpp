@@ -205,7 +205,14 @@ TEST(ScenarioSpec, ConstructorValidationBecomesConfigError) {
         "sizing.weather.kt_min = 0", "sizing.weather.kt_max = 1.2",
         "sizing.weather.kt_max = nan", "sizing.plane.tilt_deg = 120",
         "sizing.plane.tilt_deg = -5", "sizing.plane.albedo = 1.5",
-        "sizing.plane.albedo = -0.1"}) {
+        "sizing.plane.albedo = -0.1",
+        // Traffic values the timetable, train and energy models'
+        // contracts refuse.
+        "timetable.trains_per_hour = 0", "timetable.trains_per_hour = -1",
+        "timetable.night_hours = 24", "timetable.night_hours = 30",
+        "timetable.night_hours = -1", "timetable.train.length_m = -5",
+        "timetable.train.length_m = 0", "timetable.train.speed_mps = 0",
+        "energy.rrhs_per_mast = 0"}) {
     const std::string key = key_value.substr(0, key_value.find(' '));
     try {
       apply_spec(s, key_value + "\n");
@@ -230,7 +237,9 @@ TEST(ScenarioSpec, ConstructorValidationBecomesConfigError) {
                              "sizing.plane.tilt_deg = 0\n"
                              "sizing.plane.tilt_deg = 90\n"
                              "sizing.plane.albedo = 0\n"
-                             "sizing.plane.albedo = 1\n"));
+                             "sizing.plane.albedo = 1\n"
+                             "timetable.night_hours = 0\n"
+                             "energy.rrhs_per_mast = 1\n"));
 }
 
 TEST(ScenarioSpec, FieldCatalogIsConsistent) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -745,15 +746,15 @@ TEST(OrchestrateFleet, CorruptTransferIsRejectedAndRecomputed) {
     // Remote workers write to the remote-side path; the fetch step
     // brings it back.
     return sh("cat '" + docs[attempt.shard] + "' > '" +
-              attempt.worker_out_path + "'");
+              attempt.worker_path(attempt.out_path) + "'");
   };
   options.fetch = [&fetches](const WorkerAttempt& attempt) {
     if (fetches++ == 0) {
       // A torn transfer: only a prefix of the shard file arrives.
-      return sh("head -c 20 '" + attempt.worker_out_path + "' > '" +
-                attempt.out_path + "'");
+      return sh("head -c 20 '" + attempt.worker_path(attempt.out_path) +
+                "' > '" + attempt.out_path + "'");
     }
-    return sh("cat '" + attempt.worker_out_path + "' > '" +
+    return sh("cat '" + attempt.worker_path(attempt.out_path) + "' > '" +
               attempt.out_path + "'");
   };
   const auto result = orchestrate(plan, run.path.string(), options);
@@ -775,6 +776,140 @@ TEST(OrchestrateFleet, CorruptTransferIsRejectedAndRecomputed) {
   EXPECT_EQ(result.merged, expected.merged);
 }
 
+/// A traced one-host toy fleet with a fetch step, two shards on one
+/// slot: each worker writes its shard document and a minimal valid trace
+/// and metrics document to their worker-side paths, and `fetch` copies
+/// whichever file it is asked for back.
+OrchestrateOptions traced_toy_fleet(const std::vector<std::string>& docs,
+                                    const fs::path& staging,
+                                    const fs::path& trace_dir) {
+  const std::string trace = (staging / "trace.txt").string();
+  const std::string metrics = (staging / "metrics.txt").string();
+  write_file(trace,
+             "{\"railcorrTrace\":1,\"epochUsec\":0,\"displayTimeUnit\":\"ms\","
+             "\"traceEvents\":[\n]}\n");
+  write_file(metrics,
+             "{\"railcorrMetrics\":1,\"sources\":1,\n\"counters\":{},\n"
+             "\"gauges\":{},\n\"histograms\":{}}\n");
+  OrchestrateOptions options;
+  options.workers = 1;
+  options.shards = 2;
+  options.retries = 0;
+  options.backoff_base_s = 0.0;
+  options.hosts = {"h1"};
+  options.health.quarantine_after = 5;
+  options.trace_dir = trace_dir.string();
+  options.command = [docs, trace, metrics](const WorkerAttempt& attempt) {
+    return sh("cat '" + docs[attempt.shard] + "' > '" +
+              attempt.worker_path(attempt.out_path) + "' && cp '" + trace +
+              "' '" + attempt.worker_path(attempt.trace_path) + "' && cp '" +
+              metrics + "' '" + attempt.worker_path(attempt.metrics_path) +
+              "'");
+  };
+  options.fetch = [](const WorkerAttempt& attempt) {
+    return sh("cat '" + attempt.worker_path(attempt.out_path) + "' > '" +
+              attempt.out_path + "'");
+  };
+  return options;
+}
+
+/// Every worker-side `*.remote` copy left under `dir`.
+std::vector<std::string> remote_copies(const fs::path& dir) {
+  std::vector<std::string> found;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.path().extension() == ".remote") {
+      found.push_back(entry.path().string());
+    }
+  }
+  return found;
+}
+
+TEST(OrchestrateFleet, TracedCorruptTransferLeavesNoWorkerSideCopy) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const fs::path telemetry = run.path / "telemetry";
+  auto options = traced_toy_fleet(stage_toy_docs(plan, staging.path, 2),
+                                  staging.path, telemetry);
+  std::size_t fetches = 0;
+  options.fetch = [&fetches](const WorkerAttempt& attempt) {
+    // The first pull, shard 0 attempt 0's shard file, is torn.
+    return sh((fetches++ == 0 ? "head -c 20 '" : "cat '") +
+              attempt.worker_path(attempt.out_path) + "' > '" +
+              attempt.out_path + "'");
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.stats.transfer_corrupt, 1u);
+  EXPECT_EQ(remote_copies(run.path), std::vector<std::string>{});
+
+  // The published attempts (shard 1's first, shard 0's retry) pulled
+  // their telemetry back; the rejected one pulled none.
+  for (const auto& [shard, attempt] : {std::pair{0, 1}, std::pair{1, 0}}) {
+    EXPECT_TRUE(fs::exists(telemetry / trace_file_name(shard, attempt)));
+    EXPECT_TRUE(fs::exists(telemetry / metrics_file_name(shard, attempt)));
+  }
+  EXPECT_FALSE(fs::exists(telemetry / trace_file_name(0, 0)));
+  EXPECT_FALSE(fs::exists(telemetry / metrics_file_name(0, 0)));
+}
+
+TEST(OrchestrateFleet, FailedTelemetryPullCostsOnlyTelemetry) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const fs::path telemetry = run.path / "telemetry";
+  auto options = traced_toy_fleet(stage_toy_docs(plan, staging.path, 2),
+                                  staging.path, telemetry);
+  const auto copy = options.fetch;
+  options.fetch = [copy](const WorkerAttempt& attempt) {
+    if (attempt.shard == 1 && attempt.out_path == attempt.metrics_path) {
+      return std::vector<std::string>{"/bin/false"};
+    }
+    return copy(attempt);
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.stats.retried, 0u);
+  EXPECT_TRUE(result.stats.failures_by_class.empty());
+  EXPECT_EQ(remote_copies(run.path), std::vector<std::string>{});
+
+  EXPECT_TRUE(fs::exists(telemetry / trace_file_name(0, 0)));
+  EXPECT_TRUE(fs::exists(telemetry / metrics_file_name(0, 0)));
+  EXPECT_FALSE(fs::exists(telemetry / metrics_file_name(1, 0)));
+  // The trace pull follows the failed metrics pull, so it never ran.
+  EXPECT_FALSE(fs::exists(telemetry / trace_file_name(1, 0)));
+}
+
+TEST(OrchestrateFleet, StalledTelemetryPullIsKilledAtTheFetchDeadline) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const fs::path telemetry = run.path / "telemetry";
+  auto options = traced_toy_fleet(stage_toy_docs(plan, staging.path, 2),
+                                  staging.path, telemetry);
+  options.fetch_timeout_s = 0.5;
+  const auto copy = options.fetch;
+  options.fetch = [copy](const WorkerAttempt& attempt) {
+    if (attempt.shard == 0 && attempt.out_path == attempt.trace_path) {
+      return sh("sleep 3600");
+    }
+    return copy(attempt);
+  };
+  const auto started = std::chrono::steady_clock::now();
+  const auto result = orchestrate(plan, run.path.string(), options);
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(10));
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.stats.retried, 0u);
+  EXPECT_TRUE(result.stats.failures_by_class.empty());
+  EXPECT_EQ(remote_copies(run.path), std::vector<std::string>{});
+
+  // Shard 0 is done; only its killed trace pull is lost.
+  EXPECT_TRUE(fs::exists(run.path / shard_file_name(0)));
+  EXPECT_TRUE(fs::exists(telemetry / metrics_file_name(0, 0)));
+  EXPECT_FALSE(fs::exists(telemetry / trace_file_name(0, 0)));
+}
+
 TEST(OrchestrateFleet, LocalHostRunsWithoutFetchOrExitCodeMapping) {
   const auto plan = toy_plan();
   TempDir staging;
@@ -794,9 +929,9 @@ TEST(OrchestrateFleet, LocalHostRunsWithoutFetchOrExitCodeMapping) {
     std::size_t failures = 0;
     options.command = [&docs, &failures](const WorkerAttempt& attempt) {
       EXPECT_EQ(attempt.host, kLocalHost);
-      // worker_out_path == out_path on the local host even with a fetch
-      // builder configured: no fetch step applies.
-      EXPECT_EQ(attempt.worker_out_path, attempt.out_path);
+      // The worker writes out_path itself on the local host even with
+      // a fetch builder configured: no fetch step applies.
+      EXPECT_EQ(attempt.worker_path(attempt.out_path), attempt.out_path);
       if (attempt.shard == 0 && failures++ == 0) {
         // Exit 255 on the *local* host is a plain worker failure, not a
         // transport signature — it must charge the shard's retry budget.

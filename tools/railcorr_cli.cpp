@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -168,6 +169,18 @@ class Args {
     std::optional<std::uint64_t> last;
     for (const auto& value : all(flag)) last = parse_count(flag, value);
     return last;
+  }
+
+  /// A store bound given in MiB (`--cache-max-mb`, `--max-mb`), in
+  /// bytes; 0 when absent. A count whose bytes overflow std::size_t
+  /// would wrap to a small bound, or to none.
+  std::size_t mib_bytes(std::string_view flag) const {
+    const std::uint64_t n = count(flag).value_or(0);
+    if (n > std::numeric_limits<std::size_t>::max() >> 20) {
+      throw ConfigError(std::string(flag) + " " + std::to_string(n) +
+                        " MiB does not fit in a byte count");
+    }
+    return static_cast<std::size_t>(n) << 20;
   }
 
   /// A finite number of seconds >= 0. NaN would slip past every range
@@ -398,7 +411,7 @@ int cmd_sweep(const Args& args) {
   if (args.has("--heartbeat") && heartbeat_s == 0.0) {
     throw ConfigError("--heartbeat must be > 0 seconds");
   }
-  const std::size_t cache_max_mb = args.count("--cache-max-mb").value_or(0);
+  const std::size_t cache_max_bytes = args.mib_bytes("--cache-max-mb");
   const auto out_path = args.text("--out");
   const auto cache_dir = args.text("--cache-dir");
   const auto trace_path = args.text("--trace");
@@ -417,7 +430,7 @@ int cmd_sweep(const Args& args) {
   args.require("--progress", "--out", "stdout carries the protocol");
   args.require("--heartbeat", "--progress",
                "heartbeats ride the protocol stream");
-  if (cache_max_mb != 0) args.require("--cache-max-mb", "--cache-dir");
+  if (cache_max_bytes != 0) args.require("--cache-max-mb", "--cache-dir");
 
   if (faults.armed(railcorr::orch::FaultKind::kLaunchRefused).has_value()) {
     // ssh's connect-refused signature: exit 255 before any protocol
@@ -433,7 +446,7 @@ int cmd_sweep(const Args& args) {
   if (cache_dir.has_value()) {
     railcorr::cache::ResultCache::Options cache_options;
     cache_options.dir = *cache_dir;
-    cache_options.max_bytes = cache_max_mb * std::size_t{1024} * 1024;
+    cache_options.max_bytes = cache_max_bytes;
     std::string error;
     if (!cache.open(cache_options, &error)) {
       throw ConfigError("sweep: " + error);
@@ -625,9 +638,9 @@ int cmd_orchestrate(const Args& args) {
   // grid must still be byte-identical to a clean single-process sweep.
   const std::optional<std::uint64_t> chaos_seed = args.count("--chaos-seed");
   const auto cache_dir = args.text("--cache-dir");
-  const std::size_t cache_max_mb = args.count("--cache-max-mb").value_or(0);
+  const std::size_t cache_max_bytes = args.mib_bytes("--cache-max-mb");
   const auto out_path = args.text("--out");
-  if (cache_max_mb != 0) args.require("--cache-max-mb", "--cache-dir");
+  if (cache_max_bytes != 0) args.require("--cache-max-mb", "--cache-dir");
 
   // The distributed-flag matrix is validated before any filesystem
   // work, so a misconfigured fleet fails fast with a usage error, not
@@ -722,9 +735,32 @@ int cmd_orchestrate(const Args& args) {
       options.stall_timeout_s > 0
           ? std::max(0.05, options.stall_timeout_s / 4.0)
           : 0.0;
+  // The attempt's chaos fault (see chaos_fault_for, which leaves
+  // attempts at or past the retry budget clean) when it belongs to the
+  // calling builder: a transfer fault to the fetch builder, any other
+  // to the worker builder. The one that takes it logs it.
+  const auto chaos_fault =
+      [chaos_seed, retries, with_hosts = !fleet_hosts.empty(),
+       with_cache = cache_dir.has_value()](
+          const railcorr::orch::WorkerAttempt& attempt,
+          bool transfer) -> std::optional<railcorr::orch::FaultSpec> {
+    if (!chaos_seed.has_value()) return std::nullopt;
+    const auto fault = railcorr::orch::chaos_fault_for(
+        *chaos_seed, attempt.shard, attempt.attempt, retries, with_hosts,
+        with_cache);
+    // Torn and stalled transfers are the last two kinds.
+    if (!fault.has_value() ||
+        transfer != (fault->kind >= railcorr::orch::FaultKind::kTransferTorn)) {
+      return std::nullopt;
+    }
+    std::cerr << "[orchestrate] chaos: shard " << attempt.shard << " attempt "
+              << attempt.attempt << (transfer ? " fetch fault " : " fault ")
+              << railcorr::orch::fault_spec_string(*fault) << "\n";
+    return fault;
+  };
   options.command =
-      [self, worker_plan, worker_threads, sizing, chaos_seed, retries,
-       cache_dir, cache_max_mb, fleet_hosts, launcher, heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
+      [self, worker_plan, worker_threads, sizing, chaos_fault, cache_dir,
+       cache_max_bytes, fleet_hosts, launcher, heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
         // Slot k gets the k-th --threads entry — or, when --hosts was
         // given, host k, where thread counts describe machines, not
         // slots; the last entry covers every higher index, so a single
@@ -738,9 +774,8 @@ int cmd_orchestrate(const Args& args) {
         }
         const std::size_t threads = worker_threads[std::min(
             thread_index, worker_threads.size() - 1)];
-        // The worker writes to worker_out_path (== out_path except for
-        // remote attempts under a fetch step, whose file the fetch
-        // command pulls back to out_path afterwards).
+        // The worker writes every file to its worker-side path, from
+        // where a fetch step pulls it back.
         std::vector<std::string> argv = {
             self,
             "sweep",
@@ -750,7 +785,7 @@ int cmd_orchestrate(const Args& args) {
             std::to_string(attempt.shard) + "/" +
                 std::to_string(attempt.shard_count),
             "--out",
-            attempt.worker_out_path,
+            attempt.worker_path(attempt.out_path),
             "--progress",
             "--threads",
             std::to_string(threads),
@@ -764,11 +799,11 @@ int cmd_orchestrate(const Args& args) {
         // paths when --trace-dir is set). Extra worker flags cannot
         // perturb the chaos schedule: chaos_fault_for keys on (seed,
         // shard, attempt), never on the argv.
-        if (!attempt.worker_trace_path.empty()) {
+        if (!attempt.trace_path.empty()) {
           argv.push_back("--trace");
-          argv.push_back(attempt.worker_trace_path);
+          argv.push_back(attempt.worker_path(attempt.trace_path));
           argv.push_back("--metrics");
-          argv.push_back(attempt.worker_metrics_path);
+          argv.push_back(attempt.worker_path(attempt.metrics_path));
         }
         if (cache_dir.has_value()) {
           // The whole fleet shares one store: the segment publish /
@@ -777,29 +812,14 @@ int cmd_orchestrate(const Args& args) {
           // from recomputes.
           argv.push_back("--cache-dir");
           argv.push_back(*cache_dir);
-          if (cache_max_mb != 0) {
+          if (cache_max_bytes != 0) {
             argv.push_back("--cache-max-mb");
-            argv.push_back(std::to_string(cache_max_mb));
+            argv.push_back(std::to_string(cache_max_bytes >> 20));
           }
         }
-        // Chaos schedule (see chaos_fault_for, which leaves attempts at
-        // or past the retry budget clean). Transfer faults belong to the
-        // fetch builder, not the worker.
-        if (chaos_seed.has_value()) {
-          const auto fault = railcorr::orch::chaos_fault_for(
-              *chaos_seed, attempt.shard, attempt.attempt, retries,
-              !fleet_hosts.empty(), cache_dir.has_value());
-          if (fault.has_value() &&
-              fault->kind != railcorr::orch::FaultKind::kTransferTorn &&
-              fault->kind != railcorr::orch::FaultKind::kTransferStalled) {
-            const std::string spec =
-                railcorr::orch::fault_spec_string(*fault);
-            std::cerr << "[orchestrate] chaos: shard " << attempt.shard
-                      << " attempt " << attempt.attempt << " fault " << spec
-                      << "\n";
-            argv.push_back("--fault");
-            argv.push_back(spec);
-          }
+        if (const auto fault = chaos_fault(attempt, /*transfer=*/false)) {
+          argv.push_back("--fault");
+          argv.push_back(railcorr::orch::fault_spec_string(*fault));
         }
         // A remote attempt's command line is wrapped in the launcher
         // template ({cmd} becomes one shell-quoted word); the reserved
@@ -812,39 +832,24 @@ int cmd_orchestrate(const Args& args) {
         return argv;
       };
   if (fetch_template.has_value()) {
-    options.fetch = [fetch = *fetch_template, chaos_seed, retries,
-                     has_cache = cache_dir.has_value()](
+    options.fetch = [fetch = *fetch_template, chaos_fault](
                         const railcorr::orch::WorkerAttempt& attempt)
         -> std::vector<std::string> {
+      const std::string remote = attempt.worker_path(attempt.out_path);
       // The chaos schedule sabotages selected transfers instead of the
-      // worker: a torn transfer delivers a prefix of the shard file
-      // (the verify-after-fetch step must catch it), a stalled one
-      // hangs until the fetch timeout kills it.
-      if (chaos_seed.has_value()) {
-        const auto fault = railcorr::orch::chaos_fault_for(
-            *chaos_seed, attempt.shard, attempt.attempt, retries,
-            /*with_hosts=*/true, has_cache);
-        if (fault.has_value() &&
-            fault->kind == railcorr::orch::FaultKind::kTransferTorn) {
-          std::cerr << "[orchestrate] chaos: shard " << attempt.shard
-                    << " attempt " << attempt.attempt << " fetch fault "
-                    << railcorr::orch::fault_spec_string(*fault) << "\n";
-          return {"/bin/sh", "-c",
-                  "head -c " + std::to_string(fault->param) + " " +
-                      railcorr::orch::shell_quote(attempt.worker_out_path) +
-                      " > " +
-                      railcorr::orch::shell_quote(attempt.out_path)};
-        }
-        if (fault.has_value() &&
-            fault->kind == railcorr::orch::FaultKind::kTransferStalled) {
-          std::cerr << "[orchestrate] chaos: shard " << attempt.shard
-                    << " attempt " << attempt.attempt << " fetch fault "
-                    << railcorr::orch::fault_spec_string(*fault) << "\n";
+      // worker: a torn transfer delivers a prefix of the file (the
+      // verify-after-fetch step must catch it), a stalled one hangs
+      // until the fetch timeout kills it.
+      if (const auto fault = chaos_fault(attempt, /*transfer=*/true)) {
+        if (fault->kind == railcorr::orch::FaultKind::kTransferStalled) {
           return {"/bin/sh", "-c", "sleep 3600"};
         }
+        return {"/bin/sh", "-c",
+                "head -c " + std::to_string(fault->param) + " " +
+                    railcorr::orch::shell_quote(remote) + " > " +
+                    railcorr::orch::shell_quote(attempt.out_path)};
       }
-      return fetch.build(attempt.host, attempt.worker_out_path,
-                         attempt.out_path);
+      return fetch.build(attempt.host, remote, attempt.out_path);
     };
   }
   options.log = &std::cerr;
@@ -897,9 +902,9 @@ int cmd_cache(const Args& args) {
   const std::string verb = args.verb().name;
   const std::string dir = args.need("--dir");
   if (verb == "cache gc") {
-    const std::uint64_t max_mb = parse_count("--max-mb", args.need("--max-mb"));
+    args.need("--max-mb");
     const std::size_t evicted =
-        railcorr::cache::gc_dir(dir, max_mb * std::size_t{1024} * 1024);
+        railcorr::cache::gc_dir(dir, args.mib_bytes("--max-mb"));
     const auto after = railcorr::cache::scan_dir(dir, /*drop_corrupt=*/false);
     std::cout << "cache gc: evicted " << evicted << " segment(s); "
               << after.segments << " segment(s), " << after.bytes
