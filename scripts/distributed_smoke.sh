@@ -29,7 +29,10 @@
 #   8. section 2's storm with `--trace-dir` merges the same bytes,
 #      reaches the same pinned tally, writes the timeline and the
 #      metrics rollup, and leaves no `.remote` copy of a rejected
-#      attempt's files behind.
+#      attempt's files behind,
+#   9. a `--shards 2 --workers 4` fleet and its resume without
+#      `--shards` launch their workers with the same default
+#      `--threads` (checked on 4 or more online CPUs).
 #
 # usage: distributed_smoke.sh <railcorr-binary>
 set -eu
@@ -294,6 +297,49 @@ leftover="$(find "$TMP/traced_run" -name '*.remote')"
 if [ -n "$leftover" ]; then
   echo "FAIL: traced chaos fleet left remote copies behind: $leftover" >&2
   exit 1
+fi
+
+# --- 9: a resume splits cores like the run it resumes ----------------
+# Without --threads, the cores are divided by the fleet's real width:
+# no more workers run at once than the run has shards. A resume without
+# --shards takes the count from the manifest, so its workers must get
+# the same --threads as the fresh run's. Below 4 CPUs both widths
+# divide down to 1 thread and the check would prove nothing.
+if [ "$(getconf _NPROCESSORS_ONLN)" -ge 4 ]; then
+  # The fake ssh, logging each worker command it runs.
+  cat > "$TMP/logging_launch.sh" <<'EOF'
+#!/bin/sh
+echo "$2" >> "$(dirname "$0")/launches.log"
+shift
+exec /bin/sh -c "$1"
+EOF
+  chmod +x "$TMP/logging_launch.sh"
+  LOGGED="$TMP/logging_launch.sh {host} {cmd}"
+  "$BIN" orchestrate --plan "$TMP/plan.sweep" --out-dir "$TMP/split" \
+      --hosts h1,h2 --launcher "$LOGGED" --fetch "$FETCH" \
+      --workers 4 --shards 2 --timeout 120 2> "$TMP/split.log"
+  mv "$TMP/launches.log" "$TMP/fresh_launches.log"
+  rm "$TMP/split/shard_1.csv" "$TMP/split/merged.csv"
+  "$BIN" orchestrate --resume "$TMP/split" \
+      --hosts h1,h2 --launcher "$LOGGED" --fetch "$FETCH" \
+      --workers 4 --timeout 120 2> "$TMP/split_resume.log"
+  threads() {
+    sed -n "s/.*'--threads' '\([0-9]*\)'.*/\1/p" "$1" | sort -u | tr '\n' ' '
+  }
+  fresh="$(threads "$TMP/fresh_launches.log")"
+  resumed="$(threads "$TMP/launches.log")"
+  if [ -z "$fresh" ] || [ "$fresh" != "$resumed" ]; then
+    echo "FAIL: resumed workers got --threads '$resumed', the fresh" \
+         "run's got '$fresh'" >&2
+    exit 1
+  fi
+  if ! cmp "$TMP/split/merged.csv" "$TMP/single.csv"; then
+    echo "FAIL: resumed 2-shard fleet differs from the single-process" \
+         "sweep" >&2
+    exit 1
+  fi
+else
+  echo "skipping the resume thread-split check: fewer than 4 CPUs online"
 fi
 
 echo "cli distributed smoke OK"

@@ -244,7 +244,8 @@ DirReport scan_dir(const std::string& dir, bool drop_corrupt) {
   return report;
 }
 
-std::size_t gc_dir(const std::string& dir, std::size_t max_bytes) {
+std::size_t gc_dir(const std::string& dir, std::size_t max_bytes,
+                   std::string_view keep) {
   auto segments = list_segments(dir);
   std::sort(segments.begin(), segments.end(),
             [](const SegmentFile& a, const SegmentFile& b) {
@@ -255,6 +256,7 @@ std::size_t gc_dir(const std::string& dir, std::size_t max_bytes) {
   std::size_t evicted = 0;
   for (const auto& segment : segments) {
     if (total <= max_bytes) break;
+    if (segment.path == keep) continue;
     if (remove_segment(segment.path)) {
       total -= segment.size;
       ++evicted;
@@ -438,27 +440,15 @@ bool ResultCache::flush(std::string* error) {
     segment.hit = false;
   }
 
-  const bool evict_all =
-      faults.armed(orch::FaultKind::kCacheEvict).has_value();
-  if (options_.max_bytes == 0 && !evict_all) return true;
-
-  auto segments = list_segments(options_.dir);
-  std::sort(segments.begin(), segments.end(),
-            [](const SegmentFile& a, const SegmentFile& b) {
-              return a.mtime < b.mtime;
-            });
-  std::size_t total = 0;
-  for (const auto& segment : segments) total += segment.size;
-  for (const auto& segment : segments) {
-    if (!evict_all && total <= options_.max_bytes) break;
-    // The segment just published carries this flush's fresh rows;
-    // evicting it immediately would make an over-budget store a
-    // write-only device.
-    if (segment.path == published_path) continue;
-    if (remove_segment(segment.path)) {
-      total -= segment.size;
-      ++stats_.evicted_segments;
-    }
+  // A max_bytes of 0 means unbounded; the evict fault is a zero budget.
+  // The segment just published carries this flush's fresh rows, and
+  // evicting it at once would make an over-budget store a write-only
+  // device.
+  if (faults.armed(orch::FaultKind::kCacheEvict).has_value()) {
+    stats_.evicted_segments += gc_dir(options_.dir, 0, published_path);
+  } else if (options_.max_bytes != 0) {
+    stats_.evicted_segments +=
+        gc_dir(options_.dir, options_.max_bytes, published_path);
   }
   return true;
 }

@@ -136,10 +136,12 @@ struct DirReport {
 /// segments.
 DirReport scan_dir(const std::string& dir, bool drop_corrupt);
 
-/// Evict least-recently-used segments until `dir` holds at most
-/// `max_bytes` of intact segments (the `cache gc` verb). Returns the
-/// number of segments evicted.
-std::size_t gc_dir(const std::string& dir, std::size_t max_bytes);
+/// The one LRU eviction pass: unlink `dir`'s segments oldest mtime
+/// first (under the eviction lock protocol) until the rest hold at most
+/// `max_bytes`, never the segment at path `keep`. The `cache gc` verb,
+/// and every budgeted flush. Returns the number of segments evicted.
+std::size_t gc_dir(const std::string& dir, std::size_t max_bytes,
+                   std::string_view keep = {});
 
 /// The per-process view of one cache directory: indexes every
 /// well-framed segment at open, answers lookups at memory speed once a

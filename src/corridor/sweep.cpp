@@ -36,59 +36,11 @@ std::vector<std::string> split_values(const std::string& csv,
   return values;
 }
 
-/// First line / header / indexed rows of one shard document, as views
-/// into it.
-struct ParsedShard {
-  std::string_view banner;
-  std::string_view header;
-  std::vector<std::pair<std::size_t, std::string_view>> rows;
-};
-
-std::optional<ParsedShard> parse_shard(std::string_view document,
-                                       const std::string& label,
-                                       std::vector<std::string>& errors) {
-  ParsedShard shard;
-  std::string_view rest = document;
-  std::size_t line_no = 0;
-  while (!rest.empty()) {
-    ++line_no;
-    const std::size_t eol = rest.find('\n');
-    std::string_view line =
-        eol == std::string_view::npos ? rest : rest.substr(0, eol);
-    rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-
-    if (line_no == 1) {
-      if (!line.starts_with("# railcorr-sweep-v1 ")) {
-        errors.push_back(label + ": missing '# railcorr-sweep-v1' banner");
-        return std::nullopt;
-      }
-      shard.banner = line;
-      continue;
-    }
-    if (shard.header.empty()) {
-      shard.header = line;
-      continue;
-    }
-    // An index that does not fit is refused instead of wrapping onto
-    // another cell.
-    const std::size_t comma = line.find(',');
-    std::size_t index = 0;
-    if (comma == std::string_view::npos ||
-        !util::parse_whole(line.substr(0, comma), index)) {
-      errors.push_back(label + " line " + std::to_string(line_no) +
-                       ": expected '<index>,...', got '" + std::string(line) +
-                       "'");
-      return std::nullopt;
-    }
-    shard.rows.emplace_back(index, line);
-  }
-  if (shard.banner.empty() || shard.header.empty()) {
-    errors.push_back(label + ": truncated document (banner or header missing)");
-    return std::nullopt;
-  }
-  return shard;
+/// Diagnostics label of shard `s`: the caller's file path when given
+/// (so a failed merge names the file to inspect), else its position.
+std::string shard_label(const std::vector<std::string>& names, std::size_t s) {
+  return names.empty() ? "shard " + std::to_string(s)
+                       : "shard '" + names[s] + "'";
 }
 
 }  // namespace
@@ -261,43 +213,94 @@ std::string shard_header(const SweepPlan& plan,
   return header;
 }
 
+std::optional<ShardRows> read_shard(std::string_view document,
+                                    std::string& error) {
+  // Integrity first: a document whose `@railcorr-crc` trailer does not
+  // match its bytes was truncated or corrupted on disk — an I/O failure
+  // of that file, which its reader recomputes or refuses, never merges.
+  const auto trailer = util::check_integrity_trailer(document);
+  if (trailer.status == util::TrailerStatus::kCorrupt) {
+    error = "integrity trailer mismatch (truncated or corrupted)";
+    return std::nullopt;
+  }
+  ShardRows shard;
+  std::string_view rest = trailer.body;
+  std::size_t line_no = 0;
+  while (!rest.empty()) {
+    ++line_no;
+    const std::size_t eol = rest.find('\n');
+    std::string_view line =
+        eol == std::string_view::npos ? rest : rest.substr(0, eol);
+    rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) continue;
+
+    if (line_no == 1) {
+      if (!line.starts_with("# railcorr-sweep-v1 ")) {
+        error = "missing '# railcorr-sweep-v1' banner";
+        return std::nullopt;
+      }
+      shard.banner = line;
+      continue;
+    }
+    if (shard.header.empty()) {
+      shard.header = line;
+      continue;
+    }
+    const std::size_t comma = line.find(',');
+    std::size_t index = 0;
+    if (comma == std::string_view::npos ||
+        !util::parse_whole(line.substr(0, comma), index)) {
+      error = "line " + std::to_string(line_no) +
+              ": expected '<index>,...', got '" + std::string(line) + "'";
+      return std::nullopt;
+    }
+    shard.rows.emplace_back(index, line);
+  }
+  if (shard.banner.empty() || shard.header.empty()) {
+    error = "truncated document (banner or header missing)";
+    return std::nullopt;
+  }
+  return shard;
+}
+
 MergeResult merge_shards(const std::vector<std::string>& shard_documents,
                          const std::vector<std::string>& shard_names) {
+  RAILCORR_EXPECTS(shard_names.empty() ||
+                   shard_names.size() == shard_documents.size());
+  std::vector<ShardRows> shards;
+  shards.reserve(shard_documents.size());
+  for (std::size_t s = 0; s < shard_documents.size(); ++s) {
+    std::string error;
+    auto shard = read_shard(shard_documents[s], error);
+    if (!shard.has_value()) {
+      // A row's defect reads "<label> line <n>: ...", the document's
+      // "<label>: ...".
+      MergeResult result;
+      result.errors.push_back(shard_label(shard_names, s) +
+                              (error.starts_with("line ") ? " " : ": ") +
+                              error);
+      return result;
+    }
+    shards.push_back(std::move(*shard));
+  }
+  return merge_rows(shards, shard_names);
+}
+
+MergeResult merge_rows(const std::vector<ShardRows>& shards,
+                       const std::vector<std::string>& shard_names) {
   MergeResult result;
-  if (shard_documents.empty()) {
+  if (shards.empty()) {
     result.errors.emplace_back("no shard documents to merge");
     return result;
   }
   RAILCORR_EXPECTS(shard_names.empty() ||
-                   shard_names.size() == shard_documents.size());
-  // Diagnostics label: the caller's file path when given (so a failed
-  // merge names the file to inspect), else the document's position.
+                   shard_names.size() == shards.size());
   const auto label = [&](std::size_t s) {
-    return shard_names.empty() ? "shard " + std::to_string(s)
-                               : "shard '" + shard_names[s] + "'";
+    return shard_label(shard_names, s);
   };
-
-  std::vector<ParsedShard> shards;
-  shards.reserve(shard_documents.size());
   std::size_t total_rows = 0;
-  for (std::size_t s = 0; s < shard_documents.size(); ++s) {
-    // Integrity first: a document whose `@railcorr-crc` trailer does
-    // not match its bytes was truncated or corrupted on disk — an I/O
-    // failure of that file, not a determinism-contract breach, so
-    // contract_violation stays false and the orchestrator recomputes
-    // the shard instead of aborting. A document with no trailer (a
-    // hand-built shard, a legacy file) is parsed as-is.
-    const auto trailer = util::check_integrity_trailer(shard_documents[s]);
-    if (trailer.status == util::TrailerStatus::kCorrupt) {
-      result.errors.push_back(
-          label(s) + ": integrity trailer mismatch (truncated or corrupted)");
-      return result;
-    }
-    auto parsed = parse_shard(trailer.body, label(s), result.errors);
-    if (!parsed.has_value()) return result;
-    total_rows += parsed->rows.size();
-    shards.push_back(std::move(*parsed));
-  }
+  for (const auto& shard : shards) total_rows += shard.rows.size();
 
   for (std::size_t s = 1; s < shards.size(); ++s) {
     if (shards[s].banner != shards[0].banner) {

@@ -17,10 +17,11 @@
 /// The determinism contract across shards: a grid cell's output row is
 /// a pure function of (plan, index), so the same cell evaluated by two
 /// different processes must be byte-identical. Shard files carry a plan
-/// fingerprint and the grid size; `merge_shards` refuses to combine
-/// shards of different plans, requires every cell exactly once (rows for
-/// the same cell appearing in several shards must be byte-identical),
-/// and reports any violation — the merge tool exits nonzero on them.
+/// fingerprint and the grid size, and `read_shard` is their one reader.
+/// `merge_shards` refuses to combine shards of different plans,
+/// requires every cell exactly once (rows for the same cell appearing
+/// in several shards must be byte-identical), and reports any
+/// violation — the merge tool exits nonzero on them.
 ///
 /// This layer is Scenario-agnostic (overrides are opaque key/value
 /// strings); core/sweep_runner.hpp binds it to core::Scenario and the
@@ -31,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/config.hpp"
@@ -102,6 +104,7 @@ struct ShardSpec {
 ///   line 1: `# railcorr-sweep-v1 fingerprint=<hex16> grid=<N>`
 ///   line 2: `index,<axis keys...>,<metric columns...>`
 ///   rows:   `<index>,<axis values...>,<metrics...>` (ascending index)
+/// optionally followed by a util::durable_io integrity trailer line.
 ///@{
 
 /// The `# railcorr-sweep-v1 ...` line (no trailing newline).
@@ -113,6 +116,29 @@ std::optional<std::size_t> banner_grid(std::string_view banner);
 /// The CSV header row: index, one column per axis key, then `metrics`.
 std::string shard_header(const SweepPlan& plan,
                          const std::vector<std::string>& metric_columns);
+
+/// A shard document's banner, header and indexed rows, as views into
+/// the document, which must outlive them.
+struct ShardRows {
+  std::string_view banner;
+  std::string_view header;
+  /// (grid index, whole row line) in document order.
+  std::vector<std::pair<std::size_t, std::string_view>> rows;
+};
+
+/// The one reader of a shard document. A document carrying an
+/// integrity trailer is verified first; one without is read as-is (a
+/// hand-built shard, a legacy file). Line 1 must be the banner, the
+/// next non-empty line is the header, and every further non-empty line
+/// is a row whose leading `<index>,` must parse (an index that does not
+/// fit is refused instead of wrapping onto another cell). On the first
+/// defect returns std::nullopt with `error` naming it: `integrity
+/// trailer mismatch (truncated or corrupted)`, a missing banner or
+/// header, or `line <n>: expected '<index>,...', got '<line>'`.
+/// Whether the banner and rows are the ones a caller wants is the
+/// caller's rule.
+std::optional<ShardRows> read_shard(std::string_view document,
+                                    std::string& error);
 ///@}
 
 /// Outcome of merging shard files.
@@ -139,11 +165,10 @@ struct MergeResult {
 /// and of how cells were distributed (a single-shard 0/1 run merges to
 /// the same bytes as any sharded run of the same plan).
 ///
-/// Documents carrying a util::durable_io integrity trailer are verified
-/// and stripped before parsing; a mismatching trailer fails the merge
-/// as an *input* error (`contract_violation` stays false — the file was
-/// damaged on disk, determinism is not in question). Trailer-less
-/// documents are accepted unchanged. The merged output never carries a
+/// Each document goes through read_shard, so one whose integrity
+/// trailer does not match fails the merge as an *input* error
+/// (`contract_violation` stays false — the file was damaged on disk,
+/// determinism is not in question). The merged output never carries a
 /// trailer; callers writing it to disk add one.
 ///
 /// `shard_names` (when non-empty; must then match `shard_documents` in
@@ -154,5 +179,11 @@ struct MergeResult {
 /// labels fall back to "shard <position>".
 MergeResult merge_shards(const std::vector<std::string>& shard_documents,
                          const std::vector<std::string>& shard_names = {});
+
+/// merge_shards over shards a caller already read with read_shard (the
+/// orchestrator keeps the rows it accepted at publish): the same
+/// checks, labels and output, without reading the bytes again.
+MergeResult merge_rows(const std::vector<ShardRows>& shards,
+                       const std::vector<std::string>& shard_names = {});
 
 }  // namespace railcorr::corridor

@@ -2,92 +2,26 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <system_error>
 
+#include "obs/json_cursor.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::obs {
 namespace {
 
-/// Strict JSON cursor for the metrics document. Unlike the trace
-/// parser this one skips whitespace between tokens — the renderer
-/// breaks sections across lines for readability.
-class Scanner {
- public:
-  explicit Scanner(std::string_view s) : s_(s) {}
-
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           (s_[i_] == ' ' || s_[i_] == '\n' || s_[i_] == '\t' ||
-            s_[i_] == '\r')) {
-      ++i_;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  bool eat_lit(std::string_view lit) {
-    skip_ws();
-    if (s_.substr(i_, lit.size()) == lit) {
-      i_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  /// A decimal T: a '-' only where T is signed, and a value that does
-  /// not fit is refused, not wrapped.
-  template <typename T>
-  bool parse_int(T& out) {
-    skip_ws();
-    const auto [stop, ec] =
-        std::from_chars(s_.data() + i_, s_.data() + s_.size(), out);
-    if (ec != std::errc{}) return false;
-    i_ = static_cast<std::size_t>(stop - s_.data());
-    return true;
-  }
-
-  /// Metric names are a closed charset; no escapes to handle.
-  bool parse_name(std::string& out) {
-    skip_ws();
-    if (i_ >= s_.size() || s_[i_] != '"') return false;
-    ++i_;
-    out.clear();
-    while (i_ < s_.size() && s_[i_] != '"') {
-      const char c = s_[i_];
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == '.' ||
-                      c == '-';
-      if (!ok) return false;
-      out.push_back(c);
-      ++i_;
-    }
-    if (i_ >= s_.size()) return false;
-    ++i_;
-    return !out.empty();
-  }
-
-  [[nodiscard]] bool done() {
-    skip_ws();
-    return i_ == s_.size();
-  }
-
- private:
-  std::string_view s_;
-  std::size_t i_ = 0;
-};
+/// A metric name: a non-empty quoted string over a closed charset, so
+/// no escape can appear in an accepted one.
+bool parse_name(JsonCursor& sc, std::string& out) {
+  if (!sc.parse_string(out) || out.empty()) return false;
+  return std::all_of(out.begin(), out.end(), [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
+  });
+}
 
 template <typename T>
 bool sorted_unique_names(const std::vector<std::pair<std::string, T>>& v) {
@@ -272,7 +206,9 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     out.error = "corrupt integrity trailer";
     return out;
   }
-  Scanner sc(check.body);
+  // The renderer breaks sections across lines, so whitespace may
+  // separate tokens.
+  JsonCursor sc(check.body, /*skip_space=*/true);
   if (!sc.eat_lit("{\"railcorrMetrics\":1") || !sc.eat(',')) {
     out.error = "malformed metrics header";
     return out;
@@ -290,7 +226,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       std::uint64_t value = 0;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_int(value)) {
+      if (!parse_name(sc, name) || !sc.eat(':') || !sc.parse_int(value)) {
         out.error = "malformed counter entry";
         return out;
       }
@@ -309,7 +245,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       std::int64_t value = 0;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.parse_int(value)) {
+      if (!parse_name(sc, name) || !sc.eat(':') || !sc.parse_int(value)) {
         out.error = "malformed gauge entry";
         return out;
       }
@@ -328,7 +264,7 @@ MetricsSnapshot parse_metrics_json(std::string_view document) {
     do {
       std::string name;
       MetricsSnapshot::Hist h;
-      if (!sc.parse_name(name) || !sc.eat(':') || !sc.eat('{') ||
+      if (!parse_name(sc, name) || !sc.eat(':') || !sc.eat('{') ||
           !sc.eat_lit("\"count\":") || !sc.parse_int(h.count) ||
           !sc.eat(',') || !sc.eat_lit("\"sum\":") || !sc.parse_int(h.sum) ||
           !sc.eat(',') || !sc.eat_lit("\"min\":") || !sc.parse_int(h.min) ||

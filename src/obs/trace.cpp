@@ -1,12 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <map>
 #include <sstream>
-#include <system_error>
 
+#include "obs/json_cursor.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::obs {
@@ -105,67 +104,10 @@ std::string document_header(std::uint64_t epoch_usec) {
 
 // ---------------------------------------------------------------- parser --
 
-/// Strict cursor over one event-object line.
-class Scanner {
- public:
-  explicit Scanner(std::string_view s) : s_(s) {}
-
-  bool eat(char c) {
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  bool eat_lit(std::string_view lit) {
-    if (s_.substr(i_, lit.size()) == lit) {
-      i_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  /// Decimal u64, at least one digit, no sign, no leading '+'.
-  bool parse_u64(std::uint64_t& out) {
-    const auto [stop, ec] =
-        std::from_chars(s_.data() + i_, s_.data() + s_.size(), out);
-    if (ec != std::errc{}) return false;
-    i_ = static_cast<std::size_t>(stop - s_.data());
-    return true;
-  }
-
-  /// Quoted string; unescapes \" and \\ (the only escapes we emit).
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (i_ < s_.size()) {
-      const char c = s_[i_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (i_ >= s_.size()) return false;
-        const char esc = s_[i_++];
-        if (esc != '"' && esc != '\\') return false;
-        out.push_back(esc);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;
-      } else {
-        out.push_back(c);
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool done() const { return i_ == s_.size(); }
-
- private:
-  std::string_view s_;
-  std::size_t i_ = 0;
-};
-
 bool parse_event_object(std::string_view line, ParsedTraceEvent& ev,
                         std::string& error) {
-  Scanner sc(line);
+  // An event line holds no whitespace between tokens.
+  JsonCursor sc(line, /*skip_space=*/false);
   if (!sc.eat('{')) {
     error = "event does not start with '{'";
     return false;
@@ -220,22 +162,22 @@ bool parse_event_object(std::string_view line, ParsedTraceEvent& ev,
         return false;
       }
     } else if (key == "ts") {
-      if (!once(seen_ts) || !sc.parse_u64(ev.ts_usec)) {
+      if (!once(seen_ts) || !sc.parse_int(ev.ts_usec)) {
         if (error.empty()) error = "malformed \"ts\" value";
         return false;
       }
     } else if (key == "dur") {
-      if (!once(seen_dur) || !sc.parse_u64(ev.dur_usec)) {
+      if (!once(seen_dur) || !sc.parse_int(ev.dur_usec)) {
         if (error.empty()) error = "malformed \"dur\" value";
         return false;
       }
     } else if (key == "pid") {
-      if (!once(seen_pid) || !sc.parse_u64(ev.pid)) {
+      if (!once(seen_pid) || !sc.parse_int(ev.pid)) {
         if (error.empty()) error = "malformed \"pid\" value";
         return false;
       }
     } else if (key == "tid") {
-      if (!once(seen_tid) || !sc.parse_u64(ev.tid)) {
+      if (!once(seen_tid) || !sc.parse_int(ev.tid)) {
         if (error.empty()) error = "malformed \"tid\" value";
         return false;
       }
@@ -245,7 +187,7 @@ bool parse_event_object(std::string_view line, ParsedTraceEvent& ev,
         error = "malformed \"args\" object";
         return false;
       }
-      if (sc.parse_u64(ev.arg_u64)) {
+      if (sc.parse_int(ev.arg_u64)) {
         ev.arg_is_string = false;
       } else if (sc.parse_string(ev.arg_str)) {
         ev.arg_is_string = true;
@@ -491,8 +433,8 @@ ParsedTrace parse_trace(std::string_view document) {
   }
 
   {
-    Scanner header(lines[0]);
-    if (!header.eat_lit(kHeaderPrefix) || !header.parse_u64(out.epoch_usec) ||
+    JsonCursor header(lines[0], /*skip_space=*/false);
+    if (!header.eat_lit(kHeaderPrefix) || !header.parse_int(out.epoch_usec) ||
         !header.eat_lit(kHeaderSuffix) || !header.done()) {
       out.error = "line 1: malformed trace header";
       return out;

@@ -26,68 +26,42 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-/// True when `document` holds an intact shard payload for `shard`: a
-/// verified (or absent) integrity trailer, the expected banner, and one
-/// data row per owned cell. A banner-only check would let a file
-/// truncated after its first line pass validation and wedge every
-/// subsequent --resume in the same merge failure; the trailer catches
-/// bit corruption the row count cannot, and the row count catches a
-/// cleanly-truncated legacy file with no trailer. `why` (never null)
-/// names the defect.
-bool shard_document_intact(std::string_view document, std::string_view banner,
-                           corridor::ShardSpec shard, std::size_t grid,
-                           std::string* why) {
-  const auto trailer = util::check_integrity_trailer(document);
-  if (trailer.status == util::TrailerStatus::kCorrupt) {
-    *why = "integrity trailer mismatch (truncated or corrupted)";
+/// Read the shard file at `path` into `document`, and its rows into
+/// `rows`, when corridor::read_shard accepts it under this run's rule:
+/// the planned banner and one row per owned cell. A banner-only check
+/// would let a file truncated after its first line pass and wedge every
+/// later --resume in the same merge failure; the trailer catches bit
+/// corruption the row count cannot, and the row count catches a cleanly
+/// truncated file with no trailer. Bytes equal to `document`, which
+/// this run already accepted, keep their rows without a second read.
+/// Otherwise both are cleared and `why` names the defect.
+bool read_intact_shard(const fs::path& path, std::string_view banner,
+                       std::size_t owned, std::string& document,
+                       corridor::ShardRows& rows, std::string& why) {
+  auto bytes = util::read_file_fully(path.string());
+  if (bytes.has_value() && !document.empty() && *bytes == document) {
+    return true;
+  }
+  rows = {};
+  if (!bytes.has_value()) {
+    document.clear();
+    why = "file missing or unreadable";
     return false;
   }
-  std::string_view rest = trailer.body;
-  std::size_t lines = 0;
-  std::string_view first;
-  while (!rest.empty()) {
-    const std::size_t eol = rest.find('\n');
-    std::string_view line =
-        eol == std::string_view::npos ? rest : rest.substr(0, eol);
-    rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (lines == 0) first = line;
-    ++lines;
+  // The rows view `document`, so the bytes move into place first.
+  document = std::move(*bytes);
+  auto read = corridor::read_shard(document, why);
+  if (read.has_value() && read->banner != banner) {
+    why = "missing or wrong banner/header";
+  } else if (read.has_value() && read->rows.size() != owned) {
+    why = "row count " + std::to_string(read->rows.size()) +
+          " != owned cells " + std::to_string(owned);
+  } else if (read.has_value()) {
+    rows = std::move(*read);
+    return true;
   }
-  if (lines < 2 || first != banner) {
-    *why = "missing or wrong banner/header";
-    return false;
-  }
-  // Banner + header + one row per owned cell.
-  if (lines - 2 != shard.indices(grid).size()) {
-    *why = "row count " + std::to_string(lines - 2) + " != owned cells " +
-           std::to_string(shard.indices(grid).size());
-    return false;
-  }
-  return true;
-}
-
-/// The bytes of the shard file at `path` when shard_document_intact
-/// holds for them; std::nullopt (with `why`) otherwise. Bytes equal to
-/// `verified`, a copy this run already checked, pass without hashing
-/// them again.
-std::optional<std::string> read_intact_shard(const fs::path& path,
-                                             std::string_view banner,
-                                             corridor::ShardSpec shard,
-                                             std::size_t grid,
-                                             std::string* why,
-                                             std::string_view verified = {}) {
-  auto document = util::read_file_fully(path.string());
-  if (!document.has_value()) {
-    *why = "file missing or unreadable";
-    return std::nullopt;
-  }
-  if (!verified.empty() && *document == verified) return document;
-  if (!shard_document_intact(*document, banner, shard, grid, why)) {
-    return std::nullopt;
-  }
-  return document;
+  document.clear();
+  return false;
 }
 
 /// The driver's half of one live attempt: its paths and processes. A
@@ -217,6 +191,16 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
 
   // Shards a resume finds intact, which this run skips.
   std::vector<bool> resumed(shards, false);
+  /// Each shard's bytes as this run last accepted them, empty until
+  /// then, and their rows as corridor::read_shard gave them: resume and
+  /// publish keep what they read, and the pre-merge check passes a file
+  /// still equal to them without reading it again. The rows are
+  /// merge()'s input.
+  std::vector<std::string> documents(shards);
+  std::vector<corridor::ShardRows> shard_rows(shards);
+  const auto owned_cells = [&](std::size_t shard) {
+    return corridor::ShardSpec{shard, shards}.indices(grid).size();
+  };
   ProgressAggregator aggregator(grid, shards);
 
   if (previous.has_value()) {
@@ -237,7 +221,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       std::string why;
       if (!previous->is_done(shard)) continue;
       if (read_intact_shard(dir / shard_file_name(shard), wanted.banner,
-                            corridor::ShardSpec{shard, shards}, grid, &why)) {
+                            owned_cells(shard), documents[shard],
+                            shard_rows[shard], why)) {
         resumed[shard] = true;
         for (const std::size_t index :
              corridor::ShardSpec{shard, shards}.indices(grid)) {
@@ -289,11 +274,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   // function only spawns, polls, kills, verifies and records.
   Scheduler scheduler(options, resumed);
   std::vector<LiveAttempt> live;
-  /// Each shard's bytes as this run last verified them, empty until
-  /// then: publish keeps what it checked, and the pre-merge check
-  /// passes a file still equal to them without a second hash. They are
-  /// merge()'s input.
-  std::vector<std::string> documents(shards);
   std::string last_summary;
   // Trace-lane host annotations, keyed by the attempt's trace-file stem
   // ("shard_<i>.attempt<a>"); filled at launch, consumed at merge.
@@ -389,16 +369,16 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   const auto publish = [&](const WorkerAttempt& info) {
     const obs::ObsSpan span("publish", "orch", "shard", info.shard);
     std::string why;
-    auto document =
-        read_intact_shard(info.out_path, wanted.banner,
-                          corridor::ShardSpec{info.shard, shards}, grid, &why);
-    if (document.has_value() &&
+    if (read_intact_shard(info.out_path, wanted.banner,
+                          owned_cells(info.shard), documents[info.shard],
+                          shard_rows[info.shard], why) &&
         util::rename_durable(info.out_path,
                              (dir / shard_file_name(info.shard)).string(),
                              &why)) {
-      documents[info.shard] = std::move(*document);
       return true;
     }
+    documents[info.shard].clear();
+    shard_rows[info.shard] = {};
     log("shard " + std::to_string(info.shard) + " attempt " +
         std::to_string(info.attempt) + " output from host " + info.host +
         " rejected: " + why);
@@ -663,7 +643,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   };
 
   /// The scheduling loop. True once every shard is done and passed the
-  /// pre-merge check, with `documents` filled; false when the run must
+  /// pre-merge check, with `shard_rows` filled; false when the run must
   /// stop.
   const auto schedule = [&] {
     while (true) {
@@ -749,22 +729,18 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       // race external tampering and a finalized file can rot between
       // fsync and merge; re-verify, and recompute — don't abort — any
       // bad shard before trusting its bytes. A file still equal to the
-      // bytes publish verified needs no second hash; a changed one, or
-      // one an earlier run finished, takes the full check.
+      // bytes resume or publish accepted is not read again; a changed
+      // one takes the full check.
       std::vector<std::size_t> bad;
       {
         const obs::ObsSpan span("verify", "orch", "shards", shards);
         for (std::size_t shard = 0; shard < shards; ++shard) {
           std::string why;
-          auto document = read_intact_shard(
-              dir / shard_file_name(shard), wanted.banner,
-              corridor::ShardSpec{shard, shards}, grid, &why,
-              documents[shard]);
-          if (document.has_value()) {
-            documents[shard] = std::move(*document);
+          if (read_intact_shard(dir / shard_file_name(shard), wanted.banner,
+                                owned_cells(shard), documents[shard],
+                                shard_rows[shard], why)) {
             continue;
           }
-          documents[shard].clear();
           log("pre-merge: shard " + std::to_string(shard) + " is invalid (" +
               why + "); recomputing");
           bad.push_back(shard);
@@ -778,7 +754,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     }
   };
 
-  /// Merge the verified shard bytes into merged.csv. True when it was
+  /// Merge the accepted shard rows into merged.csv. True when it was
   /// written.
   const auto merge = [&] {
     const obs::ObsSpan span("merge", "orch", "cells", grid);
@@ -801,12 +777,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     names.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
       names.push_back((dir / shard_file_name(shard)).string());
-      // Verified bytes: cut the trailer line off, so merge_shards' own
-      // trailer check has nothing left to hash.
-      std::string& document = documents[shard];
-      document.resize(util::split_integrity_trailer(document).body.size());
     }
-    auto merged = corridor::merge_shards(documents, names);
+    auto merged = corridor::merge_rows(shard_rows, names);
     if (!merged.ok) {
       result.contract_violation = merged.contract_violation;
       for (auto& error : merged.errors) {

@@ -7,9 +7,11 @@
 /// sweep --shard i/S` worker processes (orch/process.hpp), feeds them
 /// from a queue of shard specs, follows their progress through the
 /// line protocol (orch/progress.hpp), records durable shards in the
-/// run manifest (orch/manifest.hpp), and finally merges the shard
-/// files with corridor::merge_shards. At most one attempt per shard is
-/// live at any time: a shard is either pending or in flight.
+/// run manifest (orch/manifest.hpp), and finally merges the rows it
+/// read from the shard files with corridor::merge_rows. Every shard
+/// file goes through the one shard reader, corridor::read_shard. At
+/// most one attempt per shard is live at any time: a shard is either
+/// pending or in flight.
 ///
 /// Why retry is safe: a grid cell's row is a pure function of (plan,
 /// index), so a worker killed mid-shard costs nothing but time — the

@@ -1,8 +1,10 @@
 #include "orch/remote.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/config.hpp"
+#include "util/contracts.hpp"
 
 namespace railcorr::orch {
 
@@ -20,90 +22,6 @@ std::vector<std::string> split_tokens(std::string_view text) {
     if (i > start) tokens.emplace_back(text.substr(start, i - start));
   }
   return tokens;
-}
-
-/// Validate every `{placeholder}` in `tokens` against `allowed`, and
-/// require each of `required` to appear somewhere. Braces outside a
-/// known placeholder are errors — a typo like `{hots}` must fail at
-/// parse time, not launch a worker onto a literal host named "{hots}".
-void validate_template(const std::vector<std::string>& tokens,
-                       std::string_view what,
-                       const std::vector<std::string_view>& allowed,
-                       const std::vector<std::string_view>& required) {
-  if (tokens.empty()) {
-    throw ConfigError(std::string(what) + " template is empty");
-  }
-  std::vector<bool> seen(required.size(), false);
-  for (const auto& token : tokens) {
-    std::size_t i = 0;
-    while (i < token.size()) {
-      if (token[i] == '}') {
-        throw ConfigError(std::string(what) + " template token '" + token +
-                          "': unbalanced '}'");
-      }
-      if (token[i] != '{') {
-        ++i;
-        continue;
-      }
-      const std::size_t close = token.find('}', i + 1);
-      if (close == std::string::npos) {
-        throw ConfigError(std::string(what) + " template token '" + token +
-                          "': unbalanced '{'");
-      }
-      const std::string_view name(token.data() + i + 1, close - i - 1);
-      bool known = false;
-      for (const auto candidate : allowed) {
-        if (name == candidate) known = true;
-      }
-      if (!known) {
-        std::string valid;
-        for (const auto candidate : allowed) {
-          if (!valid.empty()) valid += ", ";
-          valid += '{';
-          valid += candidate;
-          valid += '}';
-        }
-        std::string message(what);
-        message += " template: unknown placeholder '{";
-        message += name;
-        message += "}' (valid: ";
-        message += valid;
-        message += ")";
-        throw ConfigError(message);
-      }
-      for (std::size_t r = 0; r < required.size(); ++r) {
-        if (name == required[r]) seen[r] = true;
-      }
-      i = close + 1;
-    }
-  }
-  for (std::size_t r = 0; r < required.size(); ++r) {
-    if (!seen[r]) {
-      throw ConfigError(std::string(what) + " template must contain '{" +
-                        std::string(required[r]) + "}'");
-    }
-  }
-}
-
-std::string substitute(std::string_view token, std::string_view name,
-                       std::string_view value) {
-  std::string needle;
-  needle += '{';
-  needle += name;
-  needle += '}';
-  std::string out;
-  std::size_t i = 0;
-  while (i < token.size()) {
-    const std::size_t at = token.find(needle, i);
-    if (at == std::string_view::npos) {
-      out.append(token.substr(i));
-      break;
-    }
-    out.append(token.substr(i, at - i));
-    out.append(value);
-    i = at + needle.size();
-  }
-  return out;
 }
 
 }  // namespace
@@ -165,48 +83,88 @@ std::string shell_join(const std::vector<std::string>& argv) {
   return out;
 }
 
-LaunchTemplate LaunchTemplate::parse(std::string_view text) {
-  LaunchTemplate tmpl;
-  tmpl.tokens_ = split_tokens(text);
-  validate_template(tmpl.tokens_, "--launcher", {"host", "cmd"}, {"cmd"});
-  return tmpl;
+CommandTemplate CommandTemplate::launcher(std::string_view text) {
+  return parse(text, "--launcher", {"host", "cmd"}, {"cmd"});
 }
 
-std::vector<std::string> LaunchTemplate::build(
-    std::string_view host, const std::vector<std::string>& worker_argv)
-    const {
-  std::vector<std::string> argv;
-  argv.reserve(tokens_.size());
-  for (const auto& token : tokens_) {
-    if (token == "{cmd}") {
-      // The whole worker command as one shell word — what `ssh host
-      // 'cmd'` (and any sh-like remote shell) expects.
-      argv.push_back(shell_join(worker_argv));
-      continue;
-    }
-    argv.push_back(substitute(substitute(token, "host", host), "cmd",
-                              shell_join(worker_argv)));
+CommandTemplate CommandTemplate::fetch(std::string_view text) {
+  return parse(text, "--fetch", {"host", "remote", "local"},
+               {"remote", "local"});
+}
+
+CommandTemplate CommandTemplate::parse(
+    std::string_view text, std::string_view flag,
+    std::initializer_list<std::string_view> names,
+    std::initializer_list<std::string_view> required) {
+  CommandTemplate tmpl;
+  tmpl.slots_ = names.size();
+  const std::vector<std::string> tokens = split_tokens(text);
+  if (tokens.empty()) {
+    throw ConfigError(std::string(flag) + " template is empty");
   }
-  return argv;
-}
-
-FetchTemplate FetchTemplate::parse(std::string_view text) {
-  FetchTemplate tmpl;
-  tmpl.tokens_ = split_tokens(text);
-  validate_template(tmpl.tokens_, "--fetch", {"host", "remote", "local"},
-                    {"remote", "local"});
+  // Braces outside a known placeholder are errors — a typo like
+  // `{hots}` must fail at parse time, not launch a worker onto a
+  // literal host named "{hots}".
+  std::vector<bool> seen(names.size(), false);
+  for (const auto& token : tokens) {
+    std::vector<Piece>& pieces = tmpl.tokens_.emplace_back();
+    std::string literal;
+    std::size_t i = 0;
+    while (i < token.size()) {
+      if (token[i] == '}') {
+        throw ConfigError(std::string(flag) + " template token '" + token +
+                          "': unbalanced '}'");
+      }
+      if (token[i] != '{') {
+        literal += token[i++];
+        continue;
+      }
+      const std::size_t close = token.find('}', i + 1);
+      if (close == std::string::npos) {
+        throw ConfigError(std::string(flag) + " template token '" + token +
+                          "': unbalanced '{'");
+      }
+      const std::string_view name(token.data() + i + 1, close - i - 1);
+      const auto known = std::find(names.begin(), names.end(), name);
+      if (known == names.end()) {
+        std::string valid;
+        for (const auto candidate : names) {
+          valid += (valid.empty() ? "{" : ", {") + std::string(candidate) + "}";
+        }
+        throw ConfigError(std::string(flag) +
+                          " template: unknown placeholder '{" +
+                          std::string(name) + "}' (valid: " + valid + ")");
+      }
+      const auto slot = static_cast<std::size_t>(known - names.begin());
+      seen[slot] = true;
+      if (!literal.empty()) pieces.push_back(Piece{std::exchange(literal, {})});
+      pieces.push_back(Piece{"", slot});
+      i = close + 1;
+    }
+    if (!literal.empty()) pieces.push_back(Piece{std::move(literal)});
+  }
+  for (const auto name : required) {
+    const auto slot = static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), name) - names.begin());
+    if (!seen[slot]) {
+      throw ConfigError(std::string(flag) + " template must contain '{" +
+                        std::string(name) + "}'");
+    }
+  }
   return tmpl;
 }
 
-std::vector<std::string> FetchTemplate::build(std::string_view host,
-                                              std::string_view remote,
-                                              std::string_view local) const {
+std::vector<std::string> CommandTemplate::build(
+    std::initializer_list<std::string_view> values) const {
+  RAILCORR_EXPECTS(values.size() == slots_);
   std::vector<std::string> argv;
   argv.reserve(tokens_.size());
-  for (const auto& token : tokens_) {
-    argv.push_back(substitute(
-        substitute(substitute(token, "host", host), "remote", remote),
-        "local", local));
+  for (const auto& pieces : tokens_) {
+    std::string& arg = argv.emplace_back();
+    for (const Piece& piece : pieces) {
+      arg += piece.slot == kLiteral ? std::string_view(piece.text)
+                                    : values.begin()[piece.slot];
+    }
   }
   return argv;
 }

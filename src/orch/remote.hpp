@@ -9,17 +9,18 @@
 /// that wraps the worker argv in a user-supplied launcher template
 /// ("ssh {host} {cmd}"), (b) a fetch step that pulls the remote shard
 /// file back ("scp {host}:{remote} {local}") and accepts it only after
-/// the PR-6 integrity checks (trailer + banner + row count) pass, and
+/// the shard reader's checks (trailer, banner, row count) pass, and
 /// (c) a per-host health model that quarantines hosts whose transport
 /// keeps failing and degrades the run onto the surviving fleet.
 ///
-/// Templates are whitespace-tokenized argv templates, not shell
-/// strings: each token may embed `{placeholder}` substitutions, and a
-/// token that is exactly `{cmd}` expands to ONE argv element holding
-/// the shell-quoted worker command — the form `ssh host 'cmd...'`
-/// expects. Unknown placeholders and missing required ones are
-/// configuration errors (util::ConfigError), pinned in the CLI error
-/// matrix.
+/// Both templates are one type, CommandTemplate, with one placeholder
+/// set per use. They are whitespace-tokenized argv templates, not shell
+/// strings: each token may embed `{placeholder}` substitutions, made in
+/// one pass over the template's own text, and `{cmd}` expands to ONE
+/// argv element holding the shell-quoted worker command — the form
+/// `ssh host 'cmd...'` expects. Unknown placeholders and missing
+/// required ones are configuration errors (util::ConfigError), pinned
+/// in the CLI error matrix.
 ///
 /// Why degraded fleets preserve byte-exactness: a shard's rows are a
 /// pure function of (plan, index) — *which machine* evaluates a shard
@@ -36,6 +37,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,39 +61,47 @@ std::string shell_quote(std::string_view word);
 /// `argv` joined into one /bin/sh command string, each element quoted.
 std::string shell_join(const std::vector<std::string>& argv);
 
-/// A launcher command template ("ssh {host} {cmd}"): builds the argv
-/// that starts one remote worker. `{cmd}` (required) expands to a
-/// single shell-quoted element holding the worker command; `{host}`
-/// expands to the target host name.
-class LaunchTemplate {
+/// A command template: whitespace-separated argv tokens, each of which
+/// may embed `{placeholder}`s from the set its use allows. A launcher
+/// ("ssh {host} {cmd}") starts one remote worker; a fetch ("scp
+/// {host}:{remote} {local}") copies one finished file back from a host.
+class CommandTemplate {
  public:
-  /// Throws util::ConfigError on an unknown `{placeholder}`, an
-  /// unbalanced brace, or a template without `{cmd}`.
-  static LaunchTemplate parse(std::string_view text);
+  /// The `--launcher` template: `{host}`, and `{cmd}` (required), which
+  /// build() fills with the shell_join()ed worker command — one argv
+  /// element, the form `ssh host 'cmd...'` expects. build() takes
+  /// {host, cmd}.
+  static CommandTemplate launcher(std::string_view text);
+  /// The `--fetch` template: `{host}`, and `{remote}` and `{local}`
+  /// (both required). build() takes {host, remote, local}.
+  static CommandTemplate fetch(std::string_view text);
 
+  /// The argv: every placeholder in the template's own text replaced by
+  /// its value, in one left-to-right pass, so a value that contains a
+  /// placeholder (a run directory named `x{local}y`, a host named
+  /// `{cmd}`) comes out verbatim. `values` follow the use's placeholder
+  /// order.
   [[nodiscard]] std::vector<std::string> build(
-      std::string_view host, const std::vector<std::string>& worker_argv)
-      const;
+      std::initializer_list<std::string_view> values) const;
 
  private:
-  std::vector<std::string> tokens_;
-};
+  /// Throws util::ConfigError, naming `flag`, on an empty template, an
+  /// unbalanced brace, a placeholder outside `names`, or a template
+  /// missing one of `required`.
+  static CommandTemplate parse(std::string_view text, std::string_view flag,
+                               std::initializer_list<std::string_view> names,
+                               std::initializer_list<std::string_view> required);
 
-/// A fetch command template ("scp {host}:{remote} {local}"): builds
-/// the argv that copies one finished shard file back from a host.
-/// `{remote}` and `{local}` are required; `{host}` is optional.
-class FetchTemplate {
- public:
-  /// Throws util::ConfigError on an unknown `{placeholder}`, an
-  /// unbalanced brace, or a template missing `{remote}` or `{local}`.
-  static FetchTemplate parse(std::string_view text);
+  static constexpr std::size_t kLiteral = static_cast<std::size_t>(-1);
+  /// Literal text, or the placeholder at index `slot` of the use's
+  /// names.
+  struct Piece {
+    std::string text;
+    std::size_t slot = kLiteral;
+  };
 
-  [[nodiscard]] std::vector<std::string> build(std::string_view host,
-                                               std::string_view remote,
-                                               std::string_view local) const;
-
- private:
-  std::vector<std::string> tokens_;
+  std::vector<std::vector<Piece>> tokens_;
+  std::size_t slots_ = 0;
 };
 
 /// Knobs of the host-health state machine.

@@ -190,14 +190,19 @@ TrailerSplit split_integrity_trailer(std::string_view document) {
   const std::size_t eol = rest.find_last_of('\n');
   const std::string_view last =
       eol == std::string_view::npos ? rest : rest.substr(eol + 1);
-  if (!last.starts_with(kTrailerTag)) return split;
+  // A final line holding the tag past its start is a trailer whose line
+  // break was lost (a flipped '\n'): present and malformed, so the
+  // document reads as damaged, not as trailer-less with a hash glued to
+  // its last line.
+  const std::size_t tag = last.find(kTrailerTag);
+  if (tag == std::string_view::npos) return split;
   split.present = true;
   // The body is everything before the trailer line (keeping the body's
   // own trailing newline), which is exactly what was hashed.
   split.body =
       eol == std::string_view::npos ? std::string_view{} : document.substr(0, eol + 1);
   std::uint64_t stated = 0;
-  if (parse_hex16(last.substr(kTrailerTag.size()), stated)) {
+  if (tag == 0 && parse_hex16(last.substr(kTrailerTag.size()), stated)) {
     split.stated = stated;
   }
   return split;

@@ -119,7 +119,8 @@ enum class TrailerStatus {
   /// No trailer line; `body` is the whole document (legacy artifacts
   /// and hand-written test documents stay readable).
   kMissing,
-  /// Trailer line present but malformed or hash-mismatched: the
+  /// Trailer line present but malformed or hash-mismatched (a final
+  /// line holding the trailer tag anywhere counts as one): the
   /// artifact was truncated or corrupted and must be recomputed.
   kCorrupt,
 };

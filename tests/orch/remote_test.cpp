@@ -1,6 +1,7 @@
-/// The remote-transport layer's contract: launcher/fetch templates are
-/// validated at parse time and substitute placeholders into argv
-/// (never through a shell except the single shell-quoted {cmd} word),
+/// The remote-transport layer's contract: command templates (launcher
+/// and fetch uses) are validated at parse time and substitute
+/// placeholders into argv in one pass (never through a shell except the
+/// single shell-quoted {cmd} word),
 /// and the FleetHealth state machine quarantines, re-probes, recovers,
 /// and kills hosts deterministically under injected time.
 #include "orch/remote.hpp"
@@ -57,11 +58,12 @@ TEST(ShellJoin, JoinsEachElementQuoted) {
 }
 
 // ---------------------------------------------------------------------
-// Launcher templates
+// Command templates: the launcher use
 
-TEST(LaunchTemplate, BuildsSshStyleArgv) {
-  const auto tmpl = LaunchTemplate::parse("ssh {host} {cmd}");
-  const auto argv = tmpl.build("h1", {"railcorr", "sweep", "--out", "a b"});
+TEST(CommandTemplate, LauncherBuildsSshStyleArgv) {
+  const auto tmpl = CommandTemplate::launcher("ssh {host} {cmd}");
+  const auto argv =
+      tmpl.build({"h1", shell_join({"railcorr", "sweep", "--out", "a b"})});
   ASSERT_EQ(argv.size(), 3u);
   EXPECT_EQ(argv[0], "ssh");
   EXPECT_EQ(argv[1], "h1");
@@ -70,47 +72,92 @@ TEST(LaunchTemplate, BuildsSshStyleArgv) {
   EXPECT_EQ(argv[2], "'railcorr' 'sweep' '--out' 'a b'");
 }
 
-TEST(LaunchTemplate, SubstitutesHostInsideLargerTokens) {
-  const auto tmpl = LaunchTemplate::parse("ssh user@{host} {cmd}");
-  const auto argv = tmpl.build("h2", {"true"});
+TEST(CommandTemplate, LauncherSubstitutesHostInsideLargerTokens) {
+  const auto tmpl = CommandTemplate::launcher("ssh user@{host} {cmd}");
+  const auto argv = tmpl.build({"h2", shell_join({"true"})});
   ASSERT_EQ(argv.size(), 3u);
   EXPECT_EQ(argv[1], "user@h2");
 }
 
-TEST(LaunchTemplate, RejectsUnknownPlaceholder) {
+TEST(CommandTemplate, LauncherRejectsUnknownPlaceholder) {
   try {
-    LaunchTemplate::parse("ssh {hots} {cmd}");
+    CommandTemplate::launcher("ssh {hots} {cmd}");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& error) {
-    EXPECT_NE(std::string(error.what()).find("unknown placeholder '{hots}'"),
-              std::string::npos);
+    EXPECT_STREQ(error.what(),
+                 "--launcher template: unknown placeholder '{hots}' (valid: "
+                 "{host}, {cmd})");
   }
 }
 
-TEST(LaunchTemplate, RejectsMissingCmdAndUnbalancedBraces) {
-  EXPECT_THROW(LaunchTemplate::parse("ssh {host}"), ConfigError);
-  EXPECT_THROW(LaunchTemplate::parse("ssh {host {cmd}"), ConfigError);
-  EXPECT_THROW(LaunchTemplate::parse("ssh host} {cmd}"), ConfigError);
-  EXPECT_THROW(LaunchTemplate::parse(""), ConfigError);
-  EXPECT_THROW(LaunchTemplate::parse("   "), ConfigError);
+TEST(CommandTemplate, LauncherRejectsMissingCmdAndUnbalancedBraces) {
+  EXPECT_THROW(CommandTemplate::launcher("ssh {host}"), ConfigError);
+  EXPECT_THROW(CommandTemplate::launcher("ssh {host {cmd}"), ConfigError);
+  EXPECT_THROW(CommandTemplate::launcher("ssh host} {cmd}"), ConfigError);
+  EXPECT_THROW(CommandTemplate::launcher(""), ConfigError);
+  EXPECT_THROW(CommandTemplate::launcher("   "), ConfigError);
 }
 
 // ---------------------------------------------------------------------
-// Fetch templates
+// Command templates: the fetch use
 
-TEST(FetchTemplate, BuildsScpStyleArgv) {
-  const auto tmpl = FetchTemplate::parse("scp {host}:{remote} {local}");
-  const auto argv = tmpl.build("h3", "/r/shard.tmp", "/l/shard.tmp");
+TEST(CommandTemplate, FetchBuildsScpStyleArgv) {
+  const auto tmpl = CommandTemplate::fetch("scp {host}:{remote} {local}");
+  const auto argv = tmpl.build({"h3", "/r/shard.tmp", "/l/shard.tmp"});
   ASSERT_EQ(argv.size(), 3u);
   EXPECT_EQ(argv[0], "scp");
   EXPECT_EQ(argv[1], "h3:/r/shard.tmp");
   EXPECT_EQ(argv[2], "/l/shard.tmp");
 }
 
-TEST(FetchTemplate, RequiresRemoteAndLocal) {
-  EXPECT_THROW(FetchTemplate::parse("scp {host}:{remote}"), ConfigError);
-  EXPECT_THROW(FetchTemplate::parse("cp {local}"), ConfigError);
-  EXPECT_THROW(FetchTemplate::parse("scp {cmd} {local}"), ConfigError);
+TEST(CommandTemplate, FetchRequiresRemoteAndLocal) {
+  EXPECT_THROW(CommandTemplate::fetch("scp {host}:{remote}"), ConfigError);
+  EXPECT_THROW(CommandTemplate::fetch("cp {local}"), ConfigError);
+  EXPECT_THROW(CommandTemplate::fetch("scp {cmd} {local}"), ConfigError);
+}
+
+TEST(CommandTemplate, ParseErrorsNameTheirFlag) {
+  const auto message = [](auto&& parse) {
+    try {
+      parse();
+    } catch (const ConfigError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([] { CommandTemplate::fetch(" "); }),
+            "--fetch template is empty");
+  EXPECT_EQ(message([] { CommandTemplate::fetch("cp {remote"); }),
+            "--fetch template token '{remote': unbalanced '{'");
+  EXPECT_EQ(message([] { CommandTemplate::fetch("cp remote} {local}"); }),
+            "--fetch template token 'remote}': unbalanced '}'");
+  EXPECT_EQ(message([] { CommandTemplate::fetch("cp {remote} {lcl}"); }),
+            "--fetch template: unknown placeholder '{lcl}' (valid: {host}, "
+            "{remote}, {local})");
+  EXPECT_EQ(message([] { CommandTemplate::fetch("cp {remote} x"); }),
+            "--fetch template must contain '{local}'");
+  EXPECT_EQ(message([] { CommandTemplate::launcher("ssh {host}"); }),
+            "--launcher template must contain '{cmd}'");
+}
+
+TEST(CommandTemplate, SubstitutedValuesAreNeverScannedAgain) {
+  // One left-to-right pass over the template's own text: a run
+  // directory whose path holds `{local}`, or a host named `{remote}` or
+  // `{cmd}`, reaches the argv verbatim instead of being substituted a
+  // second time.
+  const auto fetch = CommandTemplate::fetch("scp {host}:{remote} {local}");
+  const auto copy =
+      fetch.build({"h{remote}", "runs/x{local}y/s.tmp.remote",
+                   "runs/x{local}y/s.tmp"});
+  ASSERT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy[1], "h{remote}:runs/x{local}y/s.tmp.remote");
+  EXPECT_EQ(copy[2], "runs/x{local}y/s.tmp");
+
+  const auto launcher = CommandTemplate::launcher("ssh {host} {cmd}");
+  const auto launch = launcher.build({"{cmd}", shell_join({"true"})});
+  ASSERT_EQ(launch.size(), 3u);
+  EXPECT_EQ(launch[1], "{cmd}");
+  EXPECT_EQ(launch[2], "'true'");
 }
 
 // ---------------------------------------------------------------------

@@ -178,6 +178,22 @@ TEST(IntegrityTrailer, TruncationEatingTheTrailerReadsAsMissing) {
   EXPECT_EQ(check_integrity_trailer(torn).status, TrailerStatus::kMissing);
 }
 
+TEST(IntegrityTrailer, ATrailerJoinedOntoTheLastLineIsCorrupt) {
+  // The body's final newline flipped: the trailer is no longer a line
+  // of its own. Read as missing, the last row would carry the hash as
+  // data and a structural check could still pass it.
+  const std::string body = "banner\n0,1,2\n";
+  for (const char flip : {',', 'x', '\r'}) {
+    std::string joined = with_integrity_trailer(body);
+    joined[body.size() - 1] = flip;
+    const auto split = split_integrity_trailer(joined);
+    EXPECT_TRUE(split.present) << flip;
+    EXPECT_FALSE(split.stated.has_value()) << flip;
+    EXPECT_EQ(check_integrity_trailer(joined).status, TrailerStatus::kCorrupt)
+        << flip;
+  }
+}
+
 TEST(AppendLog, AppendsSyncedLinesAcrossReopens) {
   TempDir dir;
   const std::string path = (dir.path / "log.txt").string();

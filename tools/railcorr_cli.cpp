@@ -651,13 +651,13 @@ int cmd_orchestrate(const Args& args) {
   args.require("--fetch", "--hosts",
                "fetching only applies to remote workers");
   args.require("--fetch-timeout", "--fetch");
-  std::optional<railcorr::orch::LaunchTemplate> launcher;
+  std::optional<railcorr::orch::CommandTemplate> launcher;
   if (const auto text = args.text("--launcher")) {
-    launcher = railcorr::orch::LaunchTemplate::parse(*text);
+    launcher = railcorr::orch::CommandTemplate::launcher(*text);
   }
-  std::optional<railcorr::orch::FetchTemplate> fetch_template;
+  std::optional<railcorr::orch::CommandTemplate> fetch_template;
   if (const auto text = args.text("--fetch")) {
-    fetch_template = railcorr::orch::FetchTemplate::parse(*text);
+    fetch_template = railcorr::orch::CommandTemplate::fetch(*text);
   }
   for (const auto& host : options.hosts) {
     if (host != railcorr::orch::kLocalHost && !launcher.has_value()) {
@@ -712,21 +712,10 @@ int cmd_orchestrate(const Args& args) {
   // invariant).
   const std::string self = railcorr::orch::self_executable_path(args.program());
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  // Split cores by the fleet's real width: no more workers can run
-  // concurrently than there are shards (small grids and explicit
-  // --shards clamp it), so dividing by the raw worker count would idle
-  // cores whenever the grid is narrower than the fleet.
-  const std::size_t grid = plan.size();
-  std::size_t fleet_width = options.workers;
-  if (options.shards != 0) fleet_width = std::min(fleet_width, options.shards);
-  fleet_width = std::max<std::size_t>(1, std::min(fleet_width, grid));
-  if (worker_threads.empty()) {
-    worker_threads.push_back(std::clamp<std::size_t>(
-        hw / fleet_width, 1, railcorr::exec::kMaxThreadCount));
-  }
   const std::string worker_plan = dir + "/plan.sweep";
   const bool sizing = options.include_sizing;
   const std::size_t retries = options.retries;
+  const std::size_t workers = options.workers;
   const std::vector<std::string> fleet_hosts = options.hosts;
   // Workers heartbeat at a quarter of the stall budget: a slow shard
   // keeps the liveness stream alive, so --stall-timeout only fires on
@@ -759,21 +748,31 @@ int cmd_orchestrate(const Args& args) {
     return fault;
   };
   options.command =
-      [self, worker_plan, worker_threads, sizing, chaos_fault, cache_dir,
-       cache_max_bytes, fleet_hosts, launcher, heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
-        // Slot k gets the k-th --threads entry — or, when --hosts was
-        // given, host k, where thread counts describe machines, not
-        // slots; the last entry covers every higher index, so a single
-        // value stays homogeneous.
-        std::size_t thread_index = attempt.slot;
-        for (std::size_t h = 0; h < fleet_hosts.size(); ++h) {
-          if (fleet_hosts[h] == attempt.host) {
-            thread_index = h;
-            break;
+      [self, worker_plan, worker_threads, hw, workers, sizing, chaos_fault,
+       cache_dir, cache_max_bytes, fleet_hosts, launcher,
+       heartbeat_s](const railcorr::orch::WorkerAttempt& attempt) {
+        // Without --threads, cores are split by the fleet's real width:
+        // no more workers run at once than the run has shards (a small
+        // grid, --shards or a resumed manifest sets that count), so
+        // dividing by the raw worker count would idle cores. With it,
+        // slot k gets the k-th entry — or, when --hosts was given, host
+        // k, where thread counts describe machines, not slots; the last
+        // entry covers every higher index, so a single value stays
+        // homogeneous.
+        std::size_t threads = std::clamp<std::size_t>(
+            hw / std::min(workers, attempt.shard_count), 1,
+            railcorr::exec::kMaxThreadCount);
+        if (!worker_threads.empty()) {
+          std::size_t thread_index = attempt.slot;
+          for (std::size_t h = 0; h < fleet_hosts.size(); ++h) {
+            if (fleet_hosts[h] == attempt.host) {
+              thread_index = h;
+              break;
+            }
           }
+          threads = worker_threads[std::min(thread_index,
+                                            worker_threads.size() - 1)];
         }
-        const std::size_t threads = worker_threads[std::min(
-            thread_index, worker_threads.size() - 1)];
         // The worker writes every file to its worker-side path, from
         // where a fetch step pulls it back.
         std::vector<std::string> argv = {
@@ -827,7 +826,8 @@ int cmd_orchestrate(const Args& args) {
         // fork/execs the argv directly.
         if (launcher.has_value() &&
             attempt.host != railcorr::orch::kLocalHost) {
-          return launcher->build(attempt.host, argv);
+          return launcher->build(
+              {attempt.host, railcorr::orch::shell_join(argv)});
         }
         return argv;
       };
@@ -849,7 +849,7 @@ int cmd_orchestrate(const Args& args) {
                     railcorr::orch::shell_quote(remote) + " > " +
                     railcorr::orch::shell_quote(attempt.out_path)};
       }
-      return fetch.build(attempt.host, remote, attempt.out_path);
+      return fetch.build({attempt.host, remote, attempt.out_path});
     };
   }
   options.log = &std::cerr;
