@@ -10,9 +10,9 @@
 /// (bench/baselines/cache.json): a warm re-sweep of an unchanged grid
 /// must stay decisively faster than recomputing it, or the cache has
 /// regressed into decoration. Each warm iteration re-opens the store
-/// from disk, so the measured figure includes the open-time framing
-/// scan and the first hit's trailer hash — the real cost a `sweep
-/// --cache-dir` re-run pays, not an in-memory best case.
+/// from disk, so the measured figure includes the open-time directory
+/// read and the first hit's load and trailer hash — the real cost a
+/// `sweep --cache-dir` re-run pays, not an in-memory best case.
 ///
 /// Usage: bench_cache [--json=PATH] [--min-seconds=S]
 ///          [--baseline=PATH] [--baseline-tolerance=F] [--check-abs-times]
@@ -143,8 +143,8 @@ int main(int argc, char** argv) {
 
   // ---- Warm: every cell answered from the primed store ---------------
   // Re-opening per iteration charges the warm path its true cost:
-  // framing scan, index build, 64 lookups, the first of which hashes
-  // the segment against its trailer.
+  // the directory read and check, 64 lookups, the first of which loads
+  // the segment and hashes it against its trailer.
   std::string warm_doc;
   std::size_t warm_hits = 0;
   auto& warm = harness.run(
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
 
   // ---- Store open alone ----------------------------------------------
   // The fixed per-process tax a warm run pays before its first lookup
-  // (the trailer hash waits for that lookup).
+  // (the segment's load and trailer hash wait for that lookup).
   harness.run(
       "cache_open_64rows", 1,
       [&] {

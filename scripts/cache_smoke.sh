@@ -9,7 +9,10 @@
 #      serving what survived and recomputing the rest; the segment
 #      whose payload was zeroed is dropped from disk on its first hit,
 #   3. `cache stats` / `verify --strict` / `gc` manage the store:
-#      verify repairs a poisoned segment, gc enforces a byte budget.
+#      verify repairs a poisoned segment, gc enforces a byte budget,
+#   4. a store left by an older format (one `railcorr-cache-v1`
+#      segment) is dropped at open and re-filled: the re-sweep hits
+#      nothing and stays byte-identical.
 #
 # The ≥5x warm-vs-cold speedup itself is measured by bench_cache (and
 # gated against a recorded floor in CI); this smoke pins the mechanism
@@ -66,8 +69,13 @@ fi
 # Corrupt one published segment, then drive a 4-worker fleet over the
 # store with a cache-corrupt-segment fault armed in every worker: the
 # poisoned bytes must never reach merged.csv.
+# The zeroed byte sits in the first entry's payload: past the magic
+# line, the key directory and the first `entry <len>` line.
 seg="$(ls "$TMP/cache"/*.seg | head -n 1)"
-dd if=/dev/zero of="$seg" bs=1 seek=80 count=1 conv=notrunc 2>/dev/null
+entries="$(sed -n '1s/.* entries=//p' "$seg")"
+payload="$(head -n "$((entries + 2))" "$seg" | wc -c)"
+dd if=/dev/zero of="$seg" bs=1 seek="$((payload + 5))" count=1 \
+    conv=notrunc 2>/dev/null
 
 RAILCORR_FAULT="cache-corrupt-segment" "$BIN" orchestrate \
     --plan "$TMP/plan.sweep" --out-dir "$TMP/run" --workers 4 \
@@ -82,8 +90,8 @@ if ! grep -q "orchestrate: cache" "$TMP/orch.log"; then
   cat "$TMP/orch.log" >&2
   exit 1
 fi
-# Byte 80 is inside the first entry's payload: the framing open checks
-# is intact, and only the trailer hash on the first hit rejects it.
+# The directory open checks is intact, and only the first hit's checks
+# reject the segment.
 if [ -e "$seg" ]; then
   echo "FAIL: the zeroed segment survived a warm orchestrate: $seg" >&2
   exit 1
@@ -103,6 +111,45 @@ fi
 left="$(ls "$TMP/cache"/*.seg 2>/dev/null | wc -l)"
 if [ "$left" -ne 0 ]; then
   echo "FAIL: cache gc --max-mb 0 left $left segment(s)" >&2
+  exit 1
+fi
+
+# --- 4: a segment of the older format is dropped at open -------------
+# Cell 0's row as the v1 format published it: entries framed with
+# their keys, no key directory, and keys hashed from another field
+# order. A reader of the current format must drop it, never serve it.
+mkdir "$TMP/v1cache"
+v1seg="$TMP/v1cache/seg_426e9feddac6fa5a.seg"
+cat > "$v1seg" <<'SEGMENT'
+# railcorr-cache-v1 schema=1
+entry 68b68aa0bafeb17e 160
+0,37,6,4,60,2,1000,29.04294600289308,29.04294600289308,463.12,333.03999999999996,256.0524,235.76,0.44711435481084827,0.49093107617896015,0.035,5.073099999999999
+@railcorr-crc 6ebb7622c47b9758
+SEGMENT
+"$BIN" sweep --plan "$TMP/plan.sweep" --out "$TMP/v1.csv" \
+    --cache-dir "$TMP/v1cache" 2> "$TMP/v1.log"
+if [ -e "$v1seg" ]; then
+  echo "FAIL: the v1 segment survived a sweep over its store" >&2
+  exit 1
+fi
+if ! grep -q "cache 0 hit(s) / 64 miss(es)" "$TMP/v1.log"; then
+  echo "FAIL: a sweep over a v1 store did not miss all 64 cells:" >&2
+  cat "$TMP/v1.log" >&2
+  exit 1
+fi
+if ! cmp "$TMP/v1.csv" "$TMP/nocache.csv"; then
+  echo "FAIL: the sweep over a v1 store differs from the cache-less sweep" >&2
+  exit 1
+fi
+"$BIN" cache stats --dir "$TMP/v1cache" > "$TMP/v1stats.log"
+if ! grep -q "cache stats: 1 segment(s), 64 entrie(s), .* 0 corrupt" \
+    "$TMP/v1stats.log"; then
+  echo "FAIL: the re-filled store is not one intact 64-entry segment:" >&2
+  cat "$TMP/v1stats.log" >&2
+  exit 1
+fi
+if grep -L "railcorr-cache-v2" "$TMP/v1cache"/*.seg | grep -q .; then
+  echo "FAIL: the re-filled store holds a segment of another format" >&2
   exit 1
 fi
 

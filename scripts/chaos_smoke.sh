@@ -104,8 +104,13 @@ fi
 # silent on-disk corruption a worker will meet on its first hit.
 "$BIN" sweep --plan "$TMP/plan.sweep" --out "$TMP/warmup.csv" \
     --cache-dir "$TMP/cache"
+# The byte sits past the key directory and the first entry line, so
+# open accepts the segment and its first hit drops it.
 seg="$(ls "$TMP/cache"/*.seg | head -n 1)"
-dd if=/dev/zero of="$seg" bs=1 seek=100 count=1 conv=notrunc 2>/dev/null
+entries="$(sed -n '1s/.* entries=//p' "$seg")"
+payload="$(head -n "$((entries + 2))" "$seg" | wc -c)"
+dd if=/dev/zero of="$seg" bs=1 seek="$((payload + 20))" count=1 \
+    conv=notrunc 2>/dev/null
 
 # The storm: the same seeded schedule, now with cache-torn-write and
 # cache-corrupt-segment faults in the mix (chaos cases 4/5 arm only

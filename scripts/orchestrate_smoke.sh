@@ -14,7 +14,9 @@
 #      ` accuracy=fast-ulp` tag older fast-mode runs left) is refused,
 #      exit 2,
 #   5. a fresh (non-resume) run into a used directory is refused,
-#      exit 1.
+#      exit 1,
+#   6. a worker write torn inside its last row, which leaves every
+#      row's index, is rejected and retried, and never merged.
 #
 # usage: orchestrate_smoke.sh <railcorr-binary>
 set -eu
@@ -112,6 +114,29 @@ code=$?
 set -e
 if [ "$code" -ne 1 ]; then
   echo "FAIL: fresh run into a used dir exited $code, expected 1" >&2
+  exit 1
+fi
+
+# --- 6: a write torn inside the last row is never merged -------------
+# `sweep --out` trailers the body as a worker does, so the one-shard
+# body is single.csv less its 31-byte trailer line. Every attempt tears
+# 4 bytes before the body's end; only the lost trailer tells.
+body=$(($(wc -c < "$TMP/single.csv") - 31))
+set +e
+RAILCORR_FAULT="torn-write=$((body - 4))" "$BIN" orchestrate \
+    --plan "$TMP/plan.sweep" --out-dir "$TMP/torn" --shards 1 \
+    --workers 1 --retries 1 > "$TMP/torn.log" 2>&1
+code=$?
+set -e
+if [ "$code" -eq 0 ] || [ -e "$TMP/torn/merged.csv" ]; then
+  echo "FAIL: a shard torn inside its last row merged (exit $code)" >&2
+  exit 1
+fi
+if ! grep -q "rejected: missing integrity trailer (torn write)" \
+    "$TMP/torn.log" ||
+    ! grep -q "attempts=2 retried=1 \[corrupt-output=2\]" "$TMP/torn.log"; then
+  echo "FAIL: the torn shard was not rejected and retried:" >&2
+  cat "$TMP/torn.log" >&2
   exit 1
 fi
 

@@ -220,14 +220,15 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   const obs::ObsSpan shard_span("shard", "sweep", "cells", indices.size());
 
   // The cache key covers everything a row's bytes depend on: the
-  // banner (plan fingerprint + grid), the cell index,
-  // and the header (column set). A hit therefore IS the row a cold
+  // banner (plan fingerprint + grid), the header (column set), hashed
+  // once here, and the cell index. A hit therefore IS the row a cold
   // evaluation would render, byte for byte.
   cache::ResultCache* cache =
       options.cache != nullptr && options.cache->is_open() ? options.cache
                                                            : nullptr;
-  const auto key_of = [&](std::size_t index) {
-    return cache::cell_key(banner, index, header);
+  const std::uint64_t key_prefix = cache::cell_key_prefix(banner, header);
+  const auto key_of = [key_prefix](std::size_t index) {
+    return cache::cell_key(key_prefix, index);
   };
 
   // Stage 1: cache hits keep their stored rows; only missed cells

@@ -292,9 +292,10 @@ TraceRecorder::ThreadBuffer* TraceRecorder::buffer_for_this_thread() {
   if (tls.buffer != nullptr && tls.generation == generation) {
     return tls.buffer;
   }
-  // The ring (1 MB at the default capacity) is built outside the lock,
-  // so threads registering together do not wait on each other's
-  // allocation. An enable or reset in between starts over.
+  // The ring (1 MB of address space at the default capacity) is
+  // reserved outside the lock, so threads registering together do not
+  // wait on each other's allocation. An enable or reset in between
+  // starts over.
   while (true) {
     std::size_t capacity;
     std::uint64_t epoch;
@@ -304,7 +305,8 @@ TraceRecorder::ThreadBuffer* TraceRecorder::buffer_for_this_thread() {
       epoch = generation_.load(std::memory_order_relaxed);
     }
     auto buffer = std::make_unique<ThreadBuffer>();
-    buffer->ring.resize(capacity);
+    buffer->ring.reserve(capacity);
+    buffer->capacity = capacity;
     std::lock_guard<std::mutex> lock(mutex_);
     if (generation_.load(std::memory_order_relaxed) != epoch) continue;
     buffer->tid = static_cast<std::uint32_t>(buffers_.size() + 1);
@@ -313,6 +315,16 @@ TraceRecorder::ThreadBuffer* TraceRecorder::buffer_for_this_thread() {
     buffers_.push_back(std::move(buffer));
     return tls.buffer;
   }
+}
+
+void TraceRecorder::ThreadBuffer::record(const TraceEvent& ev) {
+  const std::uint64_t n = total.load(std::memory_order_relaxed);
+  if (n < capacity) {
+    ring.push_back(ev);
+  } else {
+    ring[n % capacity] = ev;
+  }
+  total.store(n + 1, std::memory_order_release);
 }
 
 void TraceRecorder::complete(const char* name, const char* cat,
@@ -338,9 +350,7 @@ void TraceRecorder::complete_at(const char* name, const char* cat,
   ev.tid = buffer->tid;
   ev.arg_name = arg_name;
   ev.arg = arg;
-  const std::uint64_t n = buffer->total.load(std::memory_order_relaxed);
-  buffer->ring[n % buffer->ring.size()] = ev;
-  buffer->total.store(n + 1, std::memory_order_release);
+  buffer->record(ev);
 }
 
 void TraceRecorder::instant(const char* name, const char* cat,
@@ -355,9 +365,7 @@ void TraceRecorder::instant(const char* name, const char* cat,
   ev.tid = buffer->tid;
   ev.arg_name = arg_name;
   ev.arg = arg;
-  const std::uint64_t n = buffer->total.load(std::memory_order_relaxed);
-  buffer->ring[n % buffer->ring.size()] = ev;
-  buffer->total.store(n + 1, std::memory_order_release);
+  buffer->record(ev);
 }
 
 std::vector<TraceEvent> TraceRecorder::snapshot() const {
@@ -365,7 +373,7 @@ std::vector<TraceEvent> TraceRecorder::snapshot() const {
   std::vector<TraceEvent> out;
   for (const auto& buffer : buffers_) {
     const std::uint64_t total = buffer->total.load(std::memory_order_acquire);
-    const std::uint64_t cap = buffer->ring.size();
+    const std::uint64_t cap = buffer->capacity;
     const std::uint64_t count = std::min<std::uint64_t>(total, cap);
     for (std::uint64_t k = total - count; k < total; ++k) {
       out.push_back(buffer->ring[k % cap]);
@@ -379,7 +387,7 @@ std::size_t TraceRecorder::dropped() const {
   std::size_t dropped = 0;
   for (const auto& buffer : buffers_) {
     const std::uint64_t total = buffer->total.load(std::memory_order_acquire);
-    const std::uint64_t cap = buffer->ring.size();
+    const std::uint64_t cap = buffer->capacity;
     if (total > cap) dropped += static_cast<std::size_t>(total - cap);
   }
   return dropped;

@@ -121,11 +121,17 @@ class TraceRecorder {
 
  private:
   struct ThreadBuffer {
+    /// Reserved to `capacity` at registration and filled in order, so
+    /// only the pages events reach are touched; once full it wraps.
     std::vector<TraceEvent> ring;
+    std::size_t capacity = 0;
     /// Total events ever written; ring holds the newest
     /// min(total, capacity) of them.
     std::atomic<std::uint64_t> total{0};
     std::uint32_t tid = 0;
+
+    /// Write `ev` into the ring (owner thread only).
+    void record(const TraceEvent& ev);
   };
 
   TraceRecorder() = default;

@@ -28,13 +28,16 @@ using Clock = std::chrono::steady_clock;
 
 /// Read the shard file at `path` into `document`, and its rows into
 /// `rows`, when corridor::read_shard accepts it under this run's rule:
-/// the planned banner and one row per owned cell. A banner-only check
-/// would let a file truncated after its first line pass and wedge every
-/// later --resume in the same merge failure; the trailer catches bit
-/// corruption the row count cannot, and the row count catches a cleanly
-/// truncated file with no trailer. Bytes equal to `document`, which
-/// this run already accepted, keep their rows without a second read.
-/// Otherwise both are cleared and `why` names the defect.
+/// a verified integrity trailer, the planned banner and one row per
+/// owned cell. A banner-only check would let a file truncated after its
+/// first line pass and wedge every later --resume in the same merge
+/// failure. Every worker ends its shard with a trailer, so a file
+/// without one was torn before its end, even when each row left still
+/// has its index: a row cut short would otherwise merge. The trailer
+/// also catches bit corruption the row count cannot. Bytes equal to
+/// `document`, which this run already accepted, keep their rows
+/// without a second read. Otherwise both are cleared and `why` names
+/// the defect.
 bool read_intact_shard(const fs::path& path, std::string_view banner,
                        std::size_t owned, std::string& document,
                        corridor::ShardRows& rows, std::string& why) {
@@ -50,7 +53,12 @@ bool read_intact_shard(const fs::path& path, std::string_view banner,
   }
   // The rows view `document`, so the bytes move into place first.
   document = std::move(*bytes);
-  auto read = corridor::read_shard(document, why);
+  std::optional<corridor::ShardRows> read;
+  if (!util::split_integrity_trailer(document).present) {
+    why = "missing integrity trailer (torn write)";
+  } else {
+    read = corridor::read_shard(document, why);
+  }
   if (read.has_value() && read->banner != banner) {
     why = "missing or wrong banner/header";
   } else if (read.has_value() && read->rows.size() != owned) {
@@ -213,9 +221,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       return result;
     }
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      // A done entry only counts when its file is still intact (the
-      // recorded banner, a verified or absent integrity trailer, and
-      // every owned row); a truncated or corrupted shard is
+      // A done entry only counts when its file is still intact (a
+      // verified integrity trailer, the recorded banner, and every
+      // owned row); a truncated or corrupted shard is
       // reclassified as *not done* and recomputed — resume is
       // self-healing, not a fatal contract check.
       std::string why;

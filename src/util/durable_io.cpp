@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -53,28 +54,49 @@ bool fsync_dir(const std::string& dir, std::string* error) {
 constexpr std::string_view kTrailerTag = "@railcorr-crc ";
 static_assert(kTrailerTag.size() + 16 + 1 == kIntegrityTrailerBytes);
 
+constexpr std::string_view kHexDigits = "0123456789abcdef";
+
+/// Each byte's value as a lowercase hex digit, or 16 for any other
+/// byte: parse_hex reads a digit with one lookup and no branch.
+constexpr auto kHexValue = [] {
+  std::array<std::uint8_t, 256> value{};
+  value.fill(16);
+  for (std::size_t digit = 0; digit < kHexDigits.size(); ++digit) {
+    value[static_cast<unsigned char>(kHexDigits[digit])] =
+        static_cast<std::uint8_t>(digit);
+  }
+  return value;
+}();
+
 }  // namespace
 
 std::string hex16(std::uint64_t value) {
-  constexpr std::string_view kDigits = "0123456789abcdef";
   std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[value & 0xF];
-    value >>= 4;
-  }
+  write_hex(value, 16, out.data());
   return out;
 }
 
-bool parse_hex16(std::string_view text, std::uint64_t& out) {
-  if (text.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    const int nibble = c >= '0' && c <= '9'   ? c - '0'
-                       : c >= 'a' && c <= 'f' ? 10 + c - 'a'
-                                              : -1;
-    if (nibble < 0) return false;
-    value = (value << 4) | static_cast<std::uint64_t>(nibble);
+void write_hex(std::uint64_t value, std::size_t width, char* out) {
+  for (std::size_t i = width; i-- > 0;) {
+    out[i] = kHexDigits[value & 0xF];
+    value >>= 4;
   }
+}
+
+bool parse_hex16(std::string_view text, std::uint64_t& out) {
+  return text.size() == 16 && parse_hex(text, out);
+}
+
+bool parse_hex(std::string_view text, std::uint64_t& out) {
+  if (text.empty() || text.size() > 16) return false;
+  std::uint64_t value = 0;
+  unsigned bad = 0;
+  for (const char c : text) {
+    const unsigned digit = kHexValue[static_cast<unsigned char>(c)];
+    bad |= digit;
+    value = (value << 4) | (digit & 0xF);
+  }
+  if ((bad & 16) != 0) return false;
   out = value;
   return true;
 }

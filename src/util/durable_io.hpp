@@ -85,9 +85,17 @@ inline std::uint64_t fnv1a64(std::string_view data,
 /// `value` as exactly 16 lowercase hex digits, zero-padded.
 std::string hex16(std::uint64_t value);
 
+/// The low 4 × `width` bits of `value` as `width` (at most 16)
+/// lowercase hex digits, zero-padded, written to `out`: hex16 for
+/// fixed-width fields of any width, without allocating.
+void write_hex(std::uint64_t value, std::size_t width, char* out);
+
 /// The value of exactly 16 lowercase hex digits; false (and `out`
 /// untouched) for any other length or character.
 bool parse_hex16(std::string_view text, std::uint64_t& out);
+
+/// parse_hex16 for a field of 1 to 16 digits.
+bool parse_hex(std::string_view text, std::uint64_t& out);
 ///@}
 
 /// \name Integrity trailers

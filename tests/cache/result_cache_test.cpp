@@ -1,9 +1,9 @@
 /// The content-addressed result cache: key derivation sensitivity,
 /// segment render/parse round trips, cross-process persistence via the
-/// on-disk store, verified-then-dropped corruption handling (bad
-/// framing at open, a bad trailer hash on the first hit), the lifetime
-/// of returned rows, LRU eviction under a byte budget, and the offline
-/// scan/gc helpers.
+/// on-disk store, verified-then-dropped corruption handling (a bad
+/// directory at open, any other damage on the first hit), what open
+/// reads, the lifetime of returned rows, LRU eviction under a byte
+/// budget, and the offline scan/gc helpers.
 #include "cache/result_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -12,12 +12,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "corridor/sweep.hpp"
+#include "obs/metrics.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::cache {
@@ -51,6 +53,36 @@ std::size_t segment_count(const fs::path& dir) {
   return count;
 }
 
+/// The one segment in `dir`.
+fs::path only_segment(const fs::path& dir) {
+  fs::path segment;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".seg") segment = entry.path();
+  }
+  return segment;
+}
+
+/// Publish `entries` as one segment of `dir` through a cache view.
+void publish(const TempDir& dir, const std::vector<SegmentEntry>& entries) {
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  for (const auto& entry : entries) cache.insert(entry.key, entry.row);
+  ASSERT_TRUE(cache.flush());
+}
+
+/// Overwrite `path` with `bytes`.
+void write_bytes(const fs::path& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// The bytes of a segment's magic line and key directory.
+std::size_t head_bytes(const std::string& document) {
+  const std::size_t magic = document.find('\n') + 1;
+  const std::size_t entries = std::stoul(
+      document.substr(document.find("entries=") + 8, magic));
+  return magic + entries * 26;
+}
+
 TEST(CellKey, EveryTupleComponentChangesTheKey) {
   const std::string banner =
       "# railcorr-sweep-v1 fingerprint=0123456789abcdef grid=64";
@@ -61,6 +93,19 @@ TEST(CellKey, EveryTupleComponentChangesTheKey) {
   EXPECT_NE(base, cell_key(banner, 8, header));
   EXPECT_NE(base, cell_key(banner, 7, header + ",sized_pv_wp_total"));
   EXPECT_NE(base, cell_key(banner, 7, header, kResultSchemaVersion + 1));
+}
+
+TEST(CellKey, APlanPrefixContinuedByTheIndexIsTheKey) {
+  const std::string banner =
+      "# railcorr-sweep-v1 fingerprint=0123456789abcdef grid=64";
+  const std::string header = "index,radio.lp_eirp_dbm,max_n";
+  const std::uint64_t prefix = cell_key_prefix(banner, header);
+  EXPECT_EQ(prefix, util::fnv1a64(banner + "\n" + header + "\n1\n"));
+  for (const std::size_t index : {0UL, 7UL, 4095UL, 18446744073709551615UL}) {
+    EXPECT_EQ(cell_key(prefix, index), cell_key(banner, index, header));
+    EXPECT_EQ(cell_key(prefix, index),
+              util::fnv1a64(std::to_string(index), prefix));
+  }
 }
 
 TEST(CellKey, FieldFramingIsUnambiguous) {
@@ -76,7 +121,7 @@ TEST(CacheFormat, KeysNamesAndTrailersAreStableAcrossVersions) {
   EXPECT_EQ(cell_key("# railcorr-sweep-v1 fingerprint=0123456789abcdef "
                      "grid=64",
                      7, "index,radio.lp_eirp_dbm,max_n"),
-            0x48c671647bfa670cULL);
+            0x98a856aa2316b178ULL);
   EXPECT_EQ(corridor::shard_banner(
                 corridor::SweepPlan::from_spec("axis k = 1, 2, 3\n")),
             "# railcorr-sweep-v1 fingerprint=89dec1b113f2a2d8 grid=3");
@@ -86,10 +131,10 @@ TEST(CacheFormat, KeysNamesAndTrailersAreStableAcrossVersions) {
   TempDir dir("pinned");
   ResultCache cache;
   ASSERT_TRUE(cache.open({dir.str(), 0}));
-  cache.insert(0x48c671647bfa670cULL, "7,37,8");
+  cache.insert(0x98a856aa2316b178ULL, "7,37,8");
   ASSERT_TRUE(cache.flush());
   EXPECT_EQ(segment_count(dir.path()), 1u);
-  EXPECT_TRUE(fs::exists(dir.path() / "seg_ce7ec793a11c1241.seg"));
+  EXPECT_TRUE(fs::exists(dir.path() / "seg_ae772bc719b2717a.seg"));
 }
 
 TEST(Segment, RenderParseRoundTripsArbitraryRowBytes) {
@@ -158,6 +203,18 @@ TEST(ResultCache, InsertFlushThenReopenServesTheRow) {
   EXPECT_EQ(reader.stats().misses, 0u);
 }
 
+TEST(ResultCache, AKeyListedTwiceServesItsLaterEntry) {
+  // Writer order holds in the store as in parse_segment: the entry with
+  // the larger ordinal wins, wherever the directory sorts it.
+  TempDir dir("duplicates");
+  std::ofstream(dir.path() / "seg_0.seg", std::ios::binary)
+      << render_segment({{7, "first"}, {3, "other"}, {7, "second"}});
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  EXPECT_EQ(cache.lookup(7), std::optional<std::string_view>("second"));
+  EXPECT_EQ(cache.lookup(3), std::optional<std::string_view>("other"));
+}
+
 TEST(ResultCache, ASecondWriterOfTheSameRowsPublishesNothingNew) {
   TempDir dir("contentaddr");
   for (int round = 0; round < 2; ++round) {
@@ -165,9 +222,10 @@ TEST(ResultCache, ASecondWriterOfTheSameRowsPublishesNothingNew) {
     ASSERT_TRUE(cache.open({dir.str(), 0}));
     cache.insert(1, "row-a");
     cache.insert(2, "row-b");
+    EXPECT_EQ(cache.stats().inserted, round == 0 ? 2u : 0u);
     ASSERT_TRUE(cache.flush());
   }
-  // Round 1's cache loaded both keys from round 0's segment, so its
+  // Round 1's cache found both keys in round 0's directory, so its
   // insert() calls were duplicate-skipped and nothing new published.
   EXPECT_EQ(segment_count(dir.path()), 1u);
 }
@@ -188,32 +246,232 @@ TEST(ResultCache, RacingWritersOfIdenticalBatchesCollideOnOneName) {
   EXPECT_EQ(segment_count(dir.path()), 1u);
 }
 
-TEST(ResultCache, CorruptSegmentIsDroppedAtOpenNeverServed) {
-  TempDir dir("corrupt");
-  {
-    ResultCache cache;
-    ASSERT_TRUE(cache.open({dir.str(), 0}));
-    cache.insert(9, "poisoned-row");
-    ASSERT_TRUE(cache.flush());
-  }
-  // Flip one byte inside the published segment.
-  fs::path segment;
-  for (const auto& entry : fs::directory_iterator(dir.path())) {
-    if (entry.path().extension() == ".seg") segment = entry.path();
-  }
+TEST(ResultCache, CorruptDirectoryIsDroppedAtOpen) {
+  TempDir dir("corrupt_dir");
+  publish(dir, {{9, "poisoned-row"}});
+  const fs::path segment = only_segment(dir.path());
   ASSERT_FALSE(segment.empty());
+  // Flip one byte inside the key directory.
   auto bytes = util::read_file_fully(segment.string());
   ASSERT_TRUE(bytes.has_value());
-  (*bytes)[bytes->size() / 2] ^= 0x20;
-  std::ofstream(segment, std::ios::binary) << *bytes;
+  (*bytes)[head_bytes(*bytes) - 10] ^= 0x20;
+  write_bytes(segment, *bytes);
 
   ResultCache cache;
   ASSERT_TRUE(cache.open({dir.str(), 0}));
   EXPECT_EQ(cache.stats().dropped_segments, 1u);
+  EXPECT_EQ(cache.stats().segments, 0u);
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.lookup(9).has_value());
   // Verified-then-dropped: the damaged file is gone from disk.
   EXPECT_EQ(segment_count(dir.path()), 0u);
+  EXPECT_FALSE(cache.lookup(9).has_value());
+}
+
+TEST(ResultCache, CorruptBodyOpensButIsDroppedOnTheFirstLookup) {
+  TempDir dir("corrupt_body");
+  publish(dir, {{9, "poisoned-row"}});
+  const fs::path segment = only_segment(dir.path());
+  ASSERT_FALSE(segment.empty());
+  // Flip one byte past the directory: in the entry line, so the file's
+  // length and trailer line stay as they were.
+  auto bytes = util::read_file_fully(segment.string());
+  ASSERT_TRUE(bytes.has_value());
+  const std::size_t at = head_bytes(*bytes) + 2;
+  ASSERT_EQ(bytes->compare(at - 2, 6, "entry "), 0);
+  (*bytes)[at] ^= 0x20;
+  write_bytes(segment, *bytes);
+
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  EXPECT_EQ(cache.stats().segments, 1u);
+  EXPECT_EQ(cache.stats().dropped_segments, 0u);
+  EXPECT_EQ(segment_count(dir.path()), 1u);
+  EXPECT_FALSE(cache.lookup(9).has_value());
+  EXPECT_EQ(cache.stats().dropped_segments, 1u);
+  EXPECT_EQ(segment_count(dir.path()), 0u);
+}
+
+TEST(ResultCache, BadDirectoriesAreDroppedAtOpen) {
+  // Trailers that verify over directories that do not: open checks the
+  // directory itself, since it reads no trailer.
+  const std::string entries = "entry 1\na\nentry 1\nb\n";
+  const std::vector<std::string> bodies = {
+      // Unsorted keys.
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000b0 00000001\n00000000000000a0 00000000\n" + entries,
+      // Equal keys with their ordinals unsorted.
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000a0 00000001\n00000000000000a0 00000000\n" + entries,
+      // A short line.
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000a0 0000000\n00000000000000b0 00000001\n" + entries,
+      // An ordinal out of range.
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000a0 00000000\n00000000000000b0 00000002\n" + entries,
+      // An ordinal listed twice.
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000a0 00000000\n00000000000000b0 00000000\n" + entries,
+      // Upper-case hex.
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000A0 00000000\n00000000000000b0 00000001\n" + entries,
+      // A count the file cannot hold.
+      "# railcorr-cache-v2 schema=1 entries=99\n"
+      "00000000000000a0 00000000\n00000000000000b0 00000001\n" + entries,
+      // A foreign schema.
+      "# railcorr-cache-v2 schema=2 entries=2\n"
+      "00000000000000a0 00000000\n00000000000000b0 00000001\n" + entries,
+  };
+  TempDir dir("bad_dirs");
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    const std::string document = util::with_integrity_trailer(bodies[i]);
+    EXPECT_FALSE(parse_segment(document).ok) << bodies[i];
+    write_bytes(dir.path() / ("seg_" + std::to_string(i) + ".seg"), document);
+  }
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  EXPECT_EQ(cache.stats().dropped_segments, bodies.size());
+  EXPECT_EQ(cache.stats().segments, 0u);
+  EXPECT_EQ(segment_count(dir.path()), 0u);
+  EXPECT_FALSE(cache.lookup(0xa0).has_value());
+  EXPECT_FALSE(cache.lookup(0xb0).has_value());
+
+  // The same directory in order opens and serves.
+  const std::string good = util::with_integrity_trailer(
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000a0 00000000\n00000000000000b0 00000001\n" + entries);
+  ASSERT_TRUE(parse_segment(good).ok);
+  write_bytes(dir.path() / "seg_good.seg", good);
+  ResultCache reader;
+  ASSERT_TRUE(reader.open({dir.str(), 0}));
+  EXPECT_EQ(reader.stats().segments, 1u);
+  EXPECT_EQ(reader.lookup(0xa0), std::optional<std::string_view>("a"));
+  EXPECT_EQ(reader.lookup(0xb0), std::optional<std::string_view>("b"));
+}
+
+TEST(ResultCache, DirectoryAndEntriesThatDisagreeAreNeverServed) {
+  // Good directories and good trailers over entries that do not match
+  // them one for one: open accepts each, the first hit drops it.
+  const std::string directory =
+      "# railcorr-cache-v2 schema=1 entries=2\n"
+      "00000000000000a0 00000000\n00000000000000b0 00000001\n";
+  const std::vector<std::string> bodies = {
+      directory + "entry 1\na\n",
+      directory + "entry 1\na\nentry 1\nb\nentry 1\nc\n",
+      directory + "entry 1\na\nentry 1\nb\ntrailing",
+  };
+  for (const auto& body : bodies) {
+    TempDir dir("disagree");
+    const std::string document = util::with_integrity_trailer(body);
+    EXPECT_FALSE(parse_segment(document).ok) << body;
+    write_bytes(dir.path() / "seg_0.seg", document);
+    ResultCache cache;
+    ASSERT_TRUE(cache.open({dir.str(), 0}));
+    EXPECT_EQ(cache.stats().segments, 1u);
+    EXPECT_FALSE(cache.lookup(0xa0).has_value()) << body;
+    EXPECT_FALSE(cache.lookup(0xb0).has_value()) << body;
+    EXPECT_EQ(cache.stats().dropped_segments, 1u);
+    EXPECT_EQ(segment_count(dir.path()), 0u);
+  }
+}
+
+TEST(ResultCache, SegmentRemovedBeforeItsFirstHitMissesAndIsStagedAgain) {
+  TempDir dir("vanished");
+  publish(dir, {{9, "row-9"}});
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  ASSERT_EQ(cache.stats().segments, 1u);
+  // A concurrent evictor unlinks the segment between open and its hit.
+  fs::remove(only_segment(dir.path()));
+  EXPECT_FALSE(cache.lookup(9).has_value());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  // Gone is not damage.
+  EXPECT_EQ(cache.stats().dropped_segments, 0u);
+  cache.insert(9, "row-9");
+  EXPECT_EQ(cache.stats().inserted, 1u);
+  ASSERT_TRUE(cache.flush());
+
+  ResultCache reader;
+  ASSERT_TRUE(reader.open({dir.str(), 0}));
+  EXPECT_EQ(reader.lookup(9), std::optional<std::string_view>("row-9"));
+}
+
+TEST(ResultCache, ASegmentReplacedAfterOpenIsNotReadWithItsOldDirectory) {
+  // The same keys in the other writer order: a valid segment, but its
+  // ordinals are not the ones the directory open read lists.
+  TempDir dir("replaced");
+  const fs::path segment = dir.path() / "seg_0.seg";
+  write_bytes(segment, render_segment({{1, "a"}, {2, "b"}}));
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  write_bytes(segment, render_segment({{2, "b"}, {1, "a"}}));
+  for (const std::uint64_t key : {1, 2}) {
+    const auto hit = cache.lookup(key);
+    EXPECT_TRUE(!hit.has_value() || *hit == (key == 1 ? "a" : "b")) << key;
+  }
+}
+
+TEST(ResultCache, AKeyInAGoodAndADamagedSegmentIsServedFromTheGoodOne) {
+  TempDir dir("two_copies");
+  write_bytes(dir.path() / "seg_2_good.seg",
+              render_segment({{9, "row-9"}, {10, "row-10"}}));
+  // The damaged copy sorts first, so the search reaches it first.
+  const fs::path damaged = dir.path() / "seg_1_damaged.seg";
+  std::string bytes = render_segment({{8, "row-8"}, {9, "row-9"}});
+  bytes[bytes.find("row-9")] = 'R';
+  write_bytes(damaged, bytes);
+
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  EXPECT_EQ(cache.stats().segments, 2u);
+  EXPECT_EQ(cache.lookup(9), std::optional<std::string_view>("row-9"));
+  EXPECT_EQ(cache.stats().dropped_segments, 1u);
+  EXPECT_FALSE(fs::exists(damaged));
+  EXPECT_EQ(cache.lookup(10), std::optional<std::string_view>("row-10"));
+  // Key 8 was only in the damaged copy.
+  EXPECT_FALSE(cache.lookup(8).has_value());
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(ResultCache, OpenReadsDirectoriesAndNoPayloadByte) {
+  // Directories of 300 lines outgrow open's first read, which then
+  // reads exactly the rest of the directory. Rows are ~200 bytes, as a
+  // sweep's are.
+  TempDir dir("bytes_read");
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    std::vector<SegmentEntry> entries;
+    for (std::uint64_t k = 0; k < 300; ++k) {
+      entries.push_back({s * 1000 + k, "row-" + std::to_string(s * 1000 + k) +
+                                           std::string(200, ',')});
+    }
+    publish(dir, entries);
+  }
+  std::size_t heads = 0;
+  std::size_t store = 0;
+  std::map<std::uint64_t, std::size_t> segment_bytes;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    const auto bytes = util::read_file_fully(entry.path().string());
+    ASSERT_TRUE(bytes.has_value());
+    heads += head_bytes(*bytes);
+    store += bytes->size();
+    const auto parse = parse_segment(*bytes);
+    ASSERT_TRUE(parse.ok);
+    segment_bytes[parse.entries.front().key / 1000] = bytes->size();
+  }
+
+  obs::Counter& counter =
+      obs::MetricsRegistry::instance().counter("cache.bytes_read");
+  const std::uint64_t before = counter.value();
+  ResultCache cache;
+  ASSERT_TRUE(cache.open({dir.str(), 0}));
+  EXPECT_EQ(cache.stats().bytes_read, heads);
+  EXPECT_LT(cache.stats().bytes_read, store / 5);
+  EXPECT_EQ(counter.value() - before, heads);
+
+  // The first hit reads its segment whole, and only its segment.
+  EXPECT_EQ(cache.lookup(1007), "row-1007" + std::string(200, ','));
+  EXPECT_EQ(cache.lookup(1299), "row-1299" + std::string(200, ','));
+  EXPECT_EQ(cache.stats().bytes_read, heads + segment_bytes.at(1));
+  EXPECT_EQ(counter.value() - before, heads + segment_bytes.at(1));
 }
 
 TEST(ResultCache, PayloadRotIsCaughtOnTheFirstHitAndRepublished) {

@@ -1,11 +1,16 @@
-/// Seeded fuzz for the cache segment parser, mirroring the progress-
-/// protocol fuzz style: the parser sits directly on bytes another
-/// (possibly crashed, possibly hostile) process published, so it must
-/// survive truncated files, mutated bytes, duplicate keys, and pure
-/// garbage — never crashing, and never accepting a document whose
-/// trailer does not verify.
+/// Seeded fuzz for the cache segment parser and the store that reads
+/// segments in two steps, mirroring the progress-protocol fuzz style:
+/// both sit directly on bytes another (possibly crashed, possibly
+/// hostile) process published, so they must survive truncated files,
+/// mutated bytes, duplicate keys, and pure garbage — never crashing,
+/// never accepting a document whose trailer does not verify, and never
+/// serving a row that was not inserted.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -114,23 +119,42 @@ TEST(SegmentFuzz, TrailerValidStructuralDamageIsStillRejected) {
   ASSERT_EQ(check.status, util::TrailerStatus::kVerified);
   std::string body(check.body);
 
+  const std::string dir1 = "# railcorr-cache-v2 schema=1 entries=1\n"
+                           "0123456789abcdef 00000000\n";
   const std::vector<std::string> damaged_bodies = {
-      // Wrong magic / schema.
+      // Wrong magic / schema / count.
+      "# railcorr-cache-v1 schema=1\n",
       "# railcorr-cache-v2 schema=1\n",
-      "# railcorr-cache-v1 schema=999\n",
+      "# railcorr-cache-v2 schema=999 entries=0\n",
+      "# railcorr-cache-v2 schema=1 entries=x\n",
+      "# railcorr-cache-v2 schema=1 entries=18446744073709551615\n",
       "not a magic line\n",
+      // A directory that is short, malformed, unsorted, or lists an
+      // ordinal out of range or twice.
+      "# railcorr-cache-v2 schema=1 entries=2\n0123456789abcdef 00000000\n",
+      "# railcorr-cache-v2 schema=1 entries=1\n0123456789abcdeg 00000000\n"
+      "entry 1\na\n",
+      "# railcorr-cache-v2 schema=1 entries=1\n0123456789abcdef 0000000x\n"
+      "entry 1\na\n",
+      "# railcorr-cache-v2 schema=1 entries=2\n0123456789abcdef 00000000\n"
+      "0000000000000000 00000001\nentry 1\na\nentry 1\nb\n",
+      "# railcorr-cache-v2 schema=1 entries=1\n0123456789abcdef 00000001\n"
+      "entry 1\na\n",
+      "# railcorr-cache-v2 schema=1 entries=2\n0123456789abcdef 00000000\n"
+      "0123456789abcdff 00000000\nentry 1\na\nentry 1\nb\n",
       // Entry header lies about the payload length, or states one
       // that would wrap the bounds check or overflow the parser.
-      "# railcorr-cache-v1 schema=1\nentry 0123456789abcdef 10\nab\n",
-      "# railcorr-cache-v1 schema=1\n"
-      "entry 0123456789abcdef 18446744073709551615\nab\n",
-      "# railcorr-cache-v1 schema=1\n"
-      "entry 0123456789abcdef 100000000000000000002\nab\n",
-      // Malformed key digits / missing fields.
-      "# railcorr-cache-v1 schema=1\nentry xyz 3\nabc\n",
-      "# railcorr-cache-v1 schema=1\nentry 0123456789abcdef\nabc\n",
+      dir1 + "entry 10\nab\n",
+      dir1 + "entry 18446744073709551615\nab\n",
+      dir1 + "entry 100000000000000000002\nab\n",
+      // Malformed entry lines.
+      dir1 + "entry x\nabc\n",
+      dir1 + "entry 0123456789abcdef 3\nabc\n",
       // Truncated mid-payload (no separator newline).
-      "# railcorr-cache-v1 schema=1\nentry 0123456789abcdef 3\nab",
+      dir1 + "entry 3\nab",
+      // Fewer or more entries than the directory lists.
+      dir1,
+      dir1 + "entry 1\na\nentry 1\nb\n",
   };
   for (const auto& damaged : damaged_bodies) {
     const auto parse = parse_segment(util::with_integrity_trailer(damaged));
@@ -138,6 +162,8 @@ TEST(SegmentFuzz, TrailerValidStructuralDamageIsStillRejected) {
   }
   // Sanity: the same helper accepts the genuine body.
   EXPECT_TRUE(parse_segment(util::with_integrity_trailer(body)).ok);
+  EXPECT_TRUE(
+      parse_segment(util::with_integrity_trailer(dir1 + "entry 1\na\n")).ok);
 }
 
 TEST(SegmentFuzz, RandomEntryBytesAlwaysRoundTrip) {
@@ -164,6 +190,75 @@ TEST(SegmentFuzz, RandomEntryBytesAlwaysRoundTrip) {
       EXPECT_EQ(parse.entries[i].row, entries[i].row);
     }
   }
+}
+
+TEST(SegmentFuzz, AStoreOfMutatedSegmentsServesOnlyInsertedRows) {
+  // Each round writes one intact segment and one mutated copy of
+  // another into a fresh store; some keys sit in both. Every key of the
+  // intact segment must be served, whatever the mutated one holds, and
+  // any row returned must be the one inserted under its key. (A mutated
+  // copy may still serve: a prefix that loses only the final newline
+  // verifies, and an overwrite may write the byte that was there.)
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("railcorr_segment_fuzz_" + std::to_string(::getpid()));
+  SplitMix64 rng(0x5eedcac4e0006ULL);
+  for (int round = 0; round < 300; ++round) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::map<std::uint64_t, std::string> rows;
+    std::vector<SegmentEntry> intact;
+    std::vector<SegmentEntry> mutated;
+    const std::size_t count = 1 + rng.next() % 12;
+    for (std::size_t i = 0; i < count; ++i) {
+      // Few distinct keys, so directories hold runs of equal keys.
+      const std::uint64_t key = rng.next() % 16;
+      std::string& row = rows[key];
+      if (row.empty()) row = "row-" + std::to_string(rng.next() % 1000);
+      const std::uint64_t where = rng.next() % 3;
+      if (where != 1) intact.push_back({key, row});
+      if (where != 0) mutated.push_back({key, row});
+    }
+    std::string bytes = render_segment(mutated);
+    switch (rng.next() % 3) {
+      case 0:  // Torn: a strict prefix.
+        bytes.resize(rng.next() % bytes.size());
+        break;
+      case 1:  // One byte changed.
+        bytes[rng.next() % bytes.size()] ^=
+            static_cast<char>(1 + rng.next() % 255);
+        break;
+      default:  // A few bytes overwritten.
+        for (int k = 0; k < 4; ++k) {
+          bytes[rng.next() % bytes.size()] =
+              static_cast<char>(rng.next() % 256);
+        }
+        break;
+    }
+    // Either name may sort first.
+    const bool mutated_first = rng.next() % 2 == 0;
+    std::ofstream(dir / (mutated_first ? "seg_a.seg" : "seg_c.seg"),
+                  std::ios::binary)
+        << bytes;
+    if (!intact.empty()) {
+      std::ofstream(dir / "seg_b.seg", std::ios::binary)
+          << render_segment(intact);
+    }
+
+    ResultCache cache;
+    ASSERT_TRUE(cache.open({dir.string(), 0}));
+    for (const auto& [key, row] : rows) {
+      const auto hit = cache.lookup(key);
+      bool in_intact = false;
+      for (const auto& entry : intact) in_intact |= entry.key == key;
+      if (in_intact) {
+        ASSERT_TRUE(hit.has_value()) << "round " << round << " key " << key;
+      }
+      if (!hit.has_value()) continue;
+      EXPECT_EQ(*hit, row) << "round " << round << " key " << key;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

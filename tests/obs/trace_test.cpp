@@ -5,6 +5,7 @@
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cstdint>
@@ -126,6 +127,46 @@ TEST(TraceRecorder, ConcurrentWritersAllLand) {
   EXPECT_EQ(rec.dropped(), 0u);
   // The serialized document stays parseable with many tids.
   EXPECT_TRUE(parse_trace(rec.serialize()).ok);
+  rec.disable();
+}
+
+TEST(TraceRecorder, ARegisteredThreadTouchesOnlyThePagesItsEventsFill) {
+  // Registering four threads with one span each must not fault their
+  // rings in, only a ring page each. The faults are counted against
+  // four threads that record nothing, so thread start-up (and any
+  // sanitizer's own per-thread memory) cancels out. The rings here are
+  // 4 MiB (64 Ki events): larger than any block the earlier tests
+  // freed, so the allocator maps fresh pages rather than reusing ones
+  // already touched, and a ring that was written whole would cost
+  // ~4,096 more minor faults.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "a sanitizer's allocator writes shadow memory for every "
+                  "block it hands out, so faults no longer count the "
+                  "ring's own pages";
+#endif
+  std::atomic<std::uint64_t> t{0};
+  pin_recorder(&t, 1, 1000, /*capacity=*/1 << 16);
+  auto& rec = TraceRecorder::instance();
+  const auto faults_of_four_threads = [](bool traced) {
+    rusage before{};
+    ::getrusage(RUSAGE_SELF, &before);
+    std::vector<std::thread> threads;
+    for (std::uint64_t w = 0; w < 4; ++w) {
+      threads.emplace_back([w, traced] {
+        if (traced) const ObsSpan span("first", "test", "w", w);
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    rusage after{};
+    ::getrusage(RUSAGE_SELF, &after);
+    return after.ru_minflt - before.ru_minflt;
+  };
+  const long untraced = faults_of_four_threads(false);
+  const long traced = faults_of_four_threads(true);
+  EXPECT_LT(traced - untraced, 64)
+      << traced << " minor faults traced, " << untraced << " untraced";
+  EXPECT_EQ(rec.snapshot().size(), 4u);
+  EXPECT_EQ(rec.dropped(), 0u);
   rec.disable();
 }
 

@@ -76,14 +76,16 @@ std::string toy_doc(const corridor::SweepPlan& plan, std::size_t shard,
   return doc;
 }
 
-/// Stage the per-shard documents a toy fleet copies into place.
+/// Stage the per-shard documents a toy fleet copies into place,
+/// trailered as a real worker writes them.
 std::vector<std::string> stage_toy_docs(const corridor::SweepPlan& plan,
                                         const fs::path& dir,
                                         std::size_t shard_count) {
   std::vector<std::string> paths;
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
     const fs::path path = dir / ("doc_" + std::to_string(shard) + ".txt");
-    write_file(path, toy_doc(plan, shard, shard_count));
+    write_file(path,
+               util::with_integrity_trailer(toy_doc(plan, shard, shard_count)));
     paths.push_back(path.string());
   }
   return paths;
@@ -505,6 +507,42 @@ TEST(Orchestrate, ShardRottedBeforeMergeIsACountedCorruptOutputFailure) {
   EXPECT_EQ(result.stats.failures_by_class.at("corrupt-output"), 1u);
   EXPECT_NE(result.summary.find("corrupt-output=1"), std::string::npos)
       << result.summary;
+}
+
+TEST(Orchestrate, OutputTornInsideItsLastRowIsRejectedAndRetried) {
+  // A write torn inside the last row leaves every row's index, so the
+  // row count matches; only the trailer it lost tells.
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const auto docs = stage_toy_docs(plan, staging.path, 1);
+  const std::string whole = read_file(docs[0]);
+  const std::size_t torn = whole.rfind("@railcorr-crc") - 2;
+
+  OrchestrateOptions options;
+  options.workers = 1;
+  options.shards = 1;
+  options.retries = 1;
+  options.backoff_base_s = 0.0;
+  std::ostringstream log;
+  options.log = &log;
+  options.command = [&docs, torn](const WorkerAttempt& attempt) {
+    const std::string bytes =
+        attempt.attempt == 0 ? " | head -c " + std::to_string(torn) : "";
+    return sh("cat '" + docs[0] + "'" + bytes + " > '" + attempt.out_path +
+              "'");
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.merged, corridor::merge_shards({toy_doc(plan, 0, 1)}).merged);
+  EXPECT_EQ(result.stats.retried, 1u);
+  ASSERT_EQ(result.stats.failures_by_class.count("corrupt-output"), 1u);
+  EXPECT_EQ(result.stats.failures_by_class.at("corrupt-output"), 1u);
+  EXPECT_NE(log.str().find("shard 0 attempt 0 output from host local "
+                           "rejected: missing integrity trailer (torn "
+                           "write)"),
+            std::string::npos)
+      << log.str();
 }
 
 TEST(Orchestrate, ShardFlippedBeforeMergeFailsTheCompareAndTheFullCheck) {
@@ -1059,6 +1097,51 @@ TEST(OrchestrateEndToEnd, ResumeMatchesSingleProcessBytes) {
   EXPECT_EQ(resumed.stats.resumed, 3u);
   EXPECT_EQ(resumed.merged,
             core::run_sweep_shard(plan, corridor::ShardSpec{0, 1}));
+}
+
+TEST(OrchestrateEndToEnd, WorkerWriteTornInsideItsLastRowIsNeverMerged) {
+  // The worker's own torn-write fault point, cutting the last row of a
+  // one-shard run short by four bytes: its value loses digits, and
+  // every row still has its index.
+  const std::string cli = find_cli();
+  if (cli.empty()) {
+    GTEST_SKIP() << "railcorr CLI not built next to the test binary";
+  }
+  const auto plan = corridor::SweepPlan::from_spec(
+      "base = paper\n"
+      "axis radio.lp_eirp_dbm = 30, 32\n"
+      "axis timetable.trains_per_hour = 2, 4\n"
+      "axis radio.hp_eirp_dbm = 55, 58\n");
+  const std::string single =
+      core::run_sweep_shard(plan, corridor::ShardSpec{0, 1});
+  const std::size_t torn = single.size() - 4;
+  TempDir run;
+
+  OrchestrateOptions options;
+  options.workers = 1;
+  options.shards = 1;
+  options.retries = 1;
+  options.backoff_base_s = 0.0;
+  const std::string worker_plan = (run.path / "plan.sweep").string();
+  options.command = [&cli, &worker_plan, torn](const WorkerAttempt& attempt) {
+    std::vector<std::string> argv = {
+        cli,      "sweep",          "--plan",  worker_plan,
+        "--shard", "0/1",           "--out",   attempt.out_path,
+        "--progress", "--threads", "1",
+    };
+    if (attempt.attempt == 0) {
+      argv.push_back("--fault");
+      argv.push_back("torn-write=" + std::to_string(torn));
+    }
+    return argv;
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.stats.retried, 1u);
+  ASSERT_EQ(result.stats.failures_by_class.count("corrupt-output"), 1u);
+  EXPECT_EQ(result.merged, single);
+  EXPECT_EQ(read_file(run.path / "merged.csv"),
+            util::with_integrity_trailer(single));
 }
 
 }  // namespace

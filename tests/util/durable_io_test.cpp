@@ -117,6 +117,39 @@ TEST(Hex16, RoundTripsAndParsesExactlySixteenLowercaseDigits) {
   EXPECT_EQ(out, 42u);
 }
 
+TEST(Hex, FixedWidthFieldsOfAnyWidthRoundTrip) {
+  char digits[16];
+  write_hex(0x1234abcdULL, 8, digits);
+  EXPECT_EQ(std::string_view(digits, 8), "1234abcd");
+  // Only the low 4 × width bits are written.
+  write_hex(0xfedcba9876543210ULL, 4, digits);
+  EXPECT_EQ(std::string_view(digits, 4), "3210");
+  std::uint64_t parsed = 0;
+  ASSERT_TRUE(parse_hex("00000007", parsed));
+  EXPECT_EQ(parsed, 7u);
+  ASSERT_TRUE(parse_hex("f", parsed));
+  EXPECT_EQ(parsed, 15u);
+  // Every byte: a lowercase hex digit parses to its value, any other
+  // byte fails, alone or inside a field.
+  const std::string_view hex = "0123456789abcdef";
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    std::uint64_t out = 99;
+    const std::size_t digit = hex.find(c);
+    EXPECT_EQ(parse_hex(std::string_view(&c, 1), out),
+              digit != std::string_view::npos)
+        << byte;
+    EXPECT_EQ(out, digit != std::string_view::npos ? digit : 99u) << byte;
+    const std::string field = std::string("0a") + c + "7";
+    EXPECT_EQ(parse_hex(field, out), digit != std::string_view::npos)
+        << byte;
+  }
+  std::uint64_t out = 42;
+  EXPECT_FALSE(parse_hex("", out));
+  EXPECT_FALSE(parse_hex("00000000000000000", out));
+  EXPECT_EQ(out, 42u);
+}
+
 TEST(IntegrityTrailer, RoundTripVerifiesAndStrips) {
   const std::string body = "banner\nheader\n0,1,2\n";
   const std::string document = with_integrity_trailer(body);
