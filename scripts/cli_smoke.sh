@@ -8,9 +8,10 @@
 #      both SIMD levels; the one accepted --accuracy value and the
 #      retired RAILCORR_ACCURACY variable leave the bytes alone,
 #   3. corrupt one shard row and check merge exits nonzero,
-#   4. pin the worker progress stream: one cell line per owned cell in
-#      order before the done line, and a `kill=3` fault's exit 137
-#      after exactly 3 cell lines,
+#   4. pin the worker progress stream: the start line, then the done
+#      line, nothing per cell; and the kill fault counting rendered
+#      rows (`kill=4` on the 4-cell plan exits 137 with no done line
+#      and no shard file, `kill=5` never fires),
 #   5. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
 #      combinations, non-finite seconds, refused resumes) so
@@ -146,40 +147,42 @@ if [ "$code" -ne 1 ]; then
 fi
 
 # --- 4: the progress stream ------------------------------------------
-# A worker's protocol: one cell line per owned cell, `done=` counting
-# 1..owned in index order, then the done line last. The shard document
-# is the plain sweep's.
+# A worker's protocol: the start line before compute, then the done
+# line last, and no line per cell. The shard document is the plain
+# sweep's.
 "$BIN" sweep --plan "$TMP/plan.sweep" --shard 0/1 --progress \
     --out "$TMP/progress.csv" > "$TMP/progress.log"
 if ! cmp "$TMP/progress.csv" "$TMP/full.csv"; then
   echo "FAIL: --progress sweep differs from the plain sweep" >&2
   exit 1
 fi
-grep -E '^@railcorr 1 (cell|done) ' "$TMP/progress.log" > "$TMP/events.txt"
 cat > "$TMP/events_want.txt" <<'EVENTS'
-@railcorr 1 cell index=0 done=1 total=4
-@railcorr 1 cell index=1 done=2 total=4
-@railcorr 1 cell index=2 done=3 total=4
-@railcorr 1 cell index=3 done=4 total=4
+@railcorr 1 start shard=0/1 cells=4
 @railcorr 1 done rows=4
 EVENTS
-if ! cmp "$TMP/events.txt" "$TMP/events_want.txt" \
-    || [ "$(tail -n 1 "$TMP/progress.log")" != "@railcorr 1 done rows=4" ]; then
-  echo "FAIL: --progress stream is not 4 ordered cell lines, then done:" >&2
+if ! cmp "$TMP/progress.log" "$TMP/events_want.txt"; then
+  echo "FAIL: --progress stream is not the start line, then done:" >&2
   cat "$TMP/progress.log" >&2
   exit 1
 fi
-# A kill fault fires after its cell line is out: SIGKILL (exit 137)
-# with exactly that many cell lines on stdout.
+# The kill fault counts rendered rows. kill=4 fires on the 4-cell
+# plan's last row, before the shard write: SIGKILL (exit 137), no done
+# line and no shard file. kill=5 never fires.
 set +e
-"$BIN" sweep --plan "$TMP/plan.sweep" --progress --fault kill=3 \
+"$BIN" sweep --plan "$TMP/plan.sweep" --progress --fault kill=4 \
     --out "$TMP/killed.csv" > "$TMP/killed.log" 2>/dev/null
 code=$?
 set -e
-cells="$(grep -c '^@railcorr 1 cell ' "$TMP/killed.log" || true)"
-if [ "$code" -ne 137 ] || [ "$cells" -ne 3 ]; then
-  echo "FAIL: --fault kill=3 exited $code after $cells cell line(s)," \
-       "expected 137 after 3" >&2
+if [ "$code" -ne 137 ] || grep -q '^@railcorr 1 done ' "$TMP/killed.log" \
+    || [ -e "$TMP/killed.csv" ]; then
+  echo "FAIL: --fault kill=4 exited $code, expected 137 with no done" \
+       "line and no shard file" >&2
+  exit 1
+fi
+"$BIN" sweep --plan "$TMP/plan.sweep" --progress --fault kill=5 \
+    --out "$TMP/kill5.csv" > /dev/null
+if ! cmp "$TMP/kill5.csv" "$TMP/full.csv"; then
+  echo "FAIL: --fault kill=5 on a 4-cell plan changed the shard" >&2
   exit 1
 fi
 

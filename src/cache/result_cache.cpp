@@ -615,10 +615,6 @@ std::optional<std::string_view> ResultCache::lookup(std::uint64_t key) {
 
 void ResultCache::insert(std::uint64_t key, std::string_view row) {
   if (!open_ || staged_rows_.count(key) > 0) return;
-  // The byte-identity contract makes a duplicate's bytes identical to
-  // the listed ones, so re-staging an already-known key only bloats
-  // the store.
-  if (find_listed(key, 0).first != npos) return;
   const SegmentEntry& staged =
       staged_.emplace_back(SegmentEntry{key, std::string(row)});
   staged_rows_.emplace(key, staged.row);

@@ -193,7 +193,7 @@ class ResultCache {
     std::size_t hits = 0;
     /// lookup() calls that did not.
     std::size_t misses = 0;
-    /// insert() calls staged (keys already staged or listed are skipped).
+    /// insert() calls staged (keys already staged are skipped).
     std::size_t inserted = 0;
     /// Segments evicted by this process's flushes.
     std::size_t evicted_segments = 0;
@@ -220,12 +220,13 @@ class ResultCache {
   /// later inserts, lookups and flushes.
   std::optional<std::string_view> lookup(std::uint64_t key);
 
-  /// Stage one row for the next flush. A key already staged, or listed
-  /// in a live segment's directory, is skipped without loading anything
-  /// — the byte-identity contract makes any duplicate's bytes
-  /// identical, so re-publishing buys nothing. A key whose segment was
-  /// dropped is no longer listed, so its recomputed row is staged and
-  /// published again.
+  /// Stage one row for the next flush; a key already staged is
+  /// skipped. The directories are not searched again: the caller
+  /// inserts a key only after its lookup() missed, and a miss means no
+  /// live segment lists it (a key whose segment was dropped is no
+  /// longer listed, so its recomputed row is published again). A key
+  /// inserted without a lookup may duplicate a listed one; the
+  /// byte-identity contract makes both rows the same bytes.
   void insert(std::uint64_t key, std::string_view row);
 
   /// Publish staged entries as one content-addressed segment and

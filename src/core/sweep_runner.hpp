@@ -46,12 +46,11 @@ struct SweepRunOptions {
   cache::ResultCache* cache = nullptr;
   /// Called by run_sweep_shard once per owned cell, on the calling
   /// thread and in ascending index order, with (grid cell index, cells
-  /// finished, cells owned by the shard). The CLI's `--progress` mode
-  /// forwards these to the orchestrator's line protocol. Progress
-  /// emission cannot perturb the evaluation: rows are already rendered
-  /// when the callback fires. The calls arrive in a burst after the
-  /// shard's stages have run (`sweep --heartbeat` keeps a worker
-  /// visibly alive in the meantime). Empty = off.
+  /// finished, cells owned by the shard). It is the per-row site of the
+  /// CLI's `kill`, `stall` and `host-flap` fault points, which count
+  /// rendered rows. It cannot perturb the evaluation: rows are already
+  /// rendered when it fires, in a burst after the shard's stages have
+  /// run. Empty = off.
   std::function<void(std::size_t index, std::size_t done, std::size_t total)>
       progress;
 };
@@ -83,7 +82,7 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
 ///  4. per-cell stage: energy, duty, LP sleep power and row render, in
 ///     parallel over cells, each into its own slot;
 ///  5. emission on the calling thread in index order: document rows,
-///     cache inserts, counters, progress.
+///     cache inserts, counters, the progress callback.
 /// The rows byte-match evaluate_sweep_cell's at any thread count.
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
                             corridor::ShardSpec shard,

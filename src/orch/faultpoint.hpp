@@ -45,9 +45,10 @@
 ///                          event — ssh's connect-refused signature,
 ///                          which the orchestrator must charge to the
 ///                          host, not the shard.
-///   host-flap=N            emit normal progress for N cells, then
-///                          exit 255 mid-shard without writing output
-///                          — a connection dropped by a flapping host.
+///   host-flap=N            run normally, past the start event, for N
+///                          cells, then exit 255 mid-shard without
+///                          writing output — a connection dropped by a
+///                          flapping host.
 ///   transfer-torn=N        the fetch delivers only the first N bytes
 ///                          of the shard file — a torn transfer the
 ///                          verify-after-fetch step must classify as

@@ -140,7 +140,9 @@ RunManifest RunManifest::parse(std::string_view text) {
     const bool torn_final =
         eol == std::string_view::npos && !ends_with_newline;
     text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    // A CRLF file's '\r' goes, and so does any run of them: a value
+    // that kept one would not survive header_text().
+    while (line.ends_with('\r')) line.remove_suffix(1);
     if (line.empty()) continue;
 
     if (!magic_seen) {

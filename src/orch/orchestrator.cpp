@@ -209,7 +209,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   const auto owned_cells = [&](std::size_t shard) {
     return corridor::ShardSpec{shard, shards}.indices(grid).size();
   };
-  ProgressAggregator aggregator(grid, shards);
+  /// Each shard's latest worker cache report (hits, misses): a retried
+  /// attempt's report replaces its predecessor's.
+  std::vector<std::pair<std::size_t, std::size_t>> cache_reports(shards);
 
   if (previous.has_value()) {
     const auto mismatches = previous->mismatches_against(wanted);
@@ -232,14 +234,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
                             owned_cells(shard), documents[shard],
                             shard_rows[shard], why)) {
         resumed[shard] = true;
-        for (const std::size_t index :
-             corridor::ShardSpec{shard, shards}.indices(grid)) {
-          ProgressEvent event;
-          event.kind = ProgressEvent::Kind::kCell;
-          event.index = index;
-          aggregator.on_event(shard, event);
-        }
-        aggregator.on_shard_complete(shard);
       } else {
         log("resume: shard " + std::to_string(shard) +
             " marked done but its file is stale (" + why + "); re-running");
@@ -282,7 +276,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   // function only spawns, polls, kills, verifies and records.
   Scheduler scheduler(options, resumed);
   std::vector<LiveAttempt> live;
-  std::string last_summary;
   // Trace-lane host annotations, keyed by the attempt's trace-file stem
   // ("shard_<i>.attempt<a>"); filled at launch, consumed at merge.
   std::map<std::string, std::string> attempt_hosts;
@@ -351,18 +344,20 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   };
 
   /// Read an attempt's pipe. A worker's protocol events feed the
-  /// aggregator and the scheduler's stall clock; a fetch tool speaks no
-  /// protocol, and its output is drained only so a chatty transfer
-  /// cannot fill the pipe and block itself.
+  /// scheduler's stall clock, and its cache report the cache tally; a
+  /// fetch tool speaks no protocol, and its output is drained only so a
+  /// chatty transfer cannot fill the pipe and block itself.
   const auto drain = [&](LiveAttempt& attempt) {
     std::vector<std::string> lines;
     attempt.process().drain(lines);
     if (attempt.fetch.has_value()) return;
     bool any_event = false;
     for (const auto& line : lines) {
-      if (const auto event = parse_progress_line(line)) {
-        aggregator.on_event(attempt.info.shard, *event);
-        any_event = true;
+      const auto event = parse_progress_line(line);
+      if (!event.has_value()) continue;
+      any_event = true;
+      if (event->kind == ProgressEvent::Kind::kCache) {
+        cache_reports[attempt.info.shard] = {event->hits, event->misses};
       }
     }
     if (any_event) scheduler.on_event(attempt.info.shard, now_s());
@@ -403,9 +398,9 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     if (verdict.kind == Scheduler::Verdict::Kind::kDone) {
       manifest_log.append_line(
           RunManifest::done_line(verdict.shard, shard_file_name(verdict.shard)));
-      aggregator.on_shard_complete(verdict.shard);
-      log("shard " + shard + " done (attempt " + attempt + "; " +
-          aggregator.summary() + ")");
+      log("shard " + shard + " done (attempt " + attempt + "; shards " +
+          std::to_string(shards - scheduler.incomplete()) + "/" +
+          std::to_string(shards) + ")");
       return true;
     }
     // Every failed attempt lands in the manifest for post-mortem.
@@ -433,13 +428,22 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     return true;
   };
 
+  /// The scheduler's counters plus the fleet's cache tally: the sum of
+  /// each shard's latest report.
+  const auto run_stats = [&] {
+    OrchestrateStats stats = scheduler.stats();
+    for (const auto& [hits, misses] : cache_reports) {
+      stats.cache_hits += hits;
+      stats.cache_misses += misses;
+    }
+    return stats;
+  };
+
   /// Build the one-line run summary, log it, append it to the manifest
   /// as an `info` audit line, and store it and the stats in the result.
   /// Called once, on every exit path past the manifest's opening.
   const auto emit_summary = [&] {
-    result.stats = scheduler.stats();
-    result.stats.cache_hits = aggregator.cache_hits();
-    result.stats.cache_misses = aggregator.cache_misses();
+    result.stats = run_stats();
     // The third counter is retired and always 0; it stays so the
     // summary keeps the key set existing parsers read.
     std::string s =
@@ -519,12 +523,12 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       // Fleet-level rollups under the orchestrator's own namespace (the
       // workers' sweep.*/cache.* counters arrive via their metrics files
       // and must not be double-counted here).
-      const auto& stats = scheduler.stats();
+      const auto stats = run_stats();
       metrics.counter("orch.attempts").add(stats.attempts);
       metrics.counter("orch.retried").add(stats.retried);
       metrics.counter("orch.resumed").add(stats.resumed);
-      metrics.counter("orch.cache_hits").add(aggregator.cache_hits());
-      metrics.counter("orch.cache_misses").add(aggregator.cache_misses());
+      metrics.counter("orch.cache_hits").add(stats.cache_hits);
+      metrics.counter("orch.cache_misses").add(stats.cache_misses);
     }
     std::string error;
     if (!util::atomic_write_file(
@@ -701,13 +705,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
                                         : scheduler.next_wake_ms(now_s()));
 
         for (auto& attempt : live) drain(attempt);
-        if (options.log != nullptr) {
-          std::string summary = aggregator.summary();
-          if (summary != last_summary) {
-            log(summary);
-            last_summary = std::move(summary);
-          }
-        }
 
         for (const auto& expired : scheduler.expire(now_s())) {
           const std::string what =
@@ -766,21 +763,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
   /// written.
   const auto merge = [&] {
     const obs::ObsSpan span("merge", "orch", "cells", grid);
-    for (const auto& error : aggregator.banner_errors()) {
-      result.errors.push_back(error);
-    }
-    // The fleet's banner must be the one this invocation planned — a
-    // divergence means the workers evaluated a different plan than the
-    // manifest records (e.g. a tampered plan.sweep), and the merged
-    // output would be mislabeled.
-    if (!aggregator.banner().empty() &&
-        aggregator.banner() != wanted.banner) {
-      result.errors.push_back("worker fleet produced banner '" +
-                              aggregator.banner() +
-                              "' but this run planned '" + wanted.banner +
-                              "'");
-    }
-
     std::vector<std::string> names;
     names.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
@@ -794,7 +776,6 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       }
       return false;
     }
-    if (!result.errors.empty()) return false;
 
     const fs::path merged_path = dir / "merged.csv";
     std::string error;

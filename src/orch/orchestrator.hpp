@@ -18,9 +18,10 @@
 /// re-queued attempt reproduces the same bytes. A hung worker is
 /// cleared by the progress-silence check (`stall_timeout_s`) or the
 /// wall-clock budget (`timeout_s`) and retried like any other failure.
-/// Any divergence (a worker fleet mixing plans or banners) is
-/// caught twice: live, by the aggregator comparing worker banners, and
-/// at the end, by the merge's banner and byte-identity checks.
+/// A worker that evaluated another plan is caught on its output: the
+/// shard check at publish, resume and pre-merge refuses a file whose
+/// banner is not the planned one, and the merge's byte-identity check
+/// backs every row.
 ///
 /// Every scheduling decision — queue, slots, retry budget and backoff,
 /// placement, deadlines, failure classes, verdicts — is made by the
@@ -129,8 +130,8 @@ struct OrchestrateOptions {
   /// emitted no parsable protocol event for this long is presumed hung
   /// (deadlock, unkillable I/O wait, fault-injected stall) and killed,
   /// independently of the wall-clock timeout — a healthy worker on a
-  /// big shard streams a cell line per finished cell, so silence, not
-  /// total runtime, is the hang signal. 0 = disabled.
+  /// big shard keeps printing heartbeats (the CLI passes `--heartbeat`),
+  /// so silence, not total runtime, is the hang signal. 0 = disabled.
   double stall_timeout_s = 0.0;
   /// Deterministic exponential retry backoff: a shard's k-th failure
   /// delays its relaunch by backoff_base_s * 2^(k-1), capped at
@@ -196,31 +197,22 @@ struct OrchestrateStats {
   std::size_t retried = 0;
   /// Shards skipped because a resumed manifest had them done.
   std::size_t resumed = 0;
-  /// Attempts killed for exceeding the wall-clock timeout.
-  std::size_t timed_out = 0;
-  /// Attempts killed for progress silence (--stall-timeout).
-  std::size_t stalled = 0;
-  /// Attempts whose output failed integrity/structure verification
-  /// (torn write, corrupt trailer, wrong banner or row count).
-  std::size_t corrupt = 0;
   /// Fleet-wide result-cache tallies, summed from each shard's latest
   /// cache progress report. Zero when workers ran without --cache-dir.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Transport failures of a distributed run (charged to host health,
-  /// not the shard retry budget).
-  std::size_t launch_refused = 0;
-  std::size_t connection_lost = 0;
-  std::size_t transfer_corrupt = 0;
-  std::size_t transfer_stalled = 0;
   /// Host-health transitions (each also audited as a manifest `host`
   /// line).
   std::size_t host_quarantines = 0;
   std::size_t host_recoveries = 0;
   std::size_t hosts_dead = 0;
-  /// Failed attempts by classified cause label (`timeout`, `exit-3`,
-  /// `signal-9`, `corrupt-transfer`, ...). Feeds the run summary's
-  /// retries-by-class breakdown.
+  /// Failed attempts by classified cause label: `exit-<code>`,
+  /// `signal-<n>`, `timeout`, `stalled`, `corrupt-output` (a torn
+  /// write, corrupt trailer, wrong banner or row count), and the
+  /// transport classes charged to host health, not the shard's retry
+  /// budget — `launch-refused`, `connection-lost`, `corrupt-transfer`,
+  /// `transfer-stalled`. A class no attempt failed with has no entry.
+  /// Feeds the run summary's retries-by-class breakdown.
   std::map<std::string, std::size_t> failures_by_class;
 };
 

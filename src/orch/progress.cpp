@@ -41,20 +41,10 @@ bool take_field(std::string_view& rest, std::string_view name,
 
 }  // namespace
 
-std::string banner_line(std::string_view banner) {
-  return std::string(kMagic) + "banner " + std::string(banner);
-}
-
 std::string start_line(std::size_t shard, std::size_t shard_count,
                        std::size_t cells) {
   return std::string(kMagic) + "start shard=" + std::to_string(shard) + "/" +
          std::to_string(shard_count) + " cells=" + std::to_string(cells);
-}
-
-std::string cell_line(std::size_t index, std::size_t done,
-                      std::size_t total) {
-  return std::string(kMagic) + "cell index=" + std::to_string(index) +
-         " done=" + std::to_string(done) + " total=" + std::to_string(total);
 }
 
 std::string cache_line(std::size_t hits, std::size_t misses) {
@@ -73,11 +63,6 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
   std::string_view rest = line.substr(kMagic.size());
   ProgressEvent event;
 
-  if (rest.starts_with("banner ")) {
-    event.kind = ProgressEvent::Kind::kBanner;
-    event.banner = std::string(rest.substr(7));
-    return event;
-  }
   if (rest.starts_with("start ")) {
     rest.remove_prefix(6);
     event.kind = ProgressEvent::Kind::kStart;
@@ -88,16 +73,6 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
     rest.remove_prefix(1);
     if (!take_decimal(rest, event.shard_count) ||
         !take_field(rest, "cells", event.cells, /*leading_space=*/true)) {
-      return std::nullopt;
-    }
-    return rest.empty() ? std::optional<ProgressEvent>(event) : std::nullopt;
-  }
-  if (rest.starts_with("cell ")) {
-    rest.remove_prefix(5);
-    event.kind = ProgressEvent::Kind::kCell;
-    if (!take_field(rest, "index", event.index, /*leading_space=*/false) ||
-        !take_field(rest, "done", event.done, /*leading_space=*/true) ||
-        !take_field(rest, "total", event.total, /*leading_space=*/true)) {
       return std::nullopt;
     }
     return rest.empty() ? std::optional<ProgressEvent>(event) : std::nullopt;
@@ -124,77 +99,6 @@ std::optional<ProgressEvent> parse_progress_line(std::string_view line) {
     return rest.empty() ? std::optional<ProgressEvent>(event) : std::nullopt;
   }
   return std::nullopt;
-}
-
-ProgressAggregator::ProgressAggregator(std::size_t grid_cells,
-                                       std::size_t shard_count)
-    : grid_cells_(grid_cells),
-      shard_count_(shard_count),
-      cell_seen_(grid_cells, false),
-      shard_done_(shard_count, false),
-      shard_cache_hits_(shard_count, 0),
-      shard_cache_misses_(shard_count, 0) {}
-
-void ProgressAggregator::on_event(std::size_t shard,
-                                  const ProgressEvent& event) {
-  switch (event.kind) {
-    case ProgressEvent::Kind::kBanner:
-      if (banner_.empty()) {
-        banner_ = event.banner;
-      } else if (event.banner != banner_) {
-        banner_errors_.push_back(
-            "shard " + std::to_string(shard) + ": worker banner '" +
-            event.banner + "' differs from the run's banner '" + banner_ +
-            "'");
-      }
-      break;
-    case ProgressEvent::Kind::kCell:
-      if (event.index < cell_seen_.size() && !cell_seen_[event.index]) {
-        cell_seen_[event.index] = true;
-        ++cells_done_;
-      }
-      break;
-    case ProgressEvent::Kind::kCache:
-      // Latest report wins: a retried attempt re-reports its own
-      // whole-shard tallies, superseding (not adding to) the dead
-      // attempt's.
-      if (shard < shard_cache_hits_.size()) {
-        shard_cache_hits_[shard] = event.hits;
-        shard_cache_misses_[shard] = event.misses;
-      }
-      break;
-    case ProgressEvent::Kind::kStart:
-    case ProgressEvent::Kind::kHeartbeat:
-      // Heartbeats are pure liveness: the orchestrator's stall clock
-      // resets on any parsed event, and the tallies ignore them.
-    case ProgressEvent::Kind::kDone:
-      break;
-  }
-}
-
-std::size_t ProgressAggregator::cache_hits() const {
-  std::size_t total = 0;
-  for (const std::size_t hits : shard_cache_hits_) total += hits;
-  return total;
-}
-
-std::size_t ProgressAggregator::cache_misses() const {
-  std::size_t total = 0;
-  for (const std::size_t misses : shard_cache_misses_) total += misses;
-  return total;
-}
-
-void ProgressAggregator::on_shard_complete(std::size_t shard) {
-  if (shard < shard_done_.size() && !shard_done_[shard]) {
-    shard_done_[shard] = true;
-    ++shards_done_;
-  }
-}
-
-std::string ProgressAggregator::summary() const {
-  return "cells " + std::to_string(cells_done_) + "/" +
-         std::to_string(grid_cells_) + ", shards " +
-         std::to_string(shards_done_) + "/" + std::to_string(shard_count_);
 }
 
 HeartbeatThread::HeartbeatThread(double period_s,

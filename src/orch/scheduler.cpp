@@ -204,26 +204,14 @@ Scheduler::Verdict Scheduler::fail(std::size_t shard, std::size_t attempt,
   verdict.shard = shard;
   verdict.attempt = attempt;
   verdict.transport = cls >= FailureClass::kLaunchRefused;  // The last four.
-  // Each class's label and stats counter, in enum order.
-  static constexpr struct {
-    const char* label;
-    std::size_t OrchestrateStats::*count;
-  } kClasses[] = {
-      {"exit-", nullptr},
-      {"signal-", nullptr},
-      {"timeout", &OrchestrateStats::timed_out},
-      {"stalled", &OrchestrateStats::stalled},
-      {"corrupt-output", &OrchestrateStats::corrupt},
-      {"launch-refused", &OrchestrateStats::launch_refused},
-      {"connection-lost", &OrchestrateStats::connection_lost},
-      {"corrupt-transfer", &OrchestrateStats::transfer_corrupt},
-      {"transfer-stalled", &OrchestrateStats::transfer_stalled},
-  };
-  const auto& entry = kClasses[static_cast<std::size_t>(cls)];
-  verdict.cause = entry.label;
+  // Each class's label, in enum order.
+  static constexpr const char* kLabels[] = {
+      "exit-",           "signal-",          "timeout",
+      "stalled",         "corrupt-output",   "launch-refused",
+      "connection-lost", "corrupt-transfer", "transfer-stalled"};
+  verdict.cause = kLabels[static_cast<std::size_t>(cls)];
   if (cls == FailureClass::kExit) verdict.cause += std::to_string(code);
   if (cls == FailureClass::kSignal) verdict.cause += std::to_string(code - 128);
-  if (entry.count != nullptr) ++(stats_.*entry.count);
   ++stats_.failures_by_class[verdict.cause];
   if (!verdict.transport) ++failures_[shard];
   verdict.failures = failures_[shard];

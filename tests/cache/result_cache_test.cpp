@@ -222,11 +222,13 @@ TEST(ResultCache, ASecondWriterOfTheSameRowsPublishesNothingNew) {
     ASSERT_TRUE(cache.open({dir.str(), 0}));
     cache.insert(1, "row-a");
     cache.insert(2, "row-b");
-    EXPECT_EQ(cache.stats().inserted, round == 0 ? 2u : 0u);
+    // insert() searches no directory (its caller inserts only keys
+    // whose lookup missed), so round 1 stages both rows again.
+    EXPECT_EQ(cache.stats().inserted, 2u);
     ASSERT_TRUE(cache.flush());
   }
-  // Round 1's cache found both keys in round 0's directory, so its
-  // insert() calls were duplicate-skipped and nothing new published.
+  // Round 1 rendered the same bytes, and content-addressed naming
+  // lands them on round 0's file: nothing new is published.
   EXPECT_EQ(segment_count(dir.path()), 1u);
 }
 

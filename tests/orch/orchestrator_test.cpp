@@ -21,6 +21,7 @@
 #include "core/sweep_runner.hpp"
 #include "orch/manifest.hpp"
 #include "orch/process.hpp"
+#include "orch/progress.hpp"
 #include "util/durable_io.hpp"
 
 namespace railcorr::orch {
@@ -93,6 +94,12 @@ std::vector<std::string> stage_toy_docs(const corridor::SweepPlan& plan,
 
 std::vector<std::string> sh(const std::string& script) {
   return {"/bin/sh", "-c", script};
+}
+
+/// Failed attempts of class `cls` (0 when none failed so).
+std::size_t failed(const OrchestrateStats& stats, const std::string& cls) {
+  const auto it = stats.failures_by_class.find(cls);
+  return it == stats.failures_by_class.end() ? 0 : it->second;
 }
 
 TEST(Orchestrate, ToyFleetCompletesAndMergesAllCells) {
@@ -216,8 +223,8 @@ TEST(Orchestrate, StalledWorkerIsKilledAndRetried) {
   };
   const auto result = orchestrate(plan, run.path.string(), options);
   ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_GE(result.stats.stalled, 1u);
-  EXPECT_EQ(result.stats.timed_out, 0u);
+  EXPECT_GE(failed(result.stats, "stalled"), 1u);
+  EXPECT_EQ(failed(result.stats, "timeout"), 0u);
 
   const auto manifest =
       RunManifest::parse(read_file(run.path / "orchestrate.manifest"));
@@ -246,13 +253,81 @@ TEST(Orchestrate, CorruptWorkerOutputIsRetried) {
   };
   const auto result = orchestrate(plan, run.path.string(), options);
   ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_GE(result.stats.corrupt, 1u);
+  EXPECT_GE(failed(result.stats, "corrupt-output"), 1u);
   EXPECT_GE(result.stats.retried, 1u);
 
   const auto manifest =
       RunManifest::parse(read_file(run.path / "orchestrate.manifest"));
   ASSERT_FALSE(manifest.failures.empty());
   EXPECT_EQ(manifest.failures[0].cause, "corrupt-output");
+}
+
+TEST(Orchestrate, ShardWithAnotherPlansBannerIsRejectedAtPublish) {
+  // A worker that evaluated another plan of the same size writes a
+  // well-formed, trailered shard with one row per owned cell: only its
+  // banner tells, and publish is where it is checked.
+  const auto plan = toy_plan();
+  const auto other = corridor::SweepPlan::from_spec("axis k = 1, 2, 3, 5\n");
+  ASSERT_NE(corridor::shard_banner(other), corridor::shard_banner(plan));
+  TempDir staging;
+  TempDir run;
+  const auto docs = stage_toy_docs(other, staging.path, 1);
+
+  OrchestrateOptions options;
+  options.workers = 1;
+  options.shards = 1;
+  options.retries = 1;
+  options.backoff_base_s = 0.0;
+  options.command = [&docs](const WorkerAttempt& attempt) {
+    return sh("cat '" + docs[0] + "' > '" + attempt.out_path + "'");
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.contract_violation);
+  ASSERT_FALSE(result.errors.empty());
+  EXPECT_NE(result.errors[0].find("retry budget exhausted"),
+            std::string::npos);
+  EXPECT_EQ(result.stats.attempts, 2u);
+  EXPECT_EQ(failed(result.stats, "corrupt-output"), 2u);
+  EXPECT_FALSE(fs::exists(run.path / "merged.csv"));
+  EXPECT_FALSE(fs::exists(run.path / shard_file_name(0)));
+
+  const auto manifest =
+      RunManifest::parse(read_file(run.path / "orchestrate.manifest"));
+  EXPECT_FALSE(manifest.is_done(0));
+  ASSERT_EQ(manifest.failures.size(), 2u);
+  for (const auto& failure : manifest.failures) {
+    EXPECT_EQ(failure.cause, "corrupt-output");
+  }
+}
+
+TEST(Orchestrate, CacheTallyKeepsEachShardsLatestReport) {
+  // A failed attempt's cache report is replaced by its retry's, never
+  // added to it.
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const auto docs = stage_toy_docs(plan, staging.path, 1);
+
+  OrchestrateOptions options;
+  options.workers = 1;
+  options.shards = 1;
+  options.retries = 1;
+  options.backoff_base_s = 0.0;
+  options.command = [&docs](const WorkerAttempt& attempt) {
+    if (attempt.attempt == 0) {
+      return sh("echo '" + cache_line(3, 5) + "'; exit 1");
+    }
+    return sh("cat '" + docs[0] + "' > '" + attempt.out_path + "'; echo '" +
+              cache_line(8, 0) + "'");
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.stats.retried, 1u);
+  EXPECT_EQ(result.stats.cache_hits, 8u);
+  EXPECT_EQ(result.stats.cache_misses, 0u);
+  EXPECT_NE(result.summary.find(" cache=8/8"), std::string::npos)
+      << result.summary;
 }
 
 TEST(Orchestrate, ManifestRecordsClassifiedExitFailures) {
@@ -502,7 +577,6 @@ TEST(Orchestrate, ShardRottedBeforeMergeIsACountedCorruptOutputFailure) {
   ASSERT_TRUE(expected.ok);
   EXPECT_EQ(result.merged, expected.merged);
   EXPECT_EQ(result.stats.retried, 1u);
-  EXPECT_EQ(result.stats.corrupt, 1u);
   ASSERT_EQ(result.stats.failures_by_class.count("corrupt-output"), 1u);
   EXPECT_EQ(result.stats.failures_by_class.at("corrupt-output"), 1u);
   EXPECT_NE(result.summary.find("corrupt-output=1"), std::string::npos)
@@ -588,7 +662,6 @@ TEST(Orchestrate, ShardFlippedBeforeMergeFailsTheCompareAndTheFullCheck) {
   EXPECT_EQ(read_file(run.path / "merged.csv"),
             util::with_integrity_trailer(expected.merged));
   EXPECT_EQ(result.stats.retried, 1u);
-  EXPECT_EQ(result.stats.corrupt, 1u);
   ASSERT_EQ(result.stats.failures_by_class.count("corrupt-output"), 1u);
   EXPECT_EQ(result.stats.failures_by_class.at("corrupt-output"), 1u);
   EXPECT_NE(log.str().find("pre-merge: shard 0 is invalid (integrity "
@@ -649,7 +722,7 @@ TEST(OrchestrateFleet, RefusingHostIsQuarantinedAndRunDegrades) {
   };
   const auto result = orchestrate(plan, run.path.string(), options);
   ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_GE(result.stats.launch_refused, 2u);
+  EXPECT_GE(failed(result.stats, "launch-refused"), 2u);
   EXPECT_GE(result.stats.host_quarantines, 1u);
 
   // Byte-identical to a non-distributed toy merge: which host computed
@@ -797,7 +870,7 @@ TEST(OrchestrateFleet, CorruptTransferIsRejectedAndRecomputed) {
   };
   const auto result = orchestrate(plan, run.path.string(), options);
   ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_EQ(result.stats.transfer_corrupt, 1u);
+  EXPECT_EQ(failed(result.stats, "corrupt-transfer"), 1u);
 
   const auto manifest =
       RunManifest::parse(read_file(run.path / "orchestrate.manifest"));
@@ -878,7 +951,7 @@ TEST(OrchestrateFleet, TracedCorruptTransferLeavesNoWorkerSideCopy) {
   };
   const auto result = orchestrate(plan, run.path.string(), options);
   ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-  EXPECT_EQ(result.stats.transfer_corrupt, 1u);
+  EXPECT_EQ(failed(result.stats, "corrupt-transfer"), 1u);
   EXPECT_EQ(remote_copies(run.path), std::vector<std::string>{});
 
   // The published attempts (shard 1's first, shard 0's retry) pulled
@@ -983,8 +1056,8 @@ TEST(OrchestrateFleet, LocalHostRunsWithoutFetchOrExitCodeMapping) {
     };
     const auto result = orchestrate(plan, run.path.string(), options);
     ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
-    EXPECT_EQ(result.stats.launch_refused, 0u);
-    EXPECT_EQ(result.stats.connection_lost, 0u);
+    EXPECT_EQ(failed(result.stats, "launch-refused"), 0u);
+    EXPECT_EQ(failed(result.stats, "connection-lost"), 0u);
     EXPECT_GE(result.stats.retried, 1u);
 
     const auto manifest =

@@ -28,8 +28,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -405,8 +403,7 @@ int cmd_sweep(const Args& args) {
   }
   // Periodic liveness lines on the progress stream: a supervisor's
   // --stall-timeout can then tell a slow shard (heartbeats keep
-  // flowing while its cell lines wait for the stages) from a dead
-  // transport (silence).
+  // flowing while its stages run) from a dead transport (silence).
   const double heartbeat_s = args.seconds("--heartbeat").value_or(0.0);
   if (args.has("--heartbeat") && heartbeat_s == 0.0) {
     throw ConfigError("--heartbeat must be > 0 seconds");
@@ -456,21 +453,16 @@ int cmd_sweep(const Args& args) {
 
   const std::size_t owned = shard.indices(plan.size()).size();
   if (progress) {
-    std::cout << railcorr::orch::banner_line(
-                     railcorr::corridor::shard_banner(plan))
-              << std::endl;
     std::cout << railcorr::orch::start_line(shard.index, shard.count, owned)
               << std::endl;
   }
-  // The heartbeat timer thread and the evaluator's progress callback
-  // both write protocol lines to stdout; one mutex keeps every line
-  // whole. The thread starts after the banner/start lines and stops
-  // before the cache/done lines, so only cell lines need the lock.
-  auto protocol_mutex = std::make_shared<std::mutex>();
+  // The heartbeat timer is stdout's only writer while it runs: it
+  // starts after the start line and stops before the cache/done lines.
+  // Each line goes out in one write, so a fault that ends the process
+  // mid-beat loses that beat whole, never half a line.
   std::optional<railcorr::orch::HeartbeatThread> heartbeat;
   if (heartbeat_s > 0) {
-    heartbeat.emplace(heartbeat_s, [protocol_mutex](const std::string& line) {
-      std::lock_guard<std::mutex> lock(*protocol_mutex);
+    heartbeat.emplace(heartbeat_s, [](const std::string& line) {
       std::cout << line << std::endl;
     });
   }
@@ -478,32 +470,19 @@ int cmd_sweep(const Args& args) {
   const auto kill_after = faults.armed(railcorr::orch::FaultKind::kKillAfterCells);
   const auto stall_after = faults.armed(railcorr::orch::FaultKind::kStall);
   const auto flap_after = faults.armed(railcorr::orch::FaultKind::kHostFlap);
-  if (progress || kill_after.has_value() || stall_after.has_value() ||
+  if (kill_after.has_value() || stall_after.has_value() ||
       flap_after.has_value()) {
-    options.progress = [progress, kill_after, stall_after, flap_after,
-                        protocol_mutex, heartbeat_ptr](
-                           std::size_t index, std::size_t done,
-                           std::size_t total) {
-      if (progress) {
-        // The cell lines come in one burst after the shard's stages,
-        // so one flush after the last carries them all; every fault
-        // below flushes before it fires.
-        std::lock_guard<std::mutex> lock(*protocol_mutex);
-        std::cout << railcorr::orch::cell_line(index, done, total) << '\n';
-        if (done == total) std::cout.flush();
-      }
+    // The fault points count rendered rows.
+    options.progress = [kill_after, stall_after, flap_after, heartbeat_ptr](
+                           std::size_t, std::size_t done, std::size_t) {
       if (kill_after.has_value() &&
           done >= std::max<std::size_t>(1, *kill_after)) {
-        std::cout.flush();
         ::raise(SIGKILL);
       }
       if (flap_after.has_value() &&
           done >= std::max<std::size_t>(1, *flap_after)) {
         // A flapping host: normal progress so far, then the connection
-        // drops — exit 255 mid-shard, no output file, no goodbye. The
-        // lock keeps a concurrent heartbeat from being torn mid-line.
-        std::lock_guard<std::mutex> lock(*protocol_mutex);
-        std::cout.flush();
+        // drops — exit 255 mid-shard, no output file, no goodbye.
         ::_exit(255);
       }
       if (stall_after.has_value() &&
@@ -514,14 +493,12 @@ int cmd_sweep(const Args& args) {
         // heartbeating would defeat the very liveness check this fault
         // exists to exercise); only --stall-timeout can clear us.
         if (heartbeat_ptr != nullptr) heartbeat_ptr->stop();
-        std::cout.flush();
         while (true) ::pause();
       }
     };
   }
   const std::string document =
       railcorr::core::run_sweep_shard(plan, shard, options);
-  if (heartbeat.has_value()) heartbeat->stop();
   write_shard_output(out_path, document);
   // Telemetry files land strictly after the shard document: a crash
   // while writing them can tear a trace, never a result, and the
@@ -543,6 +520,7 @@ int cmd_sweep(const Args& args) {
     }
   }
   if (progress) {
+    if (heartbeat.has_value()) heartbeat->stop();
     if (cache.is_open()) {
       std::cout << railcorr::orch::cache_line(cache.stats().hits,
                                               cache.stats().misses)
@@ -868,14 +846,17 @@ int cmd_orchestrate(const Args& args) {
     return (result.contract_violation || result.manifest_mismatch) ? 2 : 1;
   }
   if (out_path.has_value()) write_grid_output(out_path, result.merged);
+  const auto failed = [&result](const char* cls) {
+    const auto it = result.stats.failures_by_class.find(cls);
+    return it == result.stats.failures_by_class.end() ? 0 : it->second;
+  };
   // The retired third counter stays, always 0, for parsers of this line.
   std::cout << "orchestrate: merged " << result.merged_path << " ("
             << result.stats.attempts << " attempt(s), "
             << result.stats.retried << " retried, 0 speculative, "
-            << result.stats.resumed << " resumed, "
-            << result.stats.timed_out << " timed out, "
-            << result.stats.stalled << " stalled, "
-            << result.stats.corrupt << " corrupt)\n";
+            << result.stats.resumed << " resumed, " << failed("timeout")
+            << " timed out, " << failed("stalled") << " stalled, "
+            << failed("corrupt-output") << " corrupt)\n";
   if (!result.summary.empty()) {
     std::cout << "orchestrate: " << result.summary << "\n";
   }
@@ -884,10 +865,10 @@ int cmd_orchestrate(const Args& args) {
               << " hit(s) / " << result.stats.cache_misses << " miss(es)\n";
   }
   if (!options.hosts.empty()) {
-    std::cout << "orchestrate: transport " << result.stats.launch_refused
-              << " refused / " << result.stats.connection_lost << " lost / "
-              << result.stats.transfer_corrupt << " corrupt / "
-              << result.stats.transfer_stalled << " stalled; hosts "
+    std::cout << "orchestrate: transport " << failed("launch-refused")
+              << " refused / " << failed("connection-lost") << " lost / "
+              << failed("corrupt-transfer") << " corrupt / "
+              << failed("transfer-stalled") << " stalled; hosts "
               << result.stats.host_quarantines << " quarantine(s) / "
               << result.stats.host_recoveries << " recover(ies) / "
               << result.stats.hosts_dead << " dead\n";
