@@ -22,14 +22,15 @@
 #      quarantine, probe and recover in that order and merges the same
 #      bytes,
 #   7. the clean fleet with `--trace-dir` fetches every finished
-#      attempt's trace and metrics back over `--fetch`: the timeline
-#      holds one host-labelled lane per attempt, and no `.remote` copy
-#      is left behind; it logs its run-summary wall next to section 1's
+#      attempt's trace and metrics back over `--fetch`, with its shard,
+#      in one fetch child: the timeline holds one host-labelled lane
+#      and one `fetch` span per attempt, and no `.remote` copy is left
+#      behind; it logs its run-summary wall next to section 1's
 #      (informational, not a gate),
 #   8. section 2's storm with `--trace-dir` merges the same bytes,
-#      reaches the same pinned tally, writes the timeline and the
-#      metrics rollup, and leaves no `.remote` copy of a rejected
-#      attempt's files behind,
+#      reaches the same pinned tally, logs as many transfer faults,
+#      writes the timeline and the metrics rollup, and leaves no
+#      `.remote` copy of a rejected attempt's files behind,
 #   9. a `--shards 2 --workers 4` fleet and its resume without
 #      `--shards` launch their workers with the same default
 #      `--threads` (checked on 4 or more online CPUs).
@@ -254,6 +255,14 @@ then
        "lane(s); got $lanes lane(s), $host_lanes host-labelled" >&2
   exit 1
 fi
+# An attempt's shard, metrics and trace come back through one fetch
+# child, so the orchestrator's lane holds one fetch span per attempt.
+fetches="$(grep -o '"name":"fetch"' "$TRACE" | wc -l)"
+if [ "$fetches" -ne "$attempts" ]; then
+  echo "FAIL: expected one fetch span per attempt ($attempts); got" \
+       "$fetches" >&2
+  exit 1
+fi
 # Every worker's metrics came back too: one source each, plus the
 # orchestrator's own registry.
 if ! grep -q "\"sources\":$((attempts + 1))," "$METRICS"; then
@@ -285,6 +294,15 @@ if ! grep -qF "$TALLY" "$TMP/traced_run/orchestrate.manifest"; then
   echo "FAIL: traced seed-7 fleet tally differs from the pinned" \
        "'$TALLY':" >&2
   grep "^info run summary" "$TMP/traced_run/orchestrate.manifest" >&2
+  exit 1
+fi
+# A traced attempt's fetch child pulls three files, yet the storm names
+# each transfer fault once, as the untraced one does.
+faults="$(grep -c 'fetch fault' "$TMP/chaos.log" || true)"
+traced_faults="$(grep -c 'fetch fault' "$TMP/traced_chaos.log" || true)"
+if [ "$traced_faults" -ne "$faults" ]; then
+  echo "FAIL: the traced storm logged $traced_faults fetch fault line(s)," \
+       "the untraced one $faults" >&2
   exit 1
 fi
 for f in trace.json run_metrics.json; do

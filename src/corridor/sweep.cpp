@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -48,6 +49,7 @@ std::string shard_label(const std::vector<std::string>& names, std::size_t s) {
 SweepPlan SweepPlan::from_spec(std::string_view text) {
   SweepPlan plan;
   bool base_seen = false;
+  std::size_t cells = 1;
   for (const auto& entry : util::parse_spec(text)) {
     if (entry.key == "base") {
       if (base_seen) {
@@ -84,6 +86,13 @@ SweepPlan SweepPlan::from_spec(std::string_view text) {
         }
       }
       axis.values = split_values(entry.value, entry);
+      if (axis.values.size() >
+          std::numeric_limits<std::size_t>::max() / cells) {
+        throw ConfigError("sweep plan line " + std::to_string(entry.line) +
+                          ": axis '" + axis.key +
+                          "' takes the grid past 2^64 - 1 cells");
+      }
+      cells *= axis.values.size();
       plan.axes.push_back(std::move(axis));
     } else {
       throw ConfigError("sweep plan line " + std::to_string(entry.line) +

@@ -61,8 +61,9 @@ struct SweepPlan {
   ///     axis radio.lp_eirp_dbm = 37, 40, 43
   ///     axis timetable.trains_per_hour = 8, 16
   ///
-  /// Throws util::ConfigError on syntax errors, duplicate axis keys, or
-  /// empty axis value lists.
+  /// Throws util::ConfigError on syntax errors, duplicate axis keys,
+  /// empty axis value lists, or a grid of more than 2^64 - 1 cells
+  /// (naming the axis that takes it past).
   static SweepPlan from_spec(std::string_view text);
 
   /// Number of grid cells (product of axis sizes; 1 with no axes).

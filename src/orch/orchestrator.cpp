@@ -74,16 +74,13 @@ bool read_intact_shard(const fs::path& path, std::string_view banner,
 
 /// The driver's half of one live attempt: its paths and processes. A
 /// remote attempt with a fetch step runs the worker, then — after it
-/// exits 0 — its fetch phase: one pull of the shard file and, once a
-/// traced run published it, one pull per telemetry file.
+/// exits 0 — its fetch phase: one child that pulls back every file the
+/// worker wrote.
 struct LiveAttempt {
   WorkerAttempt info;
   ChildProcess proc;
-  /// Engaged in the fetch phase: the current pull.
+  /// Engaged in the fetch phase: its one child.
   std::optional<ChildProcess> fetch;
-  /// The local telemetry file the current pull writes; empty until the
-  /// shard is published.
-  std::string pulling;
   /// Recorder-timeline stamps backing the "attempt" and "fetch" spans
   /// (0 when telemetry is off).
   std::uint64_t launch_usec = 0;
@@ -331,7 +328,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       attempt_hosts[fs::path(info.trace_path).stem().string()] = info.host;
     }
     LiveAttempt attempt{info, ChildProcess::spawn(options.command(info)),
-                        std::nullopt, "", 0, 0};
+                        std::nullopt, 0, 0};
     if (telemetry) {
       attempt.launch_usec = recorder.now_usec();
       recorder.instant("launch", "orch", "shard", shard);
@@ -462,51 +459,21 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
     log(s);
   };
 
-  /// Start the fetch-phase pull that copies the worker-side copy of
-  /// `local` (the shard file or a telemetry file) to `local`. Throws
-  /// when the child cannot spawn.
-  const auto pull = [&](LiveAttempt& attempt, const std::string& local) {
-    WorkerAttempt file = attempt.info;
-    file.out_path = local;
-    attempt.fetch.emplace(ChildProcess::spawn(options.fetch(file)));
-    if (telemetry) attempt.fetch_usec = recorder.now_usec();
-  };
-
-  /// A telemetry pull failed, could not spawn, or was killed at the
-  /// fetch deadline: it costs its file and the pulls after it, never a
-  /// retry.
-  const auto pull_failed = [&](const LiveAttempt& attempt) {
-    log("telemetry fetch of '" + attempt.pulling + "' from host " +
-        attempt.info.host +
-        " failed (best-effort; that trace lane will be missing)");
-    fs::remove(attempt.pulling, ec);
-  };
-
-  /// Start the next telemetry pull of a remote attempt whose shard is
-  /// published — the metrics file, then the trace file — unless the run
-  /// is untraced, both are pulled, or the fetch deadline passed (an
-  /// expired attempt is killed once, so a pull started after it would
-  /// run unbounded). False when none started.
-  const auto next_pull = [&](LiveAttempt& attempt) {
-    const WorkerAttempt& info = attempt.info;
-    const auto& placed = scheduler.live();
-    if (!telemetry || !info.fetch_step || attempt.pulling == info.trace_path ||
-        std::any_of(placed.begin(), placed.end(),
-                    [&](const Scheduler::Attempt& a) {
-                      return a.shard == info.shard &&
-                             a.expired != Scheduler::Deadline::kNone;
-                    })) {
-      return false;
+  /// The argv of an attempt's one fetch child: options.fetch's pull of
+  /// the shard file or, on a traced run, one /bin/sh script of the
+  /// shard, metrics and trace pulls, a line each, in that order. Its
+  /// exit status decides nothing: publish judges the shard by the bytes
+  /// that arrived, and write_telemetry each telemetry file.
+  const auto fetch_command = [&](const WorkerAttempt& info) {
+    auto argv = options.fetch(info);
+    if (!telemetry) return argv;
+    std::string script = shell_join(argv);
+    WorkerAttempt file = info;
+    for (const std::string& local : {info.metrics_path, info.trace_path}) {
+      file.out_path = local;
+      script += "\n" + shell_join(options.fetch(file));
     }
-    attempt.pulling =
-        attempt.pulling.empty() ? info.metrics_path : info.trace_path;
-    try {
-      pull(attempt, attempt.pulling);
-      return true;
-    } catch (const std::exception&) {
-      pull_failed(attempt);
-      return false;
-    }
+    return std::vector<std::string>{"/bin/sh", "-c", script};
   };
 
   /// On success: dump the orchestrator's own trace, merge every intact
@@ -598,9 +565,8 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
 
   /// One reaped process of a live attempt: fold its last output, close
   /// its span, and act on the scheduler's verdict — start the fetch
-  /// phase's next pull, publish the output, finalize or fail. A
-  /// telemetry pull never changes the verdict: the shard is done once
-  /// the last one ends. False when the run must stop.
+  /// child, publish the output, finalize or fail. False when the run
+  /// must stop.
   const auto reap = [&](std::size_t i, const ExitStatus& status) {
     LiveAttempt& attempt = live[i];
     const std::size_t shard = attempt.info.shard;
@@ -612,16 +578,12 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       recorder.complete_at(fetched ? "fetch" : "attempt", "orch", start,
                            recorder.now_usec() - start, "shard", shard);
     }
-    const bool telemetry_pull = !attempt.pulling.empty();
-    if (telemetry_pull && status.code != 0) pull_failed(attempt);
-    if (telemetry_pull && status.code == 0 && next_pull(attempt)) return true;
     auto verdict =
-        telemetry_pull
-            ? scheduler.on_output(shard, true, now_s())
-            : scheduler.on_exit(shard, status.code, status.signaled, now_s());
+        scheduler.on_exit(shard, status.code, status.signaled, now_s());
     if (verdict.kind == Scheduler::Verdict::Kind::kFetch) {
       try {
-        pull(attempt, attempt.info.out_path);
+        attempt.fetch.emplace(ChildProcess::spawn(fetch_command(attempt.info)));
+        if (telemetry) attempt.fetch_usec = recorder.now_usec();
         log("shard " + std::to_string(shard) + " attempt " +
             std::to_string(attempt.info.attempt) +
             " worker done; fetching from host " + attempt.info.host);
@@ -634,9 +596,7 @@ OrchestrateResult orchestrate(const corridor::SweepPlan& plan,
       }
     }
     if (verdict.kind == Scheduler::Verdict::Kind::kPublish) {
-      const bool published = publish(attempt.info);
-      if (published && next_pull(attempt)) return true;
-      verdict = scheduler.on_output(shard, published, now_s());
+      verdict = scheduler.on_output(shard, publish(attempt.info), now_s());
     }
     const LiveAttempt ended = std::move(attempt);
     live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));

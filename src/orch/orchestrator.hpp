@@ -35,10 +35,13 @@
 /// single-machine run is simply a fleet of one `local` host. For a
 /// remote host the `command` callback wraps the worker argv in the
 /// launcher template, and — when a `fetch` builder is configured — a
-/// finished remote worker's shard file is pulled back by a fetch
-/// subprocess and verified (trailer + banner + row count) before it is
-/// finalized; a fetched-but-corrupt file is classified
-/// `corrupt-transfer` and the shard recomputed, never trusted.
+/// finished remote worker's files are pulled back by one fetch child,
+/// and its shard file is verified (trailer + banner + row count) before
+/// it is finalized. The shard is judged by those bytes alone, never by
+/// the transfer tool's exit status: a fetched-but-corrupt or missing
+/// file is classified `corrupt-transfer` (`transfer-stalled` once the
+/// fetch deadline killed the child) and the shard recomputed, never
+/// trusted.
 /// Transport failures (launch refused, connection lost, corrupt or
 /// stalled transfer) charge the *host's* health, not the shard's retry
 /// budget: the shard migrates to the surviving fleet, and only when
@@ -158,17 +161,21 @@ struct OrchestrateOptions {
   std::vector<std::string> hosts;
   /// Builds the argv that copies `worker_path(out_path)` on `host` to
   /// the local `out_path`. The fetch phase, which follows a remote
-  /// worker's exit 0, calls it for the shard file, which is verified
-  /// before finalization, and then, on a traced run whose shard was
-  /// published, once per telemetry file (metrics, then trace) with
-  /// `out_path` naming that file. Unset = workers write locally (shared
-  /// filesystem, or the localhost fleets tests use).
+  /// worker's exit 0, calls it once per file the worker wrote: the
+  /// shard, then, on a traced run, the metrics and the trace file, with
+  /// `out_path` naming that file. It runs as one child: a lone shard
+  /// pull as its own argv, a traced one as a `/bin/sh -c` script of
+  /// each pull's shell_join()ed argv, a line each, shard first. When
+  /// the child ends, its status is ignored: the shard is published if
+  /// and only if the copied file verifies. Unset = workers write
+  /// locally (shared filesystem, or the localhost fleets tests use).
   std::function<std::vector<std::string>(const WorkerAttempt&)> fetch;
-  /// Wall-clock budget for an attempt's whole fetch phase, telemetry
-  /// pulls included. A shard pull running past it is killed and
-  /// classified `transfer-stalled`; a telemetry pull running past it
-  /// is killed and costs its file and the pulls after it, never the
-  /// shard's verdict. 0 falls back to `timeout_s`; both 0 = unbounded.
+  /// Wall-clock budget for an attempt's fetch child, telemetry pulls
+  /// included. A child running past it is killed, and its shard is then
+  /// judged like any other: published when its copy arrived intact,
+  /// else classified `transfer-stalled`. A telemetry file the kill cut
+  /// off costs only its trace lane. 0 falls back to `timeout_s`; both
+  /// 0 = unbounded.
   double fetch_timeout_s = 0.0;
   /// Host-health knobs (quarantine threshold, re-probe backoff, dead
   /// threshold).
@@ -178,11 +185,12 @@ struct OrchestrateOptions {
   /// Non-empty: the orchestrator enables its own span recorder and
   /// metrics registry, gives every attempt per-attempt
   /// `shard_<i>.attempt<a>.trace` / `.metrics.json` paths under this
-  /// directory (pulled back in the fetch phase of a remote attempt
-  /// whose shard was published, best-effort; a rejected remote attempt
-  /// leaves no lane, and an ended attempt no worker-side copy), and on
-  /// success merges every intact `.trace` lane into
-  /// `<trace_dir>/trace.json` plus a `run_metrics.json` rollup.
+  /// directory (a remote attempt's are pulled back by its one fetch
+  /// child, after its shard, best-effort; any attempt, rejected or not,
+  /// keeps whatever arrived intact, and an ended attempt leaves no
+  /// worker-side copy), and on success merges every intact `.trace`
+  /// lane into `<trace_dir>/trace.json` plus a `run_metrics.json`
+  /// rollup.
   /// Telemetry is provably inert: every result artifact (shards,
   /// manifest modulo the `info` summary line, merged.csv) is
   /// byte-identical with or without it.

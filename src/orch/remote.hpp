@@ -7,9 +7,10 @@
 /// line the `command` callback builds. Distribution
 /// is therefore *not* a scheduler rewrite: it is (a) a command builder
 /// that wraps the worker argv in a user-supplied launcher template
-/// ("ssh {host} {cmd}"), (b) a fetch step that pulls the remote shard
-/// file back ("scp {host}:{remote} {local}") and accepts it only after
-/// the shard reader's checks (trailer, banner, row count) pass, and
+/// ("ssh {host} {cmd}"), (b) a fetch step whose one child pulls the
+/// remote shard file, and a traced run's telemetry, back ("scp
+/// {host}:{remote} {local}") and accepts the shard only after the shard
+/// reader's checks (trailer, banner, row count) pass, and
 /// (c) a per-host health model that quarantines hosts whose transport
 /// keeps failing and degrades the run onto the surviving fleet.
 ///

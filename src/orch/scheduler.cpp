@@ -123,21 +123,23 @@ std::vector<Scheduler::Attempt> Scheduler::expire(double now_s) {
 Scheduler::Verdict Scheduler::on_exit(std::size_t shard, int code,
                                       bool signaled, double now_s) {
   const auto it = find_live(shard);
-  if (code == 0) {
-    Verdict verdict;
-    verdict.shard = shard;
-    verdict.attempt = it->attempt;
-    verdict.kind = Verdict::Kind::kPublish;
-    if (it->fetch_step && !it->fetching) {
-      // Phase two keeps the slot and host while the fetch runs.
-      verdict.kind = Verdict::Kind::kFetch;
-      it->fetching = true;
-      it->expired = Deadline::kNone;
-      it->started_s = now_s;
-    }
-    return verdict;
+  // A worker's nonzero exit fails the attempt. A fetch's status decides
+  // nothing: the copy it left is judged by its bytes.
+  if (code != 0 && !it->fetching) {
+    return end_attempt(it, /*published=*/false, code, signaled, now_s);
   }
-  return end_attempt(it, /*published=*/false, code, signaled, now_s);
+  Verdict verdict;
+  verdict.shard = shard;
+  verdict.attempt = it->attempt;
+  verdict.kind = Verdict::Kind::kPublish;
+  if (it->fetch_step && !it->fetching) {
+    // Phase two keeps the slot and host while the fetch runs.
+    verdict.kind = Verdict::Kind::kFetch;
+    it->fetching = true;
+    it->expired = Deadline::kNone;
+    it->started_s = now_s;
+  }
+  return verdict;
 }
 
 Scheduler::Verdict Scheduler::on_output(std::size_t shard, bool published,
@@ -177,7 +179,8 @@ Scheduler::FailureClass Scheduler::classify(const Attempt& attempt, int code,
                                             bool signaled) const {
   if (attempt.fetching) {
     // A fetched file is trusted only after the checks a local worker's
-    // output must pass; anything else is a failed transfer.
+    // output must pass; anything else is a failed transfer, stalled when
+    // the fetch was killed at its deadline.
     return attempt.expired == Deadline::kFetch
                ? FailureClass::kTransferStalled
                : FailureClass::kCorruptTransfer;

@@ -21,10 +21,11 @@
 /// reports each batch of protocol lines its worker printed; expire()
 /// names it once a deadline passed and the driver must kill it;
 /// on_exit() reports how its process ended — the worker's, then, after
-/// a kFetch verdict, the fetch subprocess's; after a kPublish verdict
+/// a kFetch verdict, the fetch child's, whose exit, by itself or killed
+/// at the fetch deadline, is always kPublish; after a kPublish verdict
 /// on_output() reports whether the output verified and was renamed
-/// into place. on_rot() reports a finished shard whose file failed the
-/// pre-merge check.
+/// into place, which alone decides a fetched shard. on_rot() reports a
+/// finished shard whose file failed the pre-merge check.
 #pragma once
 
 #include <cstddef>
@@ -111,8 +112,10 @@ class Scheduler {
   std::vector<Attempt> expire(double now_s);
 
   /// The current process of `shard`'s attempt ended with `code` (128 +
-  /// signal number when `signaled`). Returns kFetch, kPublish, kRetry
-  /// or kAbort.
+  /// signal number when `signaled`). A worker's exit 0 returns kFetch
+  /// under a fetch step, else kPublish; its other exits kRetry or
+  /// kAbort. Every fetch exit returns kPublish: the transfer tool's
+  /// status is no verdict, and on_output() judges the copy.
   Verdict on_exit(std::size_t shard, int code, bool signaled,
                   double now_s);
 

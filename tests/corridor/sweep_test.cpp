@@ -69,6 +69,42 @@ TEST(SweepPlan, ParseErrors) {
                util::ConfigError);
 }
 
+/// The message of the util::ConfigError from_spec throws, or "".
+std::string plan_error(const std::string& text) {
+  try {
+    SweepPlan::from_spec(text);
+  } catch (const util::ConfigError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(SweepPlan, AGridPast64BitsIsRefusedAtTheAxisThatOverflows) {
+  // 63 two-valued axes make 2^63 cells; a 64th would make 2^64, which
+  // size() would wrap to 0.
+  std::string text;
+  for (int a = 0; a < 63; ++a) {
+    text += "axis k" + std::to_string(a) + " = 0, 1\n";
+  }
+  EXPECT_EQ(SweepPlan::from_spec(text).size(), std::size_t{1} << 63);
+  const std::string error = plan_error(text + "axis k63 = 0, 1\n");
+  EXPECT_NE(error.find("line 64"), std::string::npos) << error;
+  EXPECT_NE(error.find("'k63'"), std::string::npos) << error;
+  EXPECT_NE(error.find("2^64 - 1"), std::string::npos) << error;
+
+  // Four axes of 65,536 values (2^64 cells) fail at the fourth, and a
+  // fifth axis after them is never reached.
+  std::string values;
+  for (int v = 0; v < 65536; ++v) {
+    values += (v == 0 ? "" : ", ") + std::to_string(v);
+  }
+  std::string big;
+  for (const char* key : {"a", "b", "c", "d", "e"}) {
+    big += "axis " + std::string(key) + " = " + values + "\n";
+  }
+  EXPECT_NE(plan_error(big).find("axis 'd'"), std::string::npos);
+}
+
 TEST(ShardSpec, ParseAndPartition) {
   const auto shard = ShardSpec::parse("1/3");
   EXPECT_EQ(shard.index, 1u);

@@ -887,6 +887,39 @@ TEST(OrchestrateFleet, CorruptTransferIsRejectedAndRecomputed) {
   EXPECT_EQ(result.merged, expected.merged);
 }
 
+TEST(OrchestrateFleet, FetchExitStatusIsNoVerdict) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const auto docs = stage_toy_docs(plan, staging.path, 2);
+
+  OrchestrateOptions options;
+  options.workers = 1;
+  options.shards = 2;
+  options.retries = 0;
+  options.backoff_base_s = 0.0;
+  options.hosts = {"h1"};
+  options.command = [&docs](const WorkerAttempt& attempt) {
+    return sh("cat '" + docs[attempt.shard] + "' > '" +
+              attempt.worker_path(attempt.out_path) + "'");
+  };
+  // The copy lands whole, then the transfer tool reports a failure: the
+  // shard is judged by its bytes.
+  options.fetch = [](const WorkerAttempt& attempt) {
+    return sh("cat '" + attempt.worker_path(attempt.out_path) + "' > '" +
+              attempt.out_path + "'; exit 3");
+  };
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  EXPECT_EQ(result.stats.attempts, 2u);
+  EXPECT_EQ(result.stats.retried, 0u);
+  EXPECT_TRUE(result.stats.failures_by_class.empty());
+  const auto expected =
+      corridor::merge_shards({toy_doc(plan, 0, 2), toy_doc(plan, 1, 2)});
+  ASSERT_TRUE(expected.ok);
+  EXPECT_EQ(result.merged, expected.merged);
+}
+
 /// A traced one-host toy fleet with a fetch step, two shards on one
 /// slot: each worker writes its shard document and a minimal valid trace
 /// and metrics document to their worker-side paths, and `fetch` copies
@@ -935,6 +968,33 @@ std::vector<std::string> remote_copies(const fs::path& dir) {
   return found;
 }
 
+TEST(OrchestrateFleet, TracedFetchFleetHasOneFetchSpanPerAttempt) {
+  const auto plan = toy_plan();
+  TempDir staging;
+  TempDir run;
+  const fs::path telemetry = run.path / "telemetry";
+  const auto options = traced_toy_fleet(
+      stage_toy_docs(plan, staging.path, 2), staging.path, telemetry);
+  const auto result = orchestrate(plan, run.path.string(), options);
+  ASSERT_TRUE(result.ok) << (result.errors.empty() ? "" : result.errors[0]);
+  ASSERT_EQ(result.stats.attempts, 2u);
+
+  // The shard, metrics and trace of an attempt come back through one
+  // fetch child, so the fleet timeline holds one fetch span for each.
+  const std::string trace = read_file(telemetry / "trace.json");
+  std::size_t fetch_spans = 0;
+  for (std::size_t at = trace.find("\"name\":\"fetch\"");
+       at != std::string::npos;
+       at = trace.find("\"name\":\"fetch\"", at + 1)) {
+    ++fetch_spans;
+  }
+  EXPECT_EQ(fetch_spans, 2u);
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    EXPECT_TRUE(fs::exists(telemetry / trace_file_name(shard, 0)));
+    EXPECT_TRUE(fs::exists(telemetry / metrics_file_name(shard, 0)));
+  }
+}
+
 TEST(OrchestrateFleet, TracedCorruptTransferLeavesNoWorkerSideCopy) {
   const auto plan = toy_plan();
   TempDir staging;
@@ -955,13 +1015,15 @@ TEST(OrchestrateFleet, TracedCorruptTransferLeavesNoWorkerSideCopy) {
   EXPECT_EQ(remote_copies(run.path), std::vector<std::string>{});
 
   // The published attempts (shard 1's first, shard 0's retry) pulled
-  // their telemetry back; the rejected one pulled none.
+  // their telemetry back. The rejected one keeps what arrived intact,
+  // as a rejected local attempt does: its torn shard pull did not stop
+  // the telemetry pulls of the same fetch child.
   for (const auto& [shard, attempt] : {std::pair{0, 1}, std::pair{1, 0}}) {
     EXPECT_TRUE(fs::exists(telemetry / trace_file_name(shard, attempt)));
     EXPECT_TRUE(fs::exists(telemetry / metrics_file_name(shard, attempt)));
   }
-  EXPECT_FALSE(fs::exists(telemetry / trace_file_name(0, 0)));
-  EXPECT_FALSE(fs::exists(telemetry / metrics_file_name(0, 0)));
+  EXPECT_TRUE(fs::exists(telemetry / trace_file_name(0, 0)));
+  EXPECT_TRUE(fs::exists(telemetry / metrics_file_name(0, 0)));
 }
 
 TEST(OrchestrateFleet, FailedTelemetryPullCostsOnlyTelemetry) {
@@ -987,8 +1049,8 @@ TEST(OrchestrateFleet, FailedTelemetryPullCostsOnlyTelemetry) {
   EXPECT_TRUE(fs::exists(telemetry / trace_file_name(0, 0)));
   EXPECT_TRUE(fs::exists(telemetry / metrics_file_name(0, 0)));
   EXPECT_FALSE(fs::exists(telemetry / metrics_file_name(1, 0)));
-  // The trace pull follows the failed metrics pull, so it never ran.
-  EXPECT_FALSE(fs::exists(telemetry / trace_file_name(1, 0)));
+  // The trace pull still runs after the failed metrics pull.
+  EXPECT_TRUE(fs::exists(telemetry / trace_file_name(1, 0)));
 }
 
 TEST(OrchestrateFleet, StalledTelemetryPullIsKilledAtTheFetchDeadline) {

@@ -44,7 +44,8 @@ constexpr std::size_t kStepBound = 10000;
 /// One simulated process: a worker, or the fetch that follows it.
 struct Proc {
   std::size_t shard = 0;
-  /// Natural exit time, status, and whether exit-0 output verifies.
+  /// Natural exit time, status, and whether its output verifies: a
+  /// worker's is read after exit 0, a fetch's copy after any exit.
   double exit_s = kNever;
   int code = 0;
   bool signaled = false;
@@ -78,6 +79,12 @@ Proc hangs(Proc proc, double at) {
   return proc;
 }
 
+/// The process leaves no output that verifies: a torn copy, or none.
+Proc unverified(Proc proc) {
+  proc.verified = false;
+  return proc;
+}
+
 /// How each launched process behaves.
 struct Script {
   std::function<Proc(const Scheduler::Attempt&, double now)> worker;
@@ -101,6 +108,8 @@ struct Outcome {
   OrchestrateStats stats;
   std::set<std::string> causes;
   std::size_t rots = 0;
+  /// Fetches that exited nonzero or were killed, yet published.
+  std::size_t failed_fetch_publishes = 0;
 };
 
 bool transport_cause(const std::string& cause) {
@@ -278,20 +287,30 @@ Outcome simulate(const Setup& setup, const Script& script) {
     for (std::size_t i = procs.size(); i-- > 0;) {
       if (procs[i].exit_s > now) continue;
       const Proc proc = procs[i];
+      const auto attempt = std::find_if(
+          scheduler.live().begin(), scheduler.live().end(),
+          [&](const auto& a) { return a.shard == proc.shard; });
+      const bool fetch = attempt->fetching;
       auto verdict =
           scheduler.on_exit(proc.shard, proc.code, proc.signaled, now);
       if (verdict.kind == Kind::kFetch) {
         EXPECT_EQ(proc.code, 0);
-        const auto attempt = std::find_if(
-            scheduler.live().begin(), scheduler.live().end(),
-            [&](const auto& a) { return a.shard == proc.shard; });
         procs[i] = script.fetch(*attempt, now);
         run.trace += " F" + std::to_string(proc.shard);
         check();
         continue;
       }
+      // A fetch's status is no verdict: its copy is judged by its bytes.
+      if (fetch) {
+        EXPECT_EQ(verdict.kind, Kind::kPublish);
+      }
       if (verdict.kind == Kind::kPublish) {
         verdict = scheduler.on_output(proc.shard, proc.verified, now);
+        // Output becomes the shard file exactly when it verifies.
+        EXPECT_EQ(verdict.kind == Kind::kDone, proc.verified);
+        if (fetch && proc.verified && proc.code != 0) {
+          ++run.failed_fetch_publishes;
+        }
       }
       procs.erase(procs.begin() + static_cast<std::ptrdiff_t>(i));
       if (!settle(verdict)) return finish(End::kAborted);
@@ -353,11 +372,7 @@ struct RandomWorld {
       case 0: return exits(proc, end, 1 + static_cast<int>(draw(3)));
       case 1: return exits(proc, end, 137, /*signaled=*/true);
       case 2: return deadline ? hangs(proc, end) : exits(proc, end, 4);
-      case 3: {
-        Proc corrupt = exits(proc, end, 0);
-        corrupt.verified = false;
-        return corrupt;
-      }
+      case 3: return unverified(exits(proc, end, 0));
       case 4: {  // refused launch: exit 255 before any event
         Proc refused = exits(proc, now, 255);
         refused.next_event_s = kNever;
@@ -377,15 +392,15 @@ struct RandomWorld {
     const double end = now + duration();
     if (draw(8) >= fetch_fail_per_8) return exits(proc, end, 0);
     const bool budget = o.fetch_timeout_s > 0.0 || o.timeout_s > 0.0;
-    switch (draw(4)) {
-      case 0: {  // a torn transfer: exit 0, damaged file
-        Proc torn = exits(proc, end, 0);
-        torn.verified = false;
-        return torn;
-      }
-      case 1: return exits(proc, end, 1);
-      case 2: return budget ? hangs(proc, end) : exits(proc, end, 1);
-      default: return exits(proc, now, 127);  // the fetch did not spawn
+    switch (draw(5)) {
+      case 0: return unverified(exits(proc, end, 0));  // a torn transfer
+      case 1: return unverified(exits(proc, end, 1));
+      case 2:
+        return unverified(budget ? hangs(proc, end) : exits(proc, end, 1));
+      case 3:  // the copy landed whole, then the tool hung or failed
+        return budget && draw(2) == 0 ? hangs(proc, end) : exits(proc, end, 3);
+      default:  // the fetch did not spawn
+        return unverified(exits(proc, now, 127));
     }
   }
 
@@ -406,6 +421,7 @@ TEST(SchedulerSim, ThousandSeededSchedulesHoldEveryInvariant) {
   std::size_t rots = 0;
   std::size_t remote = 0;
   std::size_t fetched = 0;
+  std::size_t failed_fetch_publishes = 0;
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     RandomWorld world(seed);
@@ -418,6 +434,7 @@ TEST(SchedulerSim, ThousandSeededSchedulesHoldEveryInvariant) {
     ++ends[run.end];
     causes.insert(run.causes.begin(), run.causes.end());
     rots += run.rots;
+    failed_fetch_publishes += run.failed_fetch_publishes;
     const auto& hosts = world.setup.options.hosts;
     if (!hosts.empty() && hosts.back() != "local") ++remote;
     if (world.setup.options.fetch) ++fetched;
@@ -435,6 +452,7 @@ TEST(SchedulerSim, ThousandSeededSchedulesHoldEveryInvariant) {
   EXPECT_GT(rots, 0u);
   EXPECT_GT(remote, 0u);
   EXPECT_GT(fetched, 0u);
+  EXPECT_GT(failed_fetch_publishes, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -462,11 +480,7 @@ Script chaos_script(std::uint64_t seed, std::size_t retries, bool hosts) {
     if (!fault.has_value()) return exits(proc, end, 0);
     switch (*fault) {
       case FaultKind::kTornWrite:
-      case FaultKind::kCorruptTrailer: {
-        Proc damaged = exits(proc, end, 0);
-        damaged.verified = false;
-        return damaged;
-      }
+      case FaultKind::kCorruptTrailer: return unverified(exits(proc, end, 0));
       case FaultKind::kStall: return hangs(proc, end);
       case FaultKind::kKillAfterCells:
         return exits(proc, end, 137, /*signaled=*/!hosts);
@@ -483,11 +497,13 @@ Script chaos_script(std::uint64_t seed, std::size_t retries, bool hosts) {
     Proc proc;
     proc.shard = attempt.shard;
     const auto fault = fault_of(attempt);
-    if (fault == FaultKind::kTransferStalled) return hangs(proc, now);
-    proc = exits(proc, now + 0.01, 0);
+    // A stalled transfer copies nothing before the deadline kills it.
+    proc = fault == FaultKind::kTransferStalled ? hangs(proc, now)
+                                                : exits(proc, now + 0.01, 0);
     proc.verified = fault != FaultKind::kTornWrite &&
                     fault != FaultKind::kCorruptTrailer &&
-                    fault != FaultKind::kTransferTorn;
+                    fault != FaultKind::kTransferTorn &&
+                    fault != FaultKind::kTransferStalled;
     return proc;
   };
   return script;

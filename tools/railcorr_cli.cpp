@@ -814,11 +814,16 @@ int cmd_orchestrate(const Args& args) {
                         const railcorr::orch::WorkerAttempt& attempt)
         -> std::vector<std::string> {
       const std::string remote = attempt.worker_path(attempt.out_path);
-      // The chaos schedule sabotages selected transfers instead of the
-      // worker: a torn transfer delivers a prefix of the file (the
+      // The chaos schedule sabotages selected shard transfers instead of
+      // the worker: a torn transfer delivers a prefix of the file (the
       // verify-after-fetch step must catch it), a stalled one hangs
-      // until the fetch timeout kills it.
-      if (const auto fault = chaos_fault(attempt, /*transfer=*/true)) {
+      // until the fetch timeout kills it. A telemetry file's pull runs
+      // clean, so each fault is named once.
+      const bool shard_file = attempt.out_path != attempt.trace_path &&
+                              attempt.out_path != attempt.metrics_path;
+      if (const auto fault =
+              shard_file ? chaos_fault(attempt, /*transfer=*/true)
+                         : std::nullopt) {
         if (fault->kind == railcorr::orch::FaultKind::kTransferStalled) {
           return {"/bin/sh", "-c", "sleep 3600"};
         }
