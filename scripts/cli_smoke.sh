@@ -9,9 +9,10 @@
 #      retired RAILCORR_ACCURACY variable leave the bytes alone,
 #   3. corrupt one shard row and check merge exits nonzero,
 #   4. pin the worker progress stream: the start line, then the done
-#      line, nothing per cell; and the kill fault counting rendered
-#      rows (`kill=4` on the 4-cell plan exits 137 with no done line
-#      and no shard file, `kill=5` never fires),
+#      line, nothing per cell; the kill fault's threshold on the
+#      shard's size (`kill=4` on the 4-cell plan exits 137 with no
+#      done line and no shard file, `kill=5` never fires); and the
+#      damage each cache fault does to the segment the sweep published,
 #   5. pin the CLI error matrix: exit codes AND messages of the
 #      sweep/orchestrate/cache usage-error paths (wrong-flag
 #      combinations, non-finite seconds, refused resumes) so
@@ -165,9 +166,10 @@ if ! cmp "$TMP/progress.log" "$TMP/events_want.txt"; then
   cat "$TMP/progress.log" >&2
   exit 1
 fi
-# The kill fault counts rendered rows. kill=4 fires on the 4-cell
-# plan's last row, before the shard write: SIGKILL (exit 137), no done
-# line and no shard file. kill=5 never fires.
+# The kill fault fires after the start line, before any cell computes,
+# on a shard owning at least N cells. kill=4 fires on the 4-cell plan:
+# SIGKILL (exit 137), no done line and no shard file. kill=5 never
+# fires.
 set +e
 "$BIN" sweep --plan "$TMP/plan.sweep" --progress --fault kill=4 \
     --out "$TMP/killed.csv" > "$TMP/killed.log" 2>/dev/null
@@ -183,6 +185,42 @@ fi
     --out "$TMP/kill5.csv" > /dev/null
 if ! cmp "$TMP/kill5.csv" "$TMP/full.csv"; then
   echo "FAIL: --fault kill=5 on a 4-cell plan changed the shard" >&2
+  exit 1
+fi
+# The cache faults fire after the rows are out, on the one segment the
+# sweep's flush published ($published), in a store that already holds
+# shard 1/2's segment ($seeded): a torn segment keeps its first N
+# bytes, a corrupt one fails its trailer check, and the evictor unlinks
+# every other segment. The shard document is the plain sweep's.
+faulted_store() {
+  rm -rf "$TMP/store"
+  "$BIN" sweep --plan "$TMP/plan.sweep" --shard 1/2 \
+      --cache-dir "$TMP/store" --out "$TMP/seeded.csv" 2>/dev/null
+  seeded="$(ls "$TMP/store")"
+  "$BIN" sweep --plan "$TMP/plan.sweep" --fault "$1" \
+      --cache-dir "$TMP/store" --out "$TMP/faulted.csv" 2>/dev/null
+  published="$(ls "$TMP/store" | grep -vxF "$seeded" || true)"
+  stats="$("$BIN" cache stats --dir "$TMP/store" | head -n 1)"
+  if ! cmp "$TMP/faulted.csv" "$TMP/full.csv"; then
+    echo "FAIL: --fault $1 changed the shard" >&2
+    exit 1
+  fi
+}
+faulted_store cache-torn-write=50
+if [ -z "$published" ] || [ "$(wc -c < "$TMP/store/$published")" -ne 50 ] ||
+    [ "${stats##*, }" != "1 corrupt" ]; then
+  echo "FAIL: cache-torn-write=50 left '$published', '$stats'" >&2
+  exit 1
+fi
+faulted_store cache-corrupt-segment
+if [ -z "$published" ] || [ "${stats##*, }" != "1 corrupt" ]; then
+  echo "FAIL: cache-corrupt-segment left '$published', '$stats'" >&2
+  exit 1
+fi
+faulted_store cache-evict
+if [ -e "$TMP/store/$seeded" ] || [ -z "$published" ] ||
+    [ "${stats##*, }" != "0 corrupt" ]; then
+  echo "FAIL: cache-evict left '$seeded', '$published', '$stats'" >&2
   exit 1
 fi
 
@@ -273,6 +311,14 @@ expect_error 1 "cannot read" sweep --plan "$TMP/no_such_plan.sweep"
 # The legacy kill alias is gone; `--fault kill=N` is the one spelling.
 expect_error 1 "unknown option '--abort-after-cells'" \
     sweep --plan "$TMP/plan.sweep" --abort-after-cells 1
+# The transfer faults are fetch faults, which only orchestrate
+# --chaos-seed injects: a worker refuses them by flag and by variable.
+expect_error 1 "fault 'transfer-stalled' is a fetch fault" \
+    sweep --plan "$TMP/plan.sweep" --fault transfer-stalled
+export RAILCORR_FAULT=transfer-torn=5
+expect_error 1 "fault 'transfer-torn=5' is a fetch fault" \
+    sweep --plan "$TMP/plan.sweep" --out "$TMP/transfer_torn.csv"
+unset RAILCORR_FAULT
 
 # orchestrate argument misuse.
 expect_error 1 "--plan FILE and --out-dir DIR required" \

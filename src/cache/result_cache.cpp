@@ -14,7 +14,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "orch/faultpoint.hpp"
 #include "util/config.hpp"
 #include "util/durable_io.hpp"
 
@@ -444,6 +443,7 @@ bool ResultCache::open(const Options& options, std::string* error) {
   staged_.clear();
   staged_rows_.clear();
   published_ = 0;
+  last_published_.clear();
 
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
@@ -631,43 +631,21 @@ bool ResultCache::flush(std::string* error) {
   static obs::Histogram& flush_hist =
       obs::MetricsRegistry::instance().histogram("cache.flush_usec");
   const obs::ScopedUsecTimer flush_timer(flush_hist);
-  auto& faults = orch::FaultInjector::instance();
 
-  std::string published_path;
+  last_published_.clear();
   if (published_ < staged_.size()) {
-    std::string document = render_entries(
+    const std::string document = render_entries(
         staged_.begin() + static_cast<std::ptrdiff_t>(published_),
         staged_.end());
-    published_path =
+    std::string path =
         options_.dir + "/seg_" + util::hex16(util::fnv1a64(document)) + ".seg";
-    if (const auto torn =
-            faults.armed(orch::FaultKind::kCacheTornWrite)) {
-      // A torn publish: only a prefix of the document lands under the
-      // final name — the state a crashed writer without the atomic
-      // staging discipline leaves. Readers must verify-and-drop it.
-      document.resize(
-          std::min(document.size(), std::max<std::size_t>(1, *torn)));
-      std::string write_error;
-      if (!util::atomic_write_file(published_path, document, &write_error)) {
-        if (error != nullptr) *error = write_error;
-        return false;
-      }
-      published_ = staged_.size();
-      return true;
-    }
-    if (faults.armed(orch::FaultKind::kCacheCorruptSegment).has_value()) {
-      // Bit rot after the trailer was computed: the file is full
-      // length and structurally plausible, only the checksum can
-      // reject it.
-      const std::size_t digit = document.size() - 2;
-      document[digit] = document[digit] == '0' ? '1' : '0';
-    }
     std::string write_error;
-    if (!util::atomic_write_file(published_path, document, &write_error)) {
+    if (!util::atomic_write_file(path, document, &write_error)) {
       if (error != nullptr) *error = write_error;
       return false;
     }
     published_ = staged_.size();
+    last_published_ = std::move(path);
   }
 
   // Recency: a segment that answered hits since the last flush is
@@ -679,15 +657,12 @@ bool ResultCache::flush(std::string* error) {
     segment.hit = false;
   }
 
-  // A max_bytes of 0 means unbounded; the evict fault is a zero budget.
-  // The segment just published carries this flush's fresh rows, and
-  // evicting it at once would make an over-budget store a write-only
-  // device.
-  if (faults.armed(orch::FaultKind::kCacheEvict).has_value()) {
-    stats_.evicted_segments += gc_dir(options_.dir, 0, published_path);
-  } else if (options_.max_bytes != 0) {
+  // A max_bytes of 0 means unbounded. The segment just published
+  // carries this flush's fresh rows, and evicting it at once would make
+  // an over-budget store a write-only device.
+  if (options_.max_bytes != 0) {
     stats_.evicted_segments +=
-        gc_dir(options_.dir, options_.max_bytes, published_path);
+        gc_dir(options_.dir, options_.max_bytes, last_published_);
   }
   return true;
 }

@@ -229,12 +229,19 @@ class ResultCache {
   /// byte-identity contract makes both rows the same bytes.
   void insert(std::uint64_t key, std::string_view row);
 
-  /// Publish staged entries as one content-addressed segment and
-  /// enforce the capacity budget (LRU segment eviction, hit-serving
-  /// segments touched first). A no-op with nothing staged and no
-  /// budget pressure. Returns false (with `error`) on write failure;
+  /// Publish staged entries as one content-addressed segment, bump the
+  /// mtime of every segment that served a hit since the last flush,
+  /// then enforce the capacity budget (LRU segment eviction, never the
+  /// segment just published). A no-op with nothing staged, no hit and
+  /// no budget pressure. Returns false (with `error`) on write failure;
   /// the cache stays usable either way.
   bool flush(std::string* error = nullptr);
+
+  /// The path of the segment the last flush published; empty when it
+  /// published none (nothing staged, or a failed write).
+  [[nodiscard]] const std::string& last_published() const {
+    return last_published_;
+  }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -294,6 +301,7 @@ class ResultCache {
   std::deque<SegmentEntry> staged_;
   std::unordered_map<std::uint64_t, std::string_view> staged_rows_;
   std::size_t published_ = 0;
+  std::string last_published_;
 };
 
 }  // namespace railcorr::cache

@@ -333,8 +333,6 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
   });
 
   // Stage 5: emission on the calling thread in ascending index order.
-  // The progress callback carries the kill/stall/host-flap fault
-  // points, so it must never run on a pool worker.
   const obs::ObsSpan emit_span("emit", "sweep", "cells", indices.size());
   if (cache != nullptr) {
     for (const std::size_t i : missed) {
@@ -347,9 +345,6 @@ std::string run_sweep_shard(const corridor::SweepPlan& plan,
     document += '\n';
     cells_counter.add();
     if (metrics.enabled()) cell_hist.record(usecs[i]);
-    if (options.progress) {
-      options.progress(indices[i], i + 1, indices.size());
-    }
   }
   if (cache != nullptr) cache->flush();
   return document;

@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,27 +31,22 @@
 
 namespace railcorr::core {
 
-/// Evaluation depth of a sweep cell.
+/// How a shard is evaluated: its column set, and the result store it
+/// reads and fills. Nothing here observes the run while it computes:
+/// the worker's protocol lines and fault points sit around the call,
+/// in `railcorr sweep`.
 struct SweepRunOptions {
   /// Also run the Table IV off-grid PV sizing per cell (adds the
   /// sized_pv_wp_total / ladder_exhausted columns; much slower).
   bool include_sizing = false;
   /// Content-addressed result store: cells whose (banner, index,
   /// header, schema) key is already cached skip evaluation and emit the
-  /// stored bytes; evaluated cells are inserted and flushed at the end
-  /// of the shard. Null or unopened = every cell computes. The
+  /// stored bytes; evaluated cells are inserted, then published by one
+  /// flush at the end of the shard (`last_published()` names that
+  /// segment). Null or unopened = every cell computes. The
   /// byte-identity contract makes the two paths indistinguishable in
   /// the output.
   cache::ResultCache* cache = nullptr;
-  /// Called by run_sweep_shard once per owned cell, on the calling
-  /// thread and in ascending index order, with (grid cell index, cells
-  /// finished, cells owned by the shard). It is the per-row site of the
-  /// CLI's `kill`, `stall` and `host-flap` fault points, which count
-  /// rendered rows. It cannot perturb the evaluation: rows are already
-  /// rendered when it fires, in a burst after the shard's stages have
-  /// run. Empty = off.
-  std::function<void(std::size_t index, std::size_t done, std::size_t total)>
-      progress;
 };
 
 /// The metric column names, in row order (after index + axis columns).
@@ -81,8 +75,8 @@ std::string evaluate_sweep_cell(const corridor::SweepPlan& plan,
 ///     tuple synthesized once for the shard);
 ///  4. per-cell stage: energy, duty, LP sleep power and row render, in
 ///     parallel over cells, each into its own slot;
-///  5. emission on the calling thread in index order: document rows,
-///     cache inserts, counters, the progress callback.
+///  5. emission on the calling thread in index order: cache inserts,
+///     document rows and counters, then the cache's one flush.
 /// The rows byte-match evaluate_sweep_cell's at any thread count.
 std::string run_sweep_shard(const corridor::SweepPlan& plan,
                             corridor::ShardSpec shard,

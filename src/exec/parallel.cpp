@@ -97,13 +97,11 @@ bool in_parallel_region() {
   return t_caller_in_region || ThreadPool::on_worker_thread();
 }
 
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  ParallelOptions opts) {
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
 
-  std::size_t threads = opts.threads > 0 ? opts.threads : default_thread_count();
-  const std::size_t grain = std::max<std::size_t>(opts.grain, 1);
-  threads = std::min({threads, n, std::max<std::size_t>(n / grain, 1)});
+  const std::size_t resolved = default_thread_count();
+  const std::size_t threads = std::min(resolved, n);
 
   // Sequential fast path: one chunk, or we are already a participant of
   // an enclosing region (nested region): a worker must not wait on the
@@ -124,14 +122,12 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     std::lock_guard<std::mutex> lock(g_pool_mutex);
     auto& pool = pool_slot();
     if (!pool || pool->size() < threads - 1) {
-      // Size new pools for the full default concurrency, not just this
+      // Size new pools for the full resolved concurrency, not just this
       // region's chunk count: a small first region (e.g. a 4-task batch)
       // must not cap the pool and force a drain-and-join rebuild when a
       // wider nested region follows.
-      const std::size_t workers =
-          std::max(threads - 1, default_thread_count() - 1);
       pool.reset();  // drain + join the old pool before growing
-      pool = std::make_unique<ThreadPool>(workers);
+      pool = std::make_unique<ThreadPool>(resolved - 1);
     }
     for (std::size_t chunk = 1; chunk < threads; ++chunk) {
       pool->submit([batch, chunk] {

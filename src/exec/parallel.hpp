@@ -9,9 +9,9 @@
 ///    i in [0, n), from the calling thread or a pool worker. Each index
 ///    must write only to its own output slot; no two indices may touch
 ///    the same mutable state.
-///  * The index range is split into at most `threads` contiguous chunks
-///    (static chunking). Chunk boundaries depend only on `n` and the
-///    resolved thread count, never on timing.
+///  * The index range is split into min(n, default_thread_count())
+///    contiguous chunks (static chunking). Chunk boundaries depend only
+///    on `n` and the resolved thread count, never on timing.
 ///  * All writes made by `body` happen-before `parallel_for` returns, so
 ///    the caller can reduce the indexed results in index order. With
 ///    per-index outputs and an index-ordered reduction, results are
@@ -25,10 +25,9 @@
 ///    runs as one chunk on the caller does not count as enclosing, so
 ///    its nested regions still go parallel.
 ///
-/// Thread-count resolution: an explicit `ParallelOptions::threads` wins;
-/// otherwise the process-wide default set by `set_default_thread_count`;
-/// otherwise the `RAILCORR_THREADS` environment variable; otherwise
-/// `std::thread::hardware_concurrency()`.
+/// Thread-count resolution, once per region: the process-wide default
+/// set by `set_default_thread_count`; otherwise the `RAILCORR_THREADS`
+/// environment variable; otherwise `std::thread::hardware_concurrency()`.
 #pragma once
 
 #include <cstddef>
@@ -84,22 +83,12 @@ void set_default_thread_count(std::size_t n);
 /// Safe to call from any thread at any time (reads thread-local state).
 [[nodiscard]] bool in_parallel_region();
 
-/// Tuning knobs for one parallel region.
-struct ParallelOptions {
-  /// Number of chunks to split the range into; 0 = default_thread_count().
-  std::size_t threads = 0;
-  /// Minimum indices per chunk; small ranges use fewer chunks so the
-  /// per-chunk overhead cannot dominate.
-  std::size_t grain = 1;
-};
-
 /// Invoke `body(i)` for every i in [0, n) under the determinism contract
 /// above. Exceptions thrown by `body` are rethrown (first one wins) on
 /// the calling thread after every chunk has finished.
 ///
 /// \param n     extent of the index range
 /// \param body  invoked once per index, possibly from pool workers
-/// \param opts  chunking overrides (thread count, grain)
 ///
 /// \par Thread safety and aliasing
 /// `body` must be callable concurrently from multiple threads: every
@@ -111,8 +100,7 @@ struct ParallelOptions {
 /// Reentrancy: calling parallel_for from inside a `body` is allowed
 /// and runs the nested region sequentially inline whenever the outer
 /// region split into more than one chunk.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  ParallelOptions opts = {});
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
 /// Evaluate `f(i)` for every i in [0, n) and return the results indexed
 /// by i. The result type must be default-constructible and movable.
@@ -122,7 +110,7 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
 /// pre-sized slot `out[i]`, which is what makes the result independent
 /// of scheduling.
 template <typename F>
-[[nodiscard]] auto parallel_map(std::size_t n, F&& f, ParallelOptions opts = {})
+[[nodiscard]] auto parallel_map(std::size_t n, F&& f)
     -> std::vector<std::invoke_result_t<F&, std::size_t>> {
   using R = std::invoke_result_t<F&, std::size_t>;
   static_assert(std::is_default_constructible_v<R>,
@@ -132,8 +120,7 @@ template <typename F>
                 "std::vector<bool> packs bits, so concurrent per-index "
                 "writes would race; return char/int instead");
   std::vector<R> out(n);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = f(i); }, opts);
+  parallel_for(n, [&](std::size_t i) { out[i] = f(i); });
   return out;
 }
 

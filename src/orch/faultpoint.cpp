@@ -1,5 +1,6 @@
 #include "orch/faultpoint.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/config.hpp"
@@ -31,18 +32,6 @@ constexpr KindName kKinds[] = {
     {FaultKind::kTransferStalled, "transfer-stalled", false},
 };
 
-std::size_t parse_param(std::string_view text, std::string_view spec) {
-  if (text.empty()) {
-    throw ConfigError("fault spec '" + std::string(spec) + "': empty value");
-  }
-  std::size_t value = 0;
-  if (!util::parse_whole(text, value)) {
-    throw ConfigError("fault spec '" + std::string(spec) +
-                      "': expected a decimal value");
-  }
-  return value;
-}
-
 }  // namespace
 
 std::string fault_spec_string(const FaultSpec& spec) {
@@ -71,7 +60,15 @@ FaultSpec parse_fault_spec(std::string_view text) {
         throw ConfigError("fault spec '" + std::string(text) + "': '" +
                           std::string(entry.name) + "' needs '=N'");
       }
-      spec.param = parse_param(text.substr(eq + 1), text);
+      const std::string_view value = text.substr(eq + 1);
+      if (value.empty()) {
+        throw ConfigError("fault spec '" + std::string(text) +
+                          "': empty value");
+      }
+      if (!util::parse_whole(value, spec.param)) {
+        throw ConfigError("fault spec '" + std::string(text) +
+                          "': expected a decimal value");
+      }
     } else if (eq != std::string_view::npos) {
       throw ConfigError("fault spec '" + std::string(text) + "': '" +
                         std::string(entry.name) + "' takes no value");
@@ -132,37 +129,49 @@ std::optional<FaultSpec> chaos_fault_for(std::uint64_t seed,
   }
 }
 
-FaultInjector& FaultInjector::instance() {
-  static FaultInjector injector;
-  return injector;
+void FaultInjector::arm(const FaultSpec& spec) {
+  if (is_transfer_fault(spec.kind)) {
+    throw ConfigError("fault '" + fault_spec_string(spec) +
+                      "' is a fetch fault: only orchestrate --chaos-seed "
+                      "injects it, and no worker site reads it");
+  }
+  armed_.push_back(spec);
 }
-
-void FaultInjector::arm(const FaultSpec& spec) { armed_.push_back(spec); }
 
 void FaultInjector::arm_from_env() {
   const char* env = std::getenv("RAILCORR_FAULT");
-  if (env == nullptr) return;
-  std::string_view rest(env);
-  while (!rest.empty()) {
-    const std::size_t comma = rest.find(',');
-    std::string_view token =
-        comma == std::string_view::npos ? rest : rest.substr(0, comma);
-    rest.remove_prefix(comma == std::string_view::npos ? rest.size()
-                                                       : comma + 1);
+  for (std::string_view rest = env == nullptr ? "" : env; !rest.empty();) {
+    const std::size_t comma = std::min(rest.find(','), rest.size());
+    std::string_view token = rest.substr(0, comma);
+    rest.remove_prefix(std::min(comma + 1, rest.size()));
     while (!token.empty() && token.front() == ' ') token.remove_prefix(1);
     while (!token.empty() && token.back() == ' ') token.remove_suffix(1);
-    if (token.empty()) continue;
-    arm(parse_fault_spec(token));
+    if (!token.empty()) arm(parse_fault_spec(token));
   }
 }
-
-void FaultInjector::clear() { armed_.clear(); }
 
 std::optional<std::size_t> FaultInjector::armed(FaultKind kind) const {
   for (const auto& spec : armed_) {
     if (spec.kind == kind) return spec.param;
   }
   return std::nullopt;
+}
+
+std::optional<FaultKind> FaultInjector::death_fault(std::size_t owned) const {
+  std::optional<FaultKind> death;
+  std::size_t lowest = owned + 1;  // Past every threshold the shard reaches.
+  for (const FaultKind kind :
+       {FaultKind::kKillAfterCells, FaultKind::kHostFlap, FaultKind::kStall}) {
+    const auto param = armed(kind);
+    if (!param.has_value()) continue;
+    const std::size_t threshold = std::max<std::size_t>(1, *param);
+    // Strictly below: a tie keeps the earlier kind.
+    if (threshold < lowest) {
+      death = kind;
+      lowest = threshold;
+    }
+  }
+  return death;
 }
 
 }  // namespace railcorr::orch

@@ -1,10 +1,52 @@
 /// \file faultpoint.hpp
-/// \brief Named, env/flag-armed fault-injection points for adversarial
+/// \brief Named, flag/env-armed fault-injection points for adversarial
 ///        testing of the orchestrator's failure model.
 ///
-/// A fault point is a *named site* in the worker where a specific
-/// failure can be provoked on demand — a small vocabulary covering
-/// every failure class the orchestrator claims to survive:
+/// A fault point is a *named site* where a specific failure can be
+/// provoked on demand — a small vocabulary covering every failure class
+/// the orchestrator claims to survive. Every worker site sits in
+/// `railcorr sweep` (the CLI's `cmd_sweep`); the library keeps no fault
+/// hook of its own. In the order a worker reaches them:
+///
+///   launch-refused         exit 255 before reading the plan or
+///                          emitting any protocol event — ssh's
+///                          connect-refused signature, which the
+///                          orchestrator must charge to the host, not
+///                          the shard.
+///
+/// The death faults fire after the start event, before the heartbeat
+/// thread starts and before any cell computes, when the shard owns at
+/// least max(1, N) cells: N is a threshold on the shard's size, not a
+/// position in it. With several armed, the smallest threshold fires,
+/// ties in this order (`FaultInjector::death_fault`):
+///
+///   kill=N             raise SIGKILL — a crashed worker, mid-shard.
+///   host-flap=N        exit 255 without writing output — a connection
+///                      dropped by a flapping host after the start
+///                      event.
+///   stall=N            sleep forever, silent — a hung worker only the
+///                      supervisor's --stall-timeout liveness check can
+///                      clear.
+///
+/// The cache faults (with --cache-dir) model an adversarial shared
+/// result store. They damage the segment that the shard's one
+/// cache::ResultCache::flush published, after the sweep returns (none
+/// fires inside the flush, and none fires when it published nothing,
+/// except cache-evict); a poisoned store must never change output
+/// bytes, only cost recomputes:
+///
+///   cache-torn-write=N     truncate that segment to its first
+///                          max(1, N) bytes — a torn publish readers
+///                          must verify-and-drop.
+///   cache-corrupt-segment  flip its trailer's last hex digit — silent
+///                          corruption, caught only by trailer
+///                          verification.
+///   cache-evict            run a hostile evictor over the store,
+///                          unlinking every other segment — readers
+///                          and writers must tolerate segments
+///                          vanishing at any time.
+///
+/// The write faults fire at the shard write:
 ///
 ///   torn-write=N       write only the first N bytes of the output
 ///                      file (no fsync, no atomic rename), then report
@@ -14,41 +56,12 @@
 ///                      of its integrity trailer — silent on-disk
 ///                      corruption, caught only by trailer
 ///                      verification.
-///   stall=N            after N cells, stop emitting progress and
-///                      sleep forever — a hung worker only the
-///                      supervisor's --stall-timeout liveness check
-///                      can clear.
-///   kill=N             raise SIGKILL after N cells — a crashed
-///                      worker, mid-shard.
 ///
-/// Cache fault points (sites in cache::ResultCache::flush) model an
-/// adversarial shared result store; a poisoned cache must never change
-/// output bytes, only cost recomputes:
+/// The transfer faults are fetch faults (`is_transfer_fault`): only
+/// `orchestrate --chaos-seed`'s fetch builder injects them, by
+/// substituting a sabotaged transfer command, and a worker refuses to
+/// arm them:
 ///
-///   cache-torn-write=N     publish only the first N bytes of the next
-///                          cache segment — a torn publish readers
-///                          must verify-and-drop.
-///   cache-corrupt-segment  flip one trailer hex digit of the next
-///                          published segment — silent corruption,
-///                          caught only by trailer verification.
-///   cache-evict            run a hostile evictor at every flush,
-///                          unlinking every other segment — readers
-///                          and writers must tolerate segments
-///                          vanishing at any time.
-///
-/// Network fault points model a flaky distributed fleet (see
-/// orch/remote.hpp); the first two fire in the worker, the transfer
-/// pair is consumed by the CLI's chaos-mode fetch builder, which
-/// substitutes a sabotaged transfer command:
-///
-///   launch-refused         exit 255 before emitting any protocol
-///                          event — ssh's connect-refused signature,
-///                          which the orchestrator must charge to the
-///                          host, not the shard.
-///   host-flap=N            run normally, past the start event, for N
-///                          cells, then exit 255 mid-shard without
-///                          writing output — a connection dropped by a
-///                          flapping host.
 ///   transfer-torn=N        the fetch delivers only the first N bytes
 ///                          of the shard file — a torn transfer the
 ///                          verify-after-fetch step must classify as
@@ -59,11 +72,10 @@
 /// Faults are armed per process through the `railcorr sweep --fault
 /// SPEC` flag (the orchestrator's chaos mode appends it to selected
 /// worker attempts) or the `RAILCORR_FAULT` environment variable
-/// (comma-separated specs), and queried at the injection sites via the
-/// process-wide `FaultInjector`. The sites are compiled in
-/// unconditionally — they are a handful of branch checks on a cold
-/// path, and an unarmed injector answers every query with "no fault",
-/// so production behavior is untouched.
+/// (comma-separated specs). The worker holds what it armed in a local
+/// `FaultInjector`; there is no process-wide fault state. An unarmed
+/// injector answers every query with "no fault", so a fault-free run
+/// is untouched.
 ///
 /// The seeded chaos harness (`scripts/chaos_smoke.sh`, ctest
 /// `cli/chaos_smoke`) drives a whole grid through a deterministic
@@ -94,8 +106,9 @@ enum class FaultKind {
   kTransferStalled,
 };
 
-/// One armed fault: the kind plus its parameter (bytes for torn-write,
-/// cells for stall/kill; unused for corrupt-trailer).
+/// One armed fault: the kind plus its parameter (bytes for the torn
+/// kinds, a cell threshold for kill/host-flap/stall; unused for the
+/// kinds that take no value).
 struct FaultSpec {
   FaultKind kind = FaultKind::kKillAfterCells;
   std::size_t param = 0;
@@ -104,10 +117,18 @@ struct FaultSpec {
 /// The spec's canonical flag spelling ("torn-write=64", "stall=2", ...).
 std::string fault_spec_string(const FaultSpec& spec);
 
-/// Parse "torn-write=N" / "corrupt-trailer" / "stall=N" / "kill=N".
-/// Throws util::ConfigError on an unknown kind, a missing required
-/// parameter, or malformed digits.
+/// Parse a spec in its flag spelling ("torn-write=N", "corrupt-trailer",
+/// "stall=N", ... for every kind above). Throws util::ConfigError on an
+/// unknown kind, a missing required parameter, or malformed digits.
 FaultSpec parse_fault_spec(std::string_view text);
+
+/// True for the fetch faults, transfer-torn and transfer-stalled: no
+/// worker site reads them, and the chaos schedule routes them to the
+/// fetch builder.
+inline bool is_transfer_fault(FaultKind kind) {
+  return kind == FaultKind::kTransferTorn ||
+         kind == FaultKind::kTransferStalled;
+}
 
 /// The seeded chaos schedule of `orchestrate --chaos-seed`: which fault
 /// (if any) attempt `attempt` of shard `shard` suffers. A pure function
@@ -130,28 +151,29 @@ std::optional<FaultSpec> chaos_fault_for(std::uint64_t seed,
                                          std::size_t retries,
                                          bool with_hosts, bool with_cache);
 
-/// Process-wide fault registry. Worker code queries it at each
-/// injection site; the CLI arms it from --fault flags and the
-/// RAILCORR_FAULT environment variable. Not thread-safe by design:
-/// arming happens during argument parsing, before any worker threads
-/// exist.
+/// The faults one worker armed, held by the worker as a local value.
+/// The CLI arms it from --fault flags and the RAILCORR_FAULT
+/// environment variable before any worker thread exists.
 class FaultInjector {
  public:
-  static FaultInjector& instance();
-
+  /// Throws util::ConfigError on a fetch fault (is_transfer_fault): no
+  /// worker site would fire it.
   void arm(const FaultSpec& spec);
 
   /// Arm every comma-separated spec in RAILCORR_FAULT (no-op when the
   /// variable is unset or empty). Throws util::ConfigError on a
-  /// malformed spec.
+  /// malformed spec or a fetch fault.
   void arm_from_env();
-
-  /// Disarm everything (tests).
-  void clear();
 
   /// The parameter of the first armed fault of `kind`; std::nullopt
   /// when that kind is not armed.
   [[nodiscard]] std::optional<std::size_t> armed(FaultKind kind) const;
+
+  /// The death fault (kill, host-flap or stall) that fires on a shard
+  /// owning `owned` cells: of those armed with max(1, N) <= owned, the
+  /// one with the smallest threshold, ties in kill, host-flap, stall
+  /// order. std::nullopt when none reaches.
+  [[nodiscard]] std::optional<FaultKind> death_fault(std::size_t owned) const;
 
  private:
   std::vector<FaultSpec> armed_;

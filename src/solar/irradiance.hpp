@@ -45,6 +45,8 @@ struct WeatherModel {
   /// Extra winter variability: sigma is scaled by
   /// 1 + winter_sigma_boost * cos^2(pi * (doy - 15) / 365).
   double winter_sigma_boost = 1.0;
+
+  bool operator==(const WeatherModel&) const = default;
 };
 
 /// Fixed mounting of the PV module.
@@ -55,6 +57,8 @@ struct PlaneOfArray {
   double tilt_deg = 90.0;
   /// Ground albedo for the reflected component.
   double albedo = 0.2;
+
+  bool operator==(const PlaneOfArray&) const = default;
 };
 
 /// One simulated day of irradiance, hour by hour.

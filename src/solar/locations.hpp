@@ -34,6 +34,8 @@ struct Location {
 
   /// Annual GHI [kWh/m^2/year].
   [[nodiscard]] double annual_ghi_kwh_m2() const;
+
+  bool operator==(const Location&) const = default;
 };
 
 /// The four high-speed-rail regions evaluated in the paper (Table IV).

@@ -24,23 +24,6 @@ OffGridSystem system_of(const SizingCandidate& candidate,
   return system;
 }
 
-bool locations_equal(const Location& a, const Location& b) {
-  return a.name == b.name && a.latitude_deg == b.latitude_deg &&
-         a.longitude_deg == b.longitude_deg &&
-         a.monthly_ghi_wh_m2_day == b.monthly_ghi_wh_m2_day;
-}
-
-bool planes_equal(const PlaneOfArray& a, const PlaneOfArray& b) {
-  return a.tilt_deg == b.tilt_deg && a.albedo == b.albedo;
-}
-
-bool weather_equal(const WeatherModel& a, const WeatherModel& b) {
-  return a.kt_sigma == b.kt_sigma &&
-         a.kt_autocorrelation == b.kt_autocorrelation &&
-         a.kt_min == b.kt_min && a.kt_max == b.kt_max &&
-         a.winter_sigma_boost == b.winter_sigma_boost;
-}
-
 /// One distinct weather synthesis of a batched run, with the grid
 /// cells that consume it.
 struct WeatherGroup {
@@ -51,15 +34,6 @@ struct WeatherGroup {
   /// (job, location index within the job) pairs sharing this weather.
   std::vector<std::pair<std::size_t, std::size_t>> members;
 };
-
-bool same_weather_tuple(const WeatherGroup& group, const Location& location,
-                        const SizingOptions& options) {
-  return locations_equal(*group.location, location) &&
-         planes_equal(group.options->plane, options.plane) &&
-         weather_equal(group.options->weather, options.weather) &&
-         group.options->seed == options.seed &&
-         group.options->years == options.years;
-}
 
 /// Walk one study's ladder against its shared `days`. Every rung but
 /// the last stops at its first outage day: a failing intermediate
@@ -160,7 +134,8 @@ std::vector<std::vector<SizingResult>> size_jobs(
       const Location& location = jobs[j].locations[l];
       WeatherGroup* group = nullptr;
       for (auto& candidate : groups) {
-        if (same_weather_tuple(candidate, location, jobs[j].options)) {
+        if (*candidate.location == location &&
+            *candidate.options == jobs[j].options) {
           group = &candidate;
           break;
         }
@@ -178,8 +153,8 @@ std::vector<std::vector<SizingResult>> size_jobs(
   std::vector<const WeatherGroup*> sky_keys;
   for (auto& group : groups) {
     const auto same_sky = [&](const WeatherGroup* key) {
-      return locations_equal(*key->location, *group.location) &&
-             planes_equal(key->options->plane, group.options->plane);
+      return *key->location == *group.location &&
+             key->options->plane == group.options->plane;
     };
     const auto it = std::find_if(sky_keys.begin(), sky_keys.end(), same_sky);
     group.sky = static_cast<std::size_t>(it - sky_keys.begin());

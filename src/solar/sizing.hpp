@@ -45,6 +45,11 @@ struct SizingOptions {
   std::uint64_t seed = 0x5EEDC003ULL;
   WeatherModel weather;
   PlaneOfArray plane;  ///< vertical, equator-facing by default
+
+  /// Field by field: the batch shares a weather synthesis between cells
+  /// whose (location, options) are equal, so a field added here is
+  /// part of that key by construction.
+  bool operator==(const SizingOptions&) const = default;
 };
 
 /// Walk the ladder until a configuration runs without downtime: one

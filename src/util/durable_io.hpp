@@ -145,9 +145,10 @@ struct TrailerCheck {
 TrailerCheck check_integrity_trailer(std::string_view document);
 
 /// `document` split at its final line without reading the body: the
-/// first half of check_integrity_trailer, for readers that hash later
-/// (the result cache compares fnv1a64(body) with `stated` on a
-/// segment's first hit).
+/// first half of check_integrity_trailer, which calls it. Its one other
+/// reader is the orchestrator's read_intact_shard, which asks only
+/// whether a trailer line is `present` before parsing the shard (the
+/// shard reader verifies the hash itself).
 struct TrailerSplit {
   /// False when the final line is no trailer; `body` is then the whole
   /// document.

@@ -192,6 +192,11 @@ TEST(ResultCache, InsertFlushThenReopenServesTheRow) {
   ASSERT_TRUE(writer.lookup(key).has_value());
   ASSERT_TRUE(writer.flush());
   EXPECT_EQ(segment_count(dir.path()), 1u);
+  // The flush names the segment it published; one with nothing staged
+  // publishes none.
+  EXPECT_EQ(fs::path(writer.last_published()), only_segment(dir.path()));
+  ASSERT_TRUE(writer.flush());
+  EXPECT_EQ(writer.last_published(), "");
 
   // A second process (fresh instance) sees the published segment.
   ResultCache reader;

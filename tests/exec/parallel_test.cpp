@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -45,9 +44,8 @@ TEST_F(ParallelTest, EveryIndexRunsExactlyOnce) {
     const std::size_t n = 1000;
     std::vector<std::atomic<int>> hits(n);
     for (auto& h : hits) h.store(0);
-    ParallelOptions opts;
-    opts.threads = threads;
-    parallel_for(n, [&](std::size_t i) { ++hits[i]; }, opts);
+    set_default_thread_count(threads);
+    parallel_for(n, [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " at " << threads
                                    << " threads";
@@ -61,27 +59,10 @@ TEST_F(ParallelTest, EmptyRangeIsANoop) {
   EXPECT_FALSE(ran);
 }
 
-TEST_F(ParallelTest, GrainLimitsChunkCount) {
-  // With grain >= n the range must execute as a single sequential chunk
-  // on the calling thread.
-  ParallelOptions opts;
-  opts.threads = 8;
-  opts.grain = 100;
-  std::vector<int> order;
-  parallel_for(10, [&](std::size_t i) {
-    order.push_back(static_cast<int>(i));  // safe: single chunk
-  }, opts);
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
 TEST_F(ParallelTest, ParallelMapReturnsIndexedResults) {
   for (const std::size_t threads : {1u, 4u}) {
-    ParallelOptions opts;
-    opts.threads = threads;
-    const auto squares =
-        parallel_map(257, [](std::size_t i) { return i * i; }, opts);
+    set_default_thread_count(threads);
+    const auto squares = parallel_map(257, [](std::size_t i) { return i * i; });
     ASSERT_EQ(squares.size(), 257u);
     for (std::size_t i = 0; i < squares.size(); ++i) {
       EXPECT_EQ(squares[i], i * i);
@@ -90,28 +71,25 @@ TEST_F(ParallelTest, ParallelMapReturnsIndexedResults) {
 }
 
 TEST_F(ParallelTest, ExceptionsPropagateToCaller) {
-  ParallelOptions opts;
-  opts.threads = 4;
-  EXPECT_THROW(
-      parallel_for(100, [](std::size_t i) {
-        if (i == 57) throw std::runtime_error("boom");
-      }, opts),
-      std::runtime_error);
+  set_default_thread_count(4);
+  EXPECT_THROW(parallel_for(100,
+                            [](std::size_t i) {
+                              if (i == 57) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
   // The engine must remain usable after a failed batch.
   std::atomic<int> count{0};
-  parallel_for(100, [&](std::size_t) { ++count; }, opts);
+  parallel_for(100, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST_F(ParallelTest, NestedRegionsCompleteWithoutDeadlock) {
-  ParallelOptions opts;
-  opts.threads = 4;
+  set_default_thread_count(4);
   std::vector<std::atomic<int>> hits(64);
   for (auto& h : hits) h.store(0);
   parallel_for(8, [&](std::size_t outer) {
-    parallel_for(8, [&](std::size_t inner) { ++hits[outer * 8 + inner]; },
-                 opts);
-  }, opts);
+    parallel_for(8, [&](std::size_t inner) { ++hits[outer * 8 + inner]; });
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -119,8 +97,7 @@ TEST_F(ParallelTest, RegionNestedInCallersChunkRunsOnTheCaller) {
   // The calling thread is a participant while it runs chunk 0 of a
   // multi-chunk region, so a region nested there runs every index
   // inline instead of handing work to workers busy with their chunks.
-  ParallelOptions opts;
-  opts.threads = 4;
+  set_default_thread_count(4);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> inner(16);
   bool caller_in_region = false;
@@ -130,8 +107,8 @@ TEST_F(ParallelTest, RegionNestedInCallersChunkRunsOnTheCaller) {
     caller_in_region = in_parallel_region();
     parallel_for(inner.size(), [&](std::size_t i) {
       inner[i] = std::this_thread::get_id();
-    }, opts);
-  }, opts);
+    });
+  });
   EXPECT_TRUE(caller_in_region);
   EXPECT_FALSE(in_parallel_region());
   for (const auto& id : inner) EXPECT_EQ(id, caller);
@@ -144,8 +121,8 @@ TEST_F(ParallelTest, RegionNestedInCallersChunkRunsOnTheCaller) {
     EXPECT_FALSE(in_parallel_region());
     parallel_for(4, [&](std::size_t i) {
       on_worker[i] = ThreadPool::on_worker_thread() ? 1 : 0;
-    }, opts);
-  }, opts);
+    });
+  });
   EXPECT_EQ(on_worker[0].load(), 0);
   EXPECT_EQ(on_worker[3].load(), 1);
 }
@@ -153,12 +130,11 @@ TEST_F(ParallelTest, RegionNestedInCallersChunkRunsOnTheCaller) {
 TEST_F(ParallelTest, WorkerThreadsAreMarked) {
   EXPECT_FALSE(ThreadPool::on_worker_thread());
   std::atomic<int> on_worker{0};
-  ParallelOptions opts;
-  opts.threads = 4;
+  set_default_thread_count(4);
   parallel_for(4, [&](std::size_t i) {
     // Chunk 0 runs on the caller; the rest on pool workers.
     if (i > 0 && ThreadPool::on_worker_thread()) ++on_worker;
-  }, opts);
+  });
   EXPECT_GE(on_worker.load(), 1);
 }
 
@@ -166,14 +142,10 @@ TEST_F(ParallelTest, DeterministicReductionAcrossThreadCounts) {
   // The canonical usage pattern: indexed slots + index-ordered reduce
   // must give bit-identical sums at any thread count.
   auto weighted_sum = [](std::size_t threads) {
-    ParallelOptions opts;
-    opts.threads = threads;
-    const auto values = parallel_map(
-        10000,
-        [](std::size_t i) {
-          return 1.0 / (1.0 + static_cast<double>(i) * 0.001);
-        },
-        opts);
+    set_default_thread_count(threads);
+    const auto values = parallel_map(10000, [](std::size_t i) {
+      return 1.0 / (1.0 + static_cast<double>(i) * 0.001);
+    });
     double sum = 0.0;
     for (const double v : values) sum += v;
     return sum;

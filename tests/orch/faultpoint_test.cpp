@@ -1,31 +1,26 @@
-/// The fault-injection vocabulary: spec parsing round trips, the
-/// process-wide injector's arm/query/clear lifecycle, env-var arming
-/// (RAILCORR_FAULT), and the seeded chaos schedule.
+/// The fault-injection vocabulary: spec parsing round trips, a worker's
+/// local injector (arming, queries, the death-fault rule, refused fetch
+/// faults), env-var arming (RAILCORR_FAULT), and the seeded chaos
+/// schedule.
 #include "orch/faultpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "util/config.hpp"
 
 namespace railcorr::orch {
 namespace {
 
-/// Restores the injector and RAILCORR_FAULT around each test — the
-/// injector is process-wide state shared with every other test in this
-/// binary.
+/// Clears RAILCORR_FAULT around each test. Each test builds its own
+/// injector: there is no process-wide fault state.
 class FaultpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    FaultInjector::instance().clear();
-    ::unsetenv("RAILCORR_FAULT");
-  }
-  void TearDown() override {
-    FaultInjector::instance().clear();
-    ::unsetenv("RAILCORR_FAULT");
-  }
+  void SetUp() override { ::unsetenv("RAILCORR_FAULT"); }
+  void TearDown() override { ::unsetenv("RAILCORR_FAULT"); }
 };
 
 /// Specs whose value is 2^64 + 1, which a wrapping parser reads as 1.
@@ -95,25 +90,70 @@ TEST_F(FaultpointTest, MalformedSpecsAreRejected) {
   }
 }
 
-TEST_F(FaultpointTest, InjectorArmsQueriesAndClears) {
-  auto& injector = FaultInjector::instance();
+TEST_F(FaultpointTest, InjectorArmsAndQueries) {
+  FaultInjector injector;
   EXPECT_FALSE(injector.armed(FaultKind::kTornWrite).has_value());
 
   injector.arm({FaultKind::kTornWrite, 32});
   injector.arm({FaultKind::kStall, 2});
+  injector.arm({FaultKind::kStall, 7});
   ASSERT_TRUE(injector.armed(FaultKind::kTornWrite).has_value());
   EXPECT_EQ(*injector.armed(FaultKind::kTornWrite), 32u);
-  EXPECT_EQ(*injector.armed(FaultKind::kStall), 2u);
+  EXPECT_EQ(*injector.armed(FaultKind::kStall), 2u);  // The first armed.
   EXPECT_FALSE(injector.armed(FaultKind::kCorruptTrailer).has_value());
   EXPECT_FALSE(injector.armed(FaultKind::kKillAfterCells).has_value());
+  EXPECT_FALSE(FaultInjector().armed(FaultKind::kStall).has_value());
+}
 
-  injector.clear();
-  EXPECT_FALSE(injector.armed(FaultKind::kTornWrite).has_value());
-  EXPECT_FALSE(injector.armed(FaultKind::kStall).has_value());
+TEST_F(FaultpointTest, AWorkerRefusesTheFetchFaults) {
+  for (const char* spec : {"transfer-torn=5", "transfer-stalled"}) {
+    EXPECT_TRUE(is_transfer_fault(parse_fault_spec(spec).kind)) << spec;
+    FaultInjector injector;
+    EXPECT_THROW(injector.arm(parse_fault_spec(spec)), util::ConfigError)
+        << spec;
+    ::setenv("RAILCORR_FAULT", spec, 1);
+    EXPECT_THROW(injector.arm_from_env(), util::ConfigError) << spec;
+  }
+  for (const char* spec : {"torn-write=1", "corrupt-trailer", "stall=1",
+                           "kill=1", "cache-torn-write=1",
+                           "cache-corrupt-segment", "cache-evict",
+                           "launch-refused", "host-flap=1"}) {
+    EXPECT_FALSE(is_transfer_fault(parse_fault_spec(spec).kind)) << spec;
+    FaultInjector injector;
+    EXPECT_NO_THROW(injector.arm(parse_fault_spec(spec))) << spec;
+  }
+}
+
+TEST_F(FaultpointTest, TheSmallestReachedDeathThresholdFires) {
+  const auto death = [](std::vector<FaultSpec> specs, std::size_t owned) {
+    FaultInjector injector;
+    for (const auto& spec : specs) injector.arm(spec);
+    return injector.death_fault(owned);
+  };
+  const FaultSpec kill3{FaultKind::kKillAfterCells, 3};
+  const FaultSpec flap2{FaultKind::kHostFlap, 2};
+  const FaultSpec stall2{FaultKind::kStall, 2};
+  // A threshold past the shard's cells never fires; N = 0 counts as 1,
+  // so an empty shard fires nothing.
+  EXPECT_EQ(death({kill3}, 2), std::nullopt);
+  EXPECT_EQ(death({kill3}, 3), FaultKind::kKillAfterCells);
+  EXPECT_EQ(death({{FaultKind::kStall, 0}}, 1), FaultKind::kStall);
+  EXPECT_EQ(death({{FaultKind::kStall, 0}}, 0), std::nullopt);
+  EXPECT_EQ(death({{FaultKind::kTornWrite, 1}}, 4), std::nullopt);
+  // The smallest threshold wins, whatever the arming order.
+  EXPECT_EQ(death({kill3, stall2}, 4), FaultKind::kStall);
+  EXPECT_EQ(death({stall2, kill3}, 2), FaultKind::kStall);
+  // Ties go kill, host-flap, stall.
+  EXPECT_EQ(death({stall2, flap2}, 4), FaultKind::kHostFlap);
+  EXPECT_EQ(death({stall2, flap2, {FaultKind::kKillAfterCells, 1}}, 4),
+            FaultKind::kKillAfterCells);
+  EXPECT_EQ(death({{FaultKind::kStall, 1}, {FaultKind::kKillAfterCells, 0}},
+                  4),
+            FaultKind::kKillAfterCells);
 }
 
 TEST_F(FaultpointTest, EnvArmingParsesCommaSeparatedSpecs) {
-  auto& injector = FaultInjector::instance();
+  FaultInjector injector;
   ::setenv("RAILCORR_FAULT", "torn-write=10, corrupt-trailer", 1);
   injector.arm_from_env();
   ASSERT_TRUE(injector.armed(FaultKind::kTornWrite).has_value());
@@ -179,7 +219,7 @@ TEST(ChaosSchedule, CacheAndNetworkFaultsNeedTheirSubsystem) {
 }
 
 TEST_F(FaultpointTest, EnvArmingIsANoOpWhenUnsetAndThrowsOnGarbage) {
-  auto& injector = FaultInjector::instance();
+  FaultInjector injector;
   injector.arm_from_env();  // Unset: nothing armed.
   EXPECT_FALSE(injector.armed(FaultKind::kTornWrite).has_value());
 

@@ -1177,7 +1177,8 @@ TEST(OrchestrateEndToEnd, KilledWorkerIsRetriedByteIdentically) {
         "--progress", "--threads", "2",
     };
     if (attempt.shard == 1 && attempt.attempt == 0) {
-      // SIGKILL after the first cell: a genuine mid-shard worker death.
+      // SIGKILL after the start event, before any cell computes: a
+      // genuine mid-shard worker death.
       argv.push_back("--fault");
       argv.push_back("kill=1");
     }

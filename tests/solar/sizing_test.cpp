@@ -457,6 +457,62 @@ TEST(Sizing, BatchCountsItsWork) {
   EXPECT_LT(batched_days, rungs * 365);
 }
 
+TEST(Sizing, EveryFieldOfTheWeatherKeySplitsTheSynthesis) {
+  // The batch shares a synthesis between cells whose Location and
+  // SizingOptions (with its PlaneOfArray and WeatherModel) compare
+  // equal. Two jobs that differ in any one field must not share one,
+  // and each must still equal its own per-job run.
+  SizingJob base;
+  base.locations = {madrid()};
+  base.consumption = paper_load();
+  base.options.years = 1;
+  using Edit = void (*)(SizingJob&);
+  const std::pair<const char*, Edit> edits[] = {
+      {"location.name", [](SizingJob& j) { j.locations[0].name += " 2"; }},
+      {"location.latitude_deg",
+       [](SizingJob& j) { j.locations[0].latitude_deg += 1.0; }},
+      {"location.longitude_deg",
+       [](SizingJob& j) { j.locations[0].longitude_deg += 1.0; }},
+      {"location.monthly_ghi_wh_m2_day",
+       [](SizingJob& j) { j.locations[0].monthly_ghi_wh_m2_day[0] += 10.0; }},
+      {"plane.tilt_deg", [](SizingJob& j) { j.options.plane.tilt_deg = 60.0; }},
+      {"plane.albedo", [](SizingJob& j) { j.options.plane.albedo = 0.3; }},
+      {"weather.kt_sigma",
+       [](SizingJob& j) { j.options.weather.kt_sigma = 0.14; }},
+      {"weather.kt_autocorrelation",
+       [](SizingJob& j) { j.options.weather.kt_autocorrelation = 0.7; }},
+      {"weather.kt_min", [](SizingJob& j) { j.options.weather.kt_min = 0.06; }},
+      {"weather.kt_max", [](SizingJob& j) { j.options.weather.kt_max = 0.74; }},
+      {"weather.winter_sigma_boost",
+       [](SizingJob& j) { j.options.weather.winter_sigma_boost = 0.9; }},
+      {"options.years", [](SizingJob& j) { j.options.years = 2; }},
+      {"options.seed", [](SizingJob& j) { ++j.options.seed; }},
+  };
+  auto& syntheses =
+      obs::MetricsRegistry::instance().counter("solar.weather_syntheses");
+  const auto batch_syntheses = [&](const std::vector<SizingJob>& jobs) {
+    const std::uint64_t before = syntheses.value();
+    auto results = size_jobs(jobs);
+    return std::make_pair(std::move(results), syntheses.value() - before);
+  };
+  EXPECT_EQ(batch_syntheses({base, base}).second, 1u);
+  for (const auto& [field, edit] : edits) {
+    SCOPED_TRACE(field);
+    std::vector<SizingJob> jobs{base, base};
+    edit(jobs[1]);
+    const auto [results, count] = batch_syntheses(jobs);
+    EXPECT_EQ(count, 2u);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const auto reference =
+          size_locations(jobs[j].locations, jobs[j].consumption,
+                         jobs[j].options, jobs[j].ladder);
+      ASSERT_EQ(results[j].size(), 1u);
+      EXPECT_TRUE(results[j][0].location == reference[0].location);
+      expect_results_identical(results[j][0], reference[0]);
+    }
+  }
+}
+
 TEST(Sizing, CatalogLookupAndNames) {
   ASSERT_GE(location_catalog().size(), 6u);
   const Location* found = find_location("madrid");

@@ -261,6 +261,19 @@ void write_grid_output(const std::optional<std::string>& path,
   }
 }
 
+/// Damage a trailered document as an armed torn or corrupt fault says:
+/// with `torn`, keep its first max(1, N) bytes; else flip its trailer's
+/// last hex digit (the byte before the final newline), so the body
+/// stays structurally perfect and only the checksum can catch it.
+void damage(std::string& document, std::optional<std::size_t> torn) {
+  if (torn.has_value()) {
+    document.resize(std::min(document.size(), std::max<std::size_t>(1, *torn)));
+  } else if (document.size() >= 2) {
+    char& digit = document[document.size() - 2];
+    digit = digit == '0' ? '1' : '0';
+  }
+}
+
 /// Write one sweep shard document, honoring any armed write-side fault
 /// points. The faults simulate exactly the failure the durability layer
 /// must survive: a torn write leaves a prefix of the document claiming
@@ -270,8 +283,8 @@ void write_grid_output(const std::optional<std::string>& path,
 /// orchestrator's verification, not hidden by rename. Only a faulty
 /// write builds its own trailered bytes, so every shard is hashed once.
 void write_shard_output(const std::optional<std::string>& out_path,
-                        const std::string& document) {
-  auto& faults = railcorr::orch::FaultInjector::instance();
+                        const std::string& document,
+                        const railcorr::orch::FaultInjector& faults) {
   const auto torn = faults.armed(railcorr::orch::FaultKind::kTornWrite);
   const bool corrupt =
       faults.armed(railcorr::orch::FaultKind::kCorruptTrailer).has_value();
@@ -280,19 +293,31 @@ void write_shard_output(const std::optional<std::string>& out_path,
     return;
   }
   std::string trailered = railcorr::util::with_integrity_trailer(document);
-  if (torn.has_value()) {
-    trailered.resize(
-        std::min(trailered.size(), std::max<std::size_t>(1, *torn)));
-  } else {
-    // Flip one hex digit of the trailer: the document body stays
-    // structurally perfect (banner, rows, row count all check out), so
-    // only the checksum verification can catch it.
-    const std::size_t digit = trailered.size() - 2;  // last digit, pre-'\n'
-    trailered[digit] = trailered[digit] == '0' ? '1' : '0';
-  }
+  damage(trailered, torn);
   std::ofstream out(*out_path, std::ios::binary);
   if (!out) throw ConfigError("cannot write '" + *out_path + "'");
   out << trailered;
+}
+
+/// The cache fault points, fired on the store at `dir` after the shard's
+/// one flush, which published `published` (empty: no segment). The
+/// evictor unlinks every other segment; a torn or corrupt fault damages
+/// the published one, which readers must verify and drop.
+void damage_cache(const std::string& dir, const std::string& published,
+                  const railcorr::orch::FaultInjector& faults) {
+  using railcorr::orch::FaultKind;
+  if (faults.armed(FaultKind::kCacheEvict).has_value()) {
+    railcorr::cache::gc_dir(dir, 0, published);
+  }
+  const auto torn = faults.armed(FaultKind::kCacheTornWrite);
+  if (published.empty() || (!torn.has_value() &&
+                            !faults.armed(FaultKind::kCacheCorruptSegment))) {
+    return;
+  }
+  if (auto segment = railcorr::util::read_file_fully(published)) {
+    damage(*segment, torn);
+    railcorr::util::atomic_write_file(published, *segment);
+  }
 }
 
 /// `--accuracy` names the one numeric contract, 'bitexact'; it is
@@ -388,8 +413,9 @@ int cmd_run(const Args& args) {
 int cmd_sweep(const Args& args) {
   check_accuracy(args);
   // Seeded fault injection (chaos testing): RAILCORR_FAULT arms the
-  // workers the orchestrator launches, `--fault` arms by hand.
-  auto& faults = railcorr::orch::FaultInjector::instance();
+  // workers the orchestrator launches, `--fault` arms by hand. Every
+  // site below reads this one local injector.
+  railcorr::orch::FaultInjector faults;
   faults.arm_from_env();
   for (const auto& spec : args.all("--fault")) {
     faults.arm(railcorr::orch::parse_fault_spec(spec));
@@ -456,50 +482,33 @@ int cmd_sweep(const Args& args) {
     std::cout << railcorr::orch::start_line(shard.index, shard.count, owned)
               << std::endl;
   }
+  // The death faults fire here: after the start line, before the
+  // heartbeat starts and before any cell computes, on a shard owning at
+  // least their threshold's cells.
+  if (const auto death = faults.death_fault(owned)) {
+    using railcorr::orch::FaultKind;
+    // kill: a crashed worker.
+    if (*death == FaultKind::kKillAfterCells) ::raise(SIGKILL);
+    // host-flap: the connection drops; no output file, no goodbye.
+    if (*death == FaultKind::kHostFlap) ::_exit(255);
+    // stall: hang silently, forever, with no heartbeat running; only
+    // the supervisor's --stall-timeout can clear it.
+    while (true) ::pause();
+  }
   // The heartbeat timer is stdout's only writer while it runs: it
   // starts after the start line and stops before the cache/done lines.
-  // Each line goes out in one write, so a fault that ends the process
-  // mid-beat loses that beat whole, never half a line.
+  // Each line goes out in one write, so a process that ends mid-beat
+  // loses that beat whole, never half a line.
   std::optional<railcorr::orch::HeartbeatThread> heartbeat;
   if (heartbeat_s > 0) {
     heartbeat.emplace(heartbeat_s, [](const std::string& line) {
       std::cout << line << std::endl;
     });
   }
-  auto* heartbeat_ptr = heartbeat.has_value() ? &*heartbeat : nullptr;
-  const auto kill_after = faults.armed(railcorr::orch::FaultKind::kKillAfterCells);
-  const auto stall_after = faults.armed(railcorr::orch::FaultKind::kStall);
-  const auto flap_after = faults.armed(railcorr::orch::FaultKind::kHostFlap);
-  if (kill_after.has_value() || stall_after.has_value() ||
-      flap_after.has_value()) {
-    // The fault points count rendered rows.
-    options.progress = [kill_after, stall_after, flap_after, heartbeat_ptr](
-                           std::size_t, std::size_t done, std::size_t) {
-      if (kill_after.has_value() &&
-          done >= std::max<std::size_t>(1, *kill_after)) {
-        ::raise(SIGKILL);
-      }
-      if (flap_after.has_value() &&
-          done >= std::max<std::size_t>(1, *flap_after)) {
-        // A flapping host: normal progress so far, then the connection
-        // drops — exit 255 mid-shard, no output file, no goodbye.
-        ::_exit(255);
-      }
-      if (stall_after.has_value() &&
-          done >= std::max<std::size_t>(1, *stall_after)) {
-        // Hang silently, forever: the process stays alive but emits no
-        // further protocol events — the shape of a deadlocked worker.
-        // The heartbeat must die first (a hung worker that kept
-        // heartbeating would defeat the very liveness check this fault
-        // exists to exercise); only --stall-timeout can clear us.
-        if (heartbeat_ptr != nullptr) heartbeat_ptr->stop();
-        while (true) ::pause();
-      }
-    };
-  }
   const std::string document =
       railcorr::core::run_sweep_shard(plan, shard, options);
-  write_shard_output(out_path, document);
+  if (cache.is_open()) damage_cache(*cache_dir, cache.last_published(), faults);
+  write_shard_output(out_path, document, faults);
   // Telemetry files land strictly after the shard document: a crash
   // while writing them can tear a trace, never a result, and the
   // orchestrator treats a torn trace as a lost lane, not a retry.
@@ -715,9 +724,8 @@ int cmd_orchestrate(const Args& args) {
     const auto fault = railcorr::orch::chaos_fault_for(
         *chaos_seed, attempt.shard, attempt.attempt, retries, with_hosts,
         with_cache);
-    // Torn and stalled transfers are the last two kinds.
     if (!fault.has_value() ||
-        transfer != (fault->kind >= railcorr::orch::FaultKind::kTransferTorn)) {
+        transfer != railcorr::orch::is_transfer_fault(fault->kind)) {
       return std::nullopt;
     }
     std::cerr << "[orchestrate] chaos: shard " << attempt.shard << " attempt "
